@@ -12,21 +12,20 @@
 //    many-pair service pays off hardest, and where the >= 1.5x
 //    registrations/sec target is met even on this box;
 //  * coresident at 32^3 — BatchSolver pinned to shards=1 (the
-//    bitwise-reference mode) with fused deformed-template transport, run
-//    TWICE on one solver to prove the registry caches across batches
-//    (rebatch_extra_builds must stay 0);
+//    bitwise-reference mode) with each job's deformed template computed
+//    through its own transport lease, run TWICE on one solver to prove the
+//    registry caches across batches (rebatch_extra_builds must stay 0);
 //  * fault_recovery at 16^3 — the same batch clean and under a seeded
 //    rank crash (docs/FAULT_MODEL.md): recovered_jobs_rate gates that every
 //    job still completes (higher-is-better rate class), retry_overhead_ms
 //    prices the watchdog wait + redone attempt, and all_converged flips if
 //    a retried job stops converging.
 //
-// Scaling note (see bench_common.hpp): the speedup of the sharded legs is
-// the oversubscription overhead that sharding removes — on this container
-// every rank timeshares the same core, so the 32^3 compute-bound headline
-// is capped near the measured p=4-vs-p=1 cost ratio (~1.3x) and the full
-// >= 1.5x target shows in the comm-bound 16^3 record and on multi-core
-// hosts, where shards run truly concurrently.
+// Scaling note (see bench_common.hpp): the container reports 4 cores
+// (`nproc`), so the sequential leg's 4 ranks already run in parallel and
+// the sharded legs gain only the comm and collective overhead that
+// sharding removes: most in the comm-bound 16^3 record, least in the
+// compute-bound 32^3 headline.
 //
 // Field classes (bench/check_regression.py): wall times (*_ms) get the
 // time tolerance; throughput and speedup (*_rate) are gated as
@@ -317,7 +316,7 @@ int main(int argc, char** argv) {
                                 /*want_deformed=*/false, /*reps=*/3);
   const double speedup16 = shard16.rate / seq16.rate;
 
-  // Registry persistence + fused deformed-template transport.
+  // Registry persistence + per-job deformed-template transports.
   const core::RegistrationOptions optc = job_options(4, 5);
   const Leg cores = run_batch(32, optc, /*shards=*/1, /*want_deformed=*/true,
                               /*reps=*/2);

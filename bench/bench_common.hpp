@@ -2,10 +2,10 @@
 // registration case under mpisim and reports the columns of the paper's
 // tables (time to solution, FFT comm/exec, interpolation comm/exec).
 //
-// Scaling note (see DESIGN.md): this machine has 2 physical cores and no
-// MPI, so rank counts beyond 2 oversubscribe; the tables reproduce the
-// paper's *structure* (who wins, comm/exec split, trends), not TACC's
-// absolute numbers. Grid sizes are scaled down from the paper's 64^3-1024^3
+// Scaling note: the container these benches run in reports 4 cores
+// (`nproc`) and has no MPI, so rank counts beyond 4 oversubscribe; the
+// tables reproduce the paper's *structure* (who wins, comm/exec split,
+// trends), not TACC's absolute numbers. Grid sizes are scaled down from the paper's 64^3-1024^3
 // to 32^3-96^3 so every binary finishes in seconds to a few minutes.
 #pragma once
 
@@ -90,14 +90,13 @@ struct FftCaseResult {
 /// kOther, so the published kFftComm counters match the unguarded leg.
 inline FftCaseResult run_fft_trajectory_case(index_t n, int p, int reps,
                                              WirePrecision wire,
-                                             bool overlap = false,
                                              bool guard = false) {
   FftCaseResult out;
   const Int3 dims{n, n, n};
   double fwd_max = 0, inv_max = 0;
   auto timings = mpisim::run_spmd(p, [&](mpisim::Communicator& comm) {
     grid::PencilDecomp decomp(comm, dims);
-    fft::DistributedFft3d fft(decomp, wire, overlap);
+    fft::DistributedFft3d fft(decomp, wire);
     std::vector<real_t> x(fft.local_real_size());
     for (index_t i = 0; i < fft.local_real_size(); ++i)
       x[i] = static_cast<real_t>((i * 2654435761u) % 1000) / 1000.0;
@@ -153,7 +152,6 @@ struct SemilagCaseResult {
 inline SemilagCaseResult run_semilag_trajectory_case(index_t n, int p,
                                                      int reps,
                                                      WirePrecision wire,
-                                                     bool overlap = false,
                                                      bool guard = false) {
   SemilagCaseResult out;
   const Int3 dims{n, n, n};
@@ -162,11 +160,10 @@ inline SemilagCaseResult run_semilag_trajectory_case(index_t n, int p,
   std::mutex mu;
   mpisim::run_spmd(p, [&](mpisim::Communicator& comm) {
     grid::PencilDecomp decomp(comm, dims);
-    spectral::SpectralOps ops(decomp, wire, overlap);
+    spectral::SpectralOps ops(decomp, wire);
     semilag::TransportConfig tc;
     tc.nt = 4;
     tc.wire = wire;
-    tc.overlap = overlap;
     semilag::Transport transport(ops, tc);
 
     auto rho0 = imaging::synthetic_template(decomp);

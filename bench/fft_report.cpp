@@ -26,25 +26,22 @@ namespace {
 struct Record {
   index_t n = 0;
   int p = 0;
-  bool overlap = false;
   bool guard = false;
   double forward_ms = 0;
   double inverse_ms = 0;
-  double hidden_ratio = 0;  // hidden / (hidden + timed) FFT comm time
   std::uint64_t comm_bytes = 0;
   std::uint64_t comm_messages = 0;
   std::uint64_t exchanges = 0;
 };
 
 Record run_case(index_t n, int p, int reps, WirePrecision wire,
-                bool overlap = false, bool guard = false) {
+                bool guard = false) {
   Record rec;
   rec.n = n;
   rec.p = p;
-  rec.overlap = overlap;
   rec.guard = guard;
   const bench::FftCaseResult res =
-      bench::run_fft_trajectory_case(n, p, reps, wire, overlap, guard);
+      bench::run_fft_trajectory_case(n, p, reps, wire, guard);
   rec.forward_ms = res.forward_ms;
   rec.inverse_ms = res.inverse_ms;
   // Per-rank, per-transform averages, so records are comparable across rank
@@ -54,7 +51,6 @@ Record run_case(index_t n, int p, int reps, WirePrecision wire,
   rec.comm_bytes = res.agg.bytes(TimeKind::kFftComm) / norm;
   rec.comm_messages = res.agg.messages(TimeKind::kFftComm) / norm;
   rec.exchanges = res.agg.exchanges(TimeKind::kFftComm) / norm;
-  rec.hidden_ratio = res.agg.overlap_efficiency(TimeKind::kFftComm);
   return rec;
 }
 
@@ -76,18 +72,11 @@ int main(int argc, char** argv) {
   records.push_back(run_case(64, 1, 5, wire));
   records.push_back(run_case(32, 4, 10, wire));
   records.push_back(run_case(64, 4, 3, wire));
-  // Overlap legs of the multi-rank cases: same schedule, nonblocking
-  // transposes with the self unpack under flight ("case": "overlap" keeps
-  // their identity distinct from the blocking records).
-  records.push_back(run_case(32, 4, 10, wire, /*overlap=*/true));
-  records.push_back(run_case(64, 4, 3, wire, /*overlap=*/true));
   // Guard legs of the multi-rank cases: one collective validate_finite
   // sweep per transform, pricing the --guard safeguard on the hottest
   // kernel ("case": "guard"). Comm counters must match the base records.
-  records.push_back(run_case(32, 4, 10, wire, /*overlap=*/false,
-                             /*guard=*/true));
-  records.push_back(run_case(64, 4, 3, wire, /*overlap=*/false,
-                             /*guard=*/true));
+  records.push_back(run_case(32, 4, 10, wire, /*guard=*/true));
+  records.push_back(run_case(64, 4, 3, wire, /*guard=*/true));
 
   std::FILE* f = std::fopen(out_path.c_str(), "w");
   if (!f) {
@@ -99,13 +88,7 @@ int main(int argc, char** argv) {
                fp32 ? "fft_fp32wire" : "fft", bench::arch_flags());
   for (size_t i = 0; i < records.size(); ++i) {
     const Record& r = records[i];
-    char extra[96] = "";
-    if (r.overlap)
-      std::snprintf(extra, sizeof extra,
-                    "\"case\": \"overlap\", \"hidden_comm_ratio\": %.4f, ",
-                    r.hidden_ratio);
-    else if (r.guard)
-      std::snprintf(extra, sizeof extra, "\"case\": \"guard\", ");
+    const char* extra = r.guard ? "\"case\": \"guard\", " : "";
     std::fprintf(f,
                  "    {%s\"size\": %lld, \"ranks\": %d, \"forward_ms\": %.4f, "
                  "\"inverse_ms\": %.4f, \"comm_bytes_per_rank_transform\": "
@@ -122,10 +105,9 @@ int main(int argc, char** argv) {
 
   for (const Record& r : records)
     std::printf(
-        "fft %lld^3 p=%d%s%s: forward %.3f ms, inverse %.3f ms, "
+        "fft %lld^3 p=%d%s: forward %.3f ms, inverse %.3f ms, "
         "%llu B / %llu msgs / %llu exchanges per rank per transform\n",
-        static_cast<long long>(r.n), r.p, r.overlap ? " overlap" : "",
-        r.guard ? " guard" : "",
+        static_cast<long long>(r.n), r.p, r.guard ? " guard" : "",
         r.forward_ms, r.inverse_ms,
         static_cast<unsigned long long>(r.comm_bytes),
         static_cast<unsigned long long>(r.comm_messages),

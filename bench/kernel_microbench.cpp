@@ -1,5 +1,5 @@
 // Kernel microbenchmarks (google-benchmark) backing the paper's section
-// III-C complexity discussion, plus the ablations listed in DESIGN.md:
+// III-C complexity discussion, plus ablations:
 //
 //  * 3D FFT forward/inverse (the O(N^3 log N) spectral workhorse)
 //  * spectral gradient (1 forward + 3 inverse FFTs, the fused variant)

@@ -34,23 +34,20 @@ struct Record {
   double state_ms = 0;        // solve_state (nt cached-plan steps)
   double matvec_ms = 0;       // incr. state + GN incr. adjoint transports
   double interp_vec3_ms = 0;  // one batched 3-component interpolation
-  bool overlap = false;
   bool guard = false;
-  double hidden_ratio = 0;  // hidden / (hidden + timed) interp comm time
   std::uint64_t comm_bytes = 0;     // interp comm per rank per matvec
   std::uint64_t comm_messages = 0;
   std::uint64_t exchanges = 0;      // alltoallv+alltoall per rank per matvec
 };
 
 Record run_case(index_t n, int p, int reps, WirePrecision wire,
-                bool overlap = false, bool guard = false) {
+                bool guard = false) {
   Record rec;
   rec.n = n;
   rec.p = p;
-  rec.overlap = overlap;
   rec.guard = guard;
   const bench::SemilagCaseResult res =
-      bench::run_semilag_trajectory_case(n, p, reps, wire, overlap, guard);
+      bench::run_semilag_trajectory_case(n, p, reps, wire, guard);
   rec.plan_build_ms = res.plan_build_ms;
   rec.state_ms = res.state_ms;
   rec.matvec_ms = res.matvec_ms;
@@ -62,7 +59,6 @@ Record run_case(index_t n, int p, int reps, WirePrecision wire,
   rec.comm_bytes = res.matvec_agg.bytes(TimeKind::kInterpComm) / norm;
   rec.comm_messages = res.matvec_agg.messages(TimeKind::kInterpComm) / norm;
   rec.exchanges = res.matvec_agg.exchanges(TimeKind::kInterpComm) / norm;
-  rec.hidden_ratio = res.matvec_agg.overlap_efficiency(TimeKind::kInterpComm);
   return rec;
 }
 
@@ -84,18 +80,11 @@ int main(int argc, char** argv) {
   records.push_back(run_case(64, 1, 3, wire));
   records.push_back(run_case(32, 4, 5, wire));
   records.push_back(run_case(64, 4, 2, wire));
-  // Overlap legs of the multi-rank cases: SELF interpolation under the
-  // value-exchange flight, halo second-slab pack under the first halo
-  // ("case": "overlap" keeps their identity distinct).
-  records.push_back(run_case(32, 4, 5, wire, /*overlap=*/true));
-  records.push_back(run_case(64, 4, 2, wire, /*overlap=*/true));
   // Guard legs of the multi-rank cases: one collective validate_finite per
   // timed solve/matvec/interp, pricing the --guard safeguard on the
   // transport path ("case": "guard"). Comm counters must match the base.
-  records.push_back(run_case(32, 4, 5, wire, /*overlap=*/false,
-                             /*guard=*/true));
-  records.push_back(run_case(64, 4, 2, wire, /*overlap=*/false,
-                             /*guard=*/true));
+  records.push_back(run_case(32, 4, 5, wire, /*guard=*/true));
+  records.push_back(run_case(64, 4, 2, wire, /*guard=*/true));
 
   std::FILE* f = std::fopen(out_path.c_str(), "w");
   if (!f) {
@@ -107,13 +96,7 @@ int main(int argc, char** argv) {
                fp32 ? "semilag_fp32wire" : "semilag", bench::arch_flags());
   for (size_t i = 0; i < records.size(); ++i) {
     const Record& r = records[i];
-    char extra[96] = "";
-    if (r.overlap)
-      std::snprintf(extra, sizeof extra,
-                    "\"case\": \"overlap\", \"hidden_comm_ratio\": %.4f, ",
-                    r.hidden_ratio);
-    else if (r.guard)
-      std::snprintf(extra, sizeof extra, "\"case\": \"guard\", ");
+    const char* extra = r.guard ? "\"case\": \"guard\", " : "";
     std::fprintf(
         f,
         "    {%s\"size\": %lld, \"ranks\": %d, \"plan_build_ms\": %.4f, "
@@ -133,13 +116,11 @@ int main(int argc, char** argv) {
 
   for (const Record& r : records)
     std::printf(
-        "semilag %lld^3 p=%d%s%s: plan build %.3f ms, state %.3f ms, matvec "
+        "semilag %lld^3 p=%d%s: plan build %.3f ms, state %.3f ms, matvec "
         "%.3f ms, vec3 interp %.3f ms, %llu B / %llu msgs / %llu exchanges "
         "per rank per matvec\n",
-        static_cast<long long>(r.n), r.p, r.overlap ? " overlap" : "",
-        r.guard ? " guard" : "",
-        r.plan_build_ms, r.state_ms,
-        r.matvec_ms, r.interp_vec3_ms,
+        static_cast<long long>(r.n), r.p, r.guard ? " guard" : "",
+        r.plan_build_ms, r.state_ms, r.matvec_ms, r.interp_vec3_ms,
         static_cast<unsigned long long>(r.comm_bytes),
         static_cast<unsigned long long>(r.comm_messages),
         static_cast<unsigned long long>(r.exchanges));

@@ -1,6 +1,6 @@
 // Reproduces the structure of Table II (paper): the largest synthetic runs
 // (512^3 and 1024^3 on up to 2048 tasks of Stampede). Here the "large" grid
-// is 96^3 (the largest that keeps this binary under ~2 minutes on 2 cores);
+// is 96^3 (the largest that keeps this binary under ~2 minutes on 4 cores);
 // the paper's observation to reproduce is that the solve still completes at
 // the largest size and that interpolation execution dominates the runtime.
 #include "bench_common.hpp"

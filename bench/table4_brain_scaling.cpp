@@ -2,7 +2,7 @@
 // real-world brain problem (NIREP na01/na02, 256x300x256, 2 Newton
 // iterations, beta = 1e-2). Here: procedural brain phantoms on a 48x56x48
 // grid — the same anisotropic, non-power-of-two shape class (56 exercises
-// the Bluestein FFT path exactly like 300 does) — see DESIGN.md.
+// the Bluestein FFT path exactly like 300 does) — see imaging/synthetic.hpp.
 #include "bench_common.hpp"
 
 using namespace diffreg;

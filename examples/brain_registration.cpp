@@ -1,5 +1,6 @@
 // Multi-subject brain registration (the paper's real-world problem,
-// section IV-C, run here on procedural brain phantoms — see DESIGN.md).
+// section IV-C, run here on procedural brain phantoms — see
+// imaging/synthetic.hpp).
 //
 // Uses the paper's anisotropic grid shape (256 x 300 x 256, scaled down to
 // 48 x 56 x 48 so it runs in seconds; 56 exercises the non-power-of-two

@@ -2,9 +2,9 @@
 // problem solved with 1, 2 and 4 simulated MPI ranks, reporting the paper's
 // table columns (time to solution, FFT comm/exec, interpolation comm/exec).
 //
-// Notes: this machine exposes 2 physical cores, so ideal speedup saturates
-// at 2x; the point of the demo is that the distributed code path (pencil
-// FFT transposes, ghost exchange, interpolation scatter) produces the same
+// Notes: on a 4-core container (`nproc` = 4) ideal speedup saturates at
+// 4x; the point of the demo is that the distributed code path (pencil FFT
+// transposes, ghost exchange, interpolation scatter) produces the same
 // answer at every rank count while the comm/exec split shifts the way the
 // paper's Tables I-IV describe.
 #include <cstdio>

@@ -35,10 +35,6 @@ void print_usage() {
       "                       every hot exchange as fp32 and runs the inner\n"
       "                       Krylov solve in single precision (outer Newton\n"
       "                       stays double — see README precision policy)\n"
-      "  --overlap M          on | off (default off); on posts the hot\n"
-      "                       exchanges nonblocking and runs independent\n"
-      "                       local work under their flight (bitwise\n"
-      "                       identical results and message schedule)\n"
       "  --full-newton        keep the full-Newton Hessian terms\n"
       "  --trilinear          trilinear instead of tricubic interpolation\n"
       "  --continuation       run beta continuation (start 1e-1 -> beta)\n"
@@ -224,17 +220,6 @@ bool parse_tokens(const std::vector<std::string>& args, bool job_line,
         opt.reg.precision = core::Precision::kMixed;
       else {
         error = "--precision must be double or mixed";
-        return false;
-      }
-    } else if (flag == "--overlap") {
-      const auto* v = next();
-      if (!v) return missing();
-      if (*v == "on")
-        opt.reg.overlap = true;
-      else if (*v == "off")
-        opt.reg.overlap = false;
-      else {
-        error = "--overlap must be on or off";
         return false;
       }
     } else if (flag == "--full-newton") {

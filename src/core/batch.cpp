@@ -15,28 +15,11 @@
 #include "core/batch_manifest.hpp"
 #include "core/checkpoint.hpp"
 #include "grid/field_math.hpp"
-#include "interp/fused_exchange.hpp"
 #include "mpisim/errors.hpp"
 
 namespace diffreg::core {
 
 namespace {
-
-semilag::TransportConfig transport_config(const RegistrationOptions& opt) {
-  semilag::TransportConfig tc;
-  tc.nt = opt.nt;
-  tc.method = opt.interp_method;
-  tc.incompressible = opt.incompressible;
-  tc.wire = opt.wire();
-  tc.overlap = opt.overlap;
-  return tc;
-}
-
-Vec3 smoothing_sigma(const RegistrationOptions& opt, const Int3& dims) {
-  return {opt.smoothing_cells * kTwoPi / dims[0],
-          opt.smoothing_cells * kTwoPi / dims[1],
-          opt.smoothing_cells * kTwoPi / dims[2]};
-}
 
 bool is_final(JobOutcome outcome) {
   return outcome == JobOutcome::kDone || outcome == JobOutcome::kDegraded ||
@@ -239,8 +222,6 @@ BatchReport BatchSolver::run_all(const BatchOptions& opts) {
     ScalarField t_owned, r_owned;        // factory outputs
     const ScalarField* rho_t = nullptr;  // raw (unsmoothed) inputs
     const ScalarField* rho_r = nullptr;
-    ScalarField t_smooth, r_smooth;  // fused pre-smoothing outputs
-    bool presmoothed = false;
     grid::VectorField v0;  // checkpoint warm start (manifest resume)
     bool has_v0 = false;
     real_t warm_gradient_reference = 0;
@@ -292,61 +273,6 @@ BatchReport BatchSolver::run_all(const BatchOptions& opts) {
     jd.ready = true;
   };
 
-  // Fused input pre-smoothing: the template AND reference fields of the
-  // given co-resident jobs that want smoothing ride batched
-  // gaussian_smooth_many calls (per-field sigma), up to the FFT batch width
-  // per exchange set. Bitwise identical per field to the in-solve smoothing
-  // it replaces.
-  auto presmooth = [&](const std::vector<int>& members) {
-    struct SmoothItem {
-      const real_t* in;
-      real_t* out;
-      Vec3 sigma;
-    };
-    // Group by the spectral-operator key the smoothing runs on.
-    std::map<std::tuple<index_t, index_t, index_t, int, int>,
-             std::vector<SmoothItem>>
-        groups;
-    for (int qi : members) {
-      const BatchJobSpec& spec = queue_[qi];
-      const RegistrationOptions& jopt = spec.request.options;
-      JobData& jd = jobdata[qi];
-      if (!jopt.smooth_inputs || jd.presmoothed) continue;
-      auto decomp = ctx->registry->decomp(spec.dims);
-      const index_t n = decomp->local_real_size();
-      jd.t_smooth.resize(n);
-      jd.r_smooth.resize(n);
-      const Vec3 sigma = smoothing_sigma(jopt, spec.dims);
-      auto& g = groups[{spec.dims[0], spec.dims[1], spec.dims[2],
-                        static_cast<int>(jopt.wire()), jopt.overlap ? 1 : 0}];
-      g.push_back({jd.rho_t->data(), jd.t_smooth.data(), sigma});
-      g.push_back({jd.rho_r->data(), jd.r_smooth.data(), sigma});
-      jd.presmoothed = true;
-    }
-    for (auto& [key, items] : groups) {
-      const Int3 dims{std::get<0>(key), std::get<1>(key), std::get<2>(key)};
-      auto ops = ctx->registry->spectral(
-          dims, static_cast<WirePrecision>(std::get<3>(key)),
-          std::get<4>(key) != 0);
-      const int chunk = fft::DistributedFft3d::kMaxBatch;
-      for (std::size_t b = 0; b < items.size(); b += chunk) {
-        const int m =
-            static_cast<int>(std::min<std::size_t>(chunk, items.size() - b));
-        const real_t* ins[fft::DistributedFft3d::kMaxBatch];
-        real_t* outs[fft::DistributedFft3d::kMaxBatch];
-        Vec3 sigmas[fft::DistributedFft3d::kMaxBatch];
-        for (int q = 0; q < m; ++q) {
-          ins[q] = items[b + q].in;
-          outs[q] = items[b + q].out;
-          sigmas[q] = items[b + q].sigma;
-        }
-        ops->gaussian_smooth_many(std::span<const real_t* const>(ins, m),
-                                  std::span<const Vec3>(sigmas, m),
-                                  std::span<real_t* const>(outs, m));
-      }
-    }
-  };
-
   // One in-flight placement of a job on this shard.
   struct Attempt {
     int qi = 0;             ///< Queue index.
@@ -382,42 +308,6 @@ BatchReport BatchSolver::run_all(const BatchOptions& opts) {
           my_assigned.insert(idx);
         }
         ++k;
-      }
-    }
-
-    // Materialize inputs (and fused pre-smoothing) for this round's
-    // placements, inside the fault boundary: a fault mid-smoothing drains
-    // the shard's communicators and falls back to per-solve smoothing,
-    // which is bitwise identical per field.
-    if (healthy && !runq.empty()) {
-      std::vector<int> fresh;
-      for (const Attempt& a : runq) fresh.push_back(a.qi);
-      auto input_fault = [&](const char* what) {
-        verbose_line("[batch shard %d] input phase faulted: %s\n", color,
-                     what);
-        for (int qi : fresh) jobdata[qi].presmoothed = false;
-        if (!ctx->registry->recover_after_fault(recover_timeout)) {
-          healthy = false;
-          return;
-        }
-        // Second chance without the fused smoothing: the solves smooth
-        // in-line, bitwise identical per field. A second fault means the
-        // shard is not salvageable this round.
-        try {
-          for (int qi : fresh) materialize(qi);
-        } catch (const grid::NonFiniteFieldError&) {
-          healthy = false;
-        } catch (const mpisim::CommError&) {
-          healthy = false;
-        }
-      };
-      try {
-        for (int qi : fresh) materialize(qi);
-        if (opts.fuse_exchanges) presmooth(fresh);
-      } catch (const grid::NonFiniteFieldError& e) {
-        input_fault(e.what());
-      } catch (const mpisim::CommError& e) {
-        input_fault(e.what());
       }
     }
 
@@ -498,31 +388,27 @@ BatchReport BatchSolver::run_all(const BatchOptions& opts) {
       while (a.not_before > 0 && batch_clock.seconds() < a.not_before)
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
 
-      SolveRequest req = spec.request;
-      if (jd.presmoothed) {
-        req.rho_t = &jd.t_smooth;
-        req.rho_r = &jd.r_smooth;
-        req.options.smooth_inputs = false;
-      } else {
-        req.rho_t = jd.rho_t;
-        req.rho_r = jd.rho_r;
-      }
-      if (jd.has_v0) {
-        req.v0 = &jd.v0;
-        if (jd.warm_gradient_reference > 0)
-          req.options.gradient_reference = jd.warm_gradient_reference;
-      }
-      if (!st[a.qi].checkpoint.empty())
-        req.checkpoint_path = st[a.qi].checkpoint;
-      const double deadline = req.deadline_seconds;
-      const bool enforce =
-          opts.enforce_deadlines && deadline > 0 && !a.degraded;
-      if (a.degraded) degrade_options(req.options);
-
       st[a.qi].attempts = ++a.attempts;
       st[a.qi].shard = color;
 
       try {
+        // Inputs are built inside the boundary, so a fault while building
+        // them is an ordinary failed attempt.
+        materialize(a.qi);
+        SolveRequest req = spec.request;
+        req.rho_t = jd.rho_t;
+        req.rho_r = jd.rho_r;
+        if (jd.has_v0) {
+          req.v0 = &jd.v0;
+          if (jd.warm_gradient_reference > 0)
+            req.options.gradient_reference = jd.warm_gradient_reference;
+        }
+        if (!st[a.qi].checkpoint.empty())
+          req.checkpoint_path = st[a.qi].checkpoint;
+        const double deadline = req.deadline_seconds;
+        const bool enforce =
+            opts.enforce_deadlines && deadline > 0 && !a.degraded;
+        if (a.degraded) degrade_options(req.options);
         if (enforce) {
           // Admission check: cancel before spending a solve when the
           // deadline already passed (a shard-collective decision, so every
@@ -668,79 +554,24 @@ BatchReport BatchSolver::run_all(const BatchOptions& opts) {
     }
   }
 
-  // Deformed templates: co-resident same-shape jobs run their final
-  // transport lockstep through the fused exchange (one ghost exchange and
-  // one value alltoallv per time step for the whole group). Faults here
-  // degrade to per-job transports; a job whose deform still faults leaves
-  // an empty field rather than failing the batch.
+  // Deformed templates: each job transports its unsmoothed template along
+  // its velocity. A job whose deform faults leaves an empty field rather
+  // than failing the batch.
   const int jn = static_cast<int>(my_completed.size());
   if (opts.want_deformed) {
     out.deformed.resize(static_cast<std::size_t>(jn));
-    bool deformed_ok = false;
-    if (opts.fuse_exchanges) {
+    for (int i = 0; i < jn; ++i) {
+      const int qi = my_completed[i];
+      const BatchJobSpec& spec = queue_[qi];
       try {
-        for (int qi : my_completed) materialize(qi);
-        std::map<
-            std::tuple<index_t, index_t, index_t, int, int, int, int, int>,
-            std::vector<int>>
-            groups;
-        for (int i = 0; i < jn; ++i) {
-          const BatchJobSpec& spec = queue_[my_completed[i]];
-          const semilag::TransportConfig tc =
-              transport_config(spec.request.options);
-          groups[{spec.dims[0], spec.dims[1], spec.dims[2], tc.nt,
-                  static_cast<int>(tc.method), tc.incompressible ? 1 : 0,
-                  static_cast<int>(tc.wire), tc.overlap ? 1 : 0}]
-              .push_back(i);
-        }
-        for (auto& [key, members] : groups) {
-          const int g = static_cast<int>(members.size());
-          const BatchJobSpec& spec0 = queue_[my_completed[members[0]]];
-          const semilag::TransportConfig tc =
-              transport_config(spec0.request.options);
-          auto decomp = ctx->registry->decomp(spec0.dims);
-          std::vector<std::shared_ptr<semilag::Transport>> leased(g);
-          std::vector<semilag::Transport*> transports(g);
-          std::vector<const ScalarField*> templates(g);
-          for (int q = 0; q < g; ++q) {
-            const int qi = my_completed[members[q]];
-            leased[q] = ctx->registry->acquire_transport(spec0.dims, tc);
-            transports[q] = leased[q].get();
-            transports[q]->set_velocity(my_reports[qi].velocity);
-            templates[q] = jobdata[qi].rho_t;  // unsmoothed template
-          }
-          interp::FusedInterp fused(*decomp, tc.wire, tc.overlap);
-          semilag::solve_states_fused(
-              std::span<semilag::Transport* const>(transports),
-              std::span<const ScalarField* const>(templates), fused);
-          for (int q = 0; q < g; ++q) {
-            out.deformed[static_cast<std::size_t>(members[q])] =
-                transports[q]->final_state();
-            ctx->registry->release_transport(spec0.dims, tc,
-                                             std::move(leased[q]));
-          }
-        }
-        deformed_ok = true;
+        materialize(qi);
+        solver_for(spec).deform_template(
+            *jobdata[qi].rho_t, my_reports[qi].velocity,
+            out.deformed[static_cast<std::size_t>(i)]);
       } catch (const grid::NonFiniteFieldError&) {
         ctx->registry->recover_after_fault(recover_timeout);
       } catch (const mpisim::CommError&) {
         ctx->registry->recover_after_fault(recover_timeout);
-      }
-    }
-    if (!deformed_ok) {
-      for (int i = 0; i < jn; ++i) {
-        const int qi = my_completed[i];
-        const BatchJobSpec& spec = queue_[qi];
-        try {
-          materialize(qi);
-          solver_for(spec).deform_template(
-              *jobdata[qi].rho_t, my_reports[qi].velocity,
-              out.deformed[static_cast<std::size_t>(i)]);
-        } catch (const grid::NonFiniteFieldError&) {
-          ctx->registry->recover_after_fault(recover_timeout);
-        } catch (const mpisim::CommError&) {
-          ctx->registry->recover_after_fault(recover_timeout);
-        }
       }
     }
   }

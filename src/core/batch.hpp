@@ -3,7 +3,7 @@
 //
 // Jobs are submitted as SolveRequests (plus a grid and, optionally, an
 // input factory) into a FIFO+priority queue; run_all() drains the queue
-// collectively. Three throughput mechanisms stack on the shared
+// collectively. Two throughput mechanisms stack on the shared
 // PlanRegistry:
 //
 //  * plan amortization — all solvers and jobs of a shard lease their
@@ -16,19 +16,16 @@
 //    overlaps another job's exchanges (the cross-job form of the PR 6
 //    comm/compute overlap). shards=0 picks S automatically; jobs whose
 //    inputs are raw pointers pin S=1 (their blocks live on the parent
-//    decomposition);
-//  * fused exchanges — co-resident same-shape jobs of one shard batch
-//    their uniform-control-flow phases (input pre-smoothing through
-//    gaussian_smooth_many, final deformed-template transport through
-//    solve_states_fused/FusedInterp) into single collectives, the
-//    `interpolate_many` mechanism across jobs instead of across components.
+//    decomposition).
+//
+// Every job smooths its inputs and deforms its template through the same
+// RegistrationSolver code as a standalone solve.
 //
 // Determinism contract: with shards=1 every job's velocity is bitwise
 // identical to running it alone through RegistrationSolver at the same rank
-// count (the fused phases change message grouping, never values). Sharding
-// changes the effective rank count per job (S shards of p/S ranks), which
-// changes collective reduction order — a throughput mode, not a bitwise
-// mode; see docs/SERVICE.md.
+// count. Sharding changes the effective rank count per job (S shards of p/S
+// ranks), which changes collective reduction order — a throughput mode, not
+// a bitwise mode; see docs/SERVICE.md.
 //
 // Fault isolation (docs/FAULT_MODEL.md): each job's solve runs inside a
 // structured-error boundary. A job that dies with a CommError or
@@ -115,12 +112,7 @@ struct BatchOptions {
   /// not exceeding the job count; 1 when any job carries raw input
   /// pointers). Must divide the rank count.
   int shards = 0;
-  /// Fuse the uniform phases of co-resident same-shape jobs (input
-  /// pre-smoothing, deformed-template transport) into single collectives.
-  /// Per-job results are bitwise unaffected.
-  bool fuse_exchanges = true;
-  /// Also compute each job's deformed template rho_T(y1) (through the
-  /// fused transport when fuse_exchanges is set).
+  /// Also compute each job's deformed template rho_T(y1).
   bool want_deformed = false;
   bool verbose = false;  ///< Per-job progress lines on rank 0 of each shard.
 

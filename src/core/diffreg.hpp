@@ -2,7 +2,7 @@
 //
 // diffreg reproduces "Distributed-Memory Large Deformation Diffeomorphic 3D
 // Image Registration" (Mang, Gholami, Biros; SC16). See README.md for a
-// quickstart and DESIGN.md for the architecture.
+// quickstart and docs/ARCHITECTURE.md for the architecture.
 #pragma once
 
 #include "common/logger.hpp"
@@ -29,7 +29,6 @@
 #include "grid/field_io.hpp"
 #include "grid/field_math.hpp"
 #include "grid/ghost_exchange.hpp"
-#include "interp/fused_exchange.hpp"
 #include "interp/interp_plan.hpp"
 #include "interp/kernels.hpp"
 #include "mpisim/communicator.hpp"

@@ -61,13 +61,7 @@ struct RegistrationOptions {
                                           : WirePrecision::kF64;
   }
 
-  /// Comm/compute overlap (CLI --overlap on). When set, every plan the
-  /// solver builds (FFT transposes, ghost halos, interpolation value
-  /// scatter) posts its exchanges nonblocking and runs the independent
-  /// local work under their flight. The message schedule and the results
-  /// are bitwise identical to the default blocking schedule — only the
-  /// wire's idle time moves (into the Timings hidden-comm counters).
-  bool overlap = false;
+  bool overlap = false;  ///< Has no effect (kept for source compatibility).
 
   // Newton-Krylov solver.
   bool gauss_newton = true;

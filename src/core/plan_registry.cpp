@@ -20,16 +20,14 @@ std::shared_ptr<grid::PencilDecomp> PlanRegistry::decomp(const Int3& dims) {
 }
 
 std::shared_ptr<spectral::SpectralOps> PlanRegistry::spectral(
-    const Int3& dims, WirePrecision wire, bool overlap) {
+    const Int3& dims, WirePrecision wire) {
   ++stats_.leases;
-  const SpectralKey key{dims[0], dims[1], dims[2], static_cast<int>(wire),
-                        overlap ? 1 : 0};
+  const SpectralKey key{dims[0], dims[1], dims[2], static_cast<int>(wire)};
   auto it = spectrals_.find(key);
   if (it == spectrals_.end()) {
     auto d = decomp(dims);
     it = spectrals_
-             .emplace(key, std::make_shared<spectral::SpectralOps>(*d, wire,
-                                                                   overlap))
+             .emplace(key, std::make_shared<spectral::SpectralOps>(*d, wire))
              .first;
     ++stats_.spectral_builds;
   }
@@ -67,7 +65,7 @@ std::shared_ptr<semilag::Transport> PlanRegistry::acquire_transport(
     t->invalidate_plans();
     return t;
   }
-  auto ops = spectral(dims, tc.wire, tc.overlap);
+  auto ops = spectral(dims, tc.wire);
   auto t = std::make_shared<semilag::Transport>(*ops, tc);
   ++stats_.transport_builds;
   return t;

@@ -5,8 +5,8 @@
 // communicator splits each), spectral operator sets (a distributed FFT plan
 // with all transpose buffers), resample plans, and transports (ghost
 // exchanger + interpolation plans + time-history storage) — is built ONCE
-// per key and leased to jobs. Keys are (dims, process grid, wire precision,
-// overlap) plus, for transports, the transport configuration; two jobs with
+// per key and leased to jobs. Keys are (dims, process grid, wire precision)
+// plus, for transports, the transport configuration; two jobs with
 // the same shape and precision policy share one entry, jobs with different
 // shapes or wire formats get distinct entries.
 //
@@ -61,10 +61,9 @@ class PlanRegistry {
   std::shared_ptr<grid::PencilDecomp> decomp(const Int3& dims);
 
   /// Spectral operator set (FFT plan + wavenumber tables) for
-  /// (dims, wire, overlap), bound to decomp(dims). Collective.
+  /// (dims, wire), bound to decomp(dims). Collective.
   std::shared_ptr<spectral::SpectralOps> spectral(const Int3& dims,
-                                                  WirePrecision wire,
-                                                  bool overlap);
+                                                  WirePrecision wire);
 
   /// Grid-transfer plan decomp(from) -> decomp(to) at `wire`. Collective.
   std::shared_ptr<spectral::ResamplePlan> resample(const Int3& from,
@@ -120,14 +119,14 @@ class PlanRegistry {
 
  private:
   using DimsKey = std::tuple<index_t, index_t, index_t>;
-  // dims + wire + overlap.
-  using SpectralKey = std::tuple<index_t, index_t, index_t, int, int>;
+  // dims + wire.
+  using SpectralKey = std::tuple<index_t, index_t, index_t, int>;
   // from-dims + to-dims + wire.
   using ResampleKey = std::tuple<index_t, index_t, index_t, index_t, index_t,
                                  index_t, int>;
-  // dims + nt + method + incompressible + wire + overlap.
+  // dims + nt + method + incompressible + wire.
   using TransportKey =
-      std::tuple<index_t, index_t, index_t, int, int, int, int, int>;
+      std::tuple<index_t, index_t, index_t, int, int, int, int>;
 
   static DimsKey dims_key(const Int3& d) { return {d[0], d[1], d[2]}; }
   static TransportKey transport_key(const Int3& d,
@@ -138,8 +137,7 @@ class PlanRegistry {
             tc.nt,
             static_cast<int>(tc.method),
             tc.incompressible ? 1 : 0,
-            static_cast<int>(tc.wire),
-            tc.overlap ? 1 : 0};
+            static_cast<int>(tc.wire)};
   }
 
   mpisim::Communicator comm_;

@@ -14,7 +14,6 @@ semilag::TransportConfig coarse_transport_config(
   tc.method = opt.interp_method;
   tc.incompressible = opt.incompressible;
   tc.wire = opt.wire();
-  tc.overlap = opt.overlap;
   return tc;
 }
 
@@ -27,7 +26,7 @@ TwoLevelPreconditioner::TwoLevelPreconditioner(
                      spectral::coarsen_dims(fine_decomp.dims(),
                                             opt.precond_coarsest_dim),
                      fine_decomp.p1(), fine_decomp.p2()),
-      ops_(coarse_decomp_, opt.wire(), opt.overlap),
+      ops_(coarse_decomp_, opt.wire()),
       transport_(ops_, coarse_transport_config(opt)),
       reg_(ops_, opt.reg_type, opt.beta),
       restrict_plan_(fine_decomp, coarse_decomp_, opt.wire()),

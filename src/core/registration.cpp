@@ -40,10 +40,8 @@ RegistrationSolver::RegistrationSolver(grid::PencilDecomp& decomp,
                                        const RegistrationOptions& options)
     : decomp_(&decomp),
       options_(options),
-      ops_(std::make_shared<spectral::SpectralOps>(decomp, options.wire(),
-                                                   options.overlap)),
-      ops_wire_(options.wire()),
-      ops_overlap_(options.overlap) {}
+      ops_(std::make_shared<spectral::SpectralOps>(decomp, options.wire())),
+      ops_wire_(options.wire()) {}
 
 RegistrationSolver::RegistrationSolver(grid::PencilDecomp& decomp,
                                        const RegistrationOptions& options,
@@ -51,21 +49,18 @@ RegistrationSolver::RegistrationSolver(grid::PencilDecomp& decomp,
     : decomp_(&decomp),
       options_(options),
       registry_(std::move(registry)),
-      ops_(registry_->spectral(decomp.dims(), options.wire(),
-                               options.overlap)),
-      ops_wire_(options.wire()),
-      ops_overlap_(options.overlap) {}
+      ops_(registry_->spectral(decomp.dims(), options.wire())),
+      ops_wire_(options.wire()) {}
 
 RegistrationSolver::~RegistrationSolver() = default;
 
-void RegistrationSolver::ensure_ops(WirePrecision wire, bool overlap) {
-  if (wire == ops_wire_ && overlap == ops_overlap_) return;
+void RegistrationSolver::ensure_ops(WirePrecision wire) {
+  if (wire == ops_wire_) return;
   if (registry_)
-    ops_ = registry_->spectral(decomp_->dims(), wire, overlap);
+    ops_ = registry_->spectral(decomp_->dims(), wire);
   else
-    ops_ = std::make_shared<spectral::SpectralOps>(*decomp_, wire, overlap);
+    ops_ = std::make_shared<spectral::SpectralOps>(*decomp_, wire);
   ops_wire_ = wire;
-  ops_overlap_ = overlap;
 }
 
 semilag::TransportConfig RegistrationSolver::transport_config(
@@ -75,7 +70,6 @@ semilag::TransportConfig RegistrationSolver::transport_config(
   tc.method = opt.interp_method;
   tc.incompressible = opt.incompressible;
   tc.wire = opt.wire();
-  tc.overlap = opt.overlap;
   return tc;
 }
 
@@ -105,7 +99,7 @@ RegistrationResult RegistrationSolver::run(const ScalarField& rho_t,
 
 SolveReport RegistrationSolver::solve(const SolveRequest& request) {
   RegistrationOptions opt = request.options;
-  ensure_ops(opt.wire(), opt.overlap);
+  ensure_ops(opt.wire());
 
   // Periodic restart checkpoints, chained behind any hook the caller
   // installed (caller's hook observes first).

@@ -138,10 +138,10 @@ class RegistrationSolver {
  private:
   void preprocess(const ScalarField& in, ScalarField& out,
                   const RegistrationOptions& opt);
-  /// Points ops_ at operators for (wire, overlap): the constructor-built
-  /// (or registry-leased) set when the request matches it, a rebuilt/newly
+  /// Points ops_ at operators for `wire`: the constructor-built (or
+  /// registry-leased) set when the request matches it, a rebuilt/newly
   /// leased set otherwise.
-  void ensure_ops(WirePrecision wire, bool overlap);
+  void ensure_ops(WirePrecision wire);
   semilag::TransportConfig transport_config(
       const RegistrationOptions& opt) const;
 
@@ -150,7 +150,6 @@ class RegistrationSolver {
   std::shared_ptr<PlanRegistry> registry_;  // null for standalone solvers
   std::shared_ptr<spectral::SpectralOps> ops_;
   WirePrecision ops_wire_;
-  bool ops_overlap_;
 };
 
 }  // namespace diffreg::core

@@ -31,11 +31,9 @@ void transpose_block(const complex_t* src, index_t src_stride, complex_t* dst,
 
 }  // namespace
 
-DistributedFft3d::DistributedFft3d(PencilDecomp& decomp, WirePrecision wire,
-                                   bool overlap)
+DistributedFft3d::DistributedFft3d(PencilDecomp& decomp, WirePrecision wire)
     : decomp_(&decomp),
       wire_(wire),
-      overlap_(overlap),
       fft1_(decomp.dims()[0]),
       fft2_(decomp.dims()[1]),
       fft3_(decomp.dims()[2]) {
@@ -88,36 +86,7 @@ DistributedFft3d::DistributedFft3d(PencilDecomp& decomp, WirePrecision wire,
   scaled_recv_counts_.resize(max_p);
 }
 
-void DistributedFft3d::exchange(mpisim::Communicator& comm, int npeers,
-                                int ncomp,
-                                const std::vector<index_t>& send_counts,
-                                const std::vector<index_t>& recv_counts,
-                                index_t send_total, index_t recv_total,
-                                int tag) {
-  for (int q = 0; q < npeers; ++q) {
-    scaled_send_counts_[q] = ncomp * send_counts[q];
-    scaled_recv_counts_[q] = ncomp * recv_counts[q];
-  }
-  comm.set_time_kind(TimeKind::kFftComm);
-  const std::span<const complex_t> send(
-      send_buf_.data(), static_cast<size_t>(ncomp * send_total));
-  const std::span<const index_t> scounts(
-      scaled_send_counts_.data(), static_cast<size_t>(npeers));
-  const std::span<complex_t> recv(recv_buf_.data(),
-                                  static_cast<size_t>(ncomp * recv_total));
-  const std::span<const index_t> rcounts(
-      scaled_recv_counts_.data(), static_cast<size_t>(npeers));
-  if (wire_ == WirePrecision::kF32) {
-    comm.alltoallv_converted(
-        send, scounts, recv, rcounts,
-        std::span<complex32_t>(send_buf32_.data(), send.size()),
-        std::span<complex32_t>(recv_buf32_.data(), recv.size()), tag);
-  } else {
-    comm.alltoallv(send, scounts, recv, rcounts, tag);
-  }
-}
-
-mpisim::CommRequest DistributedFft3d::iexchange(
+mpisim::CommRequest DistributedFft3d::exchange(
     mpisim::Communicator& comm, int npeers, int ncomp,
     const std::vector<index_t>& send_counts,
     const std::vector<index_t>& recv_counts, index_t send_total,
@@ -409,19 +378,13 @@ void DistributedFft3d::row_transpose_forward(int ncomp) {
       base += ncomp * row_recv_counts_[q];
     }
   };
-  if (overlap_) {
-    // Self chunk lands locally at post time; unpack it under the flight.
-    auto req = iexchange(row_comm, p2, ncomp, row_send_counts_,
-                         row_recv_counts_, a_stride_, b_stride_, kTagRowFwd);
-    unpack(/*want_self=*/true);
-    req.wait();
-    unpack(/*want_self=*/false);
-  } else {
-    exchange(row_comm, p2, ncomp, row_send_counts_, row_recv_counts_,
-             a_stride_, b_stride_, kTagRowFwd);
-    unpack(/*want_self=*/true);
-    unpack(/*want_self=*/false);
-  }
+  // The self chunk lands locally at post time; unpack it under the
+  // flight of the peer chunks.
+  auto req = exchange(row_comm, p2, ncomp, row_send_counts_,
+                      row_recv_counts_, a_stride_, b_stride_, kTagRowFwd);
+  unpack(/*want_self=*/true);
+  req.wait();
+  unpack(/*want_self=*/false);
 }
 
 void DistributedFft3d::row_transpose_inverse(int ncomp) {
@@ -480,18 +443,11 @@ void DistributedFft3d::row_transpose_inverse(int ncomp) {
       base += ncomp * row_send_counts_[q];
     }
   };
-  if (overlap_) {
-    auto req = iexchange(row_comm, p2, ncomp, row_recv_counts_,
-                         row_send_counts_, b_stride_, a_stride_, kTagRowInv);
-    unpack(/*want_self=*/true);
-    req.wait();
-    unpack(/*want_self=*/false);
-  } else {
-    exchange(row_comm, p2, ncomp, row_recv_counts_, row_send_counts_,
-             b_stride_, a_stride_, kTagRowInv);
-    unpack(/*want_self=*/true);
-    unpack(/*want_self=*/false);
-  }
+  auto req = exchange(row_comm, p2, ncomp, row_recv_counts_,
+                      row_send_counts_, b_stride_, a_stride_, kTagRowInv);
+  unpack(/*want_self=*/true);
+  req.wait();
+  unpack(/*want_self=*/false);
 }
 
 void DistributedFft3d::col_transpose_forward(
@@ -551,18 +507,11 @@ void DistributedFft3d::col_transpose_forward(
       base += ncomp * col_recv_counts_[q];
     }
   };
-  if (overlap_) {
-    auto req = iexchange(col_comm, p1, ncomp, col_send_counts_,
-                         col_recv_counts_, b_stride_, s_stride_, kTagColFwd);
-    unpack(/*want_self=*/true);
-    req.wait();
-    unpack(/*want_self=*/false);
-  } else {
-    exchange(col_comm, p1, ncomp, col_send_counts_, col_recv_counts_,
-             b_stride_, s_stride_, kTagColFwd);
-    unpack(/*want_self=*/true);
-    unpack(/*want_self=*/false);
-  }
+  auto req = exchange(col_comm, p1, ncomp, col_send_counts_,
+                      col_recv_counts_, b_stride_, s_stride_, kTagColFwd);
+  unpack(/*want_self=*/true);
+  req.wait();
+  unpack(/*want_self=*/false);
 }
 
 void DistributedFft3d::col_transpose_inverse(int ncomp) {
@@ -621,18 +570,11 @@ void DistributedFft3d::col_transpose_inverse(int ncomp) {
       base += ncomp * col_send_counts_[q];
     }
   };
-  if (overlap_) {
-    auto req = iexchange(col_comm, p1, ncomp, col_recv_counts_,
-                         col_send_counts_, s_stride_, b_stride_, kTagColInv);
-    unpack(/*want_self=*/true);
-    req.wait();
-    unpack(/*want_self=*/false);
-  } else {
-    exchange(col_comm, p1, ncomp, col_recv_counts_, col_send_counts_,
-             s_stride_, b_stride_, kTagColInv);
-    unpack(/*want_self=*/true);
-    unpack(/*want_self=*/false);
-  }
+  auto req = exchange(col_comm, p1, ncomp, col_recv_counts_,
+                      col_send_counts_, s_stride_, b_stride_, kTagColInv);
+  unpack(/*want_self=*/true);
+  req.wait();
+  unpack(/*want_self=*/false);
 }
 
 }  // namespace diffreg::fft

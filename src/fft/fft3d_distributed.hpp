@@ -35,15 +35,13 @@
 // mode); the local stages stay fp64 throughout. The byte counters record
 // the narrowed wire volume plus the bytes saved.
 //
-// Comm/compute overlap: an `overlap` plan posts each transpose alltoallv
-// nonblocking and unpacks the SELF chunk of the receive buffer — already
-// valid at post time, it never crosses the wire — while the peer chunks are
-// in flight, waiting only before the peer unpack. (The downstream 1D FFT
-// stages each need FULL rows spanning every peer, so the self unpack is
-// exactly the independent work available under the exchange.) The message
-// schedule and all comm counters are identical to the blocking plan, and so
-// are the results, bitwise; the overlapped wire time lands in the Timings
-// hidden-comm counter.
+// Comm/compute overlap: each transpose alltoallv is posted nonblocking and
+// the SELF chunk of the receive buffer — already valid at post time, it
+// never crosses the wire — is unpacked while the peer chunks are in flight;
+// the plan waits only before the peer unpack. (The downstream 1D FFT stages
+// each need FULL rows spanning every peer, so the self unpack is exactly
+// the independent work available under the exchange.) The overlapped wire
+// time lands in the Timings hidden-comm counter.
 #pragma once
 
 #include <span>
@@ -59,16 +57,11 @@ class DistributedFft3d {
   /// Components that can share one batched transform (a 3-vector field).
   static constexpr int kMaxBatch = 3;
 
-  /// `overlap` posts the transpose exchanges nonblocking and unpacks the
-  /// self chunk under their flight; results and message schedule are
-  /// identical either way.
   explicit DistributedFft3d(grid::PencilDecomp& decomp,
-                            WirePrecision wire = WirePrecision::kF64,
-                            bool overlap = false);
+                            WirePrecision wire = WirePrecision::kF64);
 
   const grid::PencilDecomp& decomp() const { return *decomp_; }
   WirePrecision wire() const { return wire_; }
-  bool overlap() const { return overlap_; }
   index_t local_real_size() const { return decomp_->local_real_size(); }
   index_t local_spectral_size() const {
     return decomp_->local_spectral_size();
@@ -110,26 +103,17 @@ class DistributedFft3d {
   void col_transpose_inverse(int ncomp);
 
   /// Scales the per-component peer counts by ncomp into the scratch count
-  /// arrays and runs the span alltoallv over send_buf_/recv_buf_.
-  void exchange(mpisim::Communicator& comm, int npeers, int ncomp,
-                const std::vector<index_t>& send_counts,
-                const std::vector<index_t>& recv_counts, index_t send_total,
-                index_t recv_total, int tag);
-
-  /// Nonblocking twin of exchange(): posts the identical alltoallv and
-  /// returns its completion handle; the SELF chunk of recv_buf_ is already
-  /// valid on return (delivered locally at post), the peer chunks only
-  /// after wait().
-  mpisim::CommRequest iexchange(mpisim::Communicator& comm, int npeers,
-                                int ncomp,
-                                const std::vector<index_t>& send_counts,
-                                const std::vector<index_t>& recv_counts,
-                                index_t send_total, index_t recv_total,
-                                int tag);
+  /// arrays and posts the span alltoallv over send_buf_/recv_buf_ at the
+  /// plan's wire precision. The SELF chunk of recv_buf_ is valid on return
+  /// (delivered locally at post), the peer chunks only after wait().
+  mpisim::CommRequest exchange(mpisim::Communicator& comm, int npeers,
+                               int ncomp,
+                               const std::vector<index_t>& send_counts,
+                               const std::vector<index_t>& recv_counts,
+                               index_t send_total, index_t recv_total, int tag);
 
   grid::PencilDecomp* decomp_;
   WirePrecision wire_;
-  bool overlap_ = false;
   Fft1d fft1_, fft2_, fft3_;
 
   // Per-component strides of the stage buffers (see layouts above).

@@ -7,14 +7,12 @@
 namespace diffreg::grid {
 
 GhostExchange::GhostExchange(PencilDecomp& decomp, index_t width,
-                             TimeKind comm_kind, WirePrecision wire,
-                             bool overlap)
+                             TimeKind comm_kind, WirePrecision wire, bool)
     : decomp_(&decomp),
       width_(width),
       ldims_(decomp.local_real_dims()),
       comm_kind_(comm_kind),
-      wire_(wire),
-      overlap_(overlap) {
+      wire_(wire) {
   // Single-neighbour halos: every rank's block must be at least as wide as
   // the halo, on every rank (uneven blocks differ by one).
   const index_t min1 = decomp.dims()[0] / decomp.p1();
@@ -39,33 +37,41 @@ void GhostExchange::ensure_slab_capacity(int nfields) {
   }
 }
 
-void GhostExchange::slab_sendrecv(std::span<const real_t> buf, int dest,
-                                  std::span<real_t> halo, int src, int tag) {
+void GhostExchange::send_slab(std::span<const real_t> buf, int dest, int tag) {
   auto& comm = decomp_->comm();
-  if (wire_ == WirePrecision::kF32) {
+  if (wire_ == WirePrecision::kF32)
     comm.send_narrowed(buf, std::span<real32_t>(pack32_.data(), buf.size()),
                        dest, tag);
-    comm.recv_widened(halo, std::span<real32_t>(recv32_.data(), halo.size()),
-                      src, tag);
-  } else {
+  else
     comm.send(buf, dest, tag);
-    comm.recv_into(halo, src, tag);
-  }
 }
 
-mpisim::CommRequest GhostExchange::slab_isendrecv(std::span<const real_t> buf,
-                                                  int dest,
-                                                  std::span<real_t> halo,
-                                                  int src, int tag) {
+mpisim::CommRequest GhostExchange::post_halo(std::span<real_t> halo, int src,
+                                             int tag) {
   auto& comm = decomp_->comm();
-  if (wire_ == WirePrecision::kF32) {
-    comm.isend_narrowed(buf, std::span<real32_t>(pack32_.data(), buf.size()),
-                        dest, tag);
+  if (wire_ == WirePrecision::kF32)
     return comm.irecv_widened(
         halo, std::span<real32_t>(recv32_.data(), halo.size()), src, tag);
-  }
-  comm.send(buf, dest, tag);
   return comm.irecv_into(halo, src, tag);
+}
+
+void GhostExchange::copy_slab(std::span<real_t> ghosted, int nfields,
+                              index_t i1_begin, index_t n1, index_t i2_begin,
+                              index_t n2, std::span<real_t> buf,
+                              bool pack) const {
+  const index_t n3 = gdims_[2];
+  index_t pos = 0;
+  for (int f = 0; f < nfields; ++f) {
+    real_t* gblock = ghosted.data() + f * ghost_size();
+    for (index_t i1 = i1_begin; i1 < i1_begin + n1; ++i1)
+      for (index_t i2 = i2_begin; i2 < i2_begin + n2; ++i2, pos += n3) {
+        real_t* row = gblock + linear_index(i1, i2, 0, gdims_);
+        if (pack)
+          std::copy_n(row, n3, buf.data() + pos);
+        else
+          std::copy_n(buf.data() + pos, n3, row);
+      }
+  }
 }
 
 void GhostExchange::exchange(std::span<const real_t> local,
@@ -103,49 +109,36 @@ void GhostExchange::exchange_many(std::span<const real_t* const> locals,
     }
   }
 
-  exchange_dim1(ghosted, m);
-  exchange_dim2(ghosted, m);
+  exchange_dim(1, ghosted, m);
+  exchange_dim(2, ghosted, m);
 }
 
-void GhostExchange::exchange_dim1(std::span<real_t> ghosted, int nfields) {
-  // Slabs cover interior dim 2 and the already-wrapped dim 3; all fields of
-  // the batch are packed back to back into the same message.
+void GhostExchange::exchange_dim(int dim, std::span<real_t> ghosted,
+                                 int nfields) {
+  // Dim-1 slabs cover interior dim 2 and the already-wrapped dim 3; dim-2
+  // slabs cover the FULL ghosted dim 1 (so corners come along) and dim 3.
+  // All fields of the batch are packed back to back into the same message.
   const index_t w = width_;
-  const index_t slab = w * ldims_[1] * gdims_[2];
-  const index_t n1l = ldims_[0];
-  const index_t gsize = ghost_size();
-  auto pack = [&](std::span<real_t> buf, index_t i1_begin) {
-    index_t pos = 0;
-    for (int f = 0; f < nfields; ++f) {
-      const real_t* gblock = ghosted.data() + f * gsize;
-      for (index_t i1 = i1_begin; i1 < i1_begin + w; ++i1)
-        for (index_t i2 = 0; i2 < ldims_[1]; ++i2) {
-          const real_t* src = gblock + linear_index(i1, i2 + w, 0, gdims_);
-          for (index_t i3 = 0; i3 < gdims_[2]; ++i3) buf[pos++] = src[i3];
-        }
-    }
-  };
-  auto unpack = [&](std::span<const real_t> buf, index_t i1_begin) {
-    index_t pos = 0;
-    for (int f = 0; f < nfields; ++f) {
-      real_t* gblock = ghosted.data() + f * gsize;
-      for (index_t i1 = i1_begin; i1 < i1_begin + w; ++i1)
-        for (index_t i2 = 0; i2 < ldims_[1]; ++i2) {
-          real_t* dst = gblock + linear_index(i1, i2 + w, 0, gdims_);
-          for (index_t i3 = 0; i3 < gdims_[2]; ++i3) dst[i3] = buf[pos++];
-        }
-    }
+  const index_t nloc = ldims_[dim - 1];
+  const auto slab = [&](index_t begin, std::span<real_t> buf, bool pack) {
+    if (dim == 1)
+      copy_slab(ghosted, nfields, begin, w, w, ldims_[1], buf, pack);
+    else
+      copy_slab(ghosted, nfields, 0, gdims_[0], begin, w, buf, pack);
   };
 
-  const index_t msg = slab * nfields;
+  const index_t msg =
+      (dim == 1 ? ldims_[1] : gdims_[0]) * w * gdims_[2] * nfields;
   const std::span<real_t> send_buf(pack_buf_.data(), msg);
   const std::span<real_t> halo_buf(recv_buf_.data(), msg);
-  const int p1 = decomp_->p1();
-  if (p1 == 1) {
-    pack(send_buf, w + n1l - w);       // low halo <- own high interior
-    unpack(send_buf, 0);
-    pack(send_buf, w);                 // high halo <- own low interior
-    unpack(send_buf, w + n1l);
+  const int np = dim == 1 ? decomp_->p1() : decomp_->p2();
+  if (np == 1) {
+    // Local periodic wrap: low halo <- own high interior, then high halo <-
+    // own low interior.
+    slab(nloc, send_buf, true);
+    slab(0, send_buf, false);
+    slab(w, send_buf, true);
+    slab(w + nloc, send_buf, false);
     return;
   }
   auto& comm = decomp_->comm();
@@ -155,118 +148,28 @@ void GhostExchange::exchange_dim1(std::span<real_t> ghosted, int nfields) {
   // lockstep — so mark the phase in the schedule hash, labelled by the
   // distributed dimension. A rank skipping a halo pass is then caught at
   // the next checkpoint instead of corrupting an unrelated exchange.
-  comm.verify_mark(/*dimension=*/1);
-  const int lo_nbr = decomp_->rank_of((decomp_->r1() - 1 + p1) % p1,
-                                      decomp_->r2());
-  const int hi_nbr = decomp_->rank_of((decomp_->r1() + 1) % p1,
-                                      decomp_->r2());
+  comm.verify_mark(dim);
+  const int r = dim == 1 ? decomp_->r1() : decomp_->r2();
+  const auto neighbour = [&](int q) {
+    return dim == 1 ? decomp_->rank_of(q, decomp_->r2())
+                    : decomp_->rank_of(decomp_->r1(), q);
+  };
+  const int lo_nbr = neighbour((r - 1 + np) % np);
+  const int hi_nbr = neighbour((r + 1) % np);
   // My high interior goes to hi_nbr's low halo (travels "high", kTagHigh);
-  // I receive my low halo from lo_nbr.
-  pack(send_buf, w + n1l - w);
-  if (overlap_) {
-    // Pack + send the low-travelling slab while the first halo is in
-    // flight. The buffered send copied pack_buf_ at post, so repacking it
-    // is safe, and plain sends are legal while a receive is pending.
-    auto req = slab_isendrecv(send_buf, hi_nbr, halo_buf, lo_nbr, kTagHigh);
-    pack(send_buf, w);
-    if (wire_ == WirePrecision::kF32)
-      comm.send_narrowed(std::span<const real_t>(send_buf),
-                         std::span<real32_t>(pack32_.data(), send_buf.size()),
-                         lo_nbr, kTagLow);
-    else
-      comm.send(std::span<const real_t>(send_buf), lo_nbr, kTagLow);
-    req.wait();
-    unpack(halo_buf, 0);
-    if (wire_ == WirePrecision::kF32)
-      comm.recv_widened(halo_buf,
-                        std::span<real32_t>(recv32_.data(), halo_buf.size()),
-                        hi_nbr, kTagLow);
-    else
-      comm.recv_into(halo_buf, hi_nbr, kTagLow);
-    unpack(halo_buf, w + n1l);
-  } else {
-    slab_sendrecv(send_buf, hi_nbr, halo_buf, lo_nbr, kTagHigh);
-    unpack(halo_buf, 0);
-    pack(send_buf, w);
-    slab_sendrecv(send_buf, lo_nbr, halo_buf, hi_nbr, kTagLow);
-    unpack(halo_buf, w + n1l);
-  }
-}
-
-void GhostExchange::exchange_dim2(std::span<real_t> ghosted, int nfields) {
-  // Slabs cover the FULL ghosted dim 1 (so corners come along) and dim 3.
-  const index_t w = width_;
-  const index_t slab = gdims_[0] * w * gdims_[2];
-  const index_t n2l = ldims_[1];
-  const index_t gsize = ghost_size();
-  auto pack = [&](std::span<real_t> buf, index_t i2_begin) {
-    index_t pos = 0;
-    for (int f = 0; f < nfields; ++f) {
-      const real_t* gblock = ghosted.data() + f * gsize;
-      for (index_t i1 = 0; i1 < gdims_[0]; ++i1)
-        for (index_t i2 = i2_begin; i2 < i2_begin + w; ++i2) {
-          const real_t* src = gblock + linear_index(i1, i2, 0, gdims_);
-          for (index_t i3 = 0; i3 < gdims_[2]; ++i3) buf[pos++] = src[i3];
-        }
-    }
-  };
-  auto unpack = [&](std::span<const real_t> buf, index_t i2_begin) {
-    index_t pos = 0;
-    for (int f = 0; f < nfields; ++f) {
-      real_t* gblock = ghosted.data() + f * gsize;
-      for (index_t i1 = 0; i1 < gdims_[0]; ++i1)
-        for (index_t i2 = i2_begin; i2 < i2_begin + w; ++i2) {
-          real_t* dst = gblock + linear_index(i1, i2, 0, gdims_);
-          for (index_t i3 = 0; i3 < gdims_[2]; ++i3) dst[i3] = buf[pos++];
-        }
-    }
-  };
-
-  const index_t msg = slab * nfields;
-  const std::span<real_t> send_buf(pack_buf_.data(), msg);
-  const std::span<real_t> halo_buf(recv_buf_.data(), msg);
-  const int p2 = decomp_->p2();
-  if (p2 == 1) {
-    pack(send_buf, w + n2l - w);
-    unpack(send_buf, 0);
-    pack(send_buf, w);
-    unpack(send_buf, w + n2l);
-    return;
-  }
-  auto& comm = decomp_->comm();
-  comm.set_time_kind(comm_kind_);
-  comm.verify_mark(/*dimension=*/2);  // see exchange_dim1
-  const int lo_nbr = decomp_->rank_of(decomp_->r1(),
-                                      (decomp_->r2() - 1 + p2) % p2);
-  const int hi_nbr = decomp_->rank_of(decomp_->r1(),
-                                      (decomp_->r2() + 1) % p2);
-  pack(send_buf, w + n2l - w);
-  if (overlap_) {
-    // Same overlapped schedule as dim 1 (see exchange_dim1).
-    auto req = slab_isendrecv(send_buf, hi_nbr, halo_buf, lo_nbr, kTagHigh);
-    pack(send_buf, w);
-    if (wire_ == WirePrecision::kF32)
-      comm.send_narrowed(std::span<const real_t>(send_buf),
-                         std::span<real32_t>(pack32_.data(), send_buf.size()),
-                         lo_nbr, kTagLow);
-    else
-      comm.send(std::span<const real_t>(send_buf), lo_nbr, kTagLow);
-    req.wait();
-    unpack(halo_buf, 0);
-    if (wire_ == WirePrecision::kF32)
-      comm.recv_widened(halo_buf,
-                        std::span<real32_t>(recv32_.data(), halo_buf.size()),
-                        hi_nbr, kTagLow);
-    else
-      comm.recv_into(halo_buf, hi_nbr, kTagLow);
-    unpack(halo_buf, w + n2l);
-  } else {
-    slab_sendrecv(send_buf, hi_nbr, halo_buf, lo_nbr, kTagHigh);
-    unpack(halo_buf, 0);
-    pack(send_buf, w);
-    slab_sendrecv(send_buf, lo_nbr, halo_buf, hi_nbr, kTagLow);
-    unpack(halo_buf, w + n2l);
-  }
+  // I receive my low halo from lo_nbr. The low-travelling slab is packed
+  // and sent while that first halo is in flight: the buffered send copied
+  // pack_buf_ at post, so repacking it is safe, and plain sends are legal
+  // while a receive is pending.
+  slab(nloc, send_buf, true);
+  send_slab(send_buf, hi_nbr, kTagHigh);
+  auto req = post_halo(halo_buf, lo_nbr, kTagHigh);
+  slab(w, send_buf, true);
+  send_slab(send_buf, lo_nbr, kTagLow);
+  req.wait();
+  slab(0, halo_buf, false);
+  post_halo(halo_buf, hi_nbr, kTagLow).wait();
+  slab(w + nloc, halo_buf, false);
 }
 
 }  // namespace diffreg::grid

@@ -19,14 +19,12 @@
 // the halo bytes, ~1e-7 relative rounding); the degenerate single-rank
 // directions stay local fp64 copies.
 //
-// Comm/compute overlap: an `overlap` exchanger posts the FIRST halo receive
-// of each dimension nonblocking and packs + sends the SECOND slab while it
-// is in flight (buffered sends copy the payload at post, so reusing the
-// pack buffer is safe, and plain sends are legal while a receive is
-// pending). Same two sends, two receives, and tags per dimension — the
-// message schedule and the ghosted result are identical to the blocking
-// exchanger, bitwise; the overlapped wire time lands in the Timings
-// hidden-comm counter.
+// Comm/compute overlap: the FIRST halo receive of each dimension is posted
+// nonblocking and the SECOND slab is packed + sent while it is in flight
+// (buffered sends copy the payload at post, so reusing the pack buffer is
+// safe, and plain sends are legal while a receive is pending). Two sends,
+// two receives, and two tags per dimension; the overlapped wire time lands
+// in the Timings hidden-comm counter.
 #pragma once
 
 #include <span>
@@ -40,18 +38,13 @@ class GhostExchange {
  public:
   /// `width` ghost points on every side. Requires width <= the smallest
   /// local block extent in dims 1 and 2 (single-neighbour halos).
-  /// `overlap` packs/sends the second slab of each dimension under the
-  /// first halo's flight; results and message schedule are identical
-  /// either way.
+  /// The trailing bool has no effect (kept for source compatibility).
   GhostExchange(PencilDecomp& decomp, index_t width,
                 TimeKind comm_kind = TimeKind::kInterpComm,
-                WirePrecision wire = WirePrecision::kF64,
-                bool overlap = false);
+                WirePrecision wire = WirePrecision::kF64, bool = false);
 
   index_t width() const { return width_; }
   WirePrecision wire() const { return wire_; }
-  /// True when the per-dimension halo receives are posted nonblocking.
-  bool overlap() const { return overlap_; }
   /// Dimensions of the ghosted block: (n1l + 2w, n2l + 2w, N3 + 2w).
   const Int3& ghost_dims() const { return gdims_; }
   index_t ghost_size() const { return gdims_.prod(); }
@@ -67,21 +60,25 @@ class GhostExchange {
                      std::span<real_t> ghosted);
 
  private:
-  void exchange_dim1(std::span<real_t> ghosted, int nfields);
-  void exchange_dim2(std::span<real_t> ghosted, int nfields);
+  /// Both halos of distributed dimension `dim` (1 or 2).
+  void exchange_dim(int dim, std::span<real_t> ghosted, int nfields);
   /// Grows the two slab buffers to fit `nfields` packed slabs.
   void ensure_slab_capacity(int nfields);
 
-  /// Sends `buf` to `dest` and receives the opposite slab from `src` into
-  /// `halo`, narrowing to fp32 on the wire when the exchanger is kF32.
-  void slab_sendrecv(std::span<const real_t> buf, int dest,
-                     std::span<real_t> halo, int src, int tag);
+  /// Copies the box [i1_begin, +n1) x [i2_begin, +n2) x (all of dim 3) of
+  /// every field's ghosted block into (`pack`) or out of the flat slab
+  /// buffer, fields back to back.
+  void copy_slab(std::span<real_t> ghosted, int nfields, index_t i1_begin,
+                 index_t n1, index_t i2_begin, index_t n2,
+                 std::span<real_t> buf, bool pack) const;
 
-  /// Nonblocking twin: sends `buf` (complete at post — buffered) and posts
-  /// the receive of `halo`, returning its completion handle. `halo` (and
-  /// the fp32 recv staging) must stay untouched until wait().
-  mpisim::CommRequest slab_isendrecv(std::span<const real_t> buf, int dest,
-                                     std::span<real_t> halo, int src, int tag);
+  /// Sends `buf` to `dest` (complete at return — buffered), narrowing to
+  /// fp32 on the wire when the exchanger is kF32.
+  void send_slab(std::span<const real_t> buf, int dest, int tag);
+
+  /// Posts the receive of the matching slab from `src` into `halo`. `halo`
+  /// (and the fp32 recv staging) must stay untouched until wait().
+  mpisim::CommRequest post_halo(std::span<real_t> halo, int src, int tag);
 
   PencilDecomp* decomp_;
   index_t width_;
@@ -89,7 +86,6 @@ class GhostExchange {
   Int3 gdims_;   // ghosted block
   TimeKind comm_kind_;
   WirePrecision wire_;
-  bool overlap_ = false;
 
   // Persistent slab buffers (grow-only): sized for the larger of the dim-1
   // and dim-2 slabs times the widest batch seen so far. The fp32 pair is

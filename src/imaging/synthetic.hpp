@@ -1,6 +1,6 @@
 // Synthetic registration problems (paper section IV-A1) and procedural
-// "brain" phantoms that stand in for the NIREP MRI data (see DESIGN.md,
-// substitutions table).
+// "brain" phantoms that stand in for the NIREP MRI data, which the
+// repository does not ship.
 //
 // All generators evaluate a closed-form intensity function on the locally
 // owned pencil block, so they scale to any decomposition without IO.

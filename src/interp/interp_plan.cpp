@@ -9,8 +9,8 @@ namespace diffreg::interp {
 using grid::GhostExchange;
 using grid::PencilDecomp;
 
-InterpPlan::InterpPlan(PencilDecomp& decomp, WirePrecision wire, bool overlap)
-    : decomp_(&decomp), wire_(wire), overlap_(overlap) {
+InterpPlan::InterpPlan(PencilDecomp& decomp, WirePrecision wire, bool)
+    : decomp_(&decomp), wire_(wire) {
   const int p = decomp.comm().size();
   send_counts_.assign(p, 0);
   recv_counts_.assign(p, 0);
@@ -20,8 +20,8 @@ InterpPlan::InterpPlan(PencilDecomp& decomp, WirePrecision wire, bool overlap)
 }
 
 InterpPlan::InterpPlan(PencilDecomp& decomp, std::span<const Vec3> points,
-                       WirePrecision wire, bool overlap)
-    : InterpPlan(decomp, wire, overlap) {
+                       WirePrecision wire)
+    : InterpPlan(decomp, wire) {
   build(points);
 }
 
@@ -215,11 +215,10 @@ void InterpPlan::interpolate_many(GhostExchange& gx,
   }
   const index_t self_cnt = recv_counts_[rank];
 
-  // Per-point evaluation kernel, shared by the blocking and overlapped
-  // sweeps: `self` points land straight in the caller's output, peer points
-  // in the point-major eval staging. Each point reads only its precomputed
-  // stencil and the ghosted blocks, so evaluation ORDER cannot change any
-  // value — the overlapped reordering below is bitwise-neutral.
+  // Per-point evaluation kernel, shared by the peer and self sweeps:
+  // `self` points land straight in the caller's output, peer points in the
+  // point-major eval staging. Each point reads only its precomputed stencil
+  // and the ghosted blocks, so evaluation ORDER cannot change any value.
   const auto eval_point = [&](index_t j, bool self) {
     const index_t pos = j < self_recv_off ? j : j - self_cnt;
     const index_t orig =
@@ -262,56 +261,34 @@ void InterpPlan::interpolate_many(GhostExchange& gx,
   const std::span<real_t> val_recv(
       ret_vals_.data(), static_cast<size_t>(m) * (num_points_ - self_cnt));
 
-  if (overlap_) {
-    // Peer points first: their values are all the exchange ships.
-    {
-      ScopedTimer t(timings, TimeKind::kInterpExec);
-      for (index_t j = 0; j < self_recv_off; ++j) eval_point(j, false);
-      for (index_t j = self_recv_off + self_cnt; j < recv_total_; ++j)
-        eval_point(j, false);
-    }
-    // Post the value exchange, then evaluate the SELF-owned majority while
-    // it is in flight. Same tags, payloads, and counters as the blocking
-    // call — only the wait moves past the self sweep.
-    mpisim::CommRequest req =
-        wire_ == WirePrecision::kF32
-            ? comm.ialltoallv_converted(
-                  val_send, std::span<const index_t>(val_send_counts_),
-                  val_recv, std::span<const index_t>(val_recv_counts_),
-                  std::span<real32_t>(eval_vals32_.data(), val_send.size()),
-                  std::span<real32_t>(ret_vals32_.data(), val_recv.size()),
-                  kTagValues)
-            : comm.ialltoallv(val_send,
-                              std::span<const index_t>(val_send_counts_),
-                              val_recv,
-                              std::span<const index_t>(val_recv_counts_),
-                              kTagValues);
-    {
-      ScopedTimer t(timings, TimeKind::kInterpExec);
-      for (index_t j = self_recv_off; j < self_recv_off + self_cnt; ++j)
-        eval_point(j, true);
-    }
-    req.wait();
-  } else {
-    // Legacy schedule: evaluate everything, then one blocking exchange.
-    {
-      ScopedTimer t(timings, TimeKind::kInterpExec);
-      for (index_t j = 0; j < recv_total_; ++j)
-        eval_point(j, j >= self_recv_off && j < self_recv_off + self_cnt);
-    }
-    if (wire_ == WirePrecision::kF32) {
-      comm.alltoallv_converted(
-          val_send, std::span<const index_t>(val_send_counts_), val_recv,
-          std::span<const index_t>(val_recv_counts_),
-          std::span<real32_t>(eval_vals32_.data(), val_send.size()),
-          std::span<real32_t>(ret_vals32_.data(), val_recv.size()),
-          kTagValues);
-    } else {
-      comm.alltoallv(val_send, std::span<const index_t>(val_send_counts_),
-                     val_recv, std::span<const index_t>(val_recv_counts_),
-                     kTagValues);
-    }
+  // Peer points first: their values are all the exchange ships.
+  {
+    ScopedTimer t(timings, TimeKind::kInterpExec);
+    for (index_t j = 0; j < self_recv_off; ++j) eval_point(j, false);
+    for (index_t j = self_recv_off + self_cnt; j < recv_total_; ++j)
+      eval_point(j, false);
   }
+  // Post the value exchange, then evaluate the SELF-owned majority while it
+  // is in flight; the wait moves past the self sweep.
+  mpisim::CommRequest req =
+      wire_ == WirePrecision::kF32
+          ? comm.ialltoallv_converted(
+                val_send, std::span<const index_t>(val_send_counts_),
+                val_recv, std::span<const index_t>(val_recv_counts_),
+                std::span<real32_t>(eval_vals32_.data(), val_send.size()),
+                std::span<real32_t>(ret_vals32_.data(), val_recv.size()),
+                kTagValues)
+          : comm.ialltoallv(val_send,
+                            std::span<const index_t>(val_send_counts_),
+                            val_recv,
+                            std::span<const index_t>(val_recv_counts_),
+                            kTagValues);
+  {
+    ScopedTimer t(timings, TimeKind::kInterpExec);
+    for (index_t j = self_recv_off; j < self_recv_off + self_cnt; ++j)
+      eval_point(j, true);
+  }
+  req.wait();
 
   {  // Scatter the returned cross-rank values into the caller's point
      // order, skipping the self block (already written by the eval sweep).

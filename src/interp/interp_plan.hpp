@@ -33,15 +33,12 @@
 // the fp64 classification guarantees — narrowing them would trade those
 // guarantees for a negligible saving.
 //
-// Comm/compute overlap: an `overlap` plan reorders interpolate_many into
-// peer-points-first / SELF-points-under-flight: the cross-rank points are
-// evaluated and their value alltoallv is POSTED (nonblocking), then the
-// SELF-owned majority is evaluated while the exchange is in the air, and
-// only then does the plan wait for the returned values. Every point is
-// evaluated with the same stencil against the same ghosted block, and the
-// message schedule (tags, payloads, counters) is byte-identical to the
-// blocking call — results are bitwise equal with overlap on or off; only
-// the wire's idle time changes (accounted as Timings hidden comm time).
+// Comm/compute overlap: interpolate_many runs peer-points-first /
+// SELF-points-under-flight: the cross-rank points are evaluated and their
+// value alltoallv is POSTED (nonblocking), then the SELF-owned majority is
+// evaluated while the exchange is in the air, and only then does the plan
+// wait for the returned values. The wire time that elapses under the self
+// sweep is accounted as Timings hidden comm time.
 #pragma once
 
 #include <span>
@@ -60,21 +57,15 @@ inline constexpr index_t kGhostWidth = 2;
 class InterpPlan {
  public:
   /// Creates an empty plan bound to `decomp`; call build() before use.
-  /// `overlap` selects the nonblocking value exchange of interpolate_many
-  /// (SELF points evaluated under the alltoallv flight); results and
-  /// message schedule are identical either way.
+  /// The trailing bool has no effect (kept for source compatibility).
   explicit InterpPlan(grid::PencilDecomp& decomp,
-                      WirePrecision wire = WirePrecision::kF64,
-                      bool overlap = false);
+                      WirePrecision wire = WirePrecision::kF64, bool = false);
 
   /// Convenience: creates and immediately builds. Collective.
   InterpPlan(grid::PencilDecomp& decomp, std::span<const Vec3> points,
-             WirePrecision wire = WirePrecision::kF64, bool overlap = false);
+             WirePrecision wire = WirePrecision::kF64);
 
   WirePrecision wire() const { return wire_; }
-  /// True when the value exchange is posted nonblocking and SELF points are
-  /// evaluated under its flight.
-  bool overlap() const { return overlap_; }
 
   /// (Re)builds the plan for a new set of departure points. `points` are
   /// physical coordinates in [0, 2*pi)^3 (wrapped internally), one value
@@ -111,14 +102,8 @@ class InterpPlan {
                        Method method = Method::kTricubic);
 
  private:
-  // The cross-job fused exchange (interp/fused_exchange.hpp) drives several
-  // plans' value scatters through one alltoallv; it reads the planned
-  // routing tables directly.
-  friend class FusedInterp;
-
   grid::PencilDecomp* decomp_;
   WirePrecision wire_ = WirePrecision::kF64;
-  bool overlap_ = false;
   index_t num_points_ = 0;
   index_t recv_total_ = 0;
   bool built_ = false;

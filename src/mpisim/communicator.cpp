@@ -254,17 +254,26 @@ void Communicator::verify_and_strip_checksum(std::vector<std::byte>& data,
   data.resize(payload_size);
 }
 
-Incoming Communicator::receive_payload(int src, int tag,
-                                       const char* operation) {
+Incoming Communicator::receive_payload(
+    int src, int tag, const char* operation,
+    std::span<const detail::PendingRecv> posted) {
   Incoming in;
   if (timeout_ms_ > 0) {
     WallTimer waited;
     std::optional<Incoming> got =
         backend_->try_recv_bytes(src, tag, timeout_ms_);
-    if (!got)
-      throw CommTimeoutError(
-          make_diagnosis(operation, src, tag, waited.seconds() * 1e3,
-                         {{src, tag}}));
+    if (!got) {
+      // Deadline expired: snapshot which of the posted matches are STILL
+      // missing (probe is nonblocking), so the diagnosis names every absent
+      // peer of the exchange, not just the one we were blocked on.
+      std::vector<std::pair<int, int>> missing;
+      for (const detail::PendingRecv& pr : posted)
+        if (!backend_->probe(pr.src, pr.tag))
+          missing.emplace_back(pr.src, pr.tag);
+      if (posted.empty()) missing.emplace_back(src, tag);
+      throw CommTimeoutError(make_diagnosis(
+          operation, src, tag, waited.seconds() * 1e3, std::move(missing)));
+    }
     in = std::move(*got);
   } else {
     in = backend_->recv_bytes(src, tag);
@@ -372,28 +381,28 @@ Communicator Communicator::split(int color) {
   return child;
 }
 
-CommRequest::~CommRequest() {
+void CommRequest::abandon(const char* how) noexcept {
   if (!comm_) return;
   // An abandoned request is a bug magnet: the drain below keeps the message
   // schedule intact but swallows any failure. Say so loudly (rated, so a
   // leak in a loop does not flood the log) with enough context to find the
   // post site.
-  std::string context = "mpisim: CommRequest destroyed before wait(); "
-                        "draining " +
-                        std::to_string(comm_->pending_recvs_.size()) +
-                        " pending receive(s)";
-  if (!comm_->pending_recvs_.empty()) {
-    const detail::PendingRecv& first = comm_->pending_recvs_.front();
-    context += " (first: src=" + std::to_string(first.src) +
-               ", tag=" + std::to_string(first.tag) + ")";
-  }
-  log_warn_rated("mpisim.commrequest.drain",
-                 context + " — call wait() to surface failures");
   try {
+    std::string context = std::string("mpisim: CommRequest ") + how +
+                          " before wait(); draining " +
+                          std::to_string(comm_->pending_recvs_.size()) +
+                          " pending receive(s)";
+    if (!comm_->pending_recvs_.empty()) {
+      const detail::PendingRecv& first = comm_->pending_recvs_.front();
+      context += " (first: src=" + std::to_string(first.src) +
+                 ", tag=" + std::to_string(first.tag) + ")";
+    }
+    log_warn_rated("mpisim.commrequest.drain",
+                   context + " — call wait() to surface failures");
     wait();
   } catch (const std::exception& e) {
-    // Destructors must not throw; the schedule is already poisoned, so the
-    // best we can do is make the swallowed failure visible.
+    // The schedule is already poisoned, so the best we can do is make the
+    // swallowed failure visible.
     log_warn_rated("mpisim.commrequest.drain-error",
                    std::string("mpisim: drain-on-destroy swallowed: ") +
                        e.what());
@@ -401,46 +410,22 @@ CommRequest::~CommRequest() {
   }
 }
 
-void CommRequest::wait() {
+void CommRequest::complete(const char* operation, bool credit_hidden) {
   if (!comm_) return;
   Communicator* comm = std::exchange(comm_, nullptr);
-  Timings& timings = *comm->timings_;
-  Backend& backend = *comm->backend_;
-  const double wait_entry = backend.now();
+  const double wait_entry = comm->backend_->now();
   double last_arrival = post_time_;
   try {
     // Time actually spent blocked (plus delivery memcpy/widen sweeps) is
     // charged to the category like a blocking receive would be.
-    ScopedTimer timer(timings, kind_);
+    ScopedTimer timer(*comm->timings_, kind_);
     for (const detail::PendingRecv& pr : comm->pending_recvs_) {
-      Incoming in;
-      if (comm->timeout_ms_ > 0) {
-        WallTimer waited;
-        std::optional<Incoming> got =
-            backend.try_recv_bytes(pr.src, pr.tag, comm->timeout_ms_);
-        if (!got) {
-          // Deadline expired: snapshot which of the posted matches are
-          // STILL missing (probe is nonblocking), so the diagnosis names
-          // every absent peer of the exchange, not just the one we were
-          // blocked on.
-          std::vector<std::pair<int, int>> missing;
-          for (const detail::PendingRecv& other : comm->pending_recvs_)
-            if (!backend.probe(other.src, other.tag))
-              missing.emplace_back(other.src, other.tag);
-          throw CommTimeoutError(comm->make_diagnosis(
-              "nonblocking wait", pr.src, pr.tag, waited.seconds() * 1e3,
-              std::move(missing)));
-        }
-        in = std::move(*got);
-      } else {
-        in = backend.recv_bytes(pr.src, pr.tag);
-      }
-      if (comm->checksums_)
-        comm->verify_and_strip_checksum(in.data, pr.src, pr.tag);
+      Incoming in = comm->receive_payload(pr.src, pr.tag, operation,
+                                          comm->pending_recvs_);
       if (in.data.size() != pr.payload_bytes)
         throw CommContractError(
-            "mpisim: nonblocking receive payload size does not match the "
-            "posted buffer");
+            "mpisim: received payload size does not match the posted "
+            "buffer");
       if (pr.widen != nullptr)
         pr.widen(in.data.data(), pr.dst, pr.elems);
       else if (!in.data.empty())
@@ -460,9 +445,9 @@ void CommRequest::wait() {
   // Hidden comm time: the wire was busy from the post until the last
   // message landed; whatever portion of that elapsed before the caller
   // blocked here was overlapped with compute.
-  timings.add_hidden(kind_,
-                     std::max(0.0, std::min(last_arrival, wait_entry) -
-                                       post_time_));
+  if (credit_hidden)
+    comm->timings_->add_hidden(
+        kind_, std::max(0.0, std::min(last_arrival, wait_entry) - post_time_));
 }
 
 bool CommRequest::test() {

@@ -42,20 +42,23 @@
 /// computes bitwise-identical results; the vector form broadcasts rank 0's
 /// combination, which is likewise identical everywhere.
 ///
-/// Nonblocking exchanges (`ialltoallv`, `ialltoallv_converted`,
-/// `isend_narrowed`/`irecv_widened`/`irecv_into`) post the SAME message
-/// schedule as their blocking twins — identical tags, payload order, byte /
-/// message / exchange counters — and defer only the receives behind a
-/// `CommRequest`. Between post and `wait()` the caller computes; the span of
-/// wire time that elapsed under that compute is accounted to the Timings
-/// hidden-comm counter, which is how the overlap efficiency of Tables I-IV's
-/// comm legs is measured. At most ONE request may be outstanding per
-/// Communicator: any receive, barrier, or collective while one is pending
-/// throws (wait-before-read enforcement), which turns forgotten waits into
-/// loud errors instead of stolen messages. Plain sends stay legal while a
-/// request is in flight — they are buffered and cannot race the pending
-/// receives — which is what lets GhostExchange push the second halo slab
-/// under the first one's flight.
+/// Every exchange has ONE implementation, the nonblocking post
+/// (`ialltoallv`, `ialltoallv_converted`, `irecv_widened`, `irecv_into`):
+/// it checks the call, pushes every outgoing message (sends are buffered and
+/// complete at post), and defers the receives behind a `CommRequest`. The
+/// blocking forms (`alltoallv`, `alltoallv_converted`, `recv_widened`) are
+/// that post followed at once by completion, so both forms share tags,
+/// payload order and byte / message / exchange counters by construction.
+/// Between post and `wait()` the caller computes; the span of wire time that
+/// elapsed under that compute is accounted to the Timings hidden-comm
+/// counter, which is how the overlap efficiency of Tables I-IV's comm legs is
+/// measured (a blocking call hides nothing and credits exactly 0). At most
+/// ONE request may be outstanding per Communicator: any receive, barrier, or
+/// collective while one is pending throws (wait-before-read enforcement),
+/// which turns forgotten waits into loud errors instead of stolen messages.
+/// Plain sends stay legal while a request is in flight — they are buffered
+/// and cannot race the pending receives — which is what lets GhostExchange
+/// push the second halo slab under the first one's flight.
 ///
 /// Every send is also accounted to the rank's Timings as (bytes, messages)
 /// under the communicator's current TimeKind, and each alltoallv entered
@@ -86,9 +89,9 @@ class Communicator;
 
 namespace detail {
 
-/// One deferred receive of an outstanding nonblocking exchange. The storage
-/// lives in the owning Communicator (grow-only, reused across posts) so warm
-/// overlapped paths allocate nothing.
+/// One deferred receive of an outstanding request. The storage lives in the
+/// owning Communicator (grow-only, reused across posts) so warm exchanges
+/// allocate nothing.
 struct PendingRecv {
   int src = 0;
   int tag = 0;
@@ -97,7 +100,7 @@ struct PendingRecv {
   std::byte* dst = nullptr;
   /// Exact wire payload size the matching message must carry.
   size_t payload_bytes = 0;
-  /// Element count of a widening receive (payload_bytes / sizeof(Narrow)).
+  /// Element count of the receive (payload_bytes / wire element size).
   size_t elems = 0;
   /// Non-null for widening receives: up-converts `elems` Narrow elements of
   /// the wire payload straight into `dst`. Null receives memcpy instead.
@@ -111,6 +114,18 @@ void widen_payload(const std::byte* payload, std::byte* dst, size_t elems) {
   widen_into(
       std::span<const Narrow>(reinterpret_cast<const Narrow*>(payload), elems),
       std::span<Wide>(reinterpret_cast<Wide*>(dst), elems));
+}
+
+/// The deferred receive of `elems` Wide elements into `dst` that travel the
+/// wire as Narrow (Narrow == Wide: a plain copy, no conversion).
+template <typename Wide, typename Narrow>
+PendingRecv pending_recv(int src, int tag, Wide* dst, size_t elems) {
+  static_assert(std::is_trivially_copyable_v<Wide>);
+  PendingRecv pr{src, tag, reinterpret_cast<std::byte*>(dst),
+                 elems * sizeof(Narrow), elems};
+  if constexpr (!std::is_same_v<Wide, Narrow>)
+    pr.widen = &widen_payload<Wide, Narrow>;
+  return pr;
 }
 
 }  // namespace detail
@@ -146,7 +161,7 @@ struct ScheduleOpSig {
 
 }  // namespace detail
 
-/// Completion handle of a nonblocking exchange (MPI_Request analogue).
+/// Completion handle of a posted exchange (MPI_Request analogue).
 /// Move-only; produced by Communicator::ialltoallv and friends.
 ///
 /// The posting call has already pushed every outgoing message (sends are
@@ -159,11 +174,17 @@ struct ScheduleOpSig {
 /// receive or collective posted while this request is outstanding.
 class CommRequest {
  public:
-  /// An already-completed request (what pure-send posts return).
+  /// An already-completed request (what posts with nothing to defer
+  /// return).
   CommRequest() = default;
 
   CommRequest(CommRequest&& other) noexcept { *this = std::move(other); }
+  /// Completes the request this handle still holds, exactly like the
+  /// destructor does, before taking over `other`'s: dropping it unfinished
+  /// would leave the communicator's one-outstanding-request slot taken.
   CommRequest& operator=(CommRequest&& other) noexcept {
+    if (this == &other) return *this;
+    abandon("overwritten");
     comm_ = std::exchange(other.comm_, nullptr);
     post_time_ = other.post_time_;
     kind_ = other.kind_;
@@ -175,7 +196,7 @@ class CommRequest {
   /// Completes an abandoned request (swallowing errors — destructors must
   /// not throw) so the message schedule stays intact; call wait() yourself
   /// to surface failures.
-  ~CommRequest();
+  ~CommRequest() { abandon("destroyed"); }
 
   /// True once the request has completed (wait()/test() succeeded or the
   /// post had nothing to defer).
@@ -184,8 +205,9 @@ class CommRequest {
   /// Blocks until every deferred receive has landed and delivers the
   /// payloads. Time spent blocked is charged to the exchange's TimeKind as
   /// usual; the post-to-last-arrival span that elapsed BEFORE entering
-  /// wait() is credited as hidden comm time.
-  void wait();
+  /// wait() is credited as hidden comm time. A watchdog expiry reports
+  /// "nonblocking wait" and lists every posted (src, tag) still missing.
+  void wait() { complete("nonblocking wait", /*credit_hidden=*/true); }
 
   /// Nonblocking completion probe: returns false while any message is still
   /// in flight; otherwise completes the request (equivalent to wait()) and
@@ -196,6 +218,14 @@ class CommRequest {
   friend class Communicator;
   CommRequest(Communicator* comm, double post_time, TimeKind kind)
       : comm_(comm), post_time_(post_time), kind_(kind) {}
+
+  /// Delivers every deferred receive. `operation` names the call in a
+  /// watchdog diagnosis; the blocking exchanges complete their own post
+  /// with credit_hidden = false, since nothing ran under their flight.
+  void complete(const char* operation, bool credit_hidden);
+  /// Drains a request dropped unfinished (`how`: "destroyed" or
+  /// "overwritten"), logging a rated warning and swallowing failures.
+  void abandon(const char* how) noexcept;
 
   Communicator* comm_ = nullptr;  ///< Owning communicator; null once done.
   double post_time_ = 0.0;        ///< Backend-clock stamp of the post.
@@ -348,23 +378,15 @@ class Communicator {
                                         int tag);
 
   /// Zero-allocation personalized all-to-all over caller-provided flat
-  /// buffers: rank r's chunk occupies send[sum(send_counts[0..r-1]) ..) and
-  /// lands in recv at the offset implied by recv_counts. Both count arrays
-  /// must have one entry per rank and sum to the corresponding span size;
-  /// the caller owns (and can reuse) all four buffers across calls.
-  /// Self-exchange is a local copy.
-  template <typename T>
-  void alltoallv(std::span<const T> send, std::span<const index_t> send_counts,
-                 std::span<T> recv, std::span<const index_t> recv_counts,
-                 int tag);
-
-  /// Nonblocking twin of the span alltoallv. Performs the identical checks,
-  /// exchange accounting, self copy, and sends — the message schedule is
-  /// bitwise the same as the blocking call — but defers the p-1 receives
-  /// behind the returned CommRequest. `recv` must stay untouched until
-  /// wait()/test() succeeds; the SELF chunk of `recv` is already valid at
-  /// return (it never crosses the wire). At most one request may be
-  /// outstanding per communicator.
+  /// buffers, posted nonblocking: rank r's chunk occupies
+  /// send[sum(send_counts[0..r-1]) ..) and lands in recv at the offset
+  /// implied by recv_counts. Both count arrays must have one entry per rank
+  /// and sum to the corresponding span size; the caller owns (and can
+  /// reuse) all four buffers across calls. The SELF chunk of `recv` is a
+  /// local copy, already valid at return; the p-1 peer chunks arrive behind
+  /// the returned CommRequest, so `recv` must stay untouched until
+  /// wait()/test() succeeds. At most one request may be outstanding per
+  /// communicator.
   template <typename T>
   [[nodiscard]] CommRequest ialltoallv(std::span<const T> send,
                                        std::span<const index_t> send_counts,
@@ -372,17 +394,34 @@ class Communicator {
                                        std::span<const index_t> recv_counts,
                                        int tag);
 
-  /// Mixed-precision variant of the span alltoallv: every PEER chunk is
-  /// down-converted into `send_stage`, shipped at Narrow width, received
-  /// into `recv_stage`, and up-converted into `recv`; the SELF chunk is a
-  /// direct Wide copy (it never crosses the wire, so narrowing it would
-  /// cost two conversion sweeps and fp32 rounding for nothing). Counts are
-  /// in ELEMENTS and identical to the fp64 call — only the per-element
-  /// wire width changes, so the exchange schedule is bitwise the same.
-  /// Timings record the narrow bytes that actually crossed the wire plus
-  /// the volume the narrowing saved (bytes_saved). Staging buffers are
-  /// caller-owned so warm plans allocate nothing; they must be at least as
-  /// large as the corresponding payload span.
+  /// Blocking span alltoallv: ialltoallv, then completion.
+  template <typename T>
+  void alltoallv(std::span<const T> send, std::span<const index_t> send_counts,
+                 std::span<T> recv, std::span<const index_t> recv_counts,
+                 int tag);
+
+  /// Mixed-precision ialltoallv: every PEER chunk is down-converted into
+  /// `send_stage`, shipped at Narrow width, and up-converted into `recv` on
+  /// completion; the SELF chunk is a direct Wide copy (it never crosses the
+  /// wire, so narrowing it would cost two conversion sweeps and fp32
+  /// rounding for nothing). Counts are in ELEMENTS and identical to the
+  /// fp64 call — only the per-element wire width changes, so the exchange
+  /// schedule is the same. Timings record the narrow bytes that actually
+  /// crossed the wire plus the volume the narrowing saved (bytes_saved).
+  /// Staging buffers are caller-owned so warm plans allocate nothing; they
+  /// must be at least as large as the corresponding payload span. The
+  /// thread-backed transport widens straight from the wire payload, so
+  /// `recv_stage` is only size-validated here — but a real-MPI backend
+  /// lands narrow payloads in it, so callers must keep it alive and
+  /// untouched until completion.
+  template <typename Wide, typename Narrow>
+  [[nodiscard]] CommRequest ialltoallv_converted(
+      std::span<const Wide> send, std::span<const index_t> send_counts,
+      std::span<Wide> recv, std::span<const index_t> recv_counts,
+      std::span<Narrow> send_stage, std::span<Narrow> recv_stage, int tag);
+
+  /// Blocking mixed-precision alltoallv: ialltoallv_converted, then
+  /// completion.
   template <typename Wide, typename Narrow>
   void alltoallv_converted(std::span<const Wide> send,
                            std::span<const index_t> send_counts,
@@ -391,49 +430,30 @@ class Communicator {
                            std::span<Narrow> send_stage,
                            std::span<Narrow> recv_stage, int tag);
 
-  /// Nonblocking twin of alltoallv_converted: narrows and ships every peer
-  /// chunk at post (same counters, same saved-bytes accounting), defers the
-  /// widening receives. The thread-backed transport widens straight from
-  /// the wire payload, so `recv_stage` is only size-validated here — but a
-  /// real-MPI backend lands narrow payloads in it, so callers must keep it
-  /// alive and untouched until completion, exactly like the blocking call.
-  template <typename Wide, typename Narrow>
-  [[nodiscard]] CommRequest ialltoallv_converted(
-      std::span<const Wide> send, std::span<const index_t> send_counts,
-      std::span<Wide> recv, std::span<const index_t> recv_counts,
-      std::span<Narrow> send_stage, std::span<Narrow> recv_stage, int tag);
-
   /// Narrowing point-to-point send: down-converts `data` into the
   /// caller-owned `stage` and ships the narrow payload (ghost-slab halos).
+  /// Buffered like send(): complete when it returns.
   template <typename Wide, typename Narrow>
   void send_narrowed(std::span<const Wide> data, std::span<Narrow> stage,
                      int dest, int tag);
 
-  /// Widening receive, the mirror of send_narrowed: receives a narrow
-  /// payload into `stage` and up-converts into `out`.
-  template <typename Wide, typename Narrow>
-  void recv_widened(std::span<Wide> out, std::span<Narrow> stage, int src,
-                    int tag);
-
-  /// Nonblocking narrowing send. The payload is narrowed and on the wire
-  /// when this returns (buffered-send contract), so the returned request is
-  /// already complete — it exists for schedule symmetry with irecv_widened.
-  template <typename Wide, typename Narrow>
-  CommRequest isend_narrowed(std::span<const Wide> data,
-                             std::span<Narrow> stage, int dest, int tag);
-
-  /// Nonblocking widening receive: registers the (src, tag) match and
-  /// returns; wait() pops the narrow payload and up-converts into `out`.
-  /// `out` (and, under a real-MPI backend, `stage`) must stay untouched
-  /// until completion.
+  /// Widening receive, the mirror of send_narrowed: registers the (src,
+  /// tag) match and returns; completion pops the narrow payload and
+  /// up-converts into `out`. `out` (and, under a real-MPI backend, `stage`)
+  /// must stay untouched until completion.
   template <typename Wide, typename Narrow>
   [[nodiscard]] CommRequest irecv_widened(std::span<Wide> out,
                                           std::span<Narrow> stage, int src,
                                           int tag);
 
-  /// Nonblocking receive into a caller-owned buffer, the fp64 twin of
-  /// irecv_widened: wait() pops the (src, tag) payload and memcpys it into
-  /// `out` (exact size match enforced).
+  /// Blocking widening receive: irecv_widened, then completion.
+  template <typename Wide, typename Narrow>
+  void recv_widened(std::span<Wide> out, std::span<Narrow> stage, int src,
+                    int tag);
+
+  /// Receive into a caller-owned buffer, posted nonblocking: completion
+  /// pops the (src, tag) payload and copies it into `out` (exact size match
+  /// enforced).
   template <typename T>
   [[nodiscard]] CommRequest irecv_into(std::span<T> out, int src, int tag);
 
@@ -454,15 +474,30 @@ class Communicator {
   template <typename T>
   static std::vector<T> deserialize(std::vector<std::byte> bytes);
 
-  /// Shared schedule validation of the span alltoallv variants: checks the
-  /// per-rank count tables against the payload element totals (and the
-  /// self-chunk symmetry), returning the self chunk's (send offset, recv
-  /// offset). Keeping this in one place guarantees the fp64 and converted
-  /// exchanges enforce identical invariants.
-  std::pair<index_t, index_t> check_alltoallv_counts(
-      std::span<const index_t> send_counts,
-      std::span<const index_t> recv_counts, size_t send_size,
-      size_t recv_size) const;
+  /// Checks a span alltoallv's per-rank count tables against the payload
+  /// element totals (and the self-chunk symmetry) and, in the same walk,
+  /// fills chunk_offsets_ with their prefix sums.
+  void check_alltoallv_counts(std::span<const index_t> send_counts,
+                              std::span<const index_t> recv_counts,
+                              size_t send_size, size_t recv_size);
+
+  /// The one span alltoallv body, templated on the wire type: Narrow ==
+  /// Wide ships each peer chunk straight from `send`; a narrower type
+  /// stages it through `send_stage` and widens on completion (`recv_stage`
+  /// is only size-checked, see ialltoallv_converted).
+  template <typename Wide, typename Narrow>
+  CommRequest post_alltoallv(std::span<const Wide> send,
+                             std::span<const index_t> send_counts,
+                             std::span<Wide> recv,
+                             std::span<const index_t> recv_counts,
+                             std::span<Narrow> send_stage,
+                             std::span<Narrow> recv_stage, int tag);
+
+  /// The one point-to-point receive post behind irecv_into (Narrow == Wide)
+  /// and irecv_widened.
+  template <typename Wide, typename Narrow>
+  CommRequest post_recv(std::span<Wide> out, std::span<Narrow> stage, int src,
+                        int tag);
 
   /// Wait-before-read enforcement: throws while a nonblocking request is
   /// outstanding. Guards every receive, barrier, collective, and post —
@@ -478,12 +513,15 @@ class Communicator {
   /// the completion handle (or a done request when nothing was deferred).
   CommRequest finish_post(double post_time);
 
-  /// The single blocking-receive funnel: applies the watchdog deadline
-  /// (throwing CommTimeoutError with a diagnosis when it expires) and the
+  /// The single receive funnel: applies the watchdog deadline (throwing
+  /// CommTimeoutError with a diagnosis when it expires) and the
   /// wire-checksum validation (throwing CommIntegrityError on corruption).
-  /// Every blocking receive path — recv, recv_into, and the collectives
-  /// built on them — lands here.
-  Incoming receive_payload(int src, int tag, const char* operation);
+  /// Every receive path — recv, recv_into, the collectives built on them,
+  /// and request completion — lands here. A timeout lists as missing every
+  /// entry of `posted` that has not arrived (a request's deferred
+  /// receives), or just (src, tag) when `posted` is empty.
+  Incoming receive_payload(int src, int tag, const char* operation,
+                           std::span<const detail::PendingRecv> posted = {});
 
   /// Appends the checksum trailer and ships payload+trailer as one message.
   void send_with_checksum(std::span<const std::byte> payload, int dest,
@@ -543,9 +581,12 @@ class Communicator {
   TimeKind time_kind_ = TimeKind::kOther;
 
   /// Deferred receives of the (single) outstanding request. Grow-only and
-  /// reused across posts, so warm overlapped paths allocate nothing.
+  /// reused across posts, so warm exchanges allocate nothing.
   std::vector<detail::PendingRecv> pending_recvs_;
   bool pending_ = false;
+  /// Prefix sums of the current span alltoallv's count tables ([0, p):
+  /// send offsets, [p, 2p): recv offsets); sized once per communicator.
+  std::vector<index_t> chunk_offsets_;
 
   double timeout_ms_ = 0;  ///< Watchdog deadline; 0 = block forever.
   bool checksums_ = false;  ///< FNV-1a trailer on every payload.
@@ -915,16 +956,19 @@ std::vector<std::vector<T>> Communicator::alltoallv(
   return recv_bufs;
 }
 
-inline std::pair<index_t, index_t> Communicator::check_alltoallv_counts(
+inline void Communicator::check_alltoallv_counts(
     std::span<const index_t> send_counts,
     std::span<const index_t> recv_counts, size_t send_size,
-    size_t recv_size) const {
+    size_t recv_size) {
   const int p = size();
   if (static_cast<int>(send_counts.size()) != p ||
       static_cast<int>(recv_counts.size()) != p)
     throw CommContractError("mpisim: alltoallv needs one count per rank");
+  chunk_offsets_.resize(2 * static_cast<size_t>(p));
   index_t send_total = 0, recv_total = 0;
   for (int r = 0; r < p; ++r) {
+    chunk_offsets_[r] = send_total;
+    chunk_offsets_[p + r] = recv_total;
     send_total += send_counts[r];
     recv_total += recv_counts[r];
   }
@@ -933,51 +977,75 @@ inline std::pair<index_t, index_t> Communicator::check_alltoallv_counts(
     throw CommContractError("mpisim: alltoallv counts do not sum to buffers");
   if (send_counts[rank_] != recv_counts[rank_])
     throw CommContractError("mpisim: alltoallv self chunk size mismatch");
-  // Offsets are prefix sums of the counts; computed on the fly so the call
-  // itself allocates nothing.
-  index_t self_send_off = 0, self_recv_off = 0;
-  for (int r = 0; r < rank_; ++r) {
-    self_send_off += send_counts[r];
-    self_recv_off += recv_counts[r];
-  }
-  return {self_send_off, self_recv_off};
 }
 
-template <typename T>
-void Communicator::alltoallv(std::span<const T> send,
-                             std::span<const index_t> send_counts,
-                             std::span<T> recv,
-                             std::span<const index_t> recv_counts, int tag) {
+template <typename Wide, typename Narrow>
+CommRequest Communicator::post_alltoallv(std::span<const Wide> send,
+                                         std::span<const index_t> send_counts,
+                                         std::span<Wide> recv,
+                                         std::span<const index_t> recv_counts,
+                                         std::span<Narrow> send_stage,
+                                         std::span<Narrow> recv_stage,
+                                         int tag) {
+  constexpr bool kNarrow = !std::is_same_v<Wide, Narrow>;
+  static_assert(std::is_trivially_copyable_v<Wide>);
+  static_assert(!kNarrow || sizeof(Narrow) < sizeof(Wide));
   const int p = size();
-  const auto [self_send_off, self_recv_off] = check_alltoallv_counts(
-      send_counts, recv_counts, send.size(), recv.size());
+  check_alltoallv_counts(send_counts, recv_counts, send.size(), recv.size());
+  if (kNarrow &&
+      (send_stage.size() < send.size() || recv_stage.size() < recv.size()))
+    throw CommContractError(
+        "mpisim: alltoallv_converted staging buffers too small");
   check_idle();
-  verify_record(ScheduleOpKind::kAlltoallv, tag, sizeof(T) * 8, 0);
+  // Verifier checkpoints run at collective ENTRY, before any payload moves.
+  // The signature folds the WIRE width, so a rank disagreeing about the
+  // wire precision of an exchange (fp64 vs fp32, same tag) hashes
+  // differently.
+  verify_record(ScheduleOpKind::kAlltoallv, tag, sizeof(Narrow) * 8, 0);
   verify_checkpoint("alltoallv");
+  // Every rank must have entered the same alltoallv (same tag) — a
+  // mismatched schedule would otherwise deliver buffers to the wrong
+  // exchange and corrupt data silently. O(log p) cost, negligible against
+  // the pairwise payload exchange.
   check_collective_consistent(tag, "alltoallv tag");
   timings_->add_exchange(time_kind_);
-  verify_fold_counts(send_counts, recv_counts, sizeof(T));
+  verify_fold_counts(send_counts, recv_counts, sizeof(Narrow));
 
+  // Self chunk: direct Wide copy (bit-exact, never on the wire).
   if (send_counts[rank_] > 0)
-    std::memcpy(recv.data() + self_recv_off, send.data() + self_send_off,
-                static_cast<size_t>(send_counts[rank_]) * sizeof(T));
+    std::memcpy(recv.data() + chunk_offsets_[p + rank_],
+                send.data() + chunk_offsets_[rank_],
+                static_cast<size_t>(send_counts[rank_]) * sizeof(Wide));
 
+  const double post_time = backend_ ? backend_->now() : 0.0;
   for (int offset = 1; offset < p; ++offset) {
     const int dest = (rank_ + offset) % p;
-    index_t off = 0;
-    for (int r = 0; r < dest; ++r) off += send_counts[r];
-    this->send(send.subspan(static_cast<size_t>(off),
-                            static_cast<size_t>(send_counts[dest])),
-               dest, tag);
+    const auto off = static_cast<size_t>(chunk_offsets_[dest]);
+    const auto count = static_cast<size_t>(send_counts[dest]);
+    if constexpr (kNarrow) {
+      // Conversion sweeps are charged to the current comm category — they
+      // are wire-format work a native fp32 transport would not need — and
+      // the volume they keep off the wire is accounted to the bytes_saved
+      // counter (sender side, like add_message).
+      {
+        ScopedTimer timer(*timings_, time_kind_);
+        narrow_into(send.subspan(off, count), send_stage.subspan(off, count));
+      }
+      timings_->add_saved(time_kind_, count * (sizeof(Wide) - sizeof(Narrow)));
+      this->send(std::span<const Narrow>(send_stage.subspan(off, count)),
+                 dest, tag);
+    } else {
+      this->send(send.subspan(off, count), dest, tag);
+    }
   }
+  pending_recvs_.clear();
   for (int offset = 1; offset < p; ++offset) {
     const int src = (rank_ - offset + p) % p;
-    index_t off = 0;
-    for (int r = 0; r < src; ++r) off += recv_counts[r];
-    recv_into(recv.subspan(static_cast<size_t>(off),
-                           static_cast<size_t>(recv_counts[src])),
-              src, tag);
+    pending_recvs_.push_back(detail::pending_recv<Wide, Narrow>(
+        src, tag, recv.data() + chunk_offsets_[p + src],
+        static_cast<size_t>(recv_counts[src])));
   }
+  return finish_post(post_time);
 }
 
 template <typename T>
@@ -986,39 +1054,27 @@ CommRequest Communicator::ialltoallv(std::span<const T> send,
                                      std::span<T> recv,
                                      std::span<const index_t> recv_counts,
                                      int tag) {
-  const int p = size();
-  const auto [self_send_off, self_recv_off] = check_alltoallv_counts(
-      send_counts, recv_counts, send.size(), recv.size());
-  check_idle();
-  verify_record(ScheduleOpKind::kAlltoallv, tag, sizeof(T) * 8, 0);
-  verify_checkpoint("alltoallv");
-  check_collective_consistent(tag, "alltoallv tag");
-  timings_->add_exchange(time_kind_);
-  verify_fold_counts(send_counts, recv_counts, sizeof(T));
+  return post_alltoallv(send, send_counts, recv, recv_counts, std::span<T>(),
+                        std::span<T>(), tag);
+}
 
-  if (send_counts[rank_] > 0)
-    std::memcpy(recv.data() + self_recv_off, send.data() + self_send_off,
-                static_cast<size_t>(send_counts[rank_]) * sizeof(T));
+template <typename T>
+void Communicator::alltoallv(std::span<const T> send,
+                             std::span<const index_t> send_counts,
+                             std::span<T> recv,
+                             std::span<const index_t> recv_counts, int tag) {
+  ialltoallv(send, send_counts, recv, recv_counts, tag)
+      .complete("alltoallv", /*credit_hidden=*/false);
+}
 
-  const double post_time = backend_ ? backend_->now() : 0.0;
-  for (int offset = 1; offset < p; ++offset) {
-    const int dest = (rank_ + offset) % p;
-    index_t off = 0;
-    for (int r = 0; r < dest; ++r) off += send_counts[r];
-    this->send(send.subspan(static_cast<size_t>(off),
-                            static_cast<size_t>(send_counts[dest])),
-               dest, tag);
-  }
-  pending_recvs_.clear();
-  for (int offset = 1; offset < p; ++offset) {
-    const int src = (rank_ - offset + p) % p;
-    index_t off = 0;
-    for (int r = 0; r < src; ++r) off += recv_counts[r];
-    pending_recvs_.push_back(
-        {src, tag, reinterpret_cast<std::byte*>(recv.data() + off),
-         static_cast<size_t>(recv_counts[src]) * sizeof(T), 0, nullptr});
-  }
-  return finish_post(post_time);
+template <typename Wide, typename Narrow>
+CommRequest Communicator::ialltoallv_converted(
+    std::span<const Wide> send, std::span<const index_t> send_counts,
+    std::span<Wide> recv, std::span<const index_t> recv_counts,
+    std::span<Narrow> send_stage, std::span<Narrow> recv_stage, int tag) {
+  static_assert(sizeof(Narrow) < sizeof(Wide));
+  return post_alltoallv(send, send_counts, recv, recv_counts, send_stage,
+                        recv_stage, tag);
 }
 
 template <typename Wide, typename Narrow>
@@ -1028,124 +1084,9 @@ void Communicator::alltoallv_converted(std::span<const Wide> send,
                                        std::span<const index_t> recv_counts,
                                        std::span<Narrow> send_stage,
                                        std::span<Narrow> recv_stage, int tag) {
-  static_assert(sizeof(Narrow) < sizeof(Wide));
-  const int p = size();
-  const auto [self_send_off, self_recv_off] = check_alltoallv_counts(
-      send_counts, recv_counts, send.size(), recv.size());
-  if (send_stage.size() < send.size() || recv_stage.size() < recv.size())
-    throw CommContractError(
-        "mpisim: alltoallv_converted staging buffers too small");
-  check_idle();
-  // The signature folds the NARROW width: that is what crosses the wire,
-  // so a rank disagreeing about the wire precision of an exchange (fp64
-  // vs fp32 variant, same tag) hashes differently.
-  verify_record(ScheduleOpKind::kAlltoallv, tag, sizeof(Narrow) * 8, 0);
-  verify_checkpoint("alltoallv");
-  check_collective_consistent(tag, "alltoallv tag");
-  timings_->add_exchange(time_kind_);
-  verify_fold_counts(send_counts, recv_counts, sizeof(Narrow));
-
-  // Self chunk: direct Wide copy (bit-exact, no staging round trip).
-  if (send_counts[rank_] > 0)
-    std::memcpy(recv.data() + self_recv_off, send.data() + self_send_off,
-                static_cast<size_t>(send_counts[rank_]) * sizeof(Wide));
-
-  // Peer chunks: narrow, ship, widen. Conversion sweeps are charged to the
-  // current comm category — they are wire-format work a native fp32
-  // transport would not need — and the volume they keep off the wire is
-  // accounted to the bytes_saved counter (sender side, like add_message).
-  for (int offset = 1; offset < p; ++offset) {
-    const int dest = (rank_ + offset) % p;
-    index_t off = 0;
-    for (int r = 0; r < dest; ++r) off += send_counts[r];
-    {
-      ScopedTimer timer(*timings_, time_kind_);
-      narrow_into(send.subspan(static_cast<size_t>(off),
-                               static_cast<size_t>(send_counts[dest])),
-                  send_stage.subspan(static_cast<size_t>(off),
-                                     static_cast<size_t>(send_counts[dest])));
-    }
-    timings_->add_saved(time_kind_,
-                        static_cast<std::uint64_t>(send_counts[dest]) *
-                            (sizeof(Wide) - sizeof(Narrow)));
-    this->send(std::span<const Narrow>(
-                   send_stage.data() + off,
-                   static_cast<size_t>(send_counts[dest])),
-               dest, tag);
-  }
-  for (int offset = 1; offset < p; ++offset) {
-    const int src = (rank_ - offset + p) % p;
-    index_t off = 0;
-    for (int r = 0; r < src; ++r) off += recv_counts[r];
-    recv_into(std::span<Narrow>(recv_stage.data() + off,
-                                static_cast<size_t>(recv_counts[src])),
-              src, tag);
-    ScopedTimer timer(*timings_, time_kind_);
-    widen_into(std::span<const Narrow>(recv_stage.data() + off,
-                                       static_cast<size_t>(recv_counts[src])),
-               recv.subspan(static_cast<size_t>(off),
-                            static_cast<size_t>(recv_counts[src])));
-  }
-}
-
-template <typename Wide, typename Narrow>
-CommRequest Communicator::ialltoallv_converted(
-    std::span<const Wide> send, std::span<const index_t> send_counts,
-    std::span<Wide> recv, std::span<const index_t> recv_counts,
-    std::span<Narrow> send_stage, std::span<Narrow> recv_stage, int tag) {
-  static_assert(sizeof(Narrow) < sizeof(Wide));
-  const int p = size();
-  const auto [self_send_off, self_recv_off] = check_alltoallv_counts(
-      send_counts, recv_counts, send.size(), recv.size());
-  if (send_stage.size() < send.size() || recv_stage.size() < recv.size())
-    throw CommContractError(
-        "mpisim: alltoallv_converted staging buffers too small");
-  check_idle();
-  // The signature folds the NARROW width: that is what crosses the wire,
-  // so a rank disagreeing about the wire precision of an exchange (fp64
-  // vs fp32 variant, same tag) hashes differently.
-  verify_record(ScheduleOpKind::kAlltoallv, tag, sizeof(Narrow) * 8, 0);
-  verify_checkpoint("alltoallv");
-  check_collective_consistent(tag, "alltoallv tag");
-  timings_->add_exchange(time_kind_);
-  verify_fold_counts(send_counts, recv_counts, sizeof(Narrow));
-
-  if (send_counts[rank_] > 0)
-    std::memcpy(recv.data() + self_recv_off, send.data() + self_send_off,
-                static_cast<size_t>(send_counts[rank_]) * sizeof(Wide));
-
-  const double post_time = backend_ ? backend_->now() : 0.0;
-  for (int offset = 1; offset < p; ++offset) {
-    const int dest = (rank_ + offset) % p;
-    index_t off = 0;
-    for (int r = 0; r < dest; ++r) off += send_counts[r];
-    {
-      ScopedTimer timer(*timings_, time_kind_);
-      narrow_into(send.subspan(static_cast<size_t>(off),
-                               static_cast<size_t>(send_counts[dest])),
-                  send_stage.subspan(static_cast<size_t>(off),
-                                     static_cast<size_t>(send_counts[dest])));
-    }
-    timings_->add_saved(time_kind_,
-                        static_cast<std::uint64_t>(send_counts[dest]) *
-                            (sizeof(Wide) - sizeof(Narrow)));
-    this->send(std::span<const Narrow>(
-                   send_stage.data() + off,
-                   static_cast<size_t>(send_counts[dest])),
-               dest, tag);
-  }
-  pending_recvs_.clear();
-  for (int offset = 1; offset < p; ++offset) {
-    const int src = (rank_ - offset + p) % p;
-    index_t off = 0;
-    for (int r = 0; r < src; ++r) off += recv_counts[r];
-    pending_recvs_.push_back(
-        {src, tag, reinterpret_cast<std::byte*>(recv.data() + off),
-         static_cast<size_t>(recv_counts[src]) * sizeof(Narrow),
-         static_cast<size_t>(recv_counts[src]),
-         &detail::widen_payload<Wide, Narrow>});
-  }
-  return finish_post(post_time);
+  ialltoallv_converted(send, send_counts, recv, recv_counts, send_stage,
+                       recv_stage, tag)
+      .complete("alltoallv", /*credit_hidden=*/false);
 }
 
 template <typename Wide, typename Narrow>
@@ -1164,24 +1105,16 @@ void Communicator::send_narrowed(std::span<const Wide> data,
 }
 
 template <typename Wide, typename Narrow>
-void Communicator::recv_widened(std::span<Wide> out, std::span<Narrow> stage,
-                                int src, int tag) {
-  static_assert(sizeof(Narrow) < sizeof(Wide));
-  if (stage.size() < out.size())
+CommRequest Communicator::post_recv(std::span<Wide> out,
+                                    std::span<Narrow> stage, int src, int tag) {
+  if (!std::is_same_v<Wide, Narrow> && stage.size() < out.size())
     throw CommContractError("mpisim: recv_widened staging buffer too small");
-  recv_into(stage.subspan(0, out.size()), src, tag);
-  ScopedTimer timer(*timings_, time_kind_);
-  widen_into(std::span<const Narrow>(stage.data(), out.size()), out);
-}
-
-template <typename Wide, typename Narrow>
-CommRequest Communicator::isend_narrowed(std::span<const Wide> data,
-                                         std::span<Narrow> stage, int dest,
-                                         int tag) {
-  // Buffered sends complete at post, so the "request" is already done; the
-  // narrowing + accounting are exactly the blocking call's.
-  send_narrowed(data, stage, dest, tag);
-  return CommRequest();
+  check_idle();
+  const double post_time = backend_ ? backend_->now() : 0.0;
+  pending_recvs_.clear();
+  pending_recvs_.push_back(
+      detail::pending_recv<Wide, Narrow>(src, tag, out.data(), out.size()));
+  return finish_post(post_time);
 }
 
 template <typename Wide, typename Narrow>
@@ -1189,26 +1122,19 @@ CommRequest Communicator::irecv_widened(std::span<Wide> out,
                                         std::span<Narrow> stage, int src,
                                         int tag) {
   static_assert(sizeof(Narrow) < sizeof(Wide));
-  if (stage.size() < out.size())
-    throw CommContractError("mpisim: recv_widened staging buffer too small");
-  check_idle();
-  const double post_time = backend_ ? backend_->now() : 0.0;
-  pending_recvs_.clear();
-  pending_recvs_.push_back({src, tag, reinterpret_cast<std::byte*>(out.data()),
-                            out.size() * sizeof(Narrow), out.size(),
-                            &detail::widen_payload<Wide, Narrow>});
-  return finish_post(post_time);
+  return post_recv(out, stage, src, tag);
+}
+
+template <typename Wide, typename Narrow>
+void Communicator::recv_widened(std::span<Wide> out, std::span<Narrow> stage,
+                                int src, int tag) {
+  irecv_widened(out, stage, src, tag)
+      .complete("recv_widened", /*credit_hidden=*/false);
 }
 
 template <typename T>
 CommRequest Communicator::irecv_into(std::span<T> out, int src, int tag) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  check_idle();
-  const double post_time = backend_ ? backend_->now() : 0.0;
-  pending_recvs_.clear();
-  pending_recvs_.push_back({src, tag, reinterpret_cast<std::byte*>(out.data()),
-                            out.size_bytes(), 0, nullptr});
-  return finish_post(post_time);
+  return post_recv(out, std::span<T>(), src, tag);
 }
 
 inline CommRequest Communicator::finish_post(double post_time) {

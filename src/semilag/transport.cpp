@@ -24,11 +24,10 @@ Transport::Transport(spectral::SpectralOps& ops, const TransportConfig& config)
     : ops_(&ops),
       decomp_(&ops.decomp()),
       config_(config),
-      gx_(*decomp_, interp::kGhostWidth, TimeKind::kInterpComm, config.wire,
-          config.overlap),
-      plan_fwd_(*decomp_, config.wire, config.overlap),
-      plan_bwd_(*decomp_, config.wire, config.overlap),
-      star_plan_(*decomp_, config.wire, config.overlap) {
+      gx_(*decomp_, interp::kGhostWidth, TimeKind::kInterpComm, config.wire),
+      plan_fwd_(*decomp_, config.wire),
+      plan_bwd_(*decomp_, config.wire),
+      star_plan_(*decomp_, config.wire) {
   if (config_.nt < 1)
     throw std::invalid_argument("Transport: nt must be >= 1");
   const index_t n = decomp_->local_real_size();

@@ -36,24 +36,7 @@
 #include "interp/interp_plan.hpp"
 #include "spectral/operators.hpp"
 
-namespace diffreg::interp {
-class FusedInterp;
-}
-
 namespace diffreg::semilag {
-
-class Transport;
-
-/// Lockstep state solve for J co-resident same-shape jobs: replicates
-/// Transport::solve_state on every transport, but each of the nt time steps
-/// pushes all J interpolations through ONE fused ghost exchange and ONE
-/// fused value alltoallv (see interp/fused_exchange.hpp). Per-job results
-/// are bitwise identical to calling solve_state per transport. All
-/// transports must share the decomposition and TransportConfig and have
-/// their (per-job) velocities set. Collective.
-void solve_states_fused(std::span<Transport* const> transports,
-                        std::span<const grid::ScalarField* const> rho0,
-                        interp::FusedInterp& fused);
 
 using grid::ScalarField;
 using grid::VectorField;
@@ -68,11 +51,7 @@ struct TransportConfig {
   /// departure-point coordinates of a plan build stay fp64 — see
   /// interp/interp_plan.hpp).
   WirePrecision wire = WirePrecision::kF64;
-  /// Comm/compute overlap of the transport exchanges: the ghost halo packs
-  /// its second slab under the first halo's flight and the interpolation
-  /// value scatter evaluates the SELF points under the alltoallv flight.
-  /// Results and message schedule are identical either way.
-  bool overlap = false;
+  bool overlap = false;  ///< Has no effect (kept for source compatibility).
 };
 
 class Transport {
@@ -153,10 +132,6 @@ class Transport {
   void interp_vec_at_forward_points(const VectorField& f, VectorField& out);
 
  private:
-  friend void solve_states_fused(std::span<Transport* const>,
-                                 std::span<const grid::ScalarField* const>,
-                                 interp::FusedInterp&);
-
   /// RK2 departure points (eq. 6) for velocity sign * v, into points_.
   void compute_departure_points(int sign);
 

@@ -9,9 +9,8 @@ namespace diffreg::spectral {
 
 using fft::fft_frequency;
 
-SpectralOps::SpectralOps(grid::PencilDecomp& decomp, WirePrecision wire,
-                         bool overlap)
-    : decomp_(&decomp), fft_(decomp, wire, overlap) {
+SpectralOps::SpectralOps(grid::PencilDecomp& decomp, WirePrecision wire, bool)
+    : decomp_(&decomp), fft_(decomp, wire) {
   const Int3 dims = decomp.dims();
   const Int3 sd = decomp.local_spectral_dims();
 
@@ -231,32 +230,6 @@ void SpectralOps::gaussian_smooth(std::span<const real_t> f, const Vec3& sigma,
   if (out.size() != static_cast<size_t>(local_size()))
     out.resize(local_size());
   fft_.inverse(spec_, out);
-}
-
-void SpectralOps::gaussian_smooth_many(std::span<const real_t* const> fs,
-                                       std::span<const Vec3> sigmas,
-                                       std::span<real_t* const> outs) {
-  const int m = static_cast<int>(fs.size());
-  assert(m >= 1 && m <= fft::DistributedFft3d::kMaxBatch);
-  assert(sigmas.size() == fs.size() && outs.size() == fs.size());
-  complex_t* specs[fft::DistributedFft3d::kMaxBatch];
-  for (int i = 0; i < m; ++i) specs[i] = spec_v_[i].data();
-  fft_.forward_many(fs, std::span<complex_t* const>(specs, m));
-  for (int i = 0; i < m; ++i) {
-    const Vec3 sigma = sigmas[i];
-    scale_spectrum(std::span<complex_t>(spec_v_[i]),
-                   [&](index_t a, index_t b, index_t c) {
-                     const Vec3 k = wavenumber(a, b, c, false);
-                     const real_t e = sigma[0] * sigma[0] * k[0] * k[0] +
-                                      sigma[1] * sigma[1] * k[1] * k[1] +
-                                      sigma[2] * sigma[2] * k[2] * k[2];
-                     return std::exp(real_t(-0.5) * e);
-                   });
-  }
-  const complex_t* cspecs[fft::DistributedFft3d::kMaxBatch];
-  for (int i = 0; i < m; ++i) cspecs[i] = spec_v_[i].data();
-  fft_.inverse_many(std::span<const complex_t* const>(cspecs, m),
-                    std::span<real_t* const>(outs.data(), m));
 }
 
 }  // namespace diffreg::spectral

@@ -35,12 +35,10 @@ using grid::VectorField;
 class SpectralOps {
  public:
   /// `wire` is handed to the distributed FFT plan: kF32 halves the bytes of
-  /// every transpose exchange behind these operators. `overlap` makes the
-  /// FFT unpack its self chunk under the transpose flight (same results,
-  /// same message schedule).
+  /// every transpose exchange behind these operators.
+  /// The trailing bool has no effect (kept for source compatibility).
   explicit SpectralOps(grid::PencilDecomp& decomp,
-                       WirePrecision wire = WirePrecision::kF64,
-                       bool overlap = false);
+                       WirePrecision wire = WirePrecision::kF64, bool = false);
 
   grid::PencilDecomp& decomp() { return *decomp_; }
   fft::DistributedFft3d& fft() { return fft_; }
@@ -83,16 +81,6 @@ class SpectralOps {
   /// (paper: images are smoothed with bandwidth ~ one grid cell).
   void gaussian_smooth(std::span<const real_t> f, const Vec3& sigma,
                        ScalarField& out);
-
-  /// Batched smoothing of up to DistributedFft3d::kMaxBatch fields (each
-  /// with its own sigma) through ONE exchange set (4 alltoallv total,
-  /// independent of the field count) — used by the batch service to fuse
-  /// the input preprocessing of co-resident jobs. `outs[i]` must already
-  /// hold local_size() elements. Results are bitwise identical to calling
-  /// gaussian_smooth per field.
-  void gaussian_smooth_many(std::span<const real_t* const> fs,
-                            std::span<const Vec3> sigmas,
-                            std::span<real_t* const> outs);
 
   /// Wavenumbers of the local spectral index (a, b, c) -> (k1, k2, k3).
   /// `odd` selects the zeroed-Nyquist convention used for odd derivatives.

@@ -2,8 +2,7 @@
 // build each plan family exactly once, mixed shapes and wire precisions get
 // distinct entries), the transport pool, SolveRequest/solve() vs the legacy
 // run() entrypoint, BatchSolver-vs-sequential bitwise identity at p = 1, 2
-// and 4, priority/deadline semantics, and the fused cross-job paths
-// (gaussian_smooth_many, solve_states_fused through FusedInterp).
+// and 4, priority/deadline semantics, and per-job deformed templates.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -65,8 +64,8 @@ TEST(PlanRegistry, SameShapeLeasesBuildEachPlanOnce) {
     EXPECT_EQ(reg.stats().decomp_builds, 1);
     EXPECT_EQ(reg.stats().leases, 2);
 
-    auto s1 = reg.spectral({16, 16, 16}, WirePrecision::kF64, false);
-    auto s2 = reg.spectral({16, 16, 16}, WirePrecision::kF64, false);
+    auto s1 = reg.spectral({16, 16, 16}, WirePrecision::kF64);
+    auto s2 = reg.spectral({16, 16, 16}, WirePrecision::kF64);
     EXPECT_EQ(s1.get(), s2.get());
     EXPECT_EQ(reg.stats().spectral_builds, 1);
     // A spectral lease nests a decomp lease, so leases exceed builds.
@@ -85,18 +84,15 @@ TEST(PlanRegistry, MixedShapesGetDistinctEntries) {
   });
 }
 
-TEST(PlanRegistry, WirePrecisionAndOverlapKeysDoNotCollide) {
+TEST(PlanRegistry, WirePrecisionKeysDoNotCollide) {
   mpisim::run_spmd(2, [&](mpisim::Communicator& comm) {
     PlanRegistry reg(comm);
-    auto f64 = reg.spectral({16, 16, 16}, WirePrecision::kF64, false);
-    auto f32 = reg.spectral({16, 16, 16}, WirePrecision::kF32, false);
-    auto f64_ov = reg.spectral({16, 16, 16}, WirePrecision::kF64, true);
+    auto f64 = reg.spectral({16, 16, 16}, WirePrecision::kF64);
+    auto f32 = reg.spectral({16, 16, 16}, WirePrecision::kF32);
     EXPECT_NE(f64.get(), f32.get());
-    EXPECT_NE(f64.get(), f64_ov.get());
-    EXPECT_NE(f32.get(), f64_ov.get());
-    EXPECT_EQ(reg.stats().spectral_builds, 3);
-    EXPECT_EQ(reg.spectral_entries(), 3u);
-    // One decomposition serves all three spectral plans.
+    EXPECT_EQ(reg.stats().spectral_builds, 2);
+    EXPECT_EQ(reg.spectral_entries(), 2u);
+    // One decomposition serves both spectral plans.
     EXPECT_EQ(reg.stats().decomp_builds, 1);
   });
 }
@@ -350,86 +346,9 @@ TEST(BatchSolver, InvalidConfigurationsThrow) {
 }
 
 // --------------------------------------------------------------------------
-// Fused cross-job phases are bitwise identical to their per-job forms.
+// Deformed templates: the batch runs the per-job deform_template path.
 
-TEST(FusedPhases, GaussianSmoothManyMatchesPerField) {
-  mpisim::run_spmd(2, [&](mpisim::Communicator& comm) {
-    PencilDecomp decomp(comm, {16, 16, 16});
-    spectral::SpectralOps ops(decomp);
-    const index_t n = decomp.local_real_size();
-
-    std::vector<ScalarField> fields;
-    fields.push_back(imaging::synthetic_template(decomp));
-    fields.push_back(imaging::sphere_phantom(decomp, {3.0, 3.0, 3.0}, 1.2));
-    fields.push_back(imaging::brain_phantom(decomp, 1));
-    const std::vector<Vec3> sigmas{{0.2, 0.2, 0.2}, {0.3, 0.1, 0.2},
-                                   {0.05, 0.4, 0.15}};
-
-    std::vector<ScalarField> ref(3, ScalarField(n));
-    for (int i = 0; i < 3; ++i)
-      ops.gaussian_smooth(fields[i], sigmas[i], ref[i]);
-
-    std::vector<ScalarField> out(3, ScalarField(n));
-    const real_t* ins[3] = {fields[0].data(), fields[1].data(),
-                            fields[2].data()};
-    real_t* outs[3] = {out[0].data(), out[1].data(), out[2].data()};
-    ops.gaussian_smooth_many(std::span<const real_t* const>(ins, 3),
-                             std::span<const Vec3>(sigmas),
-                             std::span<real_t* const>(outs, 3));
-    for (int i = 0; i < 3; ++i)
-      EXPECT_TRUE(same_bits(ref[i], out[i])) << "field " << i;
-  });
-}
-
-void expect_fused_states_match(WirePrecision wire, bool overlap) {
-  mpisim::run_spmd(2, [&](mpisim::Communicator& comm) {
-    PencilDecomp decomp(comm, {16, 16, 16});
-    spectral::SpectralOps ops(decomp, wire, overlap);
-    semilag::TransportConfig tc;
-    tc.nt = 3;
-    tc.wire = wire;
-    tc.overlap = overlap;
-
-    auto rho_a = imaging::synthetic_template(decomp);
-    auto rho_b = imaging::sphere_phantom(decomp, {3.0, 3.0, 3.0}, 1.3);
-    auto va = imaging::synthetic_velocity(decomp, 0.4);
-    auto vb = imaging::synthetic_velocity(decomp, 0.55);
-
-    semilag::Transport ta(ops, tc), tb(ops, tc);
-    ta.set_velocity(va);
-    tb.set_velocity(vb);
-
-    // Per-transport reference.
-    ta.solve_state(rho_a);
-    tb.solve_state(rho_b);
-    const ScalarField ref_a = ta.final_state();
-    const ScalarField ref_b = tb.final_state();
-
-    // Fused lockstep solve.
-    interp::FusedInterp fused(decomp, wire, overlap);
-    semilag::Transport* transports[2] = {&ta, &tb};
-    const ScalarField* rho0[2] = {&rho_a, &rho_b};
-    semilag::solve_states_fused(
-        std::span<semilag::Transport* const>(transports, 2),
-        std::span<const ScalarField* const>(rho0, 2), fused);
-
-    EXPECT_TRUE(same_bits(ref_a, ta.final_state()));
-    EXPECT_TRUE(same_bits(ref_b, tb.final_state()));
-    EXPECT_EQ(fused.fused_calls(), tc.nt);
-  });
-}
-
-TEST(FusedPhases, SolveStatesFusedMatchesSolveState) {
-  expect_fused_states_match(WirePrecision::kF64, false);
-}
-TEST(FusedPhases, SolveStatesFusedMatchesSolveStateF32Wire) {
-  expect_fused_states_match(WirePrecision::kF32, false);
-}
-TEST(FusedPhases, SolveStatesFusedMatchesSolveStateOverlap) {
-  expect_fused_states_match(WirePrecision::kF64, true);
-}
-
-TEST(FusedPhases, FusedDeformedTemplateMatchesPerJob) {
+TEST(BatchSolver, DeformedTemplatesMatchPerJobBitwise) {
   mpisim::run_spmd(2, [&](mpisim::Communicator& comm) {
     const Int3 dims{16, 16, 16};
     const RegistrationOptions opt = small_options();
@@ -465,7 +384,6 @@ TEST(FusedPhases, FusedDeformedTemplateMatchesPerJob) {
     BatchOptions bopt;
     bopt.shards = 1;
     bopt.want_deformed = true;
-    bopt.fuse_exchanges = true;
     auto rep = batch.run_all(bopt);
 
     ASSERT_EQ(rep.deformed.size(), amps.size());

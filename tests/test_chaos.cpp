@@ -158,6 +158,42 @@ TEST(Chaos, WatchdogNonblockingWaitReportsTheMissingPeer) {
   }
 }
 
+TEST(Chaos, WatchdogBlockingAlltoallvNamesTheMissingPeer) {
+  // The blocking alltoallv completes its own post: when a peer passes the
+  // entry checks but never ships its chunk, the waiting rank's watchdog
+  // must name the missing (src, tag) instead of blocking forever. Rank 1
+  // runs the tag-consistency allreduce (one send, one receive) and crashes
+  // on its payload send, backend step 3.
+  SpmdOptions opts;
+  opts.comm_timeout_ms = 150;
+  opts.fault_spec = "seed=1,crash_rank=1,crash_at=2";
+  std::atomic<int> diagnosed{0};
+  try {
+    run_spmd(
+        2,
+        [&](Communicator& comm) {
+          const std::vector<index_t> counts{1, 1};
+          const std::vector<double> send{1.0, 2.0};
+          std::vector<double> recv(2);
+          try {
+            comm.alltoallv(std::span<const double>(send), counts,
+                           std::span<double>(recv), counts, /*tag=*/17);
+          } catch (const CommTimeoutError& e) {
+            const CommDiagnosis& d = e.diagnosis();
+            if (comm.rank() == 0 && d.operation == "alltoallv" &&
+                d.src == 1 && d.tag == 17 &&
+                d.missing == std::vector<std::pair<int, int>>{{1, 17}})
+              ++diagnosed;
+            throw;
+          }
+        },
+        opts);
+    FAIL() << "expected a structured CommError";
+  } catch (const CommError&) {
+    EXPECT_EQ(diagnosed.load(), 1);
+  }
+}
+
 TEST(Chaos, DroppedMessagesEndInTimeoutNotHang) {
   // drop=1 destroys every payload; the watchdog must surface the loss as a
   // structured timeout on the receiving side.

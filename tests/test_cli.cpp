@@ -38,8 +38,7 @@ TEST(CliParse, FullCommandLineRoundTrips) {
   auto opt = parse_argv({"--grid", "32,16,16", "--ranks", "4", "--beta",
                          "1e-3", "--nt", "8", "--precision", "mixed",
                          "--amplitude", "0.7", "--batch", "jobs.txt",
-                         "--shards", "2", "--incompressible", "--overlap",
-                         "on"},
+                         "--shards", "2", "--incompressible"},
                         error);
   ASSERT_TRUE(opt.has_value()) << error;
   EXPECT_EQ(opt->dims[0], 32);
@@ -53,7 +52,6 @@ TEST(CliParse, FullCommandLineRoundTrips) {
   EXPECT_EQ(opt->batch_file, "jobs.txt");
   EXPECT_EQ(opt->shards, 2);
   EXPECT_TRUE(opt->reg.incompressible);
-  EXPECT_TRUE(opt->reg.overlap);
 }
 
 TEST(CliParse, HelpShortCircuits) {
@@ -140,6 +138,9 @@ TEST(CliParse, JobLineMalformedValuesError) {
   EXPECT_FALSE(
       parse_options("--unknown-flag 3", *defaults, error).has_value());
   EXPECT_NE(error.find("--unknown-flag"), std::string::npos);
+  // The retired --overlap flag is an unknown flag like any other.
+  EXPECT_FALSE(parse_options("--overlap on", *defaults, error).has_value());
+  EXPECT_NE(error.find("unknown flag --overlap"), std::string::npos);
 }
 
 TEST(CliParse, PrecisionAndRegularizerValuesAreValidated) {

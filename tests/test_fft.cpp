@@ -493,60 +493,26 @@ TEST(DistributedFft3d, TimingsAreAttributed) {
     EXPECT_GT(t.get(TimeKind::kFftExec), 0.0);
 }
 
-TEST(DistributedFft3d, OverlapPlanMatchesBlockingBitwise) {
-  // An overlap plan posts the transpose exchanges nonblocking and unpacks
-  // the self chunk under their flight; the spectra and round trips must be
-  // bit-identical to the blocking plan on both wire formats, the comm
-  // counters must show the exact same message schedule, and (for p > 1)
-  // some wire time must surface as hidden.
+TEST(DistributedFft3d, TransposesHideWireTime) {
+  // Every transpose unpacks its self chunk under the peer chunks' flight,
+  // so for p > 1 some wire time must surface as hidden, on both wire
+  // formats.
   const Int3 dims{20, 16, 12};
-  for (int p : {1, 2, 4, 6}) {
+  for (int p : {2, 4, 6}) {
     for (WirePrecision wire : {WirePrecision::kF64, WirePrecision::kF32}) {
       auto timings = mpisim::run_spmd(p, [&](mpisim::Communicator& comm) {
         grid::PencilDecomp decomp(comm, dims);
-        DistributedFft3d blocking(decomp, wire);
-        DistributedFft3d overlapped(decomp, wire, /*overlap=*/true);
-        EXPECT_TRUE(overlapped.overlap());
-
-        auto x = random_real(blocking.local_real_size(),
+        DistributedFft3d fft(decomp, wire);
+        auto x = random_real(fft.local_real_size(),
                              91 + static_cast<unsigned>(comm.rank()));
-        std::vector<complex_t> spec_b(blocking.local_spectral_size());
-        std::vector<complex_t> spec_o(blocking.local_spectral_size());
-        std::vector<real_t> back_b(x.size()), back_o(x.size());
-
+        std::vector<complex_t> spec(fft.local_spectral_size());
         comm.timings().clear();
-        const Timings t0 = comm.timings();
-        blocking.forward(x, spec_b);
-        blocking.inverse(spec_b, back_b);
-        const Timings t1 = comm.timings();
-        overlapped.forward(x, spec_o);
-        overlapped.inverse(spec_o, back_o);
-        const Timings t2 = comm.timings();
-
-        for (size_t i = 0; i < spec_b.size(); ++i) {
-          ASSERT_EQ(spec_b[i].real(), spec_o[i].real());
-          ASSERT_EQ(spec_b[i].imag(), spec_o[i].imag());
-        }
-        for (size_t i = 0; i < back_b.size(); ++i)
-          ASSERT_EQ(back_b[i], back_o[i]);
-
-        const Timings db = timings_delta(t0, t1);
-        const Timings dn = timings_delta(t1, t2);
-        EXPECT_EQ(db.exchanges(TimeKind::kFftComm),
-                  dn.exchanges(TimeKind::kFftComm));
-        EXPECT_EQ(db.messages(TimeKind::kFftComm),
-                  dn.messages(TimeKind::kFftComm));
-        EXPECT_EQ(db.bytes(TimeKind::kFftComm), dn.bytes(TimeKind::kFftComm));
-        EXPECT_EQ(db.saved_bytes(TimeKind::kFftComm),
-                  dn.saved_bytes(TimeKind::kFftComm));
-        // Only the overlapped plan hides wire time.
-        EXPECT_EQ(db.hidden(TimeKind::kFftComm), 0.0);
+        fft.forward(x, spec);
+        fft.inverse(spec, x);
       });
-      if (p > 1) {
-        double hidden = 0;
-        for (const auto& t : timings) hidden += t.hidden(TimeKind::kFftComm);
-        EXPECT_GT(hidden, 0.0) << "p=" << p;
-      }
+      double hidden = 0;
+      for (const auto& t : timings) hidden += t.hidden(TimeKind::kFftComm);
+      EXPECT_GT(hidden, 0.0) << "p=" << p;
     }
   }
 }

@@ -675,9 +675,9 @@ TEST(Nonblocking, WaitRejectsMismatchedPayloadSize) {
   EXPECT_EQ(threw.load(), 2);
 }
 
-TEST(Nonblocking, IsendNarrowedIrecvWidenedPairwise) {
-  // The nonblocking narrowing/widening point-to-point pair must round
-  // exactly like send_narrowed/recv_widened.
+TEST(Nonblocking, SendNarrowedIrecvWidenedPairwise) {
+  // The nonblocking widening receive must round exactly like the blocking
+  // recv_widened: one fp32 rounding per element.
   run_spmd(2, [&](Communicator& comm) {
     const int r = comm.rank();
     const int peer = 1 - r;
@@ -687,9 +687,8 @@ TEST(Nonblocking, IsendNarrowedIrecvWidenedPairwise) {
       out_send[i] = 0.3 + r + i * 1.0471975511965976;
     std::vector<float> sstage(n), rstage(n);
     comm.set_time_kind(TimeKind::kInterpComm);
-    auto sreq = comm.isend_narrowed(std::span<const double>(out_send),
-                                    std::span<float>(sstage), peer, 77);
-    EXPECT_TRUE(sreq.done());  // buffered send: complete at post
+    comm.send_narrowed(std::span<const double>(out_send),
+                       std::span<float>(sstage), peer, 77);
     auto rreq = comm.irecv_widened(std::span<double>(got),
                                    std::span<float>(rstage), peer, 77);
     rreq.wait();
@@ -698,6 +697,30 @@ TEST(Nonblocking, IsendNarrowedIrecvWidenedPairwise) {
           static_cast<float>(0.3 + peer + i * 1.0471975511965976));
       ASSERT_EQ(got[i], expected) << "i=" << i;
     }
+  });
+}
+
+TEST(Nonblocking, MoveAssignOverALiveRequestCompletesIt) {
+  // Regression: assigning over a live request used to drop it unfinished,
+  // leaving the one-outstanding-request slot taken, so the next receive
+  // threw CommContractError. The overwritten request must be completed
+  // (its payload delivered) exactly as the destructor would.
+  run_spmd(2, [&](Communicator& comm) {
+    const int peer = 1 - comm.rank();
+    const double mine[2] = {1.5 + comm.rank(), 7.0 + comm.rank()};
+    comm.send(std::span<const double>(&mine[0], 1), peer, /*tag=*/85);
+    double first = -1;
+    auto req = comm.irecv_into(std::span<double>(&first, 1), peer, 85);
+    CommRequest done_request;
+    req = std::move(done_request);
+    EXPECT_TRUE(req.done());
+    EXPECT_EQ(first, 1.5 + peer);
+
+    comm.send(std::span<const double>(&mine[1], 1), peer, /*tag=*/86);
+    double second = -1;
+    EXPECT_NO_THROW(
+        comm.recv_into(std::span<double>(&second, 1), peer, /*tag=*/86));
+    EXPECT_EQ(second, 7.0 + peer);
   });
 }
 

@@ -462,7 +462,10 @@ TEST(GridContinuation, CoarseWarmStartHelpsTheFineSolve) {
     core::RegistrationSolver cold_solver(fine, opt);
     auto cold = cold_solver.run(rho_t, rho_r);
 
-    auto two_level = core::run_grid_continuation(fine, opt, rho_t, rho_r);
+    core::MultilevelOptions mopt;
+    mopt.levels = 2;
+    auto two_level = core::run_multilevel_continuation(fine, opt, rho_t, rho_r,
+                                                       mopt);
 
     // The two-level fine solve must reach a comparable fit with no more
     // fine-grid work than the cold start.
@@ -471,7 +474,7 @@ TEST(GridContinuation, CoarseWarmStartHelpsTheFineSolve) {
     EXPECT_LT(two_level.fine.rel_residual, cold.rel_residual + 0.05);
     EXPECT_GT(two_level.fine.min_det, 0.0);
     // And the coarse stage did real work.
-    EXPECT_GT(two_level.coarse.newton.total_matvecs, 0);
+    EXPECT_GT(two_level.coarsest.newton.total_matvecs, 0);
   });
 }
 
