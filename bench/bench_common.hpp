@@ -14,7 +14,6 @@
 #include <functional>
 #include <mutex>
 #include <span>
-#include <string>
 
 #include "core/diffreg.hpp"
 #include "fft/fft3d_distributed.hpp"
@@ -31,50 +30,11 @@ namespace diffreg::bench {
 
 inline const char* arch_flags() { return DIFFREG_ARCH_FLAGS; }
 
-/// Shared CLI parsing of the trajectory reporters:
-/// `prog [--wire fp64|fp32] [output.json]`. --wire may appear anywhere,
-/// exactly one positional output path is accepted, and unknown flags are
-/// rejected (a misplaced --wire must never silently run fp64 under an
-/// fp32-named output). Returns false after printing an error; `out_path`
-/// is left empty when not given so the caller picks its default.
-inline bool parse_wire_args(int argc, char** argv, const char* prog,
-                            WirePrecision& wire, std::string& out_path) {
-  wire = WirePrecision::kF64;
-  out_path.clear();
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--wire") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: --wire needs a value (fp64|fp32)\n", prog);
-        return false;
-      }
-      const std::string v = argv[++i];
-      if (v == "fp32") {
-        wire = WirePrecision::kF32;
-      } else if (v != "fp64") {
-        std::fprintf(stderr, "%s: --wire must be fp64 or fp32\n", prog);
-        return false;
-      }
-    } else if (arg.rfind("--", 0) == 0) {
-      std::fprintf(stderr, "%s: unknown flag %s\n", prog, arg.c_str());
-      return false;
-    } else if (out_path.empty()) {
-      out_path = arg;
-    } else {
-      std::fprintf(stderr, "%s: unexpected argument %s\n", prog, arg.c_str());
-      return false;
-    }
-  }
-  return true;
-}
-
 enum class Workload { kSynthetic, kSyntheticDivFree, kBrain };
 
 // ---------------------------------------------------------------------------
-// Shared trajectory cases of the fft/semilag reporters. One definition
-// drives the fp64 legs (fft_report, semilag_report), their --wire fp32
-// variants, AND the mixed_report leg, so all three measure the identical
-// workload; callers pick which wall times / Timings counters to publish.
+// Shared trajectory cases of the fft/semilag reporters; callers pick which
+// wall times / Timings counters to publish.
 
 /// Slowest-rank wall times of one distributed-FFT case plus the summed
 /// per-rank Timings of `reps` forward + `reps` inverse transforms.
@@ -89,14 +49,13 @@ struct FftCaseResult {
 /// safeguard on the hottest kernel. The sweep's allreduce self-charges to
 /// kOther, so the published kFftComm counters match the unguarded leg.
 inline FftCaseResult run_fft_trajectory_case(index_t n, int p, int reps,
-                                             WirePrecision wire,
                                              bool guard = false) {
   FftCaseResult out;
   const Int3 dims{n, n, n};
   double fwd_max = 0, inv_max = 0;
   auto timings = mpisim::run_spmd(p, [&](mpisim::Communicator& comm) {
     grid::PencilDecomp decomp(comm, dims);
-    fft::DistributedFft3d fft(decomp, wire);
+    fft::DistributedFft3d fft(decomp);
     std::vector<real_t> x(fft.local_real_size());
     for (index_t i = 0; i < fft.local_real_size(); ++i)
       x[i] = static_cast<real_t>((i * 2654435761u) % 1000) / 1000.0;
@@ -151,7 +110,6 @@ struct SemilagCaseResult {
 /// self-charges to kOther, keeping the kInterpComm counters comparable.
 inline SemilagCaseResult run_semilag_trajectory_case(index_t n, int p,
                                                      int reps,
-                                                     WirePrecision wire,
                                                      bool guard = false) {
   SemilagCaseResult out;
   const Int3 dims{n, n, n};
@@ -160,10 +118,9 @@ inline SemilagCaseResult run_semilag_trajectory_case(index_t n, int p,
   std::mutex mu;
   mpisim::run_spmd(p, [&](mpisim::Communicator& comm) {
     grid::PencilDecomp decomp(comm, dims);
-    spectral::SpectralOps ops(decomp, wire);
+    spectral::SpectralOps ops(decomp);
     semilag::TransportConfig tc;
     tc.nt = 4;
-    tc.wire = wire;
     semilag::Transport transport(ops, tc);
 
     auto rho0 = imaging::synthetic_template(decomp);

@@ -17,9 +17,9 @@ Field classes:
   contraction across compilers, so they get their own tolerance
   (--iters-tolerance, default 35%).
 * Wire-byte counters (fields ending in ``_bytes``): deterministic
-  properties of an exchange schedule (e.g. the FFT transpose wire/saved
-  volumes of the mixed-precision leg), gated EXACTLY — any increase fails,
-  a decrease is a note to refresh the baseline.
+  properties of an exchange schedule (e.g. the bytes one FFT transpose
+  puts on the wire), gated EXACTLY — any increase fails, a decrease is a
+  note to refresh the baseline.
 * Other byte counters (fields merely containing ``bytes``):
   near-deterministic, but the interpolation byte volume depends on which
   rank owns each departure point — a floating-point classification that can
@@ -228,8 +228,8 @@ def compare_file(current_path, baseline_path, time_tol, bytes_tol, iters_tol,
                         f"dropped {base_val} -> {cur_val}; refresh the "
                         "baseline to lock in the win")
             elif cls == "wire_bytes":
-                # Deterministic wire/saved byte counters (the fp32 wire
-                # format halves these; any growth is a format regression).
+                # Deterministic wire byte counters (any growth is a
+                # schedule regression).
                 if cur_val > base_val:
                     failures.append(
                         f"{bench} ({ident}): wire byte counter {field} grew "

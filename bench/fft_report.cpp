@@ -4,9 +4,7 @@
 // runs of successive PRs can track both the kernel speed and the message
 // count of the hottest path in the solver.
 //
-// Usage: fft_report [--wire fp64|fp32] [output.json]
-// --wire fp32 runs the same cases with the fp32 wire format enabled on the
-// transpose exchanges (the mixed-precision leg; bench name "fft_fp32wire").
+// Usage: fft_report [output.json]
 #include <algorithm>
 #include <cstdio>
 #include <mutex>
@@ -34,14 +32,13 @@ struct Record {
   std::uint64_t exchanges = 0;
 };
 
-Record run_case(index_t n, int p, int reps, WirePrecision wire,
-                bool guard = false) {
+Record run_case(index_t n, int p, int reps, bool guard = false) {
   Record rec;
   rec.n = n;
   rec.p = p;
   rec.guard = guard;
   const bench::FftCaseResult res =
-      bench::run_fft_trajectory_case(n, p, reps, wire, guard);
+      bench::run_fft_trajectory_case(n, p, reps, guard);
   rec.forward_ms = res.forward_ms;
   rec.inverse_ms = res.inverse_ms;
   // Per-rank, per-transform averages, so records are comparable across rank
@@ -57,35 +54,27 @@ Record run_case(index_t n, int p, int reps, WirePrecision wire,
 }  // namespace
 
 int main(int argc, char** argv) {
-  WirePrecision wire = WirePrecision::kF64;
-  std::string out_arg;
-  if (!bench::parse_wire_args(argc, argv, "fft_report", wire, out_arg))
-    return 1;
-  const bool fp32 = wire == WirePrecision::kF32;
-  const std::string out_path =
-      !out_arg.empty()
-          ? out_arg
-          : (fp32 ? "BENCH_fft_fp32wire.json" : "BENCH_fft.json");
+  const std::string out_path = argc > 1 ? argv[1] : "BENCH_fft.json";
 
   std::vector<Record> records;
-  records.push_back(run_case(32, 1, 20, wire));
-  records.push_back(run_case(64, 1, 5, wire));
-  records.push_back(run_case(32, 4, 10, wire));
-  records.push_back(run_case(64, 4, 3, wire));
+  records.push_back(run_case(32, 1, 20));
+  records.push_back(run_case(64, 1, 5));
+  records.push_back(run_case(32, 4, 10));
+  records.push_back(run_case(64, 4, 3));
   // Guard legs of the multi-rank cases: one collective validate_finite
   // sweep per transform, pricing the --guard safeguard on the hottest
   // kernel ("case": "guard"). Comm counters must match the base records.
-  records.push_back(run_case(32, 4, 10, wire, /*guard=*/true));
-  records.push_back(run_case(64, 4, 3, wire, /*guard=*/true));
+  records.push_back(run_case(32, 4, 10, /*guard=*/true));
+  records.push_back(run_case(64, 4, 3, /*guard=*/true));
 
   std::FILE* f = std::fopen(out_path.c_str(), "w");
   if (!f) {
     std::fprintf(stderr, "fft_report: cannot open %s\n", out_path.c_str());
     return 1;
   }
-  std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"flags\": \"%s\",\n"
-               "  \"records\": [\n",
-               fp32 ? "fft_fp32wire" : "fft", bench::arch_flags());
+  std::fprintf(f, "{\n  \"bench\": \"fft\",\n  \"flags\": \"%s\",\n",
+               bench::arch_flags());
+  std::fprintf(f, "  \"records\": [\n");
   for (size_t i = 0; i < records.size(); ++i) {
     const Record& r = records[i];
     const char* extra = r.guard ? "\"case\": \"guard\", " : "";

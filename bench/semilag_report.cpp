@@ -7,10 +7,7 @@
 // bench-regression gate (bench/check_regression.py): wall times are gated
 // with a tolerance, the comm counters exactly.
 //
-// Usage: semilag_report [--wire fp64|fp32] [output.json]
-// --wire fp32 runs the same cases with the fp32 wire format on the ghost
-// halos and the interpolation value scatter (the mixed-precision leg; bench
-// name "semilag_fp32wire").
+// Usage: semilag_report [output.json]
 #include <algorithm>
 #include <cstdio>
 #include <mutex>
@@ -40,14 +37,13 @@ struct Record {
   std::uint64_t exchanges = 0;      // alltoallv+alltoall per rank per matvec
 };
 
-Record run_case(index_t n, int p, int reps, WirePrecision wire,
-                bool guard = false) {
+Record run_case(index_t n, int p, int reps, bool guard = false) {
   Record rec;
   rec.n = n;
   rec.p = p;
   rec.guard = guard;
   const bench::SemilagCaseResult res =
-      bench::run_semilag_trajectory_case(n, p, reps, wire, guard);
+      bench::run_semilag_trajectory_case(n, p, reps, guard);
   rec.plan_build_ms = res.plan_build_ms;
   rec.state_ms = res.state_ms;
   rec.matvec_ms = res.matvec_ms;
@@ -65,35 +61,27 @@ Record run_case(index_t n, int p, int reps, WirePrecision wire,
 }  // namespace
 
 int main(int argc, char** argv) {
-  WirePrecision wire = WirePrecision::kF64;
-  std::string out_arg;
-  if (!bench::parse_wire_args(argc, argv, "semilag_report", wire, out_arg))
-    return 1;
-  const bool fp32 = wire == WirePrecision::kF32;
-  const std::string out_path =
-      !out_arg.empty()
-          ? out_arg
-          : (fp32 ? "BENCH_semilag_fp32wire.json" : "BENCH_semilag.json");
+  const std::string out_path = argc > 1 ? argv[1] : "BENCH_semilag.json";
 
   std::vector<Record> records;
-  records.push_back(run_case(32, 1, 10, wire));
-  records.push_back(run_case(64, 1, 3, wire));
-  records.push_back(run_case(32, 4, 5, wire));
-  records.push_back(run_case(64, 4, 2, wire));
+  records.push_back(run_case(32, 1, 10));
+  records.push_back(run_case(64, 1, 3));
+  records.push_back(run_case(32, 4, 5));
+  records.push_back(run_case(64, 4, 2));
   // Guard legs of the multi-rank cases: one collective validate_finite per
   // timed solve/matvec/interp, pricing the --guard safeguard on the
   // transport path ("case": "guard"). Comm counters must match the base.
-  records.push_back(run_case(32, 4, 5, wire, /*guard=*/true));
-  records.push_back(run_case(64, 4, 2, wire, /*guard=*/true));
+  records.push_back(run_case(32, 4, 5, /*guard=*/true));
+  records.push_back(run_case(64, 4, 2, /*guard=*/true));
 
   std::FILE* f = std::fopen(out_path.c_str(), "w");
   if (!f) {
     std::fprintf(stderr, "semilag_report: cannot open %s\n", out_path.c_str());
     return 1;
   }
-  std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"flags\": \"%s\",\n"
-               "  \"records\": [\n",
-               fp32 ? "semilag_fp32wire" : "semilag", bench::arch_flags());
+  std::fprintf(f, "{\n  \"bench\": \"semilag\",\n  \"flags\": \"%s\",\n",
+               bench::arch_flags());
+  std::fprintf(f, "  \"records\": [\n");
   for (size_t i = 0; i < records.size(); ++i) {
     const Record& r = records[i];
     const char* extra = r.guard ? "\"case\": \"guard\", " : "";

@@ -1,9 +1,11 @@
 #include "cli/cli_options.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <sstream>
+#include <type_traits>
 #include <vector>
 
 #include "grid/field_io.hpp"
@@ -31,10 +33,6 @@ void print_usage() {
       "  --gtol T             relative gradient tolerance (default 1e-2)\n"
       "  --max-newton N       Newton iteration cap (default 50)\n"
       "  --incompressible     enforce div v = 0 (volume preserving map)\n"
-      "  --precision P        double | mixed (default double); mixed ships\n"
-      "                       every hot exchange as fp32 and runs the inner\n"
-      "                       Krylov solve in single precision (outer Newton\n"
-      "                       stays double — see README precision policy)\n"
       "  --full-newton        keep the full-Newton Hessian terms\n"
       "  --trilinear          trilinear instead of tricubic interpolation\n"
       "  --continuation       run beta continuation (start 1e-1 -> beta)\n"
@@ -50,8 +48,8 @@ void print_usage() {
       "(default 5)\n"
       "  --out PREFIX         write deformed/residual/det volumes + slices\n"
       "  --guard M            on | off (default off); collective finite\n"
-      "                       sweeps per Newton iterate plus line-search,\n"
-      "                       PCG-breakdown and mixed-precision recovery\n"
+      "                       sweeps per Newton iterate plus line-search\n"
+      "                       and PCG-breakdown recovery\n"
       "  --comm-timeout-ms T  comm watchdog: blocking receives/barriers\n"
       "                       raise CommTimeoutError with a per-rank\n"
       "                       diagnosis after T ms (default 0 = off)\n"
@@ -101,12 +99,54 @@ void print_usage() {
 
 namespace {
 
-bool parse_int3(const std::string& arg, Int3& out) {
-  long long a = 0, b = 0, c = 0;
-  if (std::sscanf(arg.c_str(), "%lld,%lld,%lld", &a, &b, &c) != 3)
-    return false;
-  if (a < 4 || b < 4 || c < 4) return false;
-  out = {a, b, c};
+constexpr double kNoMin = -std::numeric_limits<double>::infinity();
+
+/// Reads the value `text` of numeric flag `flag` into `out`. The whole token
+/// must parse (std::from_chars: no junk suffix, no truncation, integers
+/// stay integers), a floating value must be finite, and the value must be
+/// >= `min` (> `min` when `strict`). On failure `out` is untouched and
+/// `error` names the flag.
+template <typename T>
+bool parse_number(const std::string& flag, const std::string& text, T& out,
+                  std::string& error, double min = kNoMin,
+                  bool strict = false) {
+  T value{};
+  const char* last = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), last, value);
+  bool ok = ec == std::errc() && ptr == last;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  const auto v = static_cast<double>(value);
+  if (ok && v >= min && !(strict && v == min)) {
+    out = value;
+    return true;
+  }
+  std::string want =
+      std::is_floating_point_v<T> ? "a finite number" : "an integer";
+  if (min != kNoMin) {
+    char bound[32];
+    std::snprintf(bound, sizeof bound, " %s %g", strict ? ">" : ">=", min);
+    want += bound;
+  }
+  error = "bad " + flag + " " + text + " (want " + want + ")";
+  return false;
+}
+
+/// N1,N2,N3 with every extent an integer >= 4.
+bool parse_int3(const std::string& flag, const std::string& arg, Int3& out,
+                std::string& error) {
+  Int3 dims;
+  std::size_t begin = 0;
+  for (int d = 0; d < 3; ++d) {
+    std::size_t end = d < 2 ? arg.find(',', begin) : arg.size();
+    if (end == std::string::npos) end = begin;  // missing comma: no extent
+    const std::string extent = arg.substr(begin, end - begin);
+    if (!parse_number(flag, extent, dims.x[d], error, /*min=*/4)) {
+      error = "bad " + flag + " " + arg + " (want N1,N2,N3 with N >= 4)";
+      return false;
+    }
+    begin = end + 1;
+  }
+  out = dims;
   return true;
 }
 
@@ -140,6 +180,12 @@ bool parse_tokens(const std::vector<std::string>& args, bool job_line,
       error = "missing value for " + flag;
       return false;
     };
+    // The flag's value as a number of out's type, >= min (> min if strict).
+    auto number = [&](auto& out, double min = kNoMin, bool strict = false) {
+      const auto* v = next();
+      if (!v) return missing();
+      return parse_number(flag, *v, out, error, min, strict);
+    };
     if (job_line && global_only_flag(flag)) {
       error = "flag " + flag + " is global-only and not allowed in a job line";
       return false;
@@ -150,17 +196,9 @@ bool parse_tokens(const std::vector<std::string>& args, bool job_line,
     } else if (flag == "--grid") {
       const auto* v = next();
       if (!v) return missing();
-      if (!parse_int3(*v, opt.dims)) {
-        error = "bad --grid " + *v + " (want N1,N2,N3 with N >= 4)";
-        return false;
-      }
+      if (!parse_int3(flag, *v, opt.dims, error)) return false;
     } else if (flag == "--ranks") {
-      const auto* v = next();
-      if (!v) return missing();
-      if ((opt.ranks = std::atoi(v->c_str())) < 1) {
-        error = "bad --ranks " + *v;
-        return false;
-      }
+      if (!number(opt.ranks, 1)) return false;
     } else if (flag == "--workload") {
       const auto* v = next();
       if (!v) return missing();
@@ -176,13 +214,9 @@ bool parse_tokens(const std::vector<std::string>& args, bool job_line,
       opt.reference_path = *v;
       opt.workload = "files";
     } else if (flag == "--amplitude") {
-      const auto* v = next();
-      if (!v) return missing();
-      opt.synthetic_amplitude = std::atof(v->c_str());
+      if (!number(opt.synthetic_amplitude)) return false;
     } else if (flag == "--beta") {
-      const auto* v = next();
-      if (!v) return missing();
-      opt.reg.beta = std::atof(v->c_str());
+      if (!number(opt.reg.beta, 0, /*strict=*/true)) return false;
     } else if (flag == "--reg") {
       const auto* v = next();
       if (!v) return missing();
@@ -195,33 +229,13 @@ bool parse_tokens(const std::vector<std::string>& args, bool job_line,
         return false;
       }
     } else if (flag == "--nt") {
-      const auto* v = next();
-      if (!v) return missing();
-      if ((opt.reg.nt = std::atoi(v->c_str())) < 1) {
-        error = "bad --nt " + *v;
-        return false;
-      }
+      if (!number(opt.reg.nt, 1)) return false;
     } else if (flag == "--gtol") {
-      const auto* v = next();
-      if (!v) return missing();
-      opt.reg.gtol = std::atof(v->c_str());
+      if (!number(opt.reg.gtol, 0, /*strict=*/true)) return false;
     } else if (flag == "--max-newton") {
-      const auto* v = next();
-      if (!v) return missing();
-      opt.reg.max_newton_iters = std::atoi(v->c_str());
+      if (!number(opt.reg.max_newton_iters, 0)) return false;
     } else if (flag == "--incompressible") {
       opt.reg.incompressible = true;
-    } else if (flag == "--precision") {
-      const auto* v = next();
-      if (!v) return missing();
-      if (*v == "double")
-        opt.reg.precision = core::Precision::kDouble;
-      else if (*v == "mixed")
-        opt.reg.precision = core::Precision::kMixed;
-      else {
-        error = "--precision must be double or mixed";
-        return false;
-      }
     } else if (flag == "--full-newton") {
       opt.reg.gauss_newton = false;
     } else if (flag == "--trilinear") {
@@ -229,29 +243,14 @@ bool parse_tokens(const std::vector<std::string>& args, bool job_line,
     } else if (flag == "--continuation") {
       opt.continuation = true;
     } else if (flag == "--levels") {
-      const auto* v = next();
-      if (!v) return missing();
-      if ((opt.multi.levels = std::atoi(v->c_str())) < 1) {
-        error = "bad --levels " + *v;
-        return false;
-      }
+      if (!number(opt.multi.levels, 1)) return false;
       opt.multilevel = opt.multi.levels > 1;
     } else if (flag == "--coarsest") {
-      const auto* v = next();
-      if (!v) return missing();
-      if ((opt.multi.coarsest_dim = std::atoll(v->c_str())) < 4) {
-        error = "bad --coarsest " + *v;
-        return false;
-      }
+      if (!number(opt.multi.coarsest_dim, 4)) return false;
     } else if (flag == "--two-level") {
       opt.reg.two_level_precond = true;
     } else if (flag == "--precond-iters") {
-      const auto* v = next();
-      if (!v) return missing();
-      if ((opt.reg.precond_inner_iters = std::atoi(v->c_str())) < 1) {
-        error = "bad --precond-iters " + *v;
-        return false;
-      }
+      if (!number(opt.reg.precond_inner_iters, 1)) return false;
     } else if (flag == "--out") {
       const auto* v = next();
       if (!v) return missing();
@@ -268,12 +267,7 @@ bool parse_tokens(const std::vector<std::string>& args, bool job_line,
         return false;
       }
     } else if (flag == "--comm-timeout-ms") {
-      const auto* v = next();
-      if (!v) return missing();
-      if ((opt.comm_timeout_ms = std::atof(v->c_str())) < 0) {
-        error = "bad --comm-timeout-ms " + *v;
-        return false;
-      }
+      if (!number(opt.comm_timeout_ms, 0)) return false;
     } else if (flag == "--fault-spec") {
       const auto* v = next();
       if (!v) return missing();
@@ -294,12 +288,7 @@ bool parse_tokens(const std::vector<std::string>& args, bool job_line,
       if (!v) return missing();
       opt.multi.checkpoint_path = *v;
     } else if (flag == "--checkpoint-every") {
-      const auto* v = next();
-      if (!v) return missing();
-      if ((opt.multi.checkpoint_every = std::atoi(v->c_str())) < 1) {
-        error = "bad --checkpoint-every " + *v;
-        return false;
-      }
+      if (!number(opt.multi.checkpoint_every, 1)) return false;
     } else if (flag == "--resume") {
       const auto* v = next();
       if (!v) return missing();
@@ -309,37 +298,15 @@ bool parse_tokens(const std::vector<std::string>& args, bool job_line,
       if (!v) return missing();
       opt.batch_file = *v;
     } else if (flag == "--shards") {
-      const auto* v = next();
-      if (!v) return missing();
-      if ((opt.shards = std::atoi(v->c_str())) < 0) {
-        error = "bad --shards " + *v;
-        return false;
-      }
+      if (!number(opt.shards, 0)) return false;
     } else if (flag == "--priority") {
-      const auto* v = next();
-      if (!v) return missing();
-      opt.priority = std::atoi(v->c_str());
+      if (!number(opt.priority)) return false;
     } else if (flag == "--deadline") {
-      const auto* v = next();
-      if (!v) return missing();
-      if ((opt.deadline = std::atof(v->c_str())) < 0) {
-        error = "bad --deadline " + *v;
-        return false;
-      }
+      if (!number(opt.deadline, 0)) return false;
     } else if (flag == "--retry-budget") {
-      const auto* v = next();
-      if (!v) return missing();
-      if ((opt.retry_budget = std::atoi(v->c_str())) < 0) {
-        error = "bad --retry-budget " + *v;
-        return false;
-      }
+      if (!number(opt.retry_budget, 0)) return false;
     } else if (flag == "--backoff-ms") {
-      const auto* v = next();
-      if (!v) return missing();
-      if ((opt.backoff_ms = std::atof(v->c_str())) < 0) {
-        error = "bad --backoff-ms " + *v;
-        return false;
-      }
+      if (!number(opt.backoff_ms, 0)) return false;
     } else if (flag == "--degrade") {
       const auto* v = next();
       if (!v) return missing();

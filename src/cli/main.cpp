@@ -254,16 +254,13 @@ int main(int argc, char** argv) {
     }
 
     if (root) {
-      std::printf("grid %lldx%lldx%lld  ranks %d  beta %.1e  %s  %s  %s\n",
+      std::printf("grid %lldx%lldx%lld  ranks %d  beta %.1e  %s  %s\n",
                   static_cast<long long>(opt.dims[0]),
                   static_cast<long long>(opt.dims[1]),
                   static_cast<long long>(opt.dims[2]), opt.ranks,
                   summary_beta,
                   opt.reg.incompressible ? "incompressible" : "compressible",
-                  opt.reg.gauss_newton ? "gauss-newton" : "full-newton",
-                  opt.reg.precision == core::Precision::kMixed
-                      ? "mixed-precision"
-                      : "double-precision");
+                  opt.reg.gauss_newton ? "gauss-newton" : "full-newton");
       std::printf("newton its %d  matvecs %d  converged %s\n",
                   result.newton.iterations, result.newton.total_matvecs,
                   result.newton.converged ? "yes" : "no");

@@ -4,11 +4,8 @@
 // Alongside the wall-clock split, each category also accumulates
 // communication *volume* (bytes and messages sent, and collective alltoallv
 // exchanges entered), so a message-count regression is visible even when the
-// wall-clock split looks unchanged. The byte counters record POST-CONVERSION
-// wire bytes: when an exchange ships an fp32 payload (WirePrecision::kF32)
-// the narrowed size is what lands in `bytes`, and the volume the narrowing
-// avoided is accumulated separately in `saved_bytes` — so fp64-vs-fp32 runs
-// are directly comparable and the saving itself is a gated counter.
+// wall-clock split looks unchanged. The byte counters record the payload
+// bytes each rank put on the wire.
 //
 // Nonblocking exchanges (mpisim::Communicator::ialltoallv and friends)
 // additionally report *hidden* communication time: the span between posting
@@ -68,19 +65,13 @@ class Timings {
   }
   /// Accounts one alltoallv exchange entered by this rank.
   void add_exchange(TimeKind kind) { add_comm(kind, 0, 0, 1); }
-  /// Accounts bytes that a wire down-conversion kept OFF the wire (sender
-  /// side, like add_message): payload bytes at fp64 minus bytes shipped.
-  void add_saved(TimeKind kind, std::uint64_t bytes) {
-    add_comm(kind, 0, 0, 0, bytes);
-  }
   /// Raw counter accumulation (used by add_message/add_exchange and deltas).
   // diffreg:zero-alloc
   void add_comm(TimeKind kind, std::uint64_t bytes, std::uint64_t messages,
-                std::uint64_t exchanges, std::uint64_t saved = 0) {
+                std::uint64_t exchanges) {
     bytes_[static_cast<int>(kind)] += bytes;
     messages_[static_cast<int>(kind)] += messages;
     exchanges_[static_cast<int>(kind)] += exchanges;
-    saved_bytes_[static_cast<int>(kind)] += saved;
   }
 
   /// Accounts wire time a nonblocking exchange hid under compute (the span
@@ -108,9 +99,6 @@ class Timings {
   std::uint64_t exchanges(TimeKind kind) const {
     return exchanges_[static_cast<int>(kind)];
   }
-  std::uint64_t saved_bytes(TimeKind kind) const {
-    return saved_bytes_[static_cast<int>(kind)];
-  }
   std::uint64_t total_bytes() const {
     std::uint64_t sum = 0;
     for (auto b : bytes_) sum += b;
@@ -119,11 +107,6 @@ class Timings {
   std::uint64_t total_messages() const {
     std::uint64_t sum = 0;
     for (auto m : messages_) sum += m;
-    return sum;
-  }
-  std::uint64_t total_saved_bytes() const {
-    std::uint64_t sum = 0;
-    for (auto b : saved_bytes_) sum += b;
     return sum;
   }
   std::uint64_t total_exchanges() const {
@@ -138,7 +121,6 @@ class Timings {
     bytes_.fill(0);
     messages_.fill(0);
     exchanges_.fill(0);
-    saved_bytes_.fill(0);
   }
 
   Timings& operator+=(const Timings& other) {
@@ -148,7 +130,6 @@ class Timings {
       bytes_[k] += other.bytes_[k];
       messages_[k] += other.messages_[k];
       exchanges_[k] += other.exchanges_[k];
-      saved_bytes_[k] += other.saved_bytes_[k];
     }
     return *this;
   }
@@ -163,8 +144,6 @@ class Timings {
       if (other.messages_[k] > messages_[k]) messages_[k] = other.messages_[k];
       if (other.exchanges_[k] > exchanges_[k])
         exchanges_[k] = other.exchanges_[k];
-      if (other.saved_bytes_[k] > saved_bytes_[k])
-        saved_bytes_[k] = other.saved_bytes_[k];
     }
   }
 
@@ -174,7 +153,6 @@ class Timings {
   std::array<std::uint64_t, kNumTimeKinds> bytes_{};
   std::array<std::uint64_t, kNumTimeKinds> messages_{};
   std::array<std::uint64_t, kNumTimeKinds> exchanges_{};
-  std::array<std::uint64_t, kNumTimeKinds> saved_bytes_{};
 };
 
 /// Per-category `after - before`, for timing a phase of a longer run.
@@ -186,8 +164,7 @@ inline Timings timings_delta(const Timings& before, const Timings& after) {
     d.add_hidden(kind, after.hidden(kind) - before.hidden(kind));
     d.add_comm(kind, after.bytes(kind) - before.bytes(kind),
                after.messages(kind) - before.messages(kind),
-               after.exchanges(kind) - before.exchanges(kind),
-               after.saved_bytes(kind) - before.saved_bytes(kind));
+               after.exchanges(kind) - before.exchanges(kind));
   }
   return d;
 }

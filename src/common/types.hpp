@@ -20,6 +20,9 @@ using index_t = std::int64_t;
 
 inline constexpr real_t kTwoPi = 2.0 * std::numbers::pi_v<real_t>;
 
+/// Has no effect (kept for source compatibility): every payload is fp64.
+enum class WirePrecision { kF64 };
+
 /// Integer triple, used for grid sizes and multi-indices (i1, i2, i3).
 struct Int3 {
   index_t x[3]{0, 0, 0};

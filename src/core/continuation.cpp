@@ -144,7 +144,7 @@ MultilevelResult run_multilevel_continuation(grid::PencilDecomp& fine_decomp,
   // Cascade image restriction: both images of a transition share one
   // batched 2-component transfer (5 exchanges per level).
   for (int k = 1; k < nlevels; ++k) {
-    spectral::ResamplePlan plan(*decomps[k - 1], *decomps[k], opt.wire());
+    spectral::ResamplePlan plan(*decomps[k - 1], *decomps[k]);
     const index_t n = decomps[k]->local_real_size();
     rho_ts[k].resize(n);
     rho_rs[k].resize(n);
@@ -269,13 +269,8 @@ MultilevelResult run_multilevel_continuation(grid::PencilDecomp& fine_decomp,
       }
       out.coarsest = result;
     } else {
-      // Warm-start prolongation honors the precision policy like every
-      // other transfer (the one-shot spectral_resample helper would build
-      // a default fp64-wire plan).
-      spectral::ResamplePlan prolong(*decomps[k + 1], *decomps[k],
-                                     opt.wire());
-      VectorField v0;
-      prolong.apply(prev.velocity, v0);
+      const VectorField v0 = spectral::spectral_resample(
+          *decomps[k + 1], prev.velocity, *decomps[k]);
       result = solver.run(rho_ts[k], rho_rs[k], &v0);
     }
     out.levels.push_back(

@@ -34,11 +34,8 @@ NewtonReport newton_solve(OptimalitySystem& system, VectorField& v,
   const int plan_builds_before = system.transport().plan_build_count();
 
   VectorField g(n), rhs(n), step(n), v_trial(n);
-  // Workspaces shared across the Newton iterations; only the one matching
-  // options.precision ever allocates its fields.
+  // Workspace shared across the Newton iterations.
   PcgWorkspace pcg_ws;
-  PcgWorkspace32 pcg_ws32;
-  const bool mixed = options.precision == Precision::kMixed;
 
   // Convergence is measured relative to the gradient at zero velocity, so a
   // warm-started solve targets the same absolute gradient norm as a cold one
@@ -97,11 +94,6 @@ NewtonReport newton_solve(OptimalitySystem& system, VectorField& v,
     }
 
     // Newton step: H s = -g, solved inexactly (Eisenstat-Walker forcing).
-    // Under Precision::kMixed the Krylov recurrence runs on fp32 storage
-    // (pcg_solve_mixed) — safe because this loop is an iterative
-    // refinement: the gradient above is re-computed in full fp64 at every
-    // iterate, so inner rounding only perturbs the search direction, never
-    // the measured optimality.
     const real_t eta = forcing_term(options, rel_g);
     entry.forcing = eta;
     rhs = g;
@@ -112,20 +104,8 @@ NewtonReport newton_solve(OptimalitySystem& system, VectorField& v,
     const auto apply_m = [&](const VectorField& x, VectorField& y) {
       system.apply_preconditioner(x, y);
     };
-    PcgResult pcg =
-        mixed ? pcg_solve_mixed(decomp, apply_a, apply_m, rhs, step, eta,
-                                options.max_krylov_iters, pcg_ws32)
-              : pcg_solve(decomp, apply_a, apply_m, rhs, step, eta,
-                          options.max_krylov_iters, pcg_ws);
-    if (mixed && options.guard && (pcg.breakdown || !pcg.converged)) {
-      // Guard-mode precision escalation: the fp32 recurrence broke down or
-      // stagnated short of its forcing tolerance — redo this step's Krylov
-      // solve in full fp64 (the conservative end of the recovery ladder;
-      // docs/FAULT_MODEL.md).
-      pcg = pcg_solve(decomp, apply_a, apply_m, rhs, step, eta,
-                      options.max_krylov_iters, pcg_ws);
-      ++report.fp64_escalations;
-    }
+    const PcgResult pcg = pcg_solve(decomp, apply_a, apply_m, rhs, step, eta,
+                                    options.max_krylov_iters, pcg_ws);
     if (options.guard) grid::validate_finite(decomp, step, "newton step");
     entry.krylov_iterations = pcg.iterations;
 

@@ -31,10 +31,6 @@ struct NewtonReport {
   /// Guard-mode recoveries: exhausted line searches rescued by the damped
   /// steepest-descent retry (0 unless options.guard).
   int line_search_recoveries = 0;
-  /// Guard-mode escalations: mixed-precision Krylov solves re-run at fp64
-  /// after a breakdown or stagnation (0 unless options.guard and
-  /// Precision::kMixed).
-  int fp64_escalations = 0;
   real_t initial_gradient_norm = 0;
   real_t final_gradient_norm = 0;
   real_t final_objective = 0;

@@ -5,7 +5,7 @@
 
 #include <functional>
 
-#include "common/precision.hpp"
+#include "common/types.hpp"
 #include "core/regularization.hpp"
 #include "grid/field_math.hpp"
 #include "interp/kernels.hpp"
@@ -27,19 +27,6 @@ enum class Forcing {
   kConstant,     // eta_k = eta_max
 };
 
-/// Solver precision policy (CLAIRE-style mixed precision).
-///   kDouble — everything fp64, bitwise identical to the historical solver.
-///   kMixed  — fp32 wire format on every hot exchange (FFT transposes,
-///             ghost halos, interpolation value scatter, resample remap)
-///             AND fp32 storage for the inner Krylov recurrence, while the
-///             outer Newton iteration (gradient, objective, line search,
-///             step update) stays fp64 and re-computes the true fp64
-///             residual every iterate (iterative-refinement structure).
-enum class Precision {
-  kDouble,
-  kMixed,
-};
-
 struct RegistrationOptions {
   // Discretization.
   int nt = 4;
@@ -50,17 +37,8 @@ struct RegistrationOptions {
   RegType reg_type = RegType::kH2Seminorm;
   bool incompressible = false;
 
-  // Precision policy. kDouble is the default: kMixed is opt-in (CLI
-  // --precision mixed) and is only safe because the outer Newton loop stays
-  // fp64 — see the README "Precision policy" section.
-  Precision precision = Precision::kDouble;
-  /// Wire format implied by the precision policy, consumed by every plan
-  /// the solver builds (FFT, ghost exchange, interpolation, resample).
-  WirePrecision wire() const {
-    return precision == Precision::kMixed ? WirePrecision::kF32
-                                          : WirePrecision::kF64;
-  }
-
+  /// Has no effect (kept for source compatibility).
+  WirePrecision wire() const { return {}; }
   bool overlap = false;  ///< Has no effect (kept for source compatibility).
 
   // Newton-Krylov solver.
@@ -97,10 +75,8 @@ struct RegistrationOptions {
   real_t smoothing_cells = 1.0;
 
   // Numerical safeguards (CLI --guard on; docs/FAULT_MODEL.md). Adds
-  // collective finite sweeps at Newton-iterate granularity, a damped
-  // steepest-descent recovery when the line search exhausts, and — under
-  // Precision::kMixed — automatic per-iterate escalation to the fp64 Krylov
-  // solve when the fp32 recurrence breaks down or stagnates. Off by
+  // collective finite sweeps at Newton-iterate granularity and a damped
+  // steepest-descent recovery when the line search exhausts. Off by
   // default: with guard off the solve is bitwise identical to the
   // pre-safeguard solver.
   bool guard = false;

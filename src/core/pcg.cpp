@@ -4,26 +4,23 @@
 
 namespace diffreg::core {
 
-namespace {
-
-/// Storage-generic PCG recurrence shared by the fp64 and mixed solvers, so
-/// the safeguard-sensitive loop (negative-curvature exit, Eisenstat-Walker
-/// stop, recurrence updates) exists exactly once. `r` must hold the
-/// right-hand side on entry and `x_s` the zeroed iterate, both in storage
-/// precision T; every reduction runs through the fp64-accumulating dot
-/// overloads. On a first-iteration negative-curvature exit
-/// (result.negative_curvature && result.iterations == 0) the caller must
-/// fall back to `z` (the preconditioned gradient) instead of `x_s`.
-template <typename T, typename ApplyA, typename ApplyM>
-PcgResult pcg_recurrence(grid::PencilDecomp& decomp, const ApplyA& apply_a,
-                         const ApplyM& apply_m, grid::BasicVectorField<T>& r,
-                         grid::BasicVectorField<T>& z,
-                         grid::BasicVectorField<T>& p,
-                         grid::BasicVectorField<T>& ap,
-                         grid::BasicVectorField<T>& x_s, real_t rtol,
-                         int max_iters) {
+PcgResult pcg_solve(grid::PencilDecomp& decomp, const ApplyFn& apply_a,
+                    const ApplyFn& apply_m, const VectorField& b,
+                    VectorField& x, real_t rtol, int max_iters,
+                    PcgWorkspace& ws) {
   PcgResult result;
-  const index_t n = r.local_size();
+  const index_t n = b.local_size();
+  // The caller's x doubles as the iterate storage (no extra field, no
+  // final copy).
+  grid::resize_zero(x, n);
+  VectorField& r = ws.r;
+  VectorField& z = ws.z;
+  VectorField& p = ws.p;
+  VectorField& ap = ws.ap;
+  r = b;  // r = b - A*0 (assignment reuses the workspace's capacity)
+  grid::resize_zero(z, n);
+  grid::resize_zero(p, n);
+  grid::resize_zero(ap, n);
   apply_m(r, z);
   grid::copy(z, p);
 
@@ -32,6 +29,7 @@ PcgResult pcg_recurrence(grid::PencilDecomp& decomp, const ApplyA& apply_a,
     // The right-hand side (or preconditioner output) is already poisoned;
     // there is nothing to iterate on.
     result.breakdown = true;
+    grid::copy(z, x);
     return result;
   }
   const real_t r0 = std::sqrt(std::max(rz, real_t(0)));
@@ -51,13 +49,13 @@ PcgResult pcg_recurrence(grid::PencilDecomp& decomp, const ApplyA& apply_a,
       break;
     }
     if (pap <= 0) {
-      // Non-positive curvature: stop with the current iterate (x_s = 0 on
-      // the first iteration; the caller falls back to z).
+      // Non-positive curvature: stop with the current iterate (x = 0 on
+      // the first iteration, which falls back to z below).
       result.negative_curvature = true;
       break;
     }
     const real_t alpha = rz / pap;
-    grid::axpy(alpha, p, x_s);
+    grid::axpy(alpha, p, x);
     grid::axpy(-alpha, ap, r);
     apply_m(r, z);
     const real_t rz_next = grid::dot(decomp, r, z);
@@ -73,34 +71,12 @@ PcgResult pcg_recurrence(grid::PencilDecomp& decomp, const ApplyA& apply_a,
     }
     const real_t beta = rz_next / rz;
     rz = rz_next;
-    // p = z + beta p, at the recurrence storage precision.
-    const T beta_s = static_cast<T>(beta);
     for (int d = 0; d < 3; ++d)
-      for (index_t i = 0; i < n; ++i) p[d][i] = z[d][i] + beta_s * p[d][i];
+      for (index_t i = 0; i < n; ++i) p[d][i] = z[d][i] + beta * p[d][i];
   }
-  return result;
-}
-
-}  // namespace
-
-PcgResult pcg_solve(grid::PencilDecomp& decomp, const ApplyFn& apply_a,
-                    const ApplyFn& apply_m, const VectorField& b,
-                    VectorField& x, real_t rtol, int max_iters,
-                    PcgWorkspace& ws) {
-  const index_t n = b.local_size();
-  grid::resize_zero(x, n);
-  ws.r = b;  // r = b - A*0 (assignment reuses the workspace's capacity)
-  grid::resize_zero(ws.z, n);
-  grid::resize_zero(ws.p, n);
-  grid::resize_zero(ws.ap, n);
-  // The caller's x doubles as the iterate storage (no extra field, no
-  // final copy; bitwise identical to the historical all-fp64 loop).
-  PcgResult result = pcg_recurrence<real_t>(decomp, apply_a, apply_m, ws.r,
-                                            ws.z, ws.p, ws.ap, x, rtol,
-                                            max_iters);
   if ((result.negative_curvature || result.breakdown) &&
       result.iterations == 0)
-    grid::copy(ws.z, x);  // fall back to the preconditioned gradient
+    grid::copy(z, x);  // fall back to the preconditioned gradient
   return result;
 }
 
@@ -109,45 +85,6 @@ PcgResult pcg_solve(grid::PencilDecomp& decomp, const ApplyFn& apply_a,
                     VectorField& x, real_t rtol, int max_iters) {
   PcgWorkspace ws;
   return pcg_solve(decomp, apply_a, apply_m, b, x, rtol, max_iters, ws);
-}
-
-PcgResult pcg_solve_mixed(grid::PencilDecomp& decomp, const ApplyFn& apply_a,
-                          const ApplyFn& apply_m, const VectorField& b,
-                          VectorField& x, real_t rtol, int max_iters,
-                          PcgWorkspace32& ws) {
-  const index_t n = b.local_size();
-  // Only the recurrence vectors need zeroing; the caller's x is always
-  // overwritten by one of the final copies below, and the fp64 staging
-  // fields are fully rewritten by the converting copies in every apply.
-  grid::resize_zero(ws.x, n);
-  grid::copy(b, ws.r);  // narrowing: r = b - A*0 at fp32 storage
-  grid::resize_zero(ws.z, n);
-  grid::resize_zero(ws.p, n);
-  grid::resize_zero(ws.ap, n);
-
-  // Operator applies stay fp64 (the spectral/transport pipeline is fp64
-  // end to end; its *wire* may be fp32): widen the fp32 operand, apply,
-  // narrow the result back into the recurrence storage.
-  const auto apply_a32 = [&](const VectorField32& in, VectorField32& out) {
-    grid::copy(in, ws.wide_in);
-    apply_a(ws.wide_in, ws.wide_out);
-    grid::copy(ws.wide_out, out);
-  };
-  const auto apply_m32 = [&](const VectorField32& in, VectorField32& out) {
-    grid::copy(in, ws.wide_in);
-    apply_m(ws.wide_in, ws.wide_out);
-    grid::copy(ws.wide_out, out);
-  };
-
-  PcgResult result =
-      pcg_recurrence<real32_t>(decomp, apply_a32, apply_m32, ws.r, ws.z,
-                               ws.p, ws.ap, ws.x, rtol, max_iters);
-  if ((result.negative_curvature || result.breakdown) &&
-      result.iterations == 0)
-    grid::copy(ws.z, x);  // widening fallback direction
-  else
-    grid::copy(ws.x, x);  // widen the fp32 iterate into the fp64 step
-  return result;
 }
 
 }  // namespace diffreg::core

@@ -2,20 +2,6 @@
 // (paper section III-A: "we use a preconditioned Conjugate-Gradient method
 // to compute the Newton step... done inexactly with a tolerance that depends
 // on the relative norm of the gradient").
-//
-// Two precision variants share the PcgResult contract:
-//  * pcg_solve       — the historical all-fp64 recurrence.
-//  * pcg_solve_mixed — the CLAIRE-style inner loop: the Krylov work vectors
-//    (x, r, z, p, Ap) are STORED fp32 and the recurrence updates run at
-//    fp32, while every dot product/norm accumulates in fp64 and the
-//    operator applies (Hessian matvec, preconditioner) run through fp64
-//    staging fields — so the heavy spectral/transport pipeline is reused
-//    unchanged (with its own fp32 wire format when enabled). The Newton
-//    step this returns is a *search direction*: the outer loop re-computes
-//    the true fp64 gradient at every iterate and line-searches in fp64, the
-//    iterative-refinement structure that makes the reduced inner precision
-//    safe (Mang et al. 2019, Brunn et al. 2020 observe no loss in
-//    registration accuracy).
 #pragma once
 
 #include <functional>
@@ -25,7 +11,6 @@
 namespace diffreg::core {
 
 using grid::VectorField;
-using grid::VectorField32;
 
 struct PcgResult {
   int iterations = 0;
@@ -67,21 +52,5 @@ PcgResult pcg_solve(grid::PencilDecomp& decomp, const ApplyFn& apply_a,
 PcgResult pcg_solve(grid::PencilDecomp& decomp, const ApplyFn& apply_a,
                     const ApplyFn& apply_m, const VectorField& b,
                     VectorField& x, real_t rtol, int max_iters);
-
-/// Caller-owned scratch of one mixed-precision PCG solve: fp32 storage for
-/// the recurrence vectors plus two fp64 fields that stage the operator
-/// applies. Roughly 60% of the fp64 workspace footprint.
-struct PcgWorkspace32 {
-  VectorField32 x, r, z, p, ap;
-  VectorField wide_in, wide_out;
-};
-
-/// Mixed-precision PCG (see the header comment): same contract as
-/// pcg_solve — b and the returned x are fp64 — but the Krylov iteration
-/// runs on fp32 fields with fp64 dot-product accumulation. Collective.
-PcgResult pcg_solve_mixed(grid::PencilDecomp& decomp, const ApplyFn& apply_a,
-                          const ApplyFn& apply_m, const VectorField& b,
-                          VectorField& x, real_t rtol, int max_iters,
-                          PcgWorkspace32& ws);
 
 }  // namespace diffreg::core

@@ -20,33 +20,29 @@ std::shared_ptr<grid::PencilDecomp> PlanRegistry::decomp(const Int3& dims) {
 }
 
 std::shared_ptr<spectral::SpectralOps> PlanRegistry::spectral(
-    const Int3& dims, WirePrecision wire) {
+    const Int3& dims) {
   ++stats_.leases;
-  const SpectralKey key{dims[0], dims[1], dims[2], static_cast<int>(wire)};
+  const DimsKey key = dims_key(dims);
   auto it = spectrals_.find(key);
   if (it == spectrals_.end()) {
     auto d = decomp(dims);
-    it = spectrals_
-             .emplace(key, std::make_shared<spectral::SpectralOps>(*d, wire))
-             .first;
+    auto ops = std::make_shared<spectral::SpectralOps>(*d);
+    it = spectrals_.emplace(key, std::move(ops)).first;
     ++stats_.spectral_builds;
   }
   return it->second;
 }
 
 std::shared_ptr<spectral::ResamplePlan> PlanRegistry::resample(
-    const Int3& from, const Int3& to, WirePrecision wire) {
+    const Int3& from, const Int3& to) {
   ++stats_.leases;
-  const ResampleKey key{from[0], from[1], from[2], to[0],
-                        to[1],   to[2],   static_cast<int>(wire)};
+  const ResampleKey key{from[0], from[1], from[2], to[0], to[1], to[2]};
   auto it = resamples_.find(key);
   if (it == resamples_.end()) {
     auto src = decomp(from);
     auto dst = decomp(to);
-    it = resamples_
-             .emplace(key,
-                      std::make_shared<spectral::ResamplePlan>(*src, *dst, wire))
-             .first;
+    auto plan = std::make_shared<spectral::ResamplePlan>(*src, *dst);
+    it = resamples_.emplace(key, std::move(plan)).first;
     ++stats_.resample_builds;
   }
   return it->second;
@@ -65,7 +61,7 @@ std::shared_ptr<semilag::Transport> PlanRegistry::acquire_transport(
     t->invalidate_plans();
     return t;
   }
-  auto ops = spectral(dims, tc.wire);
+  auto ops = spectral(dims);
   auto t = std::make_shared<semilag::Transport>(*ops, tc);
   ++stats_.transport_builds;
   return t;

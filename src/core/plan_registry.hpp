@@ -5,10 +5,9 @@
 // communicator splits each), spectral operator sets (a distributed FFT plan
 // with all transpose buffers), resample plans, and transports (ghost
 // exchanger + interpolation plans + time-history storage) — is built ONCE
-// per key and leased to jobs. Keys are (dims, process grid, wire precision)
-// plus, for transports, the transport configuration; two jobs with
-// the same shape and precision policy share one entry, jobs with different
-// shapes or wire formats get distinct entries.
+// per key and leased to jobs. Keys are (dims, process grid) plus, for
+// transports, the transport configuration; two jobs with the same shape
+// share one entry, jobs with different shapes get distinct entries.
 //
 // Two lease shapes:
 //  * decomp/spectral/resample — genuinely shareable (stateless between
@@ -60,15 +59,13 @@ class PlanRegistry {
   /// splits). Collective.
   std::shared_ptr<grid::PencilDecomp> decomp(const Int3& dims);
 
-  /// Spectral operator set (FFT plan + wavenumber tables) for
-  /// (dims, wire), bound to decomp(dims). Collective.
-  std::shared_ptr<spectral::SpectralOps> spectral(const Int3& dims,
-                                                  WirePrecision wire);
+  /// Spectral operator set (FFT plan + wavenumber tables) for `dims`,
+  /// bound to decomp(dims). Collective.
+  std::shared_ptr<spectral::SpectralOps> spectral(const Int3& dims);
 
-  /// Grid-transfer plan decomp(from) -> decomp(to) at `wire`. Collective.
+  /// Grid-transfer plan decomp(from) -> decomp(to). Collective.
   std::shared_ptr<spectral::ResamplePlan> resample(const Int3& from,
-                                                   const Int3& to,
-                                                   WirePrecision wire);
+                                                   const Int3& to);
 
   /// Checks a transport for (dims, tc) out of the pool, building one only
   /// when the free list is empty. The returned transport is invalidated
@@ -119,14 +116,11 @@ class PlanRegistry {
 
  private:
   using DimsKey = std::tuple<index_t, index_t, index_t>;
-  // dims + wire.
-  using SpectralKey = std::tuple<index_t, index_t, index_t, int>;
-  // from-dims + to-dims + wire.
-  using ResampleKey = std::tuple<index_t, index_t, index_t, index_t, index_t,
-                                 index_t, int>;
-  // dims + nt + method + incompressible + wire.
-  using TransportKey =
-      std::tuple<index_t, index_t, index_t, int, int, int, int>;
+  // from-dims + to-dims.
+  using ResampleKey =
+      std::tuple<index_t, index_t, index_t, index_t, index_t, index_t>;
+  // dims + nt + method + incompressible.
+  using TransportKey = std::tuple<index_t, index_t, index_t, int, int, int>;
 
   static DimsKey dims_key(const Int3& d) { return {d[0], d[1], d[2]}; }
   static TransportKey transport_key(const Int3& d,
@@ -136,13 +130,12 @@ class PlanRegistry {
             d[2],
             tc.nt,
             static_cast<int>(tc.method),
-            tc.incompressible ? 1 : 0,
-            static_cast<int>(tc.wire)};
+            tc.incompressible ? 1 : 0};
   }
 
   mpisim::Communicator comm_;
   std::map<DimsKey, std::shared_ptr<grid::PencilDecomp>> decomps_;
-  std::map<SpectralKey, std::shared_ptr<spectral::SpectralOps>> spectrals_;
+  std::map<DimsKey, std::shared_ptr<spectral::SpectralOps>> spectrals_;
   std::map<ResampleKey, std::shared_ptr<spectral::ResamplePlan>> resamples_;
   std::map<TransportKey, std::vector<std::shared_ptr<semilag::Transport>>>
       transport_pool_;

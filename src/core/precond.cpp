@@ -13,7 +13,6 @@ semilag::TransportConfig coarse_transport_config(
   tc.nt = opt.nt;
   tc.method = opt.interp_method;
   tc.incompressible = opt.incompressible;
-  tc.wire = opt.wire();
   return tc;
 }
 
@@ -26,13 +25,12 @@ TwoLevelPreconditioner::TwoLevelPreconditioner(
                      spectral::coarsen_dims(fine_decomp.dims(),
                                             opt.precond_coarsest_dim),
                      fine_decomp.p1(), fine_decomp.p2()),
-      ops_(coarse_decomp_, opt.wire()),
+      ops_(coarse_decomp_),
       transport_(ops_, coarse_transport_config(opt)),
       reg_(ops_, opt.reg_type, opt.beta),
-      restrict_plan_(fine_decomp, coarse_decomp_, opt.wire()),
-      prolong_plan_(coarse_decomp_, fine_decomp, opt.wire()),
-      inner_iters_(opt.precond_inner_iters),
-      mixed_(opt.precision == Precision::kMixed) {
+      restrict_plan_(fine_decomp, coarse_decomp_),
+      prolong_plan_(coarse_decomp_, fine_decomp),
+      inner_iters_(opt.precond_inner_iters) {
   if (coarse_decomp_.dims() == fine_decomp.dims())
     throw std::invalid_argument(
         "TwoLevelPreconditioner: grid cannot be coarsened (raise the fine "
@@ -79,12 +77,8 @@ void TwoLevelPreconditioner::correct(const VectorField& r, VectorField& out) {
   const auto apply_m = [&](const VectorField& x, VectorField& y) {
     system_->apply_preconditioner(x, y);
   };
-  if (mixed_)
-    pcg_solve_mixed(coarse_decomp_, apply_a, apply_m, r_c_, z_c_,
-                    /*rtol=*/0, inner_iters_, ws32_);
-  else
-    pcg_solve(coarse_decomp_, apply_a, apply_m, r_c_, z_c_, /*rtol=*/0,
-              inner_iters_, ws_);
+  pcg_solve(coarse_decomp_, apply_a, apply_m, r_c_, z_c_, /*rtol=*/0,
+            inner_iters_, ws_);
 
   // Subtract the smoother's low band: the caller applied (beta A)^{-1} on
   // ALL modes, and on matching wavenumbers (beta A_c)^{-1} restricted is

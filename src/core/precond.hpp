@@ -73,17 +73,11 @@ class TwoLevelPreconditioner {
   spectral::ResamplePlan prolong_plan_;   // coarse -> fine
   std::unique_ptr<OptimalitySystem> system_;
   int inner_iters_;
-  /// Under Precision::kMixed the inner coarse CG sweeps run the fp32
-  /// recurrence (pcg_solve_mixed) — the coarse Hessian inverse is an
-  /// approximation by construction, so the reduced storage precision costs
-  /// nothing the truncated iteration had not already given up.
-  bool mixed_;
   bool synced_ = false;
 
   // Persistent scratch (coarse blocks + one fine block).
   VectorField v_c_, r_c_, z_c_, smooth_c_, corr_;
   PcgWorkspace ws_;
-  PcgWorkspace32 ws32_;
 };
 
 }  // namespace diffreg::core

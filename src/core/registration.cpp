@@ -40,8 +40,7 @@ RegistrationSolver::RegistrationSolver(grid::PencilDecomp& decomp,
                                        const RegistrationOptions& options)
     : decomp_(&decomp),
       options_(options),
-      ops_(std::make_shared<spectral::SpectralOps>(decomp, options.wire())),
-      ops_wire_(options.wire()) {}
+      ops_(std::make_shared<spectral::SpectralOps>(decomp)) {}
 
 RegistrationSolver::RegistrationSolver(grid::PencilDecomp& decomp,
                                        const RegistrationOptions& options,
@@ -49,19 +48,9 @@ RegistrationSolver::RegistrationSolver(grid::PencilDecomp& decomp,
     : decomp_(&decomp),
       options_(options),
       registry_(std::move(registry)),
-      ops_(registry_->spectral(decomp.dims(), options.wire())),
-      ops_wire_(options.wire()) {}
+      ops_(registry_->spectral(decomp.dims())) {}
 
 RegistrationSolver::~RegistrationSolver() = default;
-
-void RegistrationSolver::ensure_ops(WirePrecision wire) {
-  if (wire == ops_wire_) return;
-  if (registry_)
-    ops_ = registry_->spectral(decomp_->dims(), wire);
-  else
-    ops_ = std::make_shared<spectral::SpectralOps>(*decomp_, wire);
-  ops_wire_ = wire;
-}
 
 semilag::TransportConfig RegistrationSolver::transport_config(
     const RegistrationOptions& opt) const {
@@ -69,7 +58,6 @@ semilag::TransportConfig RegistrationSolver::transport_config(
   tc.nt = opt.nt;
   tc.method = opt.interp_method;
   tc.incompressible = opt.incompressible;
-  tc.wire = opt.wire();
   return tc;
 }
 
@@ -99,7 +87,6 @@ RegistrationResult RegistrationSolver::run(const ScalarField& rho_t,
 
 SolveReport RegistrationSolver::solve(const SolveRequest& request) {
   RegistrationOptions opt = request.options;
-  ensure_ops(opt.wire());
 
   // Periodic restart checkpoints, chained behind any hook the caller
   // installed (caller's hook observes first).

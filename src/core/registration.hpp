@@ -138,10 +138,6 @@ class RegistrationSolver {
  private:
   void preprocess(const ScalarField& in, ScalarField& out,
                   const RegistrationOptions& opt);
-  /// Points ops_ at operators for `wire`: the constructor-built (or
-  /// registry-leased) set when the request matches it, a rebuilt/newly
-  /// leased set otherwise.
-  void ensure_ops(WirePrecision wire);
   semilag::TransportConfig transport_config(
       const RegistrationOptions& opt) const;
 
@@ -149,7 +145,6 @@ class RegistrationSolver {
   RegistrationOptions options_;
   std::shared_ptr<PlanRegistry> registry_;  // null for standalone solvers
   std::shared_ptr<spectral::SpectralOps> ops_;
-  WirePrecision ops_wire_;
 };
 
 }  // namespace diffreg::core

@@ -31,9 +31,8 @@ void transpose_block(const complex_t* src, index_t src_stride, complex_t* dst,
 
 }  // namespace
 
-DistributedFft3d::DistributedFft3d(PencilDecomp& decomp, WirePrecision wire)
+DistributedFft3d::DistributedFft3d(PencilDecomp& decomp)
     : decomp_(&decomp),
-      wire_(wire),
       fft1_(decomp.dims()[0]),
       fft2_(decomp.dims()[1]),
       fft3_(decomp.dims()[2]) {
@@ -77,10 +76,6 @@ DistributedFft3d::DistributedFft3d(PencilDecomp& decomp, WirePrecision wire)
       std::max({a_stride_, b_stride_, s_stride_});
   send_buf_.resize(kMaxBatch * max_total);
   recv_buf_.resize(kMaxBatch * max_total);
-  if (wire_ == WirePrecision::kF32) {
-    send_buf32_.resize(kMaxBatch * max_total);
-    recv_buf32_.resize(kMaxBatch * max_total);
-  }
   const int max_p = std::max(p1, p2);
   scaled_send_counts_.resize(max_p);
   scaled_recv_counts_.resize(max_p);
@@ -104,11 +99,6 @@ mpisim::CommRequest DistributedFft3d::exchange(
                                   static_cast<size_t>(ncomp * recv_total));
   const std::span<const index_t> rcounts(
       scaled_recv_counts_.data(), static_cast<size_t>(npeers));
-  if (wire_ == WirePrecision::kF32)
-    return comm.ialltoallv_converted(
-        send, scounts, recv, rcounts,
-        std::span<complex32_t>(send_buf32_.data(), send.size()),
-        std::span<complex32_t>(recv_buf32_.data(), recv.size()), tag);
   return comm.ialltoallv(send, scounts, recv, rcounts, tag);
 }
 

@@ -29,12 +29,6 @@
 // to TimeKind::kFftComm, local 1D FFTs and pack/unpack to kFftExec; the
 // exchange/message/byte counters of Timings track comm volume.
 //
-// Wire precision: with WirePrecision::kF32 both transpose exchanges ship
-// complex<float> payloads through plan-owned staging buffers (half the
-// bytes of the solver's bandwidth-hottest path, ~1e-7 relative rounding per
-// mode); the local stages stay fp64 throughout. The byte counters record
-// the narrowed wire volume plus the bytes saved.
-//
 // Comm/compute overlap: each transpose alltoallv is posted nonblocking and
 // the SELF chunk of the receive buffer — already valid at post time, it
 // never crosses the wire — is unpacked while the peer chunks are in flight;
@@ -57,11 +51,9 @@ class DistributedFft3d {
   /// Components that can share one batched transform (a 3-vector field).
   static constexpr int kMaxBatch = 3;
 
-  explicit DistributedFft3d(grid::PencilDecomp& decomp,
-                            WirePrecision wire = WirePrecision::kF64);
+  explicit DistributedFft3d(grid::PencilDecomp& decomp);
 
   const grid::PencilDecomp& decomp() const { return *decomp_; }
-  WirePrecision wire() const { return wire_; }
   index_t local_real_size() const { return decomp_->local_real_size(); }
   index_t local_spectral_size() const {
     return decomp_->local_spectral_size();
@@ -103,9 +95,9 @@ class DistributedFft3d {
   void col_transpose_inverse(int ncomp);
 
   /// Scales the per-component peer counts by ncomp into the scratch count
-  /// arrays and posts the span alltoallv over send_buf_/recv_buf_ at the
-  /// plan's wire precision. The SELF chunk of recv_buf_ is valid on return
-  /// (delivered locally at post), the peer chunks only after wait().
+  /// arrays and posts the span alltoallv over send_buf_/recv_buf_. The SELF
+  /// chunk of recv_buf_ is valid on return (delivered locally at post), the
+  /// peer chunks only after wait().
   mpisim::CommRequest exchange(mpisim::Communicator& comm, int npeers,
                                int ncomp,
                                const std::vector<index_t>& send_counts,
@@ -113,7 +105,6 @@ class DistributedFft3d {
                                index_t send_total, index_t recv_total, int tag);
 
   grid::PencilDecomp* decomp_;
-  WirePrecision wire_;
   Fft1d fft1_, fft2_, fft3_;
 
   // Per-component strides of the stage buffers (see layouts above).
@@ -138,11 +129,8 @@ class DistributedFft3d {
 
   // Persistent flat transpose buffers plus per-peer element counts for one
   // component; `exchange` scales them by the batch size into the scratch
-  // arrays, so no call allocates. The fp32 staging pair is sized eagerly
-  // (like send_buf_/recv_buf_) when the plan ships an fp32 wire format, so
-  // the zero-allocation guarantee holds on the mixed path too.
+  // arrays, so no call allocates.
   std::vector<complex_t> send_buf_, recv_buf_;
-  std::vector<complex32_t> send_buf32_, recv_buf32_;
   std::vector<index_t> row_send_counts_, row_recv_counts_;
   std::vector<index_t> col_send_counts_, col_recv_counts_;
   std::vector<index_t> scaled_send_counts_, scaled_recv_counts_;

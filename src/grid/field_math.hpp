@@ -1,13 +1,6 @@
 // Distributed vector-space operations on pencil-local field blocks.
 // Local loops + one allreduce for reductions; the L2 inner products use the
 // grid volume element h1*h2*h3 of the [0,2*pi)^3 domain.
-//
-// Fields come in two storage precisions: the solver's native fp64
-// (ScalarField / VectorField) and the fp32 variants (ScalarField32 /
-// VectorField32) that back the mixed-precision inner Krylov solve. The
-// converting copy overloads narrow/widen between them, and every reduction
-// over fp32 operands accumulates in fp64 (one double allreduce), so norms
-// and dot products lose nothing to the storage precision.
 #pragma once
 
 #include <array>
@@ -17,36 +10,29 @@
 #include <string>
 #include <vector>
 
-#include "common/precision.hpp"
 #include "grid/decomposition.hpp"
 
 namespace diffreg::grid {
 
 using ScalarField = std::vector<real_t>;
-using ScalarField32 = std::vector<real32_t>;
 
 /// Velocity / displacement field: three scalar components on the same
-/// block, parameterized over the storage scalar.
-template <typename T>
-struct BasicVectorField {
-  std::array<std::vector<T>, 3> comp;
+/// block.
+struct VectorField {
+  std::array<ScalarField, 3> comp;
 
-  BasicVectorField() = default;
-  explicit BasicVectorField(index_t local_size) {
-    for (auto& c : comp) c.assign(local_size, T(0));
+  VectorField() = default;
+  explicit VectorField(index_t local_size) {
+    for (auto& c : comp) c.assign(local_size, real_t(0));
   }
   index_t local_size() const { return static_cast<index_t>(comp[0].size()); }
-  std::vector<T>& operator[](int d) { return comp[d]; }
-  const std::vector<T>& operator[](int d) const { return comp[d]; }
+  ScalarField& operator[](int d) { return comp[d]; }
+  const ScalarField& operator[](int d) const { return comp[d]; }
 
-  void fill(T value) {
+  void fill(real_t value) {
     for (auto& c : comp) c.assign(c.size(), value);
   }
 };
-
-using VectorField = BasicVectorField<real_t>;
-/// fp32 storage variant (inner-Krylov work vectors of the mixed solve).
-using VectorField32 = BasicVectorField<real32_t>;
 
 /// Volume element of one grid cell.
 inline real_t cell_volume(const Int3& dims) {
@@ -79,23 +65,6 @@ inline real_t norm_l2(PencilDecomp& decomp, const VectorField& a) {
   return std::sqrt(dot(decomp, a, a));
 }
 
-/// Distributed L2 inner product of fp32-stored fields. The local sum (and
-/// every product) accumulates in fp64 and the allreduce carries doubles, so
-/// only the operand storage is single precision.
-inline real_t dot(PencilDecomp& decomp, const VectorField32& a,
-                  const VectorField32& b) {
-  real_t local = 0;
-  for (int d = 0; d < 3; ++d)
-    for (size_t i = 0; i < a[d].size(); ++i)
-      local += static_cast<real_t>(a[d][i]) * static_cast<real_t>(b[d][i]);
-  decomp.comm().set_time_kind(TimeKind::kOther);
-  return decomp.comm().allreduce_sum(local) * cell_volume(decomp.dims());
-}
-
-inline real_t norm_l2(PencilDecomp& decomp, const VectorField32& a) {
-  return std::sqrt(dot(decomp, a, a));
-}
-
 /// Distributed max |a_i| (collective).
 inline real_t norm_inf(PencilDecomp& decomp, std::span<const real_t> a) {
   real_t local = 0;
@@ -123,19 +92,6 @@ inline void axpy(real_t alpha, const VectorField& x, VectorField& y) {
   for (int d = 0; d < 3; ++d) axpy(alpha, x[d], y[d]);
 }
 
-/// fp32-storage axpy of the mixed-precision Krylov recurrence: the update
-/// arithmetic runs at fp32 (the CLAIRE trade), only reductions stay fp64.
-inline void axpy(real_t alpha, std::span<const real32_t> x,
-                 std::span<real32_t> y) {
-  const real32_t a = static_cast<real32_t>(alpha);
-  for (size_t i = 0; i < x.size(); ++i) y[i] += a * x[i];
-}
-
-inline void axpy(real_t alpha, const VectorField32& x, VectorField32& y) {
-  for (int d = 0; d < 3; ++d)
-    axpy(alpha, std::span<const real32_t>(x[d]), std::span<real32_t>(y[d]));
-}
-
 inline void scale(real_t alpha, std::span<real_t> x) {
   for (auto& v : x) v *= alpha;
 }
@@ -149,25 +105,13 @@ inline void copy(const VectorField& x, VectorField& y) {
   for (int d = 0; d < 3; ++d) y[d] = x[d];
 }
 
-/// Converting copy between storage precisions (narrowing fp64 -> fp32 or
-/// widening fp32 -> fp64); resizes y to match.
-template <typename A, typename B>
-inline void copy(const BasicVectorField<A>& x, BasicVectorField<B>& y) {
-  for (int d = 0; d < 3; ++d) {
-    y[d].resize(x[d].size());
-    for (size_t i = 0; i < x[d].size(); ++i)
-      y[d][i] = static_cast<B>(x[d][i]);
-  }
-}
-
 /// Sizes x to n and zeroes it, reusing the existing storage when the size
 /// already matches (hot-path accumulator reset without reallocation).
-template <typename T>
-inline void resize_zero(BasicVectorField<T>& x, index_t n) {
+inline void resize_zero(VectorField& x, index_t n) {
   if (x.local_size() != n)
-    x = BasicVectorField<T>(n);
+    x = VectorField(n);
   else
-    x.fill(T(0));
+    x.fill(real_t(0));
 }
 
 // Numerical safeguards (the opt-in --guard sweeps of the fault-tolerant

@@ -7,12 +7,11 @@
 namespace diffreg::grid {
 
 GhostExchange::GhostExchange(PencilDecomp& decomp, index_t width,
-                             TimeKind comm_kind, WirePrecision wire, bool)
+                             TimeKind comm_kind, WirePrecision, bool)
     : decomp_(&decomp),
       width_(width),
       ldims_(decomp.local_real_dims()),
-      comm_kind_(comm_kind),
-      wire_(wire) {
+      comm_kind_(comm_kind) {
   // Single-neighbour halos: every rank's block must be at least as wide as
   // the halo, on every rank (uneven blocks differ by one).
   const index_t min1 = decomp.dims()[0] / decomp.p1();
@@ -31,28 +30,6 @@ void GhostExchange::ensure_slab_capacity(int nfields) {
       static_cast<size_t>(std::max(slab1, slab2)) * nfields;
   if (pack_buf_.size() < need) pack_buf_.resize(need);
   if (recv_buf_.size() < need) recv_buf_.resize(need);
-  if (wire_ == WirePrecision::kF32) {
-    if (pack32_.size() < need) pack32_.resize(need);
-    if (recv32_.size() < need) recv32_.resize(need);
-  }
-}
-
-void GhostExchange::send_slab(std::span<const real_t> buf, int dest, int tag) {
-  auto& comm = decomp_->comm();
-  if (wire_ == WirePrecision::kF32)
-    comm.send_narrowed(buf, std::span<real32_t>(pack32_.data(), buf.size()),
-                       dest, tag);
-  else
-    comm.send(buf, dest, tag);
-}
-
-mpisim::CommRequest GhostExchange::post_halo(std::span<real_t> halo, int src,
-                                             int tag) {
-  auto& comm = decomp_->comm();
-  if (wire_ == WirePrecision::kF32)
-    return comm.irecv_widened(
-        halo, std::span<real32_t>(recv32_.data(), halo.size()), src, tag);
-  return comm.irecv_into(halo, src, tag);
 }
 
 void GhostExchange::copy_slab(std::span<real_t> ghosted, int nfields,
@@ -129,16 +106,17 @@ void GhostExchange::exchange_dim(int dim, std::span<real_t> ghosted,
 
   const index_t msg =
       (dim == 1 ? ldims_[1] : gdims_[0]) * w * gdims_[2] * nfields;
-  const std::span<real_t> send_buf(pack_buf_.data(), msg);
+  const std::span<real_t> pack_buf(pack_buf_.data(), msg);
+  const std::span<const real_t> send_buf(pack_buf);
   const std::span<real_t> halo_buf(recv_buf_.data(), msg);
   const int np = dim == 1 ? decomp_->p1() : decomp_->p2();
   if (np == 1) {
     // Local periodic wrap: low halo <- own high interior, then high halo <-
     // own low interior.
-    slab(nloc, send_buf, true);
-    slab(0, send_buf, false);
-    slab(w, send_buf, true);
-    slab(w + nloc, send_buf, false);
+    slab(nloc, pack_buf, true);
+    slab(0, pack_buf, false);
+    slab(w, pack_buf, true);
+    slab(w + nloc, pack_buf, false);
     return;
   }
   auto& comm = decomp_->comm();
@@ -157,18 +135,20 @@ void GhostExchange::exchange_dim(int dim, std::span<real_t> ghosted,
   const int lo_nbr = neighbour((r - 1 + np) % np);
   const int hi_nbr = neighbour((r + 1) % np);
   // My high interior goes to hi_nbr's low halo (travels "high", kTagHigh);
-  // I receive my low halo from lo_nbr. The low-travelling slab is packed
-  // and sent while that first halo is in flight: the buffered send copied
-  // pack_buf_ at post, so repacking it is safe, and plain sends are legal
-  // while a receive is pending.
-  slab(nloc, send_buf, true);
-  send_slab(send_buf, hi_nbr, kTagHigh);
-  auto req = post_halo(halo_buf, lo_nbr, kTagHigh);
-  slab(w, send_buf, true);
-  send_slab(send_buf, lo_nbr, kTagLow);
+  // I receive my low halo from lo_nbr. That receive is posted before either
+  // slab is packed, so both packs and sends run under its flight: the
+  // buffered send copied pack_buf_ at post, so repacking it is safe, and
+  // plain sends are legal while a receive is pending. Since every rank
+  // posts before it sends, the first halos of a ring cannot all land before
+  // their receives are posted: some rank always hides wire time.
+  auto req = comm.irecv_into(halo_buf, lo_nbr, kTagHigh);
+  slab(nloc, pack_buf, true);
+  comm.send(send_buf, hi_nbr, kTagHigh);
+  slab(w, pack_buf, true);
+  comm.send(send_buf, lo_nbr, kTagLow);
   req.wait();
   slab(0, halo_buf, false);
-  post_halo(halo_buf, hi_nbr, kTagLow).wait();
+  comm.irecv_into(halo_buf, hi_nbr, kTagLow).wait();
   slab(w + nloc, halo_buf, false);
 }
 

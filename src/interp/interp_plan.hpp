@@ -25,14 +25,6 @@
 // staging, the alltoallv self copy, and the scatter pass; the value
 // exchange ships only the true cross-rank points.
 //
-// Wire precision: with WirePrecision::kF32 the per-matvec VALUE scatter
-// ships fp32 through plan-owned staging (half the bytes on the Hessian
-// matvec hot path). The departure-point COORDINATES of build() stay fp64 on
-// the wire: they run once per Newton iterate (off the matvec path), and the
-// stencil placement they feed carries the ownership/bounds invariants that
-// the fp64 classification guarantees — narrowing them would trade those
-// guarantees for a negligible saving.
-//
 // Comm/compute overlap: interpolate_many runs peer-points-first /
 // SELF-points-under-flight: the cross-rank points are evaluated and their
 // value alltoallv is POSTED (nonblocking), then the SELF-owned majority is
@@ -57,15 +49,12 @@ inline constexpr index_t kGhostWidth = 2;
 class InterpPlan {
  public:
   /// Creates an empty plan bound to `decomp`; call build() before use.
-  /// The trailing bool has no effect (kept for source compatibility).
-  explicit InterpPlan(grid::PencilDecomp& decomp,
-                      WirePrecision wire = WirePrecision::kF64, bool = false);
+  /// The trailing arguments have no effect (kept for source compatibility).
+  explicit InterpPlan(grid::PencilDecomp& decomp, WirePrecision = {},
+                      bool = false);
 
   /// Convenience: creates and immediately builds. Collective.
-  InterpPlan(grid::PencilDecomp& decomp, std::span<const Vec3> points,
-             WirePrecision wire = WirePrecision::kF64);
-
-  WirePrecision wire() const { return wire_; }
+  InterpPlan(grid::PencilDecomp& decomp, std::span<const Vec3> points);
 
   /// (Re)builds the plan for a new set of departure points. `points` are
   /// physical coordinates in [0, 2*pi)^3 (wrapped internally), one value
@@ -103,7 +92,6 @@ class InterpPlan {
 
  private:
   grid::PencilDecomp* decomp_;
-  WirePrecision wire_ = WirePrecision::kF64;
   index_t num_points_ = 0;
   index_t recv_total_ = 0;
   bool built_ = false;
@@ -131,9 +119,6 @@ class InterpPlan {
   std::vector<index_t> val_send_counts_, val_recv_counts_;  // [p]
   std::vector<real_t> eval_vals_;      // recv_total_ * batch
   std::vector<real_t> ret_vals_;       // num_points_ * batch
-  // fp32 wire staging of the value exchange (kF32 plans only; presized
-  // alongside eval_vals_/ret_vals_ so the mixed path never allocates warm).
-  std::vector<real32_t> eval_vals32_, ret_vals32_;
   std::vector<real_t> ghosted_;        // batch ghost blocks back to back
   std::vector<real_t> comp_out_;       // interpolate_vec staging (3 comps)
 

@@ -3,8 +3,8 @@
 ///
 /// The Communicator owns everything a real-MPI port should NOT have to
 /// reimplement: the O(log p) collective algorithms, the collective-
-/// consistency self-checks, the wire-precision conversion sweeps, and the
-/// Timings byte/message/exchange/hidden accounting. Everything that IS
+/// consistency self-checks, and the Timings byte/message/exchange/hidden
+/// accounting. Everything that IS
 /// transport-specific — moving bytes, blocking matches, barriers, splitting
 /// the rank group — lives behind this interface. `MailboxBackend` is the
 /// thread-backed in-process implementation (p ranks as threads, one receive

@@ -1,6 +1,7 @@
 #include "mpisim/communicator.hpp"
 
 #include <algorithm>
+#include <condition_variable>
 #include <cstdlib>
 #include <exception>
 #include <optional>
@@ -416,7 +417,7 @@ void CommRequest::complete(const char* operation, bool credit_hidden) {
   const double wait_entry = comm->backend_->now();
   double last_arrival = post_time_;
   try {
-    // Time actually spent blocked (plus delivery memcpy/widen sweeps) is
+    // Time actually spent blocked (plus the delivery memcpy) is
     // charged to the category like a blocking receive would be.
     ScopedTimer timer(*comm->timings_, kind_);
     for (const detail::PendingRecv& pr : comm->pending_recvs_) {
@@ -426,9 +427,7 @@ void CommRequest::complete(const char* operation, bool credit_hidden) {
         throw CommContractError(
             "mpisim: received payload size does not match the posted "
             "buffer");
-      if (pr.widen != nullptr)
-        pr.widen(in.data.data(), pr.dst, pr.elems);
-      else if (!in.data.empty())
+      if (!in.data.empty())
         std::memcpy(pr.dst, in.data.data(), in.data.size());
       last_arrival = std::max(last_arrival, in.arrival);
     }
@@ -495,9 +494,29 @@ std::vector<Timings> run_spmd(int p,
   threads.reserve(p);
   std::mutex error_mutex;
   std::exception_ptr first_error;
+  // Rank threads wait on a start gate until every rank is spawned: if a
+  // spawn fails (thread limit, address space), the ranks already running
+  // must not enter `body`, whose collectives would wait on the missing ones.
+  std::mutex gate_mutex;
+  std::condition_variable gate_cv;
+  bool gate_open = false;
+  bool aborted = false;
+  const auto open_gate = [&](bool abort) {
+    {
+      std::scoped_lock lock(gate_mutex);
+      gate_open = true;
+      aborted = abort;
+    }
+    gate_cv.notify_all();
+  };
 
   for (int r = 0; r < p; ++r) {
-    threads.emplace_back([&, r] {
+    const auto rank_main = [&, r] {
+      {
+        std::unique_lock lock(gate_mutex);
+        gate_cv.wait(lock, [&] { return gate_open; });
+        if (aborted) return;
+      }
       std::shared_ptr<Backend> backend =
           std::make_shared<MailboxBackend>(state, r);
       if (spec.has_value() && spec->enabled())
@@ -513,8 +532,17 @@ std::vector<Timings> run_spmd(int p,
         std::scoped_lock lock(error_mutex);
         if (!first_error) first_error = std::current_exception();
       }
-    });
+    };
+    try {
+      threads.emplace_back(rank_main);
+    } catch (const std::exception& e) {
+      open_gate(/*abort=*/true);
+      for (auto& t : threads) t.join();
+      throw CommConfigError("cannot start rank thread " + std::to_string(r) +
+                            " of p = " + std::to_string(p) + ": " + e.what());
+    }
   }
+  open_gate(/*abort=*/false);
   for (auto& t : threads) t.join();
   if (first_error) std::rethrow_exception(first_error);
   return timings;

@@ -11,9 +11,9 @@
 ///
 /// The Communicator itself is transport-agnostic: every byte that moves goes
 /// through the abstract `Backend` interface (backend.hpp). The collective
-/// algorithms, consistency self-checks, wire-precision conversions, and all
-/// Timings accounting live HERE, so a real-MPI backend inherits them — and
-/// the entire test suite — by implementing six byte-level primitives.
+/// algorithms, consistency self-checks, and all Timings accounting live
+/// HERE, so a real-MPI backend inherits them — and the entire test suite —
+/// by implementing six byte-level primitives.
 ///
 /// Supported surface (what the solver needs): rank/size, barrier, send/recv,
 /// sendrecv, broadcast, allreduce (sum/max/min, scalar and element-wise
@@ -33,21 +33,16 @@
 ///                     design) with a collective-consistency self-check; a
 ///                     span-based overload works over caller-owned flat
 ///                     buffers so hot paths (the FFT transposes) allocate
-///                     nothing per call, and a converting overload
-///                     (alltoallv_converted) down-converts the payload into
-///                     caller-owned fp32 staging buffers before it hits the
-///                     wire and up-converts on receive — half the bytes for
-///                     ~1e-7 relative rounding (WirePrecision::kF32)
+///                     nothing per call
 /// Scalar allreduce combines operands in subgroup order, so every rank
 /// computes bitwise-identical results; the vector form broadcasts rank 0's
 /// combination, which is likewise identical everywhere.
 ///
 /// Every exchange has ONE implementation, the nonblocking post
-/// (`ialltoallv`, `ialltoallv_converted`, `irecv_widened`, `irecv_into`):
-/// it checks the call, pushes every outgoing message (sends are buffered and
-/// complete at post), and defers the receives behind a `CommRequest`. The
-/// blocking forms (`alltoallv`, `alltoallv_converted`, `recv_widened`) are
-/// that post followed at once by completion, so both forms share tags,
+/// (`ialltoallv`, `irecv_into`): it checks the call, pushes every outgoing
+/// message (sends are buffered and complete at post), and defers the
+/// receives behind a `CommRequest`. The blocking form (`alltoallv`) is that
+/// post followed at once by completion, so both forms share tags,
 /// payload order and byte / message / exchange counters by construction.
 /// Between post and `wait()` the caller computes; the span of wire time that
 /// elapsed under that compute is accounted to the Timings hidden-comm
@@ -77,7 +72,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/precision.hpp"
 #include "common/timer.hpp"
 #include "common/types.hpp"
 #include "mpisim/backend.hpp"
@@ -95,37 +89,17 @@ namespace detail {
 struct PendingRecv {
   int src = 0;
   int tag = 0;
-  /// Destination bytes: the final buffer (plain receives) or the Wide
-  /// buffer a widening receive up-converts into.
+  /// Destination buffer the payload is copied into.
   std::byte* dst = nullptr;
-  /// Exact wire payload size the matching message must carry.
+  /// Exact payload size the matching message must carry.
   size_t payload_bytes = 0;
-  /// Element count of the receive (payload_bytes / wire element size).
-  size_t elems = 0;
-  /// Non-null for widening receives: up-converts `elems` Narrow elements of
-  /// the wire payload straight into `dst`. Null receives memcpy instead.
-  void (*widen)(const std::byte* payload, std::byte* dst, size_t elems) =
-      nullptr;
 };
 
-/// Widening kernel instantiated per (Wide, Narrow) pair for PendingRecv.
-template <typename Wide, typename Narrow>
-void widen_payload(const std::byte* payload, std::byte* dst, size_t elems) {
-  widen_into(
-      std::span<const Narrow>(reinterpret_cast<const Narrow*>(payload), elems),
-      std::span<Wide>(reinterpret_cast<Wide*>(dst), elems));
-}
-
-/// The deferred receive of `elems` Wide elements into `dst` that travel the
-/// wire as Narrow (Narrow == Wide: a plain copy, no conversion).
-template <typename Wide, typename Narrow>
-PendingRecv pending_recv(int src, int tag, Wide* dst, size_t elems) {
-  static_assert(std::is_trivially_copyable_v<Wide>);
-  PendingRecv pr{src, tag, reinterpret_cast<std::byte*>(dst),
-                 elems * sizeof(Narrow), elems};
-  if constexpr (!std::is_same_v<Wide, Narrow>)
-    pr.widen = &widen_payload<Wide, Narrow>;
-  return pr;
+/// The deferred receive of `elems` T elements into `dst`.
+template <typename T>
+PendingRecv pending_recv(int src, int tag, T* dst, size_t elems) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  return {src, tag, reinterpret_cast<std::byte*>(dst), elems * sizeof(T)};
 }
 
 }  // namespace detail
@@ -166,8 +140,8 @@ struct ScheduleOpSig {
 ///
 /// The posting call has already pushed every outgoing message (sends are
 /// buffered and complete at post), so the handle tracks only the deferred
-/// receives. `wait()` blocks until all of them have landed, scatters /
-/// widens them into the destination buffers, and credits the wire time that
+/// receives. `wait()` blocks until all of them have landed, copies them
+/// into the destination buffers, and credits the wire time that
 /// elapsed under the caller's compute to the Timings hidden-comm counter.
 /// Destination buffers must not be read before wait()/test() succeeds —
 /// and the owning Communicator enforces the discipline by throwing on any
@@ -278,7 +252,7 @@ class Communicator {
 
   /// Collective-schedule verification (--verify-schedule): every collective
   /// entered folds its rank-invariant signature (op kind, tag / root /
-  /// reduction-op id, wire precision) into a per-rank rolling FNV hash, and
+  /// reduction-op id, element width) into a per-rank rolling FNV hash, and
   /// every exchange folds its per-peer payload byte counts into a pair of
   /// transpose-consistency accumulators (sum over sender claims must equal
   /// sum over receiver expectations). At every barrier and exchange-class
@@ -400,57 +374,6 @@ class Communicator {
                  std::span<T> recv, std::span<const index_t> recv_counts,
                  int tag);
 
-  /// Mixed-precision ialltoallv: every PEER chunk is down-converted into
-  /// `send_stage`, shipped at Narrow width, and up-converted into `recv` on
-  /// completion; the SELF chunk is a direct Wide copy (it never crosses the
-  /// wire, so narrowing it would cost two conversion sweeps and fp32
-  /// rounding for nothing). Counts are in ELEMENTS and identical to the
-  /// fp64 call — only the per-element wire width changes, so the exchange
-  /// schedule is the same. Timings record the narrow bytes that actually
-  /// crossed the wire plus the volume the narrowing saved (bytes_saved).
-  /// Staging buffers are caller-owned so warm plans allocate nothing; they
-  /// must be at least as large as the corresponding payload span. The
-  /// thread-backed transport widens straight from the wire payload, so
-  /// `recv_stage` is only size-validated here — but a real-MPI backend
-  /// lands narrow payloads in it, so callers must keep it alive and
-  /// untouched until completion.
-  template <typename Wide, typename Narrow>
-  [[nodiscard]] CommRequest ialltoallv_converted(
-      std::span<const Wide> send, std::span<const index_t> send_counts,
-      std::span<Wide> recv, std::span<const index_t> recv_counts,
-      std::span<Narrow> send_stage, std::span<Narrow> recv_stage, int tag);
-
-  /// Blocking mixed-precision alltoallv: ialltoallv_converted, then
-  /// completion.
-  template <typename Wide, typename Narrow>
-  void alltoallv_converted(std::span<const Wide> send,
-                           std::span<const index_t> send_counts,
-                           std::span<Wide> recv,
-                           std::span<const index_t> recv_counts,
-                           std::span<Narrow> send_stage,
-                           std::span<Narrow> recv_stage, int tag);
-
-  /// Narrowing point-to-point send: down-converts `data` into the
-  /// caller-owned `stage` and ships the narrow payload (ghost-slab halos).
-  /// Buffered like send(): complete when it returns.
-  template <typename Wide, typename Narrow>
-  void send_narrowed(std::span<const Wide> data, std::span<Narrow> stage,
-                     int dest, int tag);
-
-  /// Widening receive, the mirror of send_narrowed: registers the (src,
-  /// tag) match and returns; completion pops the narrow payload and
-  /// up-converts into `out`. `out` (and, under a real-MPI backend, `stage`)
-  /// must stay untouched until completion.
-  template <typename Wide, typename Narrow>
-  [[nodiscard]] CommRequest irecv_widened(std::span<Wide> out,
-                                          std::span<Narrow> stage, int src,
-                                          int tag);
-
-  /// Blocking widening receive: irecv_widened, then completion.
-  template <typename Wide, typename Narrow>
-  void recv_widened(std::span<Wide> out, std::span<Narrow> stage, int src,
-                    int tag);
-
   /// Receive into a caller-owned buffer, posted nonblocking: completion
   /// pops the (src, tag) payload and copies it into `out` (exact size match
   /// enforced).
@@ -480,24 +403,6 @@ class Communicator {
   void check_alltoallv_counts(std::span<const index_t> send_counts,
                               std::span<const index_t> recv_counts,
                               size_t send_size, size_t recv_size);
-
-  /// The one span alltoallv body, templated on the wire type: Narrow ==
-  /// Wide ships each peer chunk straight from `send`; a narrower type
-  /// stages it through `send_stage` and widens on completion (`recv_stage`
-  /// is only size-checked, see ialltoallv_converted).
-  template <typename Wide, typename Narrow>
-  CommRequest post_alltoallv(std::span<const Wide> send,
-                             std::span<const index_t> send_counts,
-                             std::span<Wide> recv,
-                             std::span<const index_t> recv_counts,
-                             std::span<Narrow> send_stage,
-                             std::span<Narrow> recv_stage, int tag);
-
-  /// The one point-to-point receive post behind irecv_into (Narrow == Wide)
-  /// and irecv_widened.
-  template <typename Wide, typename Narrow>
-  CommRequest post_recv(std::span<Wide> out, std::span<Narrow> stage, int src,
-                        int tag);
 
   /// Wait-before-read enforcement: throws while a nonblocking request is
   /// outstanding. Guards every receive, barrier, collective, and post —
@@ -979,29 +884,20 @@ inline void Communicator::check_alltoallv_counts(
     throw CommContractError("mpisim: alltoallv self chunk size mismatch");
 }
 
-template <typename Wide, typename Narrow>
-CommRequest Communicator::post_alltoallv(std::span<const Wide> send,
-                                         std::span<const index_t> send_counts,
-                                         std::span<Wide> recv,
-                                         std::span<const index_t> recv_counts,
-                                         std::span<Narrow> send_stage,
-                                         std::span<Narrow> recv_stage,
-                                         int tag) {
-  constexpr bool kNarrow = !std::is_same_v<Wide, Narrow>;
-  static_assert(std::is_trivially_copyable_v<Wide>);
-  static_assert(!kNarrow || sizeof(Narrow) < sizeof(Wide));
+template <typename T>
+CommRequest Communicator::ialltoallv(std::span<const T> send,
+                                     std::span<const index_t> send_counts,
+                                     std::span<T> recv,
+                                     std::span<const index_t> recv_counts,
+                                     int tag) {
+  static_assert(std::is_trivially_copyable_v<T>);
   const int p = size();
   check_alltoallv_counts(send_counts, recv_counts, send.size(), recv.size());
-  if (kNarrow &&
-      (send_stage.size() < send.size() || recv_stage.size() < recv.size()))
-    throw CommContractError(
-        "mpisim: alltoallv_converted staging buffers too small");
   check_idle();
   // Verifier checkpoints run at collective ENTRY, before any payload moves.
-  // The signature folds the WIRE width, so a rank disagreeing about the
-  // wire precision of an exchange (fp64 vs fp32, same tag) hashes
-  // differently.
-  verify_record(ScheduleOpKind::kAlltoallv, tag, sizeof(Narrow) * 8, 0);
+  // The signature folds the element width, so ranks disagreeing about the
+  // payload type of an exchange (same tag) hash differently.
+  verify_record(ScheduleOpKind::kAlltoallv, tag, sizeof(T) * 8, 0);
   verify_checkpoint("alltoallv");
   // Every rank must have entered the same alltoallv (same tag) — a
   // mismatched schedule would otherwise deliver buffers to the wrong
@@ -1009,53 +905,29 @@ CommRequest Communicator::post_alltoallv(std::span<const Wide> send,
   // the pairwise payload exchange.
   check_collective_consistent(tag, "alltoallv tag");
   timings_->add_exchange(time_kind_);
-  verify_fold_counts(send_counts, recv_counts, sizeof(Narrow));
+  verify_fold_counts(send_counts, recv_counts, sizeof(T));
 
-  // Self chunk: direct Wide copy (bit-exact, never on the wire).
+  // Self chunk: direct local copy (never on the wire).
   if (send_counts[rank_] > 0)
     std::memcpy(recv.data() + chunk_offsets_[p + rank_],
                 send.data() + chunk_offsets_[rank_],
-                static_cast<size_t>(send_counts[rank_]) * sizeof(Wide));
+                static_cast<size_t>(send_counts[rank_]) * sizeof(T));
 
   const double post_time = backend_ ? backend_->now() : 0.0;
   for (int offset = 1; offset < p; ++offset) {
     const int dest = (rank_ + offset) % p;
     const auto off = static_cast<size_t>(chunk_offsets_[dest]);
     const auto count = static_cast<size_t>(send_counts[dest]);
-    if constexpr (kNarrow) {
-      // Conversion sweeps are charged to the current comm category — they
-      // are wire-format work a native fp32 transport would not need — and
-      // the volume they keep off the wire is accounted to the bytes_saved
-      // counter (sender side, like add_message).
-      {
-        ScopedTimer timer(*timings_, time_kind_);
-        narrow_into(send.subspan(off, count), send_stage.subspan(off, count));
-      }
-      timings_->add_saved(time_kind_, count * (sizeof(Wide) - sizeof(Narrow)));
-      this->send(std::span<const Narrow>(send_stage.subspan(off, count)),
-                 dest, tag);
-    } else {
-      this->send(send.subspan(off, count), dest, tag);
-    }
+    this->send(send.subspan(off, count), dest, tag);
   }
   pending_recvs_.clear();
   for (int offset = 1; offset < p; ++offset) {
     const int src = (rank_ - offset + p) % p;
-    pending_recvs_.push_back(detail::pending_recv<Wide, Narrow>(
+    pending_recvs_.push_back(detail::pending_recv(
         src, tag, recv.data() + chunk_offsets_[p + src],
         static_cast<size_t>(recv_counts[src])));
   }
   return finish_post(post_time);
-}
-
-template <typename T>
-CommRequest Communicator::ialltoallv(std::span<const T> send,
-                                     std::span<const index_t> send_counts,
-                                     std::span<T> recv,
-                                     std::span<const index_t> recv_counts,
-                                     int tag) {
-  return post_alltoallv(send, send_counts, recv, recv_counts, std::span<T>(),
-                        std::span<T>(), tag);
 }
 
 template <typename T>
@@ -1067,74 +939,14 @@ void Communicator::alltoallv(std::span<const T> send,
       .complete("alltoallv", /*credit_hidden=*/false);
 }
 
-template <typename Wide, typename Narrow>
-CommRequest Communicator::ialltoallv_converted(
-    std::span<const Wide> send, std::span<const index_t> send_counts,
-    std::span<Wide> recv, std::span<const index_t> recv_counts,
-    std::span<Narrow> send_stage, std::span<Narrow> recv_stage, int tag) {
-  static_assert(sizeof(Narrow) < sizeof(Wide));
-  return post_alltoallv(send, send_counts, recv, recv_counts, send_stage,
-                        recv_stage, tag);
-}
-
-template <typename Wide, typename Narrow>
-void Communicator::alltoallv_converted(std::span<const Wide> send,
-                                       std::span<const index_t> send_counts,
-                                       std::span<Wide> recv,
-                                       std::span<const index_t> recv_counts,
-                                       std::span<Narrow> send_stage,
-                                       std::span<Narrow> recv_stage, int tag) {
-  ialltoallv_converted(send, send_counts, recv, recv_counts, send_stage,
-                       recv_stage, tag)
-      .complete("alltoallv", /*credit_hidden=*/false);
-}
-
-template <typename Wide, typename Narrow>
-void Communicator::send_narrowed(std::span<const Wide> data,
-                                 std::span<Narrow> stage, int dest, int tag) {
-  static_assert(sizeof(Narrow) < sizeof(Wide));
-  if (stage.size() < data.size())
-    throw CommContractError("mpisim: send_narrowed staging buffer too small");
-  {
-    ScopedTimer timer(*timings_, time_kind_);
-    narrow_into(data, stage.subspan(0, data.size()));
-  }
-  timings_->add_saved(time_kind_,
-                      data.size_bytes() - data.size() * sizeof(Narrow));
-  send(std::span<const Narrow>(stage.data(), data.size()), dest, tag);
-}
-
-template <typename Wide, typename Narrow>
-CommRequest Communicator::post_recv(std::span<Wide> out,
-                                    std::span<Narrow> stage, int src, int tag) {
-  if (!std::is_same_v<Wide, Narrow> && stage.size() < out.size())
-    throw CommContractError("mpisim: recv_widened staging buffer too small");
+template <typename T>
+CommRequest Communicator::irecv_into(std::span<T> out, int src, int tag) {
   check_idle();
   const double post_time = backend_ ? backend_->now() : 0.0;
   pending_recvs_.clear();
   pending_recvs_.push_back(
-      detail::pending_recv<Wide, Narrow>(src, tag, out.data(), out.size()));
+      detail::pending_recv(src, tag, out.data(), out.size()));
   return finish_post(post_time);
-}
-
-template <typename Wide, typename Narrow>
-CommRequest Communicator::irecv_widened(std::span<Wide> out,
-                                        std::span<Narrow> stage, int src,
-                                        int tag) {
-  static_assert(sizeof(Narrow) < sizeof(Wide));
-  return post_recv(out, stage, src, tag);
-}
-
-template <typename Wide, typename Narrow>
-void Communicator::recv_widened(std::span<Wide> out, std::span<Narrow> stage,
-                                int src, int tag) {
-  irecv_widened(out, stage, src, tag)
-      .complete("recv_widened", /*credit_hidden=*/false);
-}
-
-template <typename T>
-CommRequest Communicator::irecv_into(std::span<T> out, int src, int tag) {
-  return post_recv(out, std::span<T>(), src, tag);
 }
 
 inline CommRequest Communicator::finish_post(double post_time) {

@@ -24,10 +24,10 @@ Transport::Transport(spectral::SpectralOps& ops, const TransportConfig& config)
     : ops_(&ops),
       decomp_(&ops.decomp()),
       config_(config),
-      gx_(*decomp_, interp::kGhostWidth, TimeKind::kInterpComm, config.wire),
-      plan_fwd_(*decomp_, config.wire),
-      plan_bwd_(*decomp_, config.wire),
-      star_plan_(*decomp_, config.wire) {
+      gx_(*decomp_, interp::kGhostWidth, TimeKind::kInterpComm),
+      plan_fwd_(*decomp_),
+      plan_bwd_(*decomp_),
+      star_plan_(*decomp_) {
   if (config_.nt < 1)
     throw std::invalid_argument("Transport: nt must be >= 1");
   const index_t n = decomp_->local_real_size();

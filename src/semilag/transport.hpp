@@ -46,11 +46,7 @@ struct TransportConfig {
   interp::Method method = interp::Method::kTricubic;
   /// When true, div v = 0 is assumed and all div-v source terms vanish.
   bool incompressible = false;
-  /// Wire format of the ghost-halo slabs and the interpolation value
-  /// scatter (kF32 halves the bytes of every transport exchange; the
-  /// departure-point coordinates of a plan build stay fp64 — see
-  /// interp/interp_plan.hpp).
-  WirePrecision wire = WirePrecision::kF64;
+  WirePrecision wire{};   ///< Has no effect (kept for source compatibility).
   bool overlap = false;  ///< Has no effect (kept for source compatibility).
 };
 

@@ -9,8 +9,8 @@ namespace diffreg::spectral {
 
 using fft::fft_frequency;
 
-SpectralOps::SpectralOps(grid::PencilDecomp& decomp, WirePrecision wire, bool)
-    : decomp_(&decomp), fft_(decomp, wire) {
+SpectralOps::SpectralOps(grid::PencilDecomp& decomp, WirePrecision, bool)
+    : decomp_(&decomp), fft_(decomp) {
   const Int3 dims = decomp.dims();
   const Int3 sd = decomp.local_spectral_dims();
 

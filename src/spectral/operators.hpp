@@ -34,15 +34,12 @@ using grid::VectorField;
 
 class SpectralOps {
  public:
-  /// `wire` is handed to the distributed FFT plan: kF32 halves the bytes of
-  /// every transpose exchange behind these operators.
-  /// The trailing bool has no effect (kept for source compatibility).
-  explicit SpectralOps(grid::PencilDecomp& decomp,
-                       WirePrecision wire = WirePrecision::kF64, bool = false);
+  /// The trailing arguments have no effect (kept for source compatibility).
+  explicit SpectralOps(grid::PencilDecomp& decomp, WirePrecision = {},
+                       bool = false);
 
   grid::PencilDecomp& decomp() { return *decomp_; }
   fft::DistributedFft3d& fft() { return fft_; }
-  WirePrecision wire() const { return fft_.wire(); }
   index_t local_size() const { return decomp_->local_real_size(); }
 
   /// g_d = d f / d x_d for d = 0,1,2 (1 forward + 3 inverse FFTs).

@@ -39,13 +39,11 @@ std::vector<std::pair<index_t, index_t>> axis3_pairs(index_t nd, index_t ns) {
 
 }  // namespace
 
-ResamplePlan::ResamplePlan(PencilDecomp& src, PencilDecomp& dst,
-                           WirePrecision wire)
+ResamplePlan::ResamplePlan(PencilDecomp& src, PencilDecomp& dst)
     : src_(&src),
       dst_(&dst),
-      wire_(wire),
-      fft_src_(src, wire),
-      fft_dst_(dst, wire),
+      fft_src_(src),
+      fft_dst_(dst),
       scale_(static_cast<real_t>(dst.dims().prod()) /
              static_cast<real_t>(src.dims().prod())) {
   if (src.comm().size() != dst.comm().size() ||
@@ -134,10 +132,6 @@ void ResamplePlan::ensure_batch_capacity(int m) {
   const size_t rt = static_cast<size_t>(m) * recv_total_;
   if (send_buf_.size() < st) send_buf_.resize(st);
   if (recv_buf_.size() < rt) recv_buf_.resize(rt);
-  if (wire_ == WirePrecision::kF32) {
-    if (send_buf32_.size() < st) send_buf32_.resize(st);
-    if (recv_buf32_.size() < rt) recv_buf32_.resize(rt);
-  }
 }
 
 void ResamplePlan::apply_many(std::span<const real_t* const> ins,
@@ -188,16 +182,8 @@ void ResamplePlan::apply_many(std::span<const real_t* const> ins,
       recv_buf_.data(), static_cast<size_t>(m * recv_total_));
   const std::span<const index_t> remap_rcounts(
       scaled_recv_counts_.data(), static_cast<size_t>(p));
-  if (wire_ == WirePrecision::kF32) {
-    comm.alltoallv_converted(
-        remap_send, remap_scounts, remap_recv, remap_rcounts,
-        std::span<complex32_t>(send_buf32_.data(), remap_send.size()),
-        std::span<complex32_t>(recv_buf32_.data(), remap_recv.size()),
-        kTagRemap);
-  } else {
-    comm.alltoallv(remap_send, remap_scounts, remap_recv, remap_rcounts,
-                   kTagRemap);
-  }
+  comm.alltoallv(remap_send, remap_scounts, remap_recv, remap_rcounts,
+                 kTagRemap);
 
   {  // Unpack: zero the destination spectrum (only surviving modes are
      // written — truncation/zero-padding happens right here) and scatter

@@ -57,14 +57,10 @@ class ResamplePlan {
   /// Components that can share one batched transfer.
   static constexpr int kMaxBatch = fft::DistributedFft3d::kMaxBatch;
 
-  /// With WirePrecision::kF32 the two pencil FFTs AND the remap alltoallv
-  /// ship fp32 payloads (all 5 exchanges of a transfer at half the bytes).
-  ResamplePlan(grid::PencilDecomp& src, grid::PencilDecomp& dst,
-               WirePrecision wire = WirePrecision::kF64);
+  ResamplePlan(grid::PencilDecomp& src, grid::PencilDecomp& dst);
 
   grid::PencilDecomp& src() { return *src_; }
   grid::PencilDecomp& dst() { return *dst_; }
-  WirePrecision wire() const { return wire_; }
 
   /// Resamples one scalar field; `in` is a src-local block, `out` a
   /// dst-local block (resized by the caller). Collective.
@@ -86,7 +82,6 @@ class ResamplePlan {
   void ensure_batch_capacity(int m);
   grid::PencilDecomp* src_;
   grid::PencilDecomp* dst_;
-  WirePrecision wire_;
   fft::DistributedFft3d fft_src_, fft_dst_;
   real_t scale_;
 
@@ -101,8 +96,6 @@ class ResamplePlan {
   std::vector<index_t> send_counts_, recv_counts_;
   std::vector<index_t> scaled_send_counts_, scaled_recv_counts_;
   std::vector<complex_t> send_buf_, recv_buf_;
-  // fp32 staging of the remap exchange (kF32 plans only).
-  std::vector<complex32_t> send_buf32_, recv_buf32_;
   index_t send_total_ = 0, recv_total_ = 0;
 
   static constexpr int kTagRemap = 141;

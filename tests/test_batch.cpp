@@ -1,6 +1,6 @@
 // Batch service tests: PlanRegistry lease/reuse semantics (same-shape jobs
-// build each plan family exactly once, mixed shapes and wire precisions get
-// distinct entries), the transport pool, SolveRequest/solve() vs the legacy
+// build each plan family exactly once, mixed shapes get distinct entries),
+// the transport pool, SolveRequest/solve() vs the legacy
 // run() entrypoint, BatchSolver-vs-sequential bitwise identity at p = 1, 2
 // and 4, priority/deadline semantics, and per-job deformed templates.
 #include <gtest/gtest.h>
@@ -64,8 +64,8 @@ TEST(PlanRegistry, SameShapeLeasesBuildEachPlanOnce) {
     EXPECT_EQ(reg.stats().decomp_builds, 1);
     EXPECT_EQ(reg.stats().leases, 2);
 
-    auto s1 = reg.spectral({16, 16, 16}, WirePrecision::kF64);
-    auto s2 = reg.spectral({16, 16, 16}, WirePrecision::kF64);
+    auto s1 = reg.spectral({16, 16, 16});
+    auto s2 = reg.spectral({16, 16, 16});
     EXPECT_EQ(s1.get(), s2.get());
     EXPECT_EQ(reg.stats().spectral_builds, 1);
     // A spectral lease nests a decomp lease, so leases exceed builds.
@@ -81,19 +81,6 @@ TEST(PlanRegistry, MixedShapesGetDistinctEntries) {
     EXPECT_NE(a.get(), b.get());
     EXPECT_EQ(reg.stats().decomp_builds, 2);
     EXPECT_EQ(reg.decomp_entries(), 2u);
-  });
-}
-
-TEST(PlanRegistry, WirePrecisionKeysDoNotCollide) {
-  mpisim::run_spmd(2, [&](mpisim::Communicator& comm) {
-    PlanRegistry reg(comm);
-    auto f64 = reg.spectral({16, 16, 16}, WirePrecision::kF64);
-    auto f32 = reg.spectral({16, 16, 16}, WirePrecision::kF32);
-    EXPECT_NE(f64.get(), f32.get());
-    EXPECT_EQ(reg.stats().spectral_builds, 2);
-    EXPECT_EQ(reg.spectral_entries(), 2u);
-    // One decomposition serves both spectral plans.
-    EXPECT_EQ(reg.stats().decomp_builds, 1);
   });
 }
 

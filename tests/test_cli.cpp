@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cli/cli_options.hpp"
@@ -36,9 +37,9 @@ TEST(CliParse, DefaultsSurviveAnEmptyCommandLine) {
 TEST(CliParse, FullCommandLineRoundTrips) {
   std::string error;
   auto opt = parse_argv({"--grid", "32,16,16", "--ranks", "4", "--beta",
-                         "1e-3", "--nt", "8", "--precision", "mixed",
-                         "--amplitude", "0.7", "--batch", "jobs.txt",
-                         "--shards", "2", "--incompressible"},
+                         "1e-3", "--nt", "8", "--amplitude", "0.7",
+                         "--batch", "jobs.txt", "--shards", "2",
+                         "--incompressible"},
                         error);
   ASSERT_TRUE(opt.has_value()) << error;
   EXPECT_EQ(opt->dims[0], 32);
@@ -47,7 +48,6 @@ TEST(CliParse, FullCommandLineRoundTrips) {
   EXPECT_EQ(opt->ranks, 4);
   EXPECT_DOUBLE_EQ(opt->reg.beta, 1e-3);
   EXPECT_EQ(opt->reg.nt, 8);
-  EXPECT_EQ(opt->reg.precision, core::Precision::kMixed);
   EXPECT_DOUBLE_EQ(opt->synthetic_amplitude, 0.7);
   EXPECT_EQ(opt->batch_file, "jobs.txt");
   EXPECT_EQ(opt->shards, 2);
@@ -143,15 +143,50 @@ TEST(CliParse, JobLineMalformedValuesError) {
   EXPECT_NE(error.find("unknown flag --overlap"), std::string::npos);
 }
 
-TEST(CliParse, PrecisionAndRegularizerValuesAreValidated) {
+TEST(CliParse, RegularizerValuesAreValidated) {
   std::string error;
-  auto opt = parse_argv({"--precision", "mixed", "--reg", "h1"}, error);
+  auto opt = parse_argv({"--reg", "h1"}, error);
   ASSERT_TRUE(opt.has_value()) << error;
   EXPECT_EQ(opt->reg.reg_type, core::RegType::kH1Seminorm);
-  EXPECT_FALSE(parse_argv({"--precision", "f16"}, error).has_value());
-  EXPECT_NE(error.find("--precision"), std::string::npos);
   EXPECT_FALSE(parse_argv({"--reg", "h3"}, error).has_value());
   EXPECT_NE(error.find("--reg"), std::string::npos);
+}
+
+TEST(CliParse, MalformedNumbersAreRejectedNamingTheFlag) {
+  // Numeric values parse as a whole token: a junk suffix, a non-number, a
+  // non-finite value and an out-of-range value are each an error naming
+  // the flag, on a command line and on a job line alike (atoi/atof used to
+  // truncate them to a value and run).
+  std::string error;
+  auto defaults = parse_argv({}, error);
+  ASSERT_TRUE(defaults.has_value()) << error;
+  const std::pair<std::string, std::string> cases[] = {
+      {"--nt", "4.5"},          // junk suffix on an integer
+      {"--grid", "16,16,16x"},  // junk suffix on the last extent
+      {"--beta", "abc"},        // not a number
+      {"--gtol", "nan"},        // non-finite
+      {"--amplitude", "inf"},   // non-finite
+      {"--beta", "-1"},         // out of range (beta > 0)
+      {"--gtol", "0"},          // out of range (gtol > 0)
+      {"--max-newton", "-1"},   // out of range (>= 0)
+  };
+  for (const auto& [flag, value] : cases) {
+    error.clear();
+    EXPECT_FALSE(parse_argv({flag, value}, error).has_value())
+        << flag << " " << value;
+    EXPECT_NE(error.find(flag), std::string::npos) << error;
+    const std::string line = flag + " " + value;
+    error.clear();
+    EXPECT_FALSE(parse_options(line, *defaults, error).has_value()) << line;
+    EXPECT_NE(error.find(flag), std::string::npos) << error;
+  }
+  // --ranks is command-line only.
+  EXPECT_FALSE(parse_argv({"--ranks", "2x"}, error).has_value());
+  EXPECT_NE(error.find("--ranks"), std::string::npos) << error;
+  // Bounds are inclusive where they always were.
+  auto opt = parse_argv({"--max-newton", "0", "--deadline", "0"}, error);
+  ASSERT_TRUE(opt.has_value()) << error;
+  EXPECT_EQ(opt->reg.max_newton_iters, 0);
 }
 
 }  // namespace

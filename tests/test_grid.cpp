@@ -217,84 +217,6 @@ TEST(GhostExchange, ReusedExchangerIsDeterministic) {
   });
 }
 
-TEST(GhostExchange, Fp32WireHaloMatchesFp64WithinRounding) {
-  // Every ghost value of the fp32-wire exchanger must be (at worst) the
-  // single fp32 rounding of the fp64-wire value — relative error <= 1e-6 —
-  // with the identical four-message schedule and halved slab bytes.
-  struct Case {
-    Int3 dims;
-    int p1, p2;
-  };
-  for (const Case& c : {Case{{8, 8, 8}, 1, 1}, Case{{8, 8, 8}, 2, 2},
-                        Case{{12, 10, 6}, 2, 3}, Case{{8, 8, 4}, 4, 2},
-                        Case{{12, 10, 6}, 2, 1}}) {
-    auto full = random_full(c.dims, 23);
-    mpisim::run_spmd(c.p1 * c.p2, [&, c](mpisim::Communicator& comm) {
-      PencilDecomp decomp(comm, c.dims, c.p1, c.p2);
-      auto local = scatter_from_root(
-          decomp, comm.is_root() ? std::span<const real_t>(full)
-                                 : std::span<const real_t>());
-      GhostExchange gx64(decomp, 2);
-      GhostExchange gx32(decomp, 2, TimeKind::kInterpComm,
-                         WirePrecision::kF32);
-      std::vector<real_t> g64, g32;
-      const Timings before = comm.timings();
-      gx64.exchange(local, g64);
-      const Timings mid = comm.timings();
-      gx32.exchange(local, g32);
-      const Timings d64 = timings_delta(before, mid);
-      const Timings d32 = timings_delta(mid, comm.timings());
-
-      ASSERT_EQ(g64.size(), g32.size());
-      for (size_t i = 0; i < g64.size(); ++i)
-        ASSERT_NEAR(g32[i], g64[i], 1e-6 * (1 + std::abs(g64[i])))
-            << "i=" << i << " p=" << c.p1 << "x" << c.p2;
-
-      EXPECT_EQ(d64.messages(TimeKind::kInterpComm),
-                d32.messages(TimeKind::kInterpComm));
-      EXPECT_EQ(d64.bytes(TimeKind::kInterpComm) -
-                    d32.bytes(TimeKind::kInterpComm),
-                d32.saved_bytes(TimeKind::kInterpComm));
-      if (c.p1 * c.p2 > 1) {
-        EXPECT_GT(d32.saved_bytes(TimeKind::kInterpComm), 0u);
-      }
-    });
-  }
-}
-
-TEST(FieldMath, MixedPrecisionOverloadsConvertAndAccumulateInFp64) {
-  mpisim::run_spmd(2, [&](mpisim::Communicator& comm) {
-    PencilDecomp decomp(comm, {8, 8, 8});
-    const index_t n = decomp.local_real_size();
-    VectorField a(n);
-    for (int d = 0; d < 3; ++d)
-      for (index_t i = 0; i < n; ++i)
-        a[d][i] = 0.3 + 0.001 * static_cast<real_t>(i + d);
-
-    // Narrow then widen: every element is the fp32 rounding of the source.
-    grid::VectorField32 a32;
-    grid::copy(a, a32);
-    VectorField back;
-    grid::copy(a32, back);
-    for (int d = 0; d < 3; ++d)
-      for (index_t i = 0; i < n; ++i)
-        ASSERT_EQ(back[d][i],
-                  static_cast<real_t>(static_cast<real32_t>(a[d][i])));
-
-    // fp32 dot with fp64 accumulation tracks the fp64 dot to fp32 rounding.
-    const real_t d64 = grid::dot(decomp, a, a);
-    const real_t d32 = grid::dot(decomp, a32, a32);
-    EXPECT_NEAR(d32, d64, 1e-6 * std::abs(d64));
-
-    // fp32 axpy updates the fp32 storage.
-    grid::VectorField32 y32;
-    grid::resize_zero(y32, n);
-    grid::axpy(2.0, a32, y32);
-    for (int d = 0; d < 3; ++d)
-      ASSERT_EQ(y32[d][7], 2.0f * a32[d][7]);
-  });
-}
-
 TEST(GhostExchange, RejectsOversizedHalo) {
   mpisim::run_spmd(4, [&](mpisim::Communicator& comm) {
     PencilDecomp decomp(comm, {8, 8, 8}, 2, 2);
@@ -355,24 +277,21 @@ TEST(FieldMath, VectorFieldOps) {
 
 TEST(GhostExchange, HalosHideWireTime) {
   // The second slab of each dimension is packed and sent under the first
-  // halo's flight, so for p > 1 some wire time must surface as hidden, on
-  // both wire formats.
+  // halo's flight, so for p > 1 some wire time must surface as hidden.
   const Int3 dims{12, 10, 8};
   for (auto [p1, p2] : {std::pair{2, 1}, {2, 2}, {3, 2}}) {
-    for (WirePrecision wire : {WirePrecision::kF64, WirePrecision::kF32}) {
-      auto timings = mpisim::run_spmd(
-          p1 * p2, [&, p1 = p1, p2 = p2](mpisim::Communicator& comm) {
-            grid::PencilDecomp decomp(comm, dims, p1, p2);
-            ScalarField field(decomp.local_real_size(), 1.0);
-            GhostExchange gx(decomp, 2, TimeKind::kInterpComm, wire);
-            std::vector<real_t> ghosted;
-            comm.timings().clear();
-            gx.exchange(field, ghosted);
-          });
-      double hidden = 0;
-      for (const auto& t : timings) hidden += t.hidden(TimeKind::kInterpComm);
-      EXPECT_GT(hidden, 0.0) << "p1=" << p1 << " p2=" << p2;
-    }
+    auto timings = mpisim::run_spmd(
+        p1 * p2, [&, p1 = p1, p2 = p2](mpisim::Communicator& comm) {
+          grid::PencilDecomp decomp(comm, dims, p1, p2);
+          ScalarField field(decomp.local_real_size(), 1.0);
+          GhostExchange gx(decomp, 2, TimeKind::kInterpComm);
+          std::vector<real_t> ghosted;
+          comm.timings().clear();
+          gx.exchange(field, ghosted);
+        });
+    double hidden = 0;
+    for (const auto& t : timings) hidden += t.hidden(TimeKind::kInterpComm);
+    EXPECT_GT(hidden, 0.0) << "p1=" << p1 << " p2=" << p2;
   }
 }
 

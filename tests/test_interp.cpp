@@ -507,105 +507,6 @@ TEST(InterpPlan, ExchangeCountsAreFixedPerOperation) {
   }
 }
 
-TEST(InterpPlan, Fp32WireValuesMatchFp64WithinRounding) {
-  // fp32-wire vs fp64-wire interpolation (mixed-precision contract):
-  // identical plans and stencils — the coordinate exchange stays fp64 — so
-  // the returned values differ only by the fp32 value-scatter rounding
-  // (relative error <= 1e-6), with the same message schedule at roughly
-  // half the value bytes.
-  for (int p : {1, 2, 4, 6}) {
-    mpisim::run_spmd(p, [&](mpisim::Communicator& comm) {
-      grid::PencilDecomp decomp(comm, {16, 16, 16});
-      const index_t n = decomp.local_real_size();
-      grid::ScalarField f(n);
-      for (index_t i = 0; i < n; ++i)
-        f[i] = 0.5 + 0.3 * std::sin(0.37 * static_cast<real_t>(i));
-
-      // Same per-rank points for both plans (rank-salted, deterministic).
-      std::vector<Vec3> pts;
-      std::mt19937 rng(101 + comm.rank());
-      std::uniform_real_distribution<real_t> dist(0, kTwoPi);
-      for (int k = 0; k < 150; ++k)
-        pts.push_back({dist(rng), dist(rng), dist(rng)});
-
-      grid::GhostExchange gx64(decomp, kGhostWidth);
-      grid::GhostExchange gx32(decomp, kGhostWidth, TimeKind::kInterpComm,
-                               WirePrecision::kF32);
-      InterpPlan plan64(decomp, pts);
-      InterpPlan plan32(decomp, pts, WirePrecision::kF32);
-
-      std::vector<real_t> out64(pts.size()), out32(pts.size());
-      const Timings before = comm.timings();
-      plan64.interpolate(gx64, f, out64);
-      const Timings mid = comm.timings();
-      plan32.interpolate(gx32, f, out32);
-      const Timings d64 = timings_delta(before, mid);
-      const Timings d32 = timings_delta(mid, comm.timings());
-
-      for (size_t i = 0; i < pts.size(); ++i)
-        ASSERT_NEAR(out32[i], out64[i], 1e-6 * (1 + std::abs(out64[i])))
-            << "p=" << p << " i=" << i;
-
-      EXPECT_EQ(d64.messages(TimeKind::kInterpComm),
-                d32.messages(TimeKind::kInterpComm));
-      EXPECT_EQ(d64.exchanges(TimeKind::kInterpComm),
-                d32.exchanges(TimeKind::kInterpComm));
-      EXPECT_EQ(d64.bytes(TimeKind::kInterpComm) -
-                    d32.bytes(TimeKind::kInterpComm),
-                d32.saved_bytes(TimeKind::kInterpComm));
-      if (p > 1) {
-        EXPECT_GT(d32.saved_bytes(TimeKind::kInterpComm), 0u) << "p=" << p;
-      }
-    });
-  }
-}
-
-TEST(InterpPlan, Fp32WireWarmInterpolationIsAllocationFree) {
-  // Mirror of SteadyStateInterpolationIsAllocationFree for the mixed wire:
-  // the fp32 staging buffers are plan-owned and presized, so a warm
-  // fp32-wire matvec-path interpolation performs zero heap allocations.
-  mpisim::run_spmd(1, [&](mpisim::Communicator& comm) {
-    grid::PencilDecomp decomp(comm, {16, 16, 16});
-    const index_t n = decomp.local_real_size();
-    grid::ScalarField fa(n), fb(n), fc(n);
-    for (index_t i = 0; i < n; ++i) {
-      fa[i] = static_cast<real_t>((i * 2654435761u) % 1000) / 1000;
-      fb[i] = fa[i] * 0.5 + 0.1;
-      fc[i] = fa[i] * fa[i];
-    }
-    std::vector<Vec3> pts;
-    std::mt19937 rng(13);
-    std::uniform_real_distribution<real_t> dist(0, kTwoPi);
-    for (int k = 0; k < 200; ++k)
-      pts.push_back({dist(rng), dist(rng), dist(rng)});
-    std::vector<real_t> oa(pts.size()), ob(pts.size()), oc(pts.size());
-    const real_t* in[3] = {fa.data(), fb.data(), fc.data()};
-    real_t* out[3] = {oa.data(), ob.data(), oc.data()};
-
-    grid::GhostExchange gx(decomp, kGhostWidth, TimeKind::kInterpComm,
-                           WirePrecision::kF32);
-    InterpPlan plan(decomp, pts, WirePrecision::kF32);
-    plan.interpolate(gx, fa, oa);  // warm-up
-    plan.interpolate_many(gx, std::span<const real_t* const>(in, 3),
-                          std::span<real_t* const>(out, 3));
-
-    g_alloc_count.store(0);
-    g_count_allocs.store(true);
-    plan.interpolate(gx, fa, oa);
-    const long long single = g_alloc_count.exchange(0);
-    plan.interpolate_many(gx, std::span<const real_t* const>(in, 3),
-                          std::span<real_t* const>(out, 3));
-    const long long many = g_alloc_count.exchange(0);
-    plan.build(pts);
-    const long long rebuild = g_alloc_count.exchange(0);
-    g_count_allocs.store(false);
-
-    EXPECT_EQ(single, 0) << "fp32-wire interpolate allocated";
-    EXPECT_EQ(many, 0) << "fp32-wire interpolate_many allocated";
-    EXPECT_EQ(rebuild, 0) << "fp32-wire same-size plan rebuild allocated";
-  });
-}
-
 TEST(InterpPlan, SteadyStateInterpolationIsAllocationFree) {
   // After the plan and the ghost scratch are warm, interpolate,
   // interpolate_many, and a same-size rebuild must not touch the heap
@@ -655,30 +556,28 @@ TEST(InterpPlan, SteadyStateInterpolationIsAllocationFree) {
 
 TEST(InterpPlan, ValueExchangeHidesWireTime) {
   // The SELF points are evaluated under the value alltoallv's flight, so
-  // for p > 1 some wire time must surface as hidden, on both wire formats.
+  // for p > 1 some wire time must surface as hidden.
   const Int3 dims{16, 14, 12};
   for (auto [p1, p2] : {std::pair{2, 1}, {2, 2}, {3, 2}}) {
-    for (WirePrecision wire : {WirePrecision::kF64, WirePrecision::kF32}) {
-      auto timings = mpisim::run_spmd(
-          p1 * p2, [&, p1 = p1, p2 = p2](mpisim::Communicator& comm) {
-            grid::PencilDecomp decomp(comm, dims, p1, p2);
-            grid::ScalarField field(decomp.local_real_size(), 1.0);
-            // Points spread across ranks (cross-rank) plus SELF-owned ones.
-            std::vector<Vec3> pts;
-            std::mt19937 rng(41 + comm.rank());
-            std::uniform_real_distribution<real_t> dist(0, kTwoPi);
-            for (int k = 0; k < 64; ++k)
-              pts.push_back({dist(rng), dist(rng), dist(rng)});
-            grid::GhostExchange gx(decomp, kGhostWidth);
-            InterpPlan plan(decomp, pts, wire);
-            std::vector<real_t> out(pts.size());
-            comm.timings().clear();
-            plan.interpolate(gx, field, out);
-          });
-      double hidden = 0;
-      for (const auto& t : timings) hidden += t.hidden(TimeKind::kInterpComm);
-      EXPECT_GT(hidden, 0.0) << "p1=" << p1 << " p2=" << p2;
-    }
+    auto timings = mpisim::run_spmd(
+        p1 * p2, [&, p1 = p1, p2 = p2](mpisim::Communicator& comm) {
+          grid::PencilDecomp decomp(comm, dims, p1, p2);
+          grid::ScalarField field(decomp.local_real_size(), 1.0);
+          // Points spread across ranks (cross-rank) plus SELF-owned ones.
+          std::vector<Vec3> pts;
+          std::mt19937 rng(41 + comm.rank());
+          std::uniform_real_distribution<real_t> dist(0, kTwoPi);
+          for (int k = 0; k < 64; ++k)
+            pts.push_back({dist(rng), dist(rng), dist(rng)});
+          grid::GhostExchange gx(decomp, kGhostWidth);
+          InterpPlan plan(decomp, pts);
+          std::vector<real_t> out(pts.size());
+          comm.timings().clear();
+          plan.interpolate(gx, field, out);
+        });
+    double hidden = 0;
+    for (const auto& t : timings) hidden += t.hidden(TimeKind::kInterpComm);
+    EXPECT_GT(hidden, 0.0) << "p1=" << p1 << " p2=" << p2;
   }
 }
 

@@ -319,95 +319,6 @@ TEST(Resample, ExactlyFiveExchangesPerApplyRegardlessOfBatchAndRanks) {
   }
 }
 
-TEST(Resample, Fp32WireMatchesFp64WithinRounding) {
-  // fp32-wire vs fp64-wire grid transfer (mixed-precision contract):
-  // restriction and prolongation agree to a relative L2 error <= 1e-6 per
-  // field, on the same 5-exchange schedule at roughly half the bytes.
-  const Int3 fine{12, 10, 8};
-  const Int3 coarse{6, 5, 4};
-  for (int p : {1, 2, 4, 6}) {
-    mpisim::run_spmd(p, [&](mpisim::Communicator& comm) {
-      PencilDecomp src(comm, fine);
-      PencilDecomp dst(comm, coarse);
-      ResamplePlan plan64(src, dst);
-      ResamplePlan plan32(src, dst, WirePrecision::kF32);
-      ResamplePlan up32(dst, src, WirePrecision::kF32);
-      ResamplePlan up64(dst, src);
-
-      auto f = pseudo_random_field(src, 41);
-      ScalarField down64(dst.local_real_size()), down32(dst.local_real_size());
-      const Timings before = comm.timings();
-      plan64.apply(f, down64);
-      const Timings mid = comm.timings();
-      plan32.apply(f, down32);
-      const Timings d64 = timings_delta(before, mid);
-      const Timings d32 = timings_delta(mid, comm.timings());
-
-      ScalarField back64(src.local_real_size()), back32(src.local_real_size());
-      up64.apply(down64, back64);
-      up32.apply(down32, back32);
-
-      auto rel_l2 = [&](const ScalarField& a, const ScalarField& b) {
-        real_t num = 0, den = 0;
-        for (size_t i = 0; i < a.size(); ++i) {
-          num += (a[i] - b[i]) * (a[i] - b[i]);
-          den += a[i] * a[i];
-        }
-        comm.set_time_kind(TimeKind::kOther);
-        num = comm.allreduce_sum(num);
-        den = comm.allreduce_sum(den);
-        return den > 0 ? std::sqrt(num / den) : std::sqrt(num);
-      };
-      EXPECT_LE(rel_l2(down64, down32), 1e-6) << "restriction p=" << p;
-      EXPECT_LE(rel_l2(back64, back32), 1e-6) << "prolongation p=" << p;
-
-      EXPECT_EQ(d64.exchanges(TimeKind::kFftComm),
-                d32.exchanges(TimeKind::kFftComm));
-      EXPECT_EQ(d64.messages(TimeKind::kFftComm),
-                d32.messages(TimeKind::kFftComm));
-      EXPECT_EQ(d64.bytes(TimeKind::kFftComm) - d32.bytes(TimeKind::kFftComm),
-                d32.saved_bytes(TimeKind::kFftComm));
-      if (p > 1) {
-        EXPECT_GT(d32.saved_bytes(TimeKind::kFftComm), 0u) << "p=" << p;
-      }
-    });
-  }
-}
-
-TEST(Resample, Fp32WireWarmPlanAppliesAreAllocationFree) {
-  // The fp32 staging buffers (remap + both FFT plans) are plan-owned, so a
-  // warm fp32-wire transfer allocates nothing — the mixed-precision mirror
-  // of WarmPlanAppliesAreAllocationFree.
-  mpisim::run_spmd(1, [&](mpisim::Communicator& comm) {
-    PencilDecomp src(comm, {16, 16, 16});
-    PencilDecomp dst(comm, {8, 8, 8});
-    ResamplePlan plan(src, dst, WirePrecision::kF32);
-    auto fa = pseudo_random_field(src, 21);
-    auto fb = pseudo_random_field(src, 22);
-    auto fc = pseudo_random_field(src, 23);
-    const index_t n = dst.local_real_size();
-    ScalarField oa(n), ob(n), oc(n);
-    const real_t* ins[3] = {fa.data(), fb.data(), fc.data()};
-    real_t* outs[3] = {oa.data(), ob.data(), oc.data()};
-
-    plan.apply(fa, oa);  // warm-up
-    plan.apply_many(std::span<const real_t* const>(ins, 3),
-                    std::span<real_t* const>(outs, 3));
-
-    g_alloc_count.store(0);
-    g_count_allocs.store(true);
-    plan.apply(fa, oa);
-    const long long scalar_allocs = g_alloc_count.exchange(0);
-    plan.apply_many(std::span<const real_t* const>(ins, 3),
-                    std::span<real_t* const>(outs, 3));
-    const long long batched_allocs = g_alloc_count.exchange(0);
-    g_count_allocs.store(false);
-
-    EXPECT_EQ(scalar_allocs, 0) << "fp32-wire scalar apply allocated";
-    EXPECT_EQ(batched_allocs, 0) << "fp32-wire apply_many allocated";
-  });
-}
-
 TEST(Resample, WarmPlanAppliesAreAllocationFree) {
   // After one warm-up apply, scalar and batched transfers must not touch
   // the heap (single rank: the mailbox transport itself is out of the
