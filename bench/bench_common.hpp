@@ -48,10 +48,9 @@ struct FftCaseResult {
 /// granularity the solver uses), so the "guard" bench leg prices the
 /// safeguard on the hottest kernel. The sweep's allreduce self-charges to
 /// kOther, so the published kFftComm counters match the unguarded leg.
-inline FftCaseResult run_fft_trajectory_case(index_t n, int p, int reps,
-                                             bool guard = false) {
+inline FftCaseResult run_fft_trajectory_case(const Int3& dims, int p,
+                                             int reps, bool guard = false) {
   FftCaseResult out;
-  const Int3 dims{n, n, n};
   double fwd_max = 0, inv_max = 0;
   auto timings = mpisim::run_spmd(p, [&](mpisim::Communicator& comm) {
     grid::PencilDecomp decomp(comm, dims);

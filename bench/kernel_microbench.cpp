@@ -1,7 +1,10 @@
 // Kernel microbenchmarks (google-benchmark) backing the paper's section
 // III-C complexity discussion, plus ablations:
 //
-//  * 3D FFT forward/inverse (the O(N^3 log N) spectral workhorse)
+//  * batched 1D FFT rows at the brain-48 axes (48, 56), a power of two and
+//    the paper's 300
+//  * 3D FFT forward/inverse (the O(N^3 log N) spectral workhorse), on cubes
+//    and on brain-48's mixed-radix 48x56x48 grid
 //  * spectral gradient (1 forward + 3 inverse FFTs, the fused variant)
 //  * raw tricubic kernel throughput (the paper's ~600 flops/point estimate)
 //  * interpolation plan: build (scatter phase) vs execute (reuse) — the
@@ -12,6 +15,8 @@
 //  * mpisim collectives (allreduce/broadcast wall-time vs rank count), so
 //    comm-path regressions show up before they skew the Tables I-IV splits
 #include <benchmark/benchmark.h>
+
+#include <array>
 
 #include "core/diffreg.hpp"
 #include "imaging/synthetic.hpp"
@@ -31,12 +36,34 @@ struct World {
       : comm(mpisim::single_rank(timings)), decomp(comm, dims), ops(decomp) {}
 };
 
-World& world(index_t n) {
-  static std::map<index_t, std::unique_ptr<World>> cache;
-  auto& slot = cache[n];
-  if (!slot) slot = std::make_unique<World>(Int3{n, n, n});
+World& world(const Int3& dims) {
+  static std::map<std::array<index_t, 3>, std::unique_ptr<World>> cache;
+  auto& slot = cache[{dims[0], dims[1], dims[2]}];
+  if (!slot) slot = std::make_unique<World>(dims);
   return *slot;
 }
+
+World& world(index_t n) { return world(Int3{n, n, n}); }
+
+void BM_Fft1dBatch(benchmark::State& state) {
+  // One out-of-place unnormalized inverse from a fixed input, then an
+  // in-place forward, over 256 KB of rows (values stay bounded).
+  const index_t n = state.range(0);
+  const index_t rows = (1 << 14) / n;
+  fft::Fft1d plan(n);
+  std::vector<complex_t> src(rows * n), dst(rows * n);
+  for (index_t i = 0; i < rows * n; ++i)
+    src[i] = complex_t(static_cast<real_t>((i * 7919) % 1000) / 1000.0,
+                       static_cast<real_t>((i * 104729) % 1000) / 1000.0);
+  for (auto _ : state) {
+    plan.inverse_batch_noscale(src.data(), dst.data(), rows);
+    plan.forward_batch(dst.data(), rows);
+    benchmark::DoNotOptimize(dst.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * rows * n);
+}
+BENCHMARK(BM_Fft1dBatch)->Arg(48)->Arg(56)->Arg(64)->Arg(300);
 
 void BM_Fft3dForward(benchmark::State& state) {
   World& w = world(state.range(0));
@@ -51,8 +78,8 @@ void BM_Fft3dForward(benchmark::State& state) {
 }
 BENCHMARK(BM_Fft3dForward)->Arg(32)->Arg(64);
 
-void BM_Fft3dRoundTrip(benchmark::State& state) {
-  World& w = world(state.range(0));
+void fft3d_round_trip(benchmark::State& state, const Int3& dims) {
+  World& w = world(dims);
   auto& fft = w.ops.fft();
   std::vector<real_t> x(fft.local_real_size(), 1.0);
   std::vector<complex_t> spec(fft.local_spectral_size());
@@ -63,7 +90,19 @@ void BM_Fft3dRoundTrip(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * fft.local_real_size());
 }
+
+void BM_Fft3dRoundTrip(benchmark::State& state) {
+  const index_t n = state.range(0);
+  fft3d_round_trip(state, Int3{n, n, n});
+}
 BENCHMARK(BM_Fft3dRoundTrip)->Arg(32)->Arg(64);
+
+void BM_Fft3dRoundTripBrainGrid(benchmark::State& state) {
+  // brain-48's grid: 48 = 2^4*3 and 56 = 2^3*7, so every axis is mixed
+  // radix.
+  fft3d_round_trip(state, Int3{48, 56, 48});
+}
+BENCHMARK(BM_Fft3dRoundTripBrainGrid);
 
 void BM_Fft3dInverseMany(benchmark::State& state) {
   // Batched 3-component inverse (one exchange schedule for the whole vector

@@ -1,8 +1,9 @@
 // Reproduces the structure of Table IV (paper): strong scaling on the
 // real-world brain problem (NIREP na01/na02, 256x300x256, 2 Newton
 // iterations, beta = 1e-2). Here: procedural brain phantoms on a 48x56x48
-// grid — the same anisotropic, non-power-of-two shape class (56 exercises
-// the Bluestein FFT path exactly like 300 does) — see imaging/synthetic.hpp.
+// grid — the same anisotropic, non-power-of-two shape class (48 = 2^4*3 and
+// 56 = 2^3*7 run the mixed-radix FFT engine exactly like 300 = 2^2*3*5^2
+// does) — see imaging/synthetic.hpp.
 #include "bench_common.hpp"
 
 using namespace diffreg;

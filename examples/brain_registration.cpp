@@ -3,10 +3,11 @@
 // imaging/synthetic.hpp).
 //
 // Uses the paper's anisotropic grid shape (256 x 300 x 256, scaled down to
-// 48 x 56 x 48 so it runs in seconds; 56 exercises the non-power-of-two
-// Bluestein FFT path exactly like 300 does), beta continuation, and dumps
-// the Fig. 6/7 panels as PGM slices: reference, template, residual before,
-// residual after, det(grad y) map, deformed template.
+// 48 x 56 x 48 so it runs in seconds; 48 = 2^4*3 and 56 = 2^3*7 run the
+// mixed-radix FFT engine exactly like 300 = 2^2*3*5^2 does), beta
+// continuation, and dumps the Fig. 6/7 panels as PGM slices: reference,
+// template, residual before, residual after, det(grad y) map, deformed
+// template.
 #include <cstdio>
 
 #include "core/diffreg.hpp"

@@ -1,368 +1,300 @@
 #include "fft/fft1d.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
-#include <numbers>
 #include <stdexcept>
 
 namespace diffreg::fft {
 
 namespace {
-constexpr real_t kPi = std::numbers::pi_v<real_t>;
-}
 
-index_t Fft1d::smallest_prime_factor(index_t n) {
-  for (index_t f = 2; f * f <= n; ++f)
-    if (n % f == 0) return f;
-  return n;
-}
+/// Largest prime the engine runs as a radix; sizes with a larger prime
+/// factor go through Bluestein.
+constexpr int kMaxPrime = 61;
 
-index_t Fft1d::largest_prime_factor(index_t n) {
+index_t largest_prime_factor(index_t n) {
   index_t largest = 1;
-  for (index_t f = 2; n > 1; ++f) {
+  for (index_t f = 2; f * f <= n; ++f)
     while (n % f == 0) {
       largest = f;
       n /= f;
     }
-    if (f * f > n && n > 1) {
-      largest = std::max(largest, n);
-      break;
+  return std::max(largest, n);
+}
+
+/// a * b without std::complex's NaN-recovery branch.
+inline complex_t mul(complex_t a, complex_t b) {
+  return {a.real() * b.real() - a.imag() * b.imag(),
+          a.real() * b.imag() + a.imag() * b.real()};
+}
+
+/// a * -i on the forward transform, a * +i on the inverse.
+template <bool Inv>
+inline complex_t rot(complex_t a) {
+  return Inv ? complex_t(-a.imag(), a.real()) : complex_t(a.imag(), -a.real());
+}
+
+// Butterflies: each replaces a[0..r-1] by its length-r DFT in the direction
+// Inv. kSlots sizes run_stage's stack arrays.
+
+struct Radix2 {
+  static constexpr int kSlots = 2;
+  int radix() const { return 2; }
+  void operator()(complex_t* a) const {
+    const complex_t t = a[1];
+    a[1] = a[0] - t;
+    a[0] += t;
+  }
+};
+
+template <bool Inv>
+struct Radix4 {
+  static constexpr int kSlots = 4;
+  int radix() const { return 4; }
+  void operator()(complex_t* a) const {
+    const complex_t t0 = a[0] + a[2], t1 = a[0] - a[2];
+    const complex_t t2 = a[1] + a[3], t3 = rot<Inv>(a[1] - a[3]);
+    a[0] = t0 + t2;
+    a[1] = t1 + t3;
+    a[2] = t0 - t2;
+    a[3] = t1 - t3;
+  }
+};
+
+/// Any odd prime r <= kMaxPrime. With s_j = a_j + a_(r-j) and
+/// d_j = a_j - a_(r-j) for j = 1..h, h = (r-1)/2, output k and r-k share
+/// A_k = a_0 + sum_j s_j cos(2 pi jk/r) and B_k = sum_j d_j sin(2 pi jk/r):
+/// b_k = A_k + rot(B_k), b_(r-k) = A_k - rot(B_k).
+template <bool Inv>
+struct OddPrime {
+  static constexpr int kSlots = kMaxPrime;
+  int r;
+  const real_t* cos;  // cos[(k-1)*h + j-1] = cos(2 pi jk / r)
+  const real_t* sin;  // sin[(k-1)*h + j-1] = sin(2 pi jk / r)
+  int radix() const { return r; }
+  void operator()(complex_t* a) const {
+    const int h = (r - 1) / 2;
+    // Real arrays: a complex_t array would be zero-filled on every call.
+    real_t sr[kMaxPrime / 2], si[kMaxPrime / 2];
+    real_t dr[kMaxPrime / 2], di[kMaxPrime / 2];
+    const complex_t a0 = a[0];
+    for (int j = 0; j < h; ++j) {
+      const complex_t sj = a[j + 1] + a[r - 1 - j];
+      const complex_t dj = a[j + 1] - a[r - 1 - j];
+      sr[j] = sj.real(), si[j] = sj.imag();
+      dr[j] = dj.real(), di[j] = dj.imag();
+      a[0] += sj;
+    }
+    for (int k = 1; k <= h; ++k) {
+      const real_t* ck = cos + (k - 1) * h;
+      const real_t* sk = sin + (k - 1) * h;
+      real_t re_r = a0.real(), re_i = a0.imag(), im_r = 0, im_i = 0;
+      for (int j = 0; j < h; ++j) {
+        re_r += ck[j] * sr[j];
+        re_i += ck[j] * si[j];
+        im_r += sk[j] * dr[j];
+        im_i += sk[j] * di[j];
+      }
+      const complex_t re(re_r, re_i);
+      const complex_t b = rot<Inv>(complex_t(im_r, im_i));
+      a[k] = re + b;
+      a[r - k] = re - b;
     }
   }
-  return largest;
+};
+
+/// One Stockham stage over `rows` rows of length n = s*r*m: for p < m and
+/// q < s, the r inputs x[q + s*(p + j*m)] are transformed and written to
+/// y[q + s*(r*p + k)] times the twiddle w_(r*m)^(p*k), conjugated on the
+/// inverse. The p = 0 block is twiddle-free; in the last stage (m == 1) it
+/// is the whole stage, carries `scale`, and may run in place (x == y), since
+/// every butterfly loads its inputs before it stores.
+// diffreg:zero-alloc
+template <bool Inv, class Bfly>
+void run_stage(const Bfly& bfly, const complex_t* x, complex_t* y,
+               index_t rows, index_t n, index_t s, index_t m,
+               const complex_t* tw, real_t scale) {
+  const int r = bfly.radix();
+  const index_t sm = s * m;
+  complex_t a[Bfly::kSlots], w[Bfly::kSlots];
+  for (index_t row = 0; row < rows; ++row, x += n, y += n) {
+    for (index_t q = 0; q < s; ++q) {
+      for (int j = 0; j < r; ++j) a[j] = x[q + j * sm];
+      bfly(a);
+      if (scale != 1)
+        for (int k = 0; k < r; ++k) a[k] *= scale;
+      for (int k = 0; k < r; ++k) y[q + k * s] = a[k];
+    }
+    for (index_t p = 1; p < m; ++p) {
+      for (int k = 1; k < r; ++k) {
+        const complex_t t = tw[(p - 1) * (r - 1) + k - 1];
+        w[k] = Inv ? std::conj(t) : t;
+      }
+      const complex_t* xp = x + p * s;
+      complex_t* yp = y + p * r * s;
+      for (index_t q = 0; q < s; ++q) {
+        for (int j = 0; j < r; ++j) a[j] = xp[q + j * sm];
+        bfly(a);
+        yp[q] = a[0];
+        for (int k = 1; k < r; ++k) yp[q + k * s] = mul(a[k], w[k]);
+      }
+    }
+  }
 }
+
+template <bool Inv>
+void run_radix(int radix, const real_t* cos, const real_t* sin,
+               const complex_t* x, complex_t* y, index_t rows, index_t n,
+               index_t s, index_t m, const complex_t* tw, real_t scale) {
+  switch (radix) {
+    case 2:
+      run_stage<Inv>(Radix2{}, x, y, rows, n, s, m, tw, scale);
+      break;
+    case 4:
+      run_stage<Inv>(Radix4<Inv>{}, x, y, rows, n, s, m, tw, scale);
+      break;
+    default:
+      run_stage<Inv>(OddPrime<Inv>{radix, cos, sin}, x, y, rows, n, s, m,
+                     tw, scale);
+      break;
+  }
+}
+
+}  // namespace
 
 Fft1d::Fft1d(index_t n) : n_(n) {
   if (n <= 0) throw std::invalid_argument("Fft1d: size must be positive");
-  if (is_power_of_two(n)) {
-    path_ = Path::kPow2;
-    twiddles_ = make_twiddles(n_);
-    inv_twiddles_ = conj_all(twiddles_);
-    bitrev_ = make_bitrev(n_);
-    swap_pairs_ = make_swap_pairs(bitrev_);
-  } else if (largest_prime_factor(n) <= 61) {
-    path_ = Path::kMixedRadix;
-    root_table_.resize(n_);
-    for (index_t t = 0; t < n_; ++t) {
-      const real_t phase = -2 * kPi * static_cast<real_t>(t) / static_cast<real_t>(n_);
-      root_table_[t] = complex_t(std::cos(phase), std::sin(phase));
-    }
-    mixed_scratch_.resize(n_);
-  } else {
-    path_ = Path::kBluestein;
-    m_ = next_pow2(2 * n_ - 1);
-    twiddles_m_ = make_twiddles(m_);
-    inv_twiddles_m_ = conj_all(twiddles_m_);
-    bitrev_m_ = make_bitrev(m_);
-    swap_pairs_m_ = make_swap_pairs(bitrev_m_);
-    chirp_.resize(n_);
-    for (index_t k = 0; k < n_; ++k) {
-      // k^2 mod 2n keeps the phase argument small for large n.
-      const index_t k2 = (k * k) % (2 * n_);
-      const real_t phase = -kPi * static_cast<real_t>(k2) / static_cast<real_t>(n_);
-      chirp_[k] = complex_t(std::cos(phase), std::sin(phase));
-    }
-    // Filter v[m] = conj(chirp(|m|)) on the circularly wrapped support.
-    std::vector<complex_t> filter(m_, complex_t(0, 0));
-    for (index_t k = 0; k < n_; ++k) {
-      filter[k] = std::conj(chirp_[k]);
-      if (k > 0) filter[m_ - k] = std::conj(chirp_[k]);
-    }
-    pow2_transform(filter.data(), m_, /*inverse=*/false);
-    chirp_filter_fft_ = std::move(filter);
-    scratch_.resize(m_);
+  if (largest_prime_factor(n) <= kMaxPrime) {
+    build_engine(n);
+    return;
   }
-}
-
-index_t Fft1d::next_pow2(index_t n) {
+  // Bluestein: a length-m circular convolution, m a power of two >= 2n-1.
   index_t m = 1;
-  while (m < n) m <<= 1;
-  return m;
-}
-
-namespace {
-/// Snaps a twiddle component to the exact lattice values {-1, 0, 1} when the
-/// libm result is within a couple of ulps (e.g. cos(pi/2) = 6.1e-17).
-real_t snap(real_t v) {
-  constexpr real_t eps = 4e-16;
-  if (std::abs(v) < eps) return 0;
-  if (std::abs(v - 1) < eps) return 1;
-  if (std::abs(v + 1) < eps) return -1;
-  return v;
-}
-}  // namespace
-
-std::vector<complex_t> Fft1d::make_twiddles(index_t n) {
-  // Layout: for stage length len = 2,4,...,n the len/2 twiddles are stored
-  // consecutively starting at offset len/2 - 1 (total n - 1 entries).
-  std::vector<complex_t> tw(n > 1 ? n - 1 : 0);
-  for (index_t len = 2; len <= n; len <<= 1) {
-    const index_t half = len / 2;
-    for (index_t j = 0; j < half; ++j) {
-      const real_t phase = -2.0 * kPi * static_cast<real_t>(j) / static_cast<real_t>(len);
-      tw[half - 1 + j] = complex_t(snap(std::cos(phase)), snap(std::sin(phase)));
-    }
+  while (m < 2 * n - 1) m <<= 1;
+  build_engine(m);
+  chirp_.resize(n_);
+  for (index_t k = 0; k < n_; ++k) {
+    // k^2 mod 2n keeps the phase argument small for large n.
+    const index_t k2 = (k * k) % (2 * n_);
+    const real_t phase = -kTwoPi / 2 * static_cast<real_t>(k2) /
+                         static_cast<real_t>(n_);
+    chirp_[k] = complex_t(std::cos(phase), std::sin(phase));
   }
-  return tw;
-}
-
-std::vector<complex_t> Fft1d::conj_all(const std::vector<complex_t>& tw) {
-  std::vector<complex_t> out(tw.size());
-  for (size_t i = 0; i < tw.size(); ++i) out[i] = std::conj(tw[i]);
-  return out;
-}
-
-std::vector<index_t> Fft1d::make_bitrev(index_t n) {
-  std::vector<index_t> rev(n);
-  index_t bits = 0;
-  while ((index_t{1} << bits) < n) ++bits;
-  for (index_t i = 0; i < n; ++i) {
-    index_t r = 0;
-    for (index_t b = 0; b < bits; ++b)
-      if (i & (index_t{1} << b)) r |= index_t{1} << (bits - 1 - b);
-    rev[i] = r;
+  // Filter v[t] = conj(chirp(|t|)) on the circularly wrapped support; the
+  // engine's inverse runs unnormalized, so its 1/m is folded in here.
+  std::vector<complex_t> filter(m, complex_t(0, 0));
+  for (index_t k = 0; k < n_; ++k) {
+    filter[k] = std::conj(chirp_[k]);
+    if (k > 0) filter[m - k] = filter[k];
   }
-  return rev;
+  stockham(filter.data(), filter.data(), 1, /*inverse=*/false, 1);
+  for (complex_t& v : filter) v /= static_cast<real_t>(m);
+  chirp_filter_fft_ = std::move(filter);
+  conv_.resize(m);
 }
 
-std::vector<Fft1d::SwapPair> Fft1d::make_swap_pairs(
-    const std::vector<index_t>& rev) {
-  std::vector<SwapPair> pairs;
-  for (index_t i = 0; i < static_cast<index_t>(rev.size()); ++i)
-    if (i < rev[i]) pairs.push_back({i, rev[i]});
-  return pairs;
-}
+void Fft1d::build_engine(index_t len) {
+  len_ = len;
+  std::vector<int> radices;
+  index_t rest = len;
+  for (; rest % 4 == 0; rest /= 4) radices.push_back(4);
+  for (; rest % 2 == 0; rest /= 2) radices.push_back(2);
+  for (int p = 3; rest > 1; p += 2)
+    for (; rest % p == 0; rest /= p) radices.push_back(p);
 
-void Fft1d::pow2_stages(complex_t* data, index_t rows, index_t n,
-                        const complex_t* twiddles, bool inverse) {
-  // Stage-major over the block: one stage's twiddles stay hot across every
-  // row before the next stage starts. The first two stages are multiply
-  // free: their twiddles are 1 and -+i.
-  if (n >= 2) {
-    for (index_t r = 0; r < rows; ++r) {
-      complex_t* row = data + r * n;
-      for (index_t s = 0; s < n; s += 2) {
-        const complex_t t = row[s + 1];
-        row[s + 1] = row[s] - t;
-        row[s] += t;
-      }
-    }
+  // root[t] = exp(-2 pi i t / len); the upper half mirrors the lower, so
+  // the table costs about len trig calls.
+  std::vector<complex_t> root(len);
+  for (index_t t = 0; 2 * t <= len; ++t) {
+    const real_t phase =
+        -kTwoPi * static_cast<real_t>(t) / static_cast<real_t>(len);
+    root[t] = complex_t(std::cos(phase), std::sin(phase));
+    if (t > 0 && 2 * t < len) root[len - t] = std::conj(root[t]);
   }
-  if (n >= 4) {
-    for (index_t r = 0; r < rows; ++r) {
-      complex_t* row = data + r * n;
-      for (index_t s = 0; s < n; s += 4) {
-        {
-          const complex_t t = row[s + 2];
-          row[s + 2] = row[s] - t;
-          row[s] += t;
+
+  index_t s = 1;
+  for (const int r : radices) {
+    const index_t m = len / (s * r);
+    stages_.push_back({r, m, s, static_cast<index_t>(twiddles_.size()),
+                       static_cast<index_t>(cos_.size())});
+    for (index_t p = 1; p < m; ++p)
+      for (int k = 1; k < r; ++k) twiddles_.push_back(root[p * k * s]);
+    if (r % 2 == 1) {
+      const int h = (r - 1) / 2;
+      for (int k = 1; k <= h; ++k)
+        for (int j = 1; j <= h; ++j) {
+          const complex_t w = root[(j * k % r) * (len / r)];
+          cos_.push_back(w.real());
+          sin_.push_back(-w.imag());
         }
-        {
-          const complex_t hi = row[s + 3];
-          const complex_t t = inverse ? complex_t(-hi.imag(), hi.real())
-                                      : complex_t(hi.imag(), -hi.real());
-          row[s + 3] = row[s + 1] - t;
-          row[s + 1] += t;
-        }
-      }
     }
+    s *= r;
   }
-  for (index_t len = 8; len <= n; len <<= 1) {
-    const index_t half = len / 2;
-    const complex_t* tw = twiddles + (half - 1);
-    for (index_t r = 0; r < rows; ++r) {
-      complex_t* row = data + r * n;
-      for (index_t start = 0; start < n; start += len) {
-        complex_t* lo = row + start;
-        complex_t* hi = lo + half;
-        for (index_t j = 0; j < half; ++j) {
-          const complex_t t = hi[j] * tw[j];
-          hi[j] = lo[j] - t;
-          lo[j] += t;
-        }
-      }
-    }
+
+  block_rows_ = std::max<index_t>(
+      1, kBatchBlockBytes / (len * static_cast<index_t>(sizeof(complex_t))));
+  if (stages_.size() > 1) work_.resize(block_rows_ * len);
+}
+
+// diffreg:zero-alloc
+void Fft1d::stockham(const complex_t* src, complex_t* dst, index_t rows,
+                     bool inverse, real_t scale) {
+  const size_t nstages = stages_.size();
+  const complex_t* from = src;
+  for (size_t i = 0; i < nstages; ++i) {
+    // Stages alternate work block, dst, work block, ..., and the last one
+    // writes dst: with an odd stage count it runs in place on dst, which its
+    // twiddle-free butterflies allow.
+    complex_t* to = i + 1 < nstages && (i & 1) == 0 ? work_.data() : dst;
+    const Stage& st = stages_[i];
+    const real_t sc = i + 1 == nstages ? scale : real_t(1);
+    const real_t* c = cos_.data() + st.cos_sin;
+    const real_t* sn = sin_.data() + st.cos_sin;
+    const complex_t* tw = twiddles_.data() + st.twiddles;
+    if (inverse)
+      run_radix<true>(st.radix, c, sn, from, to, rows, len_, st.s, st.m, tw,
+                      sc);
+    else
+      run_radix<false>(st.radix, c, sn, from, to, rows, len_, st.s, st.m, tw,
+                       sc);
+    from = to;
   }
 }
 
-void Fft1d::pow2_transform(complex_t* data, index_t n, bool inverse) {
-  const bool own = (n == n_ && path_ == Path::kPow2);
-  const std::vector<SwapPair>& pairs = own ? swap_pairs_ : swap_pairs_m_;
-  const std::vector<complex_t>& tw =
-      own ? (inverse ? inv_twiddles_ : twiddles_)
-          : (inverse ? inv_twiddles_m_ : twiddles_m_);
-  for (const SwapPair& pr : pairs) std::swap(data[pr.a], data[pr.b]);
-  pow2_stages(data, 1, n, tw.data(), inverse);
-  if (inverse) {
-    const real_t scale = real_t(1) / static_cast<real_t>(n);
-    for (index_t i = 0; i < n; ++i) data[i] *= scale;
-  }
-}
-
-void Fft1d::pow2_batch(complex_t* data, index_t count, bool inverse,
-                       real_t scale) {
-  const complex_t* tw = (inverse ? inv_twiddles_ : twiddles_).data();
-  const index_t block = std::max<index_t>(
-      1, kBatchBlockBytes / (n_ * static_cast<index_t>(sizeof(complex_t))));
-  for (index_t r0 = 0; r0 < count; r0 += block) {
-    const index_t rows = std::min(block, count - r0);
-    complex_t* base = data + r0 * n_;
-    for (index_t r = 0; r < rows; ++r) {
-      complex_t* row = base + r * n_;
-      for (const SwapPair& pr : swap_pairs_) std::swap(row[pr.a], row[pr.b]);
-    }
-    pow2_stages(base, rows, n_, tw, inverse);
-    if (scale != real_t(1))
-      for (index_t i = 0; i < rows * n_; ++i) base[i] *= scale;
-  }
-}
-
-void Fft1d::bluestein_transform(complex_t* data, bool inverse, real_t scale) {
+// diffreg:zero-alloc
+void Fft1d::bluestein(const complex_t* src, complex_t* dst, bool inverse,
+                      real_t scale) {
   // Forward: X_j = c_j * (u conv v)_j with u_k = x_k c_k, v = conj-chirp.
-  // Inverse: IDFT(x) = conj(DFT(conj(x))) / n.
-  if (inverse)
-    for (index_t k = 0; k < n_; ++k) data[k] = std::conj(data[k]);
-
-  complex_t* u = scratch_.data();
-  for (index_t k = 0; k < n_; ++k) u[k] = data[k] * chirp_[k];
-  for (index_t k = n_; k < m_; ++k) u[k] = complex_t(0, 0);
-
-  pow2_transform(u, m_, /*inverse=*/false);
-  for (index_t k = 0; k < m_; ++k) u[k] *= chirp_filter_fft_[k];
-  pow2_transform(u, m_, /*inverse=*/true);
-
-  for (index_t k = 0; k < n_; ++k) data[k] = u[k] * chirp_[k];
-
-  if (inverse)
-    for (index_t k = 0; k < n_; ++k) data[k] = std::conj(data[k]) * scale;
+  // Inverse: IDFT(x) = conj(DFT(conj(x))), the conjugations fused into the
+  // chirp products.
+  complex_t* u = conv_.data();
+  for (index_t k = 0; k < n_; ++k)
+    u[k] = mul(inverse ? std::conj(src[k]) : src[k], chirp_[k]);
+  std::fill(u + n_, u + len_, complex_t(0, 0));
+  stockham(u, u, 1, /*inverse=*/false, 1);
+  for (index_t k = 0; k < len_; ++k) u[k] = mul(u[k], chirp_filter_fft_[k]);
+  stockham(u, u, 1, /*inverse=*/true, 1);
+  for (index_t k = 0; k < n_; ++k) {
+    const complex_t y = mul(u[k], chirp_[k]);
+    dst[k] = inverse ? std::conj(y) * scale : y;
+  }
 }
 
-void Fft1d::mixed_radix_rec(complex_t* x, complex_t* tmp, index_t n,
-                            index_t rs) {
-  if (n == 1) return;
-  const index_t r = smallest_prime_factor(n);
-  const index_t m = n / r;
-
-  if (r == n) {
-    // Prime base case: naive DFT via the exact root table, O(r^2) with
-    // r <= 61.
-    for (index_t k = 0; k < n; ++k) {
-      complex_t sum(0, 0);
-      for (index_t t = 0; t < n; ++t)
-        sum += x[t] * root_table_[(rs * ((k * t) % n)) % n_];
-      tmp[k] = sum;
-    }
-    std::copy(tmp, tmp + n, x);
+// diffreg:zero-alloc
+void Fft1d::transform(const complex_t* src, complex_t* dst, index_t count,
+                      bool inverse, real_t scale) {
+  if (!chirp_.empty()) {
+    for (index_t r = 0; r < count; ++r)
+      bluestein(src + r * n_, dst + r * n_, inverse, scale);
     return;
   }
-
-  // Decimation in time: sub-sequence j holds x[t*r + j].
-  for (index_t j = 0; j < r; ++j)
-    for (index_t t = 0; t < m; ++t) tmp[j * m + t] = x[t * r + j];
-  for (index_t j = 0; j < r; ++j)
-    mixed_radix_rec(tmp + j * m, x + j * m, m, rs * r);
-
-  // Combine: X[k] = sum_j w_n^{j k} Y_j[k mod m].
-  for (index_t k = 0; k < n; ++k) {
-    const index_t km = k % m;
-    complex_t sum = tmp[km];  // j = 0 term (w^0 = 1)
-    for (index_t j = 1; j < r; ++j)
-      sum += tmp[j * m + km] * root_table_[(rs * ((j * k) % n)) % n_];
-    x[k] = sum;
-  }
-}
-
-void Fft1d::transform(complex_t* data, bool inverse) {
-  if (n_ == 1) return;
-  switch (path_) {
-    case Path::kPow2:
-      pow2_transform(data, n_, inverse);
-      break;
-    case Path::kMixedRadix: {
-      // Inverse via conjugation: IDFT(x) = conj(DFT(conj(x))) / n.
-      if (inverse)
-        for (index_t k = 0; k < n_; ++k) data[k] = std::conj(data[k]);
-      mixed_radix_rec(data, mixed_scratch_.data(), n_, 1);
-      if (inverse) {
-        const real_t scale = real_t(1) / static_cast<real_t>(n_);
-        for (index_t k = 0; k < n_; ++k) data[k] = std::conj(data[k]) * scale;
-      }
-      break;
-    }
-    case Path::kBluestein:
-      bluestein_transform(data, inverse,
-                          real_t(1) / static_cast<real_t>(n_));
-      break;
-  }
-}
-
-void Fft1d::forward_batch(complex_t* data, index_t count) {
-  if (n_ == 1) return;
-  if (path_ == Path::kPow2) {
-    pow2_batch(data, count, /*inverse=*/false, /*scale=*/real_t(1));
+  if (stages_.empty()) {  // n == 1: the identity
+    if (src != dst) std::copy(src, src + count, dst);
     return;
   }
-  for (index_t r = 0; r < count; ++r) forward(data + r * n_);
-}
-
-void Fft1d::inverse_batch(complex_t* data, index_t count) {
-  if (n_ == 1) return;
-  if (path_ == Path::kPow2) {
-    pow2_batch(data, count, /*inverse=*/true,
-               real_t(1) / static_cast<real_t>(n_));
-    return;
-  }
-  for (index_t r = 0; r < count; ++r) inverse(data + r * n_);
-}
-
-void Fft1d::inverse_batch_noscale(complex_t* data, index_t count) {
-  if (n_ == 1) return;
-  switch (path_) {
-    case Path::kPow2:
-      pow2_batch(data, count, /*inverse=*/true, /*scale=*/real_t(1));
-      break;
-    case Path::kMixedRadix:
-      // Unnormalized IDFT(x) = conj(DFT(conj(x))).
-      for (index_t r = 0; r < count; ++r) {
-        complex_t* row = data + r * n_;
-        for (index_t k = 0; k < n_; ++k) row[k] = std::conj(row[k]);
-        mixed_radix_rec(row, mixed_scratch_.data(), n_, 1);
-        for (index_t k = 0; k < n_; ++k) row[k] = std::conj(row[k]);
-      }
-      break;
-    case Path::kBluestein:
-      for (index_t r = 0; r < count; ++r)
-        bluestein_transform(data + r * n_, /*inverse=*/true,
-                            /*scale=*/real_t(1));
-      break;
-  }
-}
-
-void Fft1d::inverse_batch_noscale(const complex_t* src, complex_t* dst,
-                                  index_t count) {
-  if (n_ == 1) {
-    std::copy(src, src + count, dst);
-    return;
-  }
-  if (path_ != Path::kPow2) {
-    std::copy(src, src + count * n_, dst);
-    inverse_batch_noscale(dst, count);
-    return;
-  }
-  const complex_t* tw = inv_twiddles_.data();
-  const index_t block = std::max<index_t>(
-      1, kBatchBlockBytes / (n_ * static_cast<index_t>(sizeof(complex_t))));
-  for (index_t r0 = 0; r0 < count; r0 += block) {
-    const index_t rows = std::min(block, count - r0);
-    complex_t* base = dst + r0 * n_;
-    // The bit-reversal permutation doubles as the src -> dst gather.
-    for (index_t r = 0; r < rows; ++r) {
-      const complex_t* s = src + (r0 + r) * n_;
-      complex_t* d = base + r * n_;
-      for (index_t i = 0; i < n_; ++i) d[i] = s[bitrev_[i]];
-    }
-    pow2_stages(base, rows, n_, tw, /*inverse=*/true);
+  for (index_t r0 = 0; r0 < count; r0 += block_rows_) {
+    const index_t rows = std::min(block_rows_, count - r0);
+    stockham(src + r0 * n_, dst + r0 * n_, rows, inverse, scale);
   }
 }
 

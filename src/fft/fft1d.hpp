@@ -1,20 +1,25 @@
 // Plan-based 1D complex FFT.
 //
-// Three execution paths, chosen at plan time:
-//  * power-of-two sizes: iterative radix-2 Cooley-Tukey with precomputed
-//    twiddle tables;
-//  * smooth composite sizes (all prime factors <= 61, e.g. the 300 of the
-//    paper's 256x300x256 brain grid = 2^2*3*5^2, or 48 = 2^4*3): recursive
-//    mixed-radix Cooley-Tukey over an exact root-of-unity table;
-//  * sizes with a large prime factor: Bluestein's algorithm built on a
-//    power-of-two convolution.
+// Two execution paths, chosen from n at plan time:
+//  * smooth sizes (every prime factor <= 61: the powers of two, the 48 and
+//    56 of the brain-48 grid, the 300 of the paper's 256x300x256 brain
+//    grid): an iterative, self-sorting (Stockham) engine. n is factored into
+//    radices, 4 first, then 2, then odd primes up to 61. Each stage reads
+//    one buffer and writes the other, and the output lands in natural
+//    order, so there is no bit-reversal pass. Radix 2 and 4 are written
+//    out; every odd prime runs one table-driven butterfly that pairs a_j
+//    with a_(r-j);
+//  * sizes with a prime factor above 61: Bluestein's algorithm, whose
+//    power-of-two convolution runs on the same engine.
 //
-// The power-of-two path keeps a separate conjugated twiddle table so the
-// inverse butterflies never call std::conj per element, and the bit-reversal
-// permutation is precomputed once as a swap-pair list that every row of a
-// batch reuses. Batched transforms run the butterfly stages over blocks of
-// rows (stage-major within a cache-sized block), which keeps each stage's
-// twiddles hot across rows.
+// The per-stage twiddles and each prime stage's cos/sin table are built at
+// plan time, so no trig call and no integer division runs per transform. A
+// flag picks the +-i direction of the butterflies and conjugates each
+// twiddle as it is loaded; the data is never conjugated. Batched transforms
+// run the stages over blocks of rows (stage-major within a cache-sized
+// block), ping-ponging between the rows and one work block the plan owns.
+// The last stage is twiddle-free, writes the destination and carries any
+// scaling.
 //
 // Forward transforms are unnormalized; inverse transforms scale by 1/N, so
 // inverse(forward(x)) == x.
@@ -23,7 +28,6 @@
 // threads concurrently; in SPMD runs each rank creates its own plans.
 #pragma once
 
-#include <span>
 #include <vector>
 
 #include "common/types.hpp"
@@ -37,88 +41,72 @@ class Fft1d {
   index_t size() const { return n_; }
 
   /// In-place transform of one length-n row.
-  void forward(complex_t* data) { transform(data, /*inverse=*/false); }
-  void inverse(complex_t* data) { transform(data, /*inverse=*/true); }
+  void forward(complex_t* data) { transform(data, data, 1, false, 1); }
+  void inverse(complex_t* data) {
+    transform(data, data, 1, true, real_t(1) / static_cast<real_t>(n_));
+  }
 
-  /// In-place transform of `count` contiguous rows of length n.
-  void forward_batch(complex_t* data, index_t count);
-  void inverse_batch(complex_t* data, index_t count);
+  /// In-place forward transform of `count` contiguous rows of length n.
+  void forward_batch(complex_t* data, index_t count) {
+    transform(data, data, count, false, 1);
+  }
 
   /// In-place inverse without the 1/N normalization, for pipelines that fold
   /// the overall scale of a multi-dimensional inverse into one final pass.
-  void inverse_batch_noscale(complex_t* data, index_t count);
+  void inverse_batch_noscale(complex_t* data, index_t count) {
+    transform(data, data, count, true, 1);
+  }
 
   /// Out-of-place unnormalized inverse of `count` contiguous rows: reads
-  /// `src`, writes `dst` (must not alias). On the power-of-two path the
-  /// bit-reversal permutation doubles as the src->dst gather, so no separate
-  /// copy pass is needed.
+  /// `src`, writes `dst` (must not alias). The first stage reads `src`
+  /// directly, so no separate copy pass is needed.
   void inverse_batch_noscale(const complex_t* src, complex_t* dst,
-                             index_t count);
+                             index_t count) {
+    transform(src, dst, count, true, 1);
+  }
 
  private:
-  enum class Path { kPow2, kMixedRadix, kBluestein };
-
-  /// One bit-reversal swap (i < j); the in-place permutation is the list of
-  /// all such swaps, applied per row.
-  struct SwapPair {
-    index_t a, b;
+  /// One Stockham stage: radix-r butterflies over sub-transforms of length
+  /// r*m whose elements sit s apart (s is the product of the earlier
+  /// radices, so n == s * r * m).
+  struct Stage {
+    int radix;
+    index_t m, s;
+    index_t twiddles;  // offset of the (m-1)*(radix-1) twiddles
+    index_t cos_sin;   // table-driven primes: offset of the h*h cos/sin tables
   };
 
-  /// Butterfly-stage block size: rows processed stage-major in groups whose
-  /// working set stays around L1 size.
+  /// Rows per engine block: a block and the work block stay around L1 size.
   static constexpr index_t kBatchBlockBytes = 1 << 15;
 
-  void transform(complex_t* data, bool inverse);
-  void pow2_transform(complex_t* data, index_t n, bool inverse);
-  /// Butterfly stages (no permutation, no scaling) over `rows` contiguous
-  /// rows of length n, using the given stage-indexed twiddle table. The
-  /// first two stages are specialized: their twiddles are 1 and -+i, so they
-  /// run multiply-free (`inverse` selects the +-i direction).
-  static void pow2_stages(complex_t* data, index_t rows, index_t n,
-                          const complex_t* twiddles, bool inverse);
-  void pow2_batch(complex_t* data, index_t count, bool inverse, real_t scale);
-  /// `scale` is the normalization applied on the inverse path (1/n for the
-  /// standard inverse, 1 for the unnormalized variant); ignored on forward.
-  void bluestein_transform(complex_t* data, bool inverse, real_t scale);
-
-  /// Recursive mixed-radix step: transforms x (length n) in place using tmp
-  /// as scratch; the roots of unity of this level are root_table_[k * rs].
-  void mixed_radix_rec(complex_t* x, complex_t* tmp, index_t n, index_t rs);
-
-  static std::vector<complex_t> make_twiddles(index_t n);
-  static std::vector<complex_t> conj_all(const std::vector<complex_t>& tw);
-  static std::vector<SwapPair> make_swap_pairs(const std::vector<index_t>& rev);
-  static index_t smallest_prime_factor(index_t n);
-  static index_t largest_prime_factor(index_t n);
+  /// Factors `len` into stages and builds their tables and the work block.
+  void build_engine(index_t len);
+  /// `scale` multiplies the result (1/n for `inverse`, 1 otherwise); `src`
+  /// either equals `dst` or does not overlap it.
+  void transform(const complex_t* src, complex_t* dst, index_t count,
+                 bool inverse, real_t scale);
+  /// Runs the engine's stages on `rows` contiguous rows of length len_.
+  void stockham(const complex_t* src, complex_t* dst, index_t rows,
+                bool inverse, real_t scale);
+  void bluestein(const complex_t* src, complex_t* dst, bool inverse,
+                 real_t scale);
 
   index_t n_;
-  Path path_;
 
-  // Radix-2 path: forward and (pre-conjugated) inverse twiddles for the
-  // size-n transform, the bit-reversal permutation, and its swap-pair list.
-  std::vector<complex_t> twiddles_, inv_twiddles_;
-  std::vector<index_t> bitrev_;
-  std::vector<SwapPair> swap_pairs_;
+  // Stockham engine of length len_: n itself, or Bluestein's padded m.
+  index_t len_ = 1;
+  index_t block_rows_ = 1;
+  std::vector<Stage> stages_;
+  std::vector<complex_t> twiddles_;
+  std::vector<real_t> cos_, sin_;
+  std::vector<complex_t> work_;
 
-  // Mixed-radix path: exact table of exp(-2 pi i t / n), t = 0..n-1, plus a
-  // scratch buffer for the recursion.
-  std::vector<complex_t> root_table_;
-  std::vector<complex_t> mixed_scratch_;
-
-  // Bluestein path: chirp c_k = exp(-i pi k^2 / n), the padded convolution
-  // size m (power of two >= 2n-1), its twiddles/permutation, and the
-  // precomputed spectrum of the chirp filter.
-  index_t m_ = 0;
+  // Bluestein path: chirp c_k = exp(-i pi k^2 / n), the spectrum of the
+  // chirp filter (with the engine inverse's 1/m folded in), and the padded
+  // length-m convolution row.
   std::vector<complex_t> chirp_;
   std::vector<complex_t> chirp_filter_fft_;
-  std::vector<complex_t> twiddles_m_, inv_twiddles_m_;
-  std::vector<index_t> bitrev_m_;
-  std::vector<SwapPair> swap_pairs_m_;
-  std::vector<complex_t> scratch_;
-
-  static bool is_power_of_two(index_t n) { return n > 0 && (n & (n - 1)) == 0; }
-  static index_t next_pow2(index_t n);
-  static std::vector<index_t> make_bitrev(index_t n);
+  std::vector<complex_t> conv_;
 };
 
 }  // namespace diffreg::fft

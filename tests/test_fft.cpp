@@ -1,10 +1,16 @@
-// FFT stack tests: 1D engine against a naive DFT (power-of-two and
-// Bluestein sizes), Parseval/linearity properties, serial 3D round trips and
-// spectral values, and the distributed pencil FFT against the serial
-// reference for several process grids and uneven block sizes.
+// FFT stack tests: the 1D engine against a naive DFT at every size up to 130
+// (every radix mix, both sides of the Bluestein boundary), its batched and
+// out-of-place entry points, Parseval/linearity properties, serial 3D round
+// trips and spectral values, and the distributed pencil FFT against the
+// serial reference for several process grids and uneven block sizes, with
+// allocation-free warm transforms.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
+#include <new>
 #include <random>
 
 #include "fft/fft1d.hpp"
@@ -12,6 +18,34 @@
 #include "fft/fft3d_serial.hpp"
 #include "grid/field_io.hpp"
 #include "mpisim/communicator.hpp"
+
+// Global allocation counter backing the zero-allocation assertion below
+// (same pattern as test_interp: replacing global operator new/delete is the
+// only portable way to observe heap traffic; counting is gated).
+namespace {
+std::atomic<long long> g_alloc_count{0};
+std::atomic<bool> g_count_allocs{false};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (g_count_allocs.load(std::memory_order_relaxed))
+    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size)) return p;
+  throw std::bad_alloc();
+}
+
+// GCC pairs the std::free here with the replaced operator new above and
+// (wrongly) reports a mismatched allocation function when both ends inline
+// into the same caller; the pair is malloc/free by construction.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 namespace diffreg::fft {
 namespace {
@@ -22,7 +56,9 @@ std::vector<complex_t> naive_dft(std::span<const complex_t> x) {
   for (index_t j = 0; j < n; ++j) {
     complex_t sum(0, 0);
     for (index_t k = 0; k < n; ++k) {
-      const real_t phase = -kTwoPi * static_cast<real_t>(j * k) / n;
+      // jk mod n keeps the phase below 2 pi, so the reference itself stays
+      // accurate to a few ulps at every size.
+      const real_t phase = -kTwoPi * static_cast<real_t>(j * k % n) / n;
       sum += x[k] * complex_t(std::cos(phase), std::sin(phase));
     }
     out[j] = sum;
@@ -46,10 +82,16 @@ TEST_P(Fft1dSize, MatchesNaiveDft) {
   const auto expected = naive_dft(x);
   Fft1d plan(n);
   plan.forward(x.data());
+  real_t err = 0, scale = 0;
   for (index_t j = 0; j < n; ++j) {
     EXPECT_NEAR(x[j].real(), expected[j].real(), 1e-9 * n) << "j=" << j;
     EXPECT_NEAR(x[j].imag(), expected[j].imag(), 1e-9 * n) << "j=" << j;
+    err = std::max(err, std::abs(x[j] - expected[j]));
+    scale = std::max(scale, std::abs(expected[j]));
   }
+  // A wrong twiddle shifts the result by far more than roundoff; the
+  // engine stays within a few ulps of the reference at every size.
+  EXPECT_LE(err, 1e-14 * scale) << "n=" << n;
 }
 
 TEST_P(Fft1dSize, InverseRoundTrip) {
@@ -77,13 +119,15 @@ TEST_P(Fft1dSize, ParsevalHolds) {
   EXPECT_NEAR(freq_energy, time_energy * n, 1e-8 * n * time_energy);
 }
 
-INSTANTIATE_TEST_SUITE_P(PowersOfTwo, Fft1dSize,
-                         ::testing::Values(1, 2, 4, 8, 64, 256));
-INSTANTIATE_TEST_SUITE_P(MixedRadix, Fft1dSize,
-                         ::testing::Values(3, 5, 6, 7, 12, 14, 24, 27, 28, 48,
-                                           56, 75, 300));
-INSTANTIATE_TEST_SUITE_P(BluesteinLargePrime, Fft1dSize,
-                         ::testing::Values(67, 127, 134));
+// Every size up to 130: each radix mix (4, 2 and the table-driven odd
+// primes up to 61), both sides of the 61/67 Bluestein boundary, and the
+// primes 61, 67 and 127.
+INSTANTIATE_TEST_SUITE_P(EverySizeTo130, Fft1dSize,
+                         ::testing::Range(index_t{1}, index_t{131}));
+// An even Bluestein size (134 = 2*67), a larger power of two, and the
+// paper's brain-grid axis (300 = 2^2*3*5^2).
+INSTANTIATE_TEST_SUITE_P(LargeSizes, Fft1dSize,
+                         ::testing::Values(134, 256, 300));
 
 TEST(Fft1d, LinearityAndDelta) {
   // DFT of a delta at k0 is a pure exponential.
@@ -99,18 +143,51 @@ TEST(Fft1d, LinearityAndDelta) {
   }
 }
 
-TEST(Fft1d, BatchTransformsRowsIndependently) {
-  const index_t n = 32, rows = 5;
-  auto all = random_signal(n * rows, 11);
+// Batched entry points. 101 rows is no multiple of the engine's row block
+// at any of these sizes, so the last block is partial.
+class Fft1dBatch : public ::testing::TestWithParam<index_t> {};
+constexpr index_t kBatchRows = 101;
+
+TEST_P(Fft1dBatch, BatchTransformsRowsIndependently) {
+  // forward_batch runs the same arithmetic as per-row forward: bitwise.
+  const index_t n = GetParam();
+  auto all = random_signal(n * kBatchRows, 11);
   auto expected = all;
   Fft1d plan(n);
-  for (index_t r = 0; r < rows; ++r) plan.forward(expected.data() + r * n);
-  plan.forward_batch(all.data(), rows);
-  for (index_t i = 0; i < n * rows; ++i) {
-    EXPECT_NEAR(all[i].real(), expected[i].real(), 1e-12);
-    EXPECT_NEAR(all[i].imag(), expected[i].imag(), 1e-12);
+  for (index_t r = 0; r < kBatchRows; ++r)
+    plan.forward(expected.data() + r * n);
+  plan.forward_batch(all.data(), kBatchRows);
+  for (index_t i = 0; i < n * kBatchRows; ++i) {
+    ASSERT_EQ(all[i].real(), expected[i].real()) << "i=" << i;
+    ASSERT_EQ(all[i].imag(), expected[i].imag()) << "i=" << i;
   }
 }
+
+TEST_P(Fft1dBatch, InverseNoscaleOverloadsAgree) {
+  // The in-place and out-of-place unnormalized inverses agree bitwise, and
+  // both equal n * inverse per row.
+  const index_t n = GetParam();
+  const auto src = random_signal(n * kBatchRows, 12);
+  Fft1d plan(n);
+  auto in_place = src;
+  plan.inverse_batch_noscale(in_place.data(), kBatchRows);
+  std::vector<complex_t> out_of_place(src.size());
+  plan.inverse_batch_noscale(src.data(), out_of_place.data(), kBatchRows);
+  auto scaled = src;
+  for (index_t r = 0; r < kBatchRows; ++r) plan.inverse(scaled.data() + r * n);
+  for (index_t i = 0; i < n * kBatchRows; ++i) {
+    ASSERT_EQ(in_place[i].real(), out_of_place[i].real()) << "i=" << i;
+    ASSERT_EQ(in_place[i].imag(), out_of_place[i].imag()) << "i=" << i;
+    const complex_t ref = scaled[i] * static_cast<real_t>(n);
+    ASSERT_NEAR(in_place[i].real(), ref.real(), 1e-12 * n) << "i=" << i;
+    ASSERT_NEAR(in_place[i].imag(), ref.imag(), 1e-12 * n) << "i=" << i;
+  }
+}
+
+// Powers of two, the brain-48 axes (48 = 2^4*3, 56 = 2^3*7), an odd and an
+// even Bluestein size, and the paper's 300.
+INSTANTIATE_TEST_SUITE_P(Sizes, Fft1dBatch,
+                         ::testing::Values(32, 48, 56, 64, 67, 134, 300));
 
 TEST(Fft1d, ThrowsOnNonPositiveSize) {
   EXPECT_THROW(Fft1d(0), std::invalid_argument);
@@ -326,8 +403,8 @@ TEST(DistributedFft3d, BatchedManyMatchesSequentialBitwise) {
 
 TEST(DistributedFft3d, RepeatedTransformsReuseBuffersBitwise) {
   // All pack/unpack scratch lives in the plan; running the same transform
-  // twice must produce bit-identical results with the buffers reused (the
-  // zero-allocation acceptance check of the flat-buffer pipeline).
+  // twice must produce bit-identical results with the buffers reused.
+  // WarmTransformsAreAllocationFree counts the allocations.
   const Int3 dims{12, 10, 8};
   mpisim::run_spmd(4, [&](mpisim::Communicator& comm) {
     grid::PencilDecomp decomp(comm, dims, 2, 2);
@@ -348,6 +425,56 @@ TEST(DistributedFft3d, RepeatedTransformsReuseBuffersBitwise) {
     }
     for (index_t i = 0; i < fft.local_real_size(); ++i)
       ASSERT_EQ(back1[i], back2[i]);
+  });
+}
+
+TEST(DistributedFft3d, WarmTransformsAreAllocationFree) {
+  // 12 = 4*3 and 14 = 2*7 run the Stockham engine, 67 runs Bluestein: after
+  // one warm-up every transform entry point allocates nothing.
+  const Int3 dims{12, 14, 67};
+  mpisim::run_spmd(1, [&](mpisim::Communicator& comm) {
+    grid::PencilDecomp decomp(comm, dims);
+    DistributedFft3d fft(decomp);
+    const index_t nr = fft.local_real_size();
+    const index_t ns = fft.local_spectral_size();
+    std::vector<std::vector<real_t>> x(3);
+    std::vector<std::vector<complex_t>> spec(3);
+    for (int c = 0; c < 3; ++c) {
+      x[c] = random_real(nr, 70 + static_cast<unsigned>(c));
+      spec[c].resize(ns);
+    }
+    const real_t* creals[3] = {x[0].data(), x[1].data(), x[2].data()};
+    real_t* reals[3] = {x[0].data(), x[1].data(), x[2].data()};
+    complex_t* specs[3] = {spec[0].data(), spec[1].data(), spec[2].data()};
+    const complex_t* cspecs[3] = {spec[0].data(), spec[1].data(),
+                                  spec[2].data()};
+    // Warm-up: one pass over every entry point.
+    fft.forward(x[0], spec[0]);
+    fft.inverse(spec[0], x[0]);
+    fft.forward_many(std::span<const real_t* const>(creals),
+                     std::span<complex_t* const>(specs));
+    fft.inverse_many(std::span<const complex_t* const>(cspecs),
+                     std::span<real_t* const>(reals));
+
+    long long counts[4] = {-1, -1, -1, -1};
+    g_alloc_count.store(0);
+    g_count_allocs.store(true);
+    fft.forward(x[0], spec[0]);
+    counts[0] = g_alloc_count.exchange(0);
+    fft.inverse(spec[0], x[0]);
+    counts[1] = g_alloc_count.exchange(0);
+    fft.forward_many(std::span<const real_t* const>(creals),
+                     std::span<complex_t* const>(specs));
+    counts[2] = g_alloc_count.exchange(0);
+    fft.inverse_many(std::span<const complex_t* const>(cspecs),
+                     std::span<real_t* const>(reals));
+    counts[3] = g_alloc_count.exchange(0);
+    g_count_allocs.store(false);
+
+    EXPECT_EQ(counts[0], 0) << "forward allocated";
+    EXPECT_EQ(counts[1], 0) << "inverse allocated";
+    EXPECT_EQ(counts[2], 0) << "forward_many allocated";
+    EXPECT_EQ(counts[3], 0) << "inverse_many allocated";
   });
 }
 

@@ -208,7 +208,12 @@ INSTANTIATE_TEST_SUITE_P(Sweep, SpectralSweep,
                          ::testing::Values(SpectralCase{{16, 16, 16}, 1},
                                            SpectralCase{{16, 16, 16}, 4},
                                            SpectralCase{{16, 12, 10}, 2},
-                                           SpectralCase{{12, 18, 16}, 6}));
+                                           SpectralCase{{12, 18, 16}, 6},
+                                           // brain-48's grid and its
+                                           // two-level coarse grid: every
+                                           // axis runs mixed radix.
+                                           SpectralCase{{48, 56, 48}, 4},
+                                           SpectralCase{{24, 28, 24}, 4}));
 
 TEST(Spectral, GradientUsesBatchedInverseExchanges) {
   // Pre-batching, gradient cost 1 forward + 3 scalar inverses = 8 alltoallv
