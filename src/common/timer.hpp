@@ -16,8 +16,10 @@
 // zero hidden time, so the ratio is exactly 0 for the legacy schedule.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 
@@ -55,9 +57,9 @@ class WallTimer {
 class Timings {
  public:
   void add(TimeKind kind, double seconds) {
-    seconds_[static_cast<int>(kind)] += seconds;
+    at(seconds_, kWall, kind) += seconds;
   }
-  double get(TimeKind kind) const { return seconds_[static_cast<int>(kind)]; }
+  double get(TimeKind kind) const { return at(seconds_, kWall, kind); }
 
   /// Accounts one point-to-point message of `bytes` payload (sender side).
   void add_message(TimeKind kind, std::uint64_t bytes) {
@@ -69,19 +71,17 @@ class Timings {
   // diffreg:zero-alloc
   void add_comm(TimeKind kind, std::uint64_t bytes, std::uint64_t messages,
                 std::uint64_t exchanges) {
-    bytes_[static_cast<int>(kind)] += bytes;
-    messages_[static_cast<int>(kind)] += messages;
-    exchanges_[static_cast<int>(kind)] += exchanges;
+    at(counts_, kBytes, kind) += bytes;
+    at(counts_, kMessages, kind) += messages;
+    at(counts_, kExchanges, kind) += exchanges;
   }
 
   /// Accounts wire time a nonblocking exchange hid under compute (the span
   /// from post to last arrival, capped at the wait() entry).
   void add_hidden(TimeKind kind, double seconds) {
-    hidden_seconds_[static_cast<int>(kind)] += seconds;
+    at(seconds_, kHidden, kind) += seconds;
   }
-  double hidden(TimeKind kind) const {
-    return hidden_seconds_[static_cast<int>(kind)];
-  }
+  double hidden(TimeKind kind) const { return at(seconds_, kHidden, kind); }
   /// Fraction of a category's wire time that overlapped with compute:
   /// hidden / (hidden + timed comm). Returns 0 when no comm happened.
   double overlap_efficiency(TimeKind kind) const {
@@ -91,81 +91,70 @@ class Timings {
   }
 
   std::uint64_t bytes(TimeKind kind) const {
-    return bytes_[static_cast<int>(kind)];
+    return at(counts_, kBytes, kind);
   }
   std::uint64_t messages(TimeKind kind) const {
-    return messages_[static_cast<int>(kind)];
+    return at(counts_, kMessages, kind);
   }
   std::uint64_t exchanges(TimeKind kind) const {
-    return exchanges_[static_cast<int>(kind)];
+    return at(counts_, kExchanges, kind);
   }
-  std::uint64_t total_bytes() const {
-    std::uint64_t sum = 0;
-    for (auto b : bytes_) sum += b;
-    return sum;
-  }
-  std::uint64_t total_messages() const {
-    std::uint64_t sum = 0;
-    for (auto m : messages_) sum += m;
-    return sum;
-  }
-  std::uint64_t total_exchanges() const {
-    std::uint64_t sum = 0;
-    for (auto e : exchanges_) sum += e;
-    return sum;
-  }
+  std::uint64_t total_bytes() const { return total(kBytes); }
+  std::uint64_t total_messages() const { return total(kMessages); }
+  std::uint64_t total_exchanges() const { return total(kExchanges); }
 
   void clear() {
     seconds_.fill(0.0);
-    hidden_seconds_.fill(0.0);
-    bytes_.fill(0);
-    messages_.fill(0);
-    exchanges_.fill(0);
+    counts_.fill(0);
   }
 
   Timings& operator+=(const Timings& other) {
-    for (int k = 0; k < kNumTimeKinds; ++k) {
-      seconds_[k] += other.seconds_[k];
-      hidden_seconds_[k] += other.hidden_seconds_[k];
-      bytes_[k] += other.bytes_[k];
-      messages_[k] += other.messages_[k];
-      exchanges_[k] += other.exchanges_[k];
-    }
+    for (size_t i = 0; i < seconds_.size(); ++i)
+      seconds_[i] += other.seconds_[i];
+    for (size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
     return *this;
   }
   /// Element-wise max, used to report the slowest rank like the paper does.
   // diffreg:zero-alloc
   void max_with(const Timings& other) {
-    for (int k = 0; k < kNumTimeKinds; ++k) {
-      if (other.seconds_[k] > seconds_[k]) seconds_[k] = other.seconds_[k];
-      if (other.hidden_seconds_[k] > hidden_seconds_[k])
-        hidden_seconds_[k] = other.hidden_seconds_[k];
-      if (other.bytes_[k] > bytes_[k]) bytes_[k] = other.bytes_[k];
-      if (other.messages_[k] > messages_[k]) messages_[k] = other.messages_[k];
-      if (other.exchanges_[k] > exchanges_[k])
-        exchanges_[k] = other.exchanges_[k];
-    }
+    for (size_t i = 0; i < seconds_.size(); ++i)
+      seconds_[i] = std::max(seconds_[i], other.seconds_[i]);
+    for (size_t i = 0; i < counts_.size(); ++i)
+      counts_[i] = std::max(counts_[i], other.counts_[i]);
   }
 
+  friend Timings timings_delta(const Timings& before, const Timings& after);
+
  private:
-  std::array<double, kNumTimeKinds> seconds_{};
-  std::array<double, kNumTimeKinds> hidden_seconds_{};
-  std::array<std::uint64_t, kNumTimeKinds> bytes_{};
-  std::array<std::uint64_t, kNumTimeKinds> messages_{};
-  std::array<std::uint64_t, kNumTimeKinds> exchanges_{};
+  // Two counter tables, each indexed [counter][TimeKind]: every function
+  // above that combines whole Timings walks both tables entry by entry, so
+  // a new counter is one more enumerator.
+  enum SecondsCounter { kWall, kHidden, kNumSecondsCounters };
+  enum CountCounter { kBytes, kMessages, kExchanges, kNumCountCounters };
+
+  template <typename Table>
+  static auto at(Table& table, int counter, TimeKind kind)
+      -> decltype(table[0]) {
+    return table[counter * kNumTimeKinds + static_cast<int>(kind)];
+  }
+  std::uint64_t total(CountCounter counter) const {
+    std::uint64_t sum = 0;
+    for (int k = 0; k < kNumTimeKinds; ++k)
+      sum += at(counts_, counter, static_cast<TimeKind>(k));
+    return sum;
+  }
+
+  std::array<double, kNumSecondsCounters * kNumTimeKinds> seconds_{};
+  std::array<std::uint64_t, kNumCountCounters * kNumTimeKinds> counts_{};
 };
 
 /// Per-category `after - before`, for timing a phase of a longer run.
 inline Timings timings_delta(const Timings& before, const Timings& after) {
   Timings d;
-  for (int k = 0; k < kNumTimeKinds; ++k) {
-    const auto kind = static_cast<TimeKind>(k);
-    d.add(kind, after.get(kind) - before.get(kind));
-    d.add_hidden(kind, after.hidden(kind) - before.hidden(kind));
-    d.add_comm(kind, after.bytes(kind) - before.bytes(kind),
-               after.messages(kind) - before.messages(kind),
-               after.exchanges(kind) - before.exchanges(kind));
-  }
+  for (size_t i = 0; i < d.seconds_.size(); ++i)
+    d.seconds_[i] = after.seconds_[i] - before.seconds_[i];
+  for (size_t i = 0; i < d.counts_.size(); ++i)
+    d.counts_[i] = after.counts_[i] - before.counts_[i];
   return d;
 }
 

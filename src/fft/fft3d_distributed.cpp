@@ -10,27 +10,6 @@ namespace diffreg::fft {
 
 using grid::PencilDecomp;
 
-namespace {
-
-/// Cache-blocked 2D transpose: dst[j * dst_stride + i] = src[i * src_stride
-/// + j] for i < rows, j < cols. Tiling keeps both the strided reads and the
-/// writes inside a few cache lines per tile.
-void transpose_block(const complex_t* src, index_t src_stride, complex_t* dst,
-                     index_t dst_stride, index_t rows, index_t cols) {
-  constexpr index_t kTile = 8;
-  for (index_t j0 = 0; j0 < cols; j0 += kTile) {
-    const index_t j1 = std::min(cols, j0 + kTile);
-    for (index_t i0 = 0; i0 < rows; i0 += kTile) {
-      const index_t i1 = std::min(rows, i0 + kTile);
-      for (index_t j = j0; j < j1; ++j)
-        for (index_t i = i0; i < i1; ++i)
-          dst[j * dst_stride + i] = src[i * src_stride + j];
-    }
-  }
-}
-
-}  // namespace
-
 DistributedFft3d::DistributedFft3d(PencilDecomp& decomp)
     : decomp_(&decomp),
       fft1_(decomp.dims()[0]),
@@ -58,48 +37,22 @@ DistributedFft3d::DistributedFft3d(PencilDecomp& decomp)
       1, (index_t{1} << 15) / (n3 * static_cast<index_t>(sizeof(complex_t))));
   arow_block_.resize(ablock_rows_ * n3);
 
-  const int p1 = decomp.p1(), p2 = decomp.p2();
-  row_send_counts_.resize(p2);
-  row_recv_counts_.resize(p2);
-  for (int q = 0; q < p2; ++q) {
-    row_send_counts_[q] = n1l * block_range(n3c, p2, q).size() * n2l;
-    row_recv_counts_[q] = n1l * n3cl * block_range(n2, p2, q).size();
-  }
-  col_send_counts_.resize(p1);
-  col_recv_counts_.resize(p1);
-  for (int q = 0; q < p1; ++q) {
-    col_send_counts_[q] = n3cl * block_range(n2, p1, q).size() * n1l;
-    col_recv_counts_[q] = n3cl * n2kl * block_range(n1, p1, q).size();
-  }
+  // Row pair, o = i1: [i1][i2][k3] with k3 split <-> [i1][k3][i2] with i2
+  // split. Col pair, o = k3: [i1][k3][k2] with k2 split <-> [k3][k2][i1]
+  // with i1 split.
+  row_pair_.lo = {{n2l * n3c, 1, n3c}, false, n3c, n2l};
+  row_pair_.hi = {{n3cl * n2, n2, 1}, true, n2, n3cl};
+  row_pair_.no = n1l;
+  col_pair_.lo = {{n2, 1, n3cl * n2}, false, n2, n1l};
+  col_pair_.hi = {{n2kl * n1, n1, 1}, true, n1, n2kl};
+  col_pair_.no = n3cl;
 
-  const index_t max_total =
-      std::max({a_stride_, b_stride_, s_stride_});
+  const index_t max_total = std::max({a_stride_, b_stride_, s_stride_});
   send_buf_.resize(kMaxBatch * max_total);
   recv_buf_.resize(kMaxBatch * max_total);
-  const int max_p = std::max(p1, p2);
-  scaled_send_counts_.resize(max_p);
-  scaled_recv_counts_.resize(max_p);
-}
-
-mpisim::CommRequest DistributedFft3d::exchange(
-    mpisim::Communicator& comm, int npeers, int ncomp,
-    const std::vector<index_t>& send_counts,
-    const std::vector<index_t>& recv_counts, index_t send_total,
-    index_t recv_total, int tag) {
-  for (int q = 0; q < npeers; ++q) {
-    scaled_send_counts_[q] = ncomp * send_counts[q];
-    scaled_recv_counts_[q] = ncomp * recv_counts[q];
-  }
-  comm.set_time_kind(TimeKind::kFftComm);
-  const std::span<const complex_t> send(
-      send_buf_.data(), static_cast<size_t>(ncomp * send_total));
-  const std::span<const index_t> scounts(
-      scaled_send_counts_.data(), static_cast<size_t>(npeers));
-  const std::span<complex_t> recv(recv_buf_.data(),
-                                  static_cast<size_t>(ncomp * recv_total));
-  const std::span<const index_t> rcounts(
-      scaled_recv_counts_.data(), static_cast<size_t>(npeers));
-  return comm.ialltoallv(send, scounts, recv, rcounts, tag);
+  const int max_p = std::max(decomp.p1(), decomp.p2());
+  send_counts_.resize(max_p);
+  recv_counts_.resize(max_p);
 }
 
 // ---------------------------------------------------------------------------
@@ -241,14 +194,21 @@ void DistributedFft3d::forward_many(std::span<const real_t* const> reals,
   const Int3 rl = decomp_->local_real_dims();
   const index_t n3cl = decomp_->srange3().size();
   const index_t n2kl = decomp_->srange2().size();
+  complex_t* a[kMaxBatch];
+  complex_t* b[kMaxBatch];
+  for (int c = 0; c < ncomp; ++c) {
+    a[c] = stage_a_.data() + c * a_stride_;
+    b[c] = stage_b_.data() + c * b_stride_;
+  }
+  const std::span<complex_t* const> as(a, ncomp), bs(b, ncomp);
 
   {  // Stage A: r2c along axis 3.
     ScopedTimer t(timings, TimeKind::kFftExec);
-    for (int c = 0; c < ncomp; ++c)
-      stage_a_forward(reals[c], stage_a_.data() + c * a_stride_);
+    for (int c = 0; c < ncomp; ++c) stage_a_forward(reals[c], a[c]);
   }
 
-  row_transpose_forward(ncomp);  // stage_a_ -> stage_b_
+  transpose(row_pair_, /*forward=*/true, decomp_->row_comm(), as, bs,
+            kTagRowFwd);
 
   {  // Stage C: c2c along axis 2 — components are contiguous in stage_b_,
      // so one batch call covers all of them.
@@ -256,7 +216,8 @@ void DistributedFft3d::forward_many(std::span<const real_t* const> reals,
     fft2_.forward_batch(stage_b_.data(), ncomp * rl[0] * n3cl);
   }
 
-  col_transpose_forward(ncomp, specs);  // stage_b_ -> specs
+  transpose(col_pair_, /*forward=*/true, decomp_->col_comm(), bs, specs,
+            kTagColFwd);
 
   {  // Stage E: c2c along axis 1 (contiguous rows of the spectral layout).
     ScopedTimer t(timings, TimeKind::kFftExec);
@@ -275,6 +236,15 @@ void DistributedFft3d::inverse_many(std::span<const complex_t* const> specs,
   const Int3 rl = decomp_->local_real_dims();
   const index_t n3cl = decomp_->srange3().size();
   const index_t n2kl = decomp_->srange2().size();
+  complex_t* e[kMaxBatch];
+  complex_t* b[kMaxBatch];
+  complex_t* a[kMaxBatch];
+  for (int c = 0; c < ncomp; ++c) {
+    e[c] = stage_e_.data() + c * s_stride_;
+    b[c] = stage_b_.data() + c * b_stride_;
+    a[c] = stage_a_.data() + c * a_stride_;
+  }
+  const std::span<complex_t* const> es(e, ncomp), bs(b, ncomp), as(a, ncomp);
 
   {  // Stage E inverse, out-of-place into stage_e_ (the caller's spectrum
      // stays const; no copy pass — the first 1D stage reads it).
@@ -282,289 +252,111 @@ void DistributedFft3d::inverse_many(std::span<const complex_t* const> specs,
      // scatter, saving two full scaling sweeps.
     ScopedTimer t(timings, TimeKind::kFftExec);
     for (int c = 0; c < ncomp; ++c)
-      fft1_.inverse_batch_noscale(specs[c], stage_e_.data() + c * s_stride_,
-                                  n3cl * n2kl);
+      fft1_.inverse_batch_noscale(specs[c], e[c], n3cl * n2kl);
   }
 
-  col_transpose_inverse(ncomp);  // stage_e_ -> stage_b_
+  transpose(col_pair_, /*forward=*/false, decomp_->col_comm(), es, bs,
+            kTagColInv);
 
   {  // Stage C inverse (unnormalized, see stage E).
     ScopedTimer t(timings, TimeKind::kFftExec);
     fft2_.inverse_batch_noscale(stage_b_.data(), ncomp * rl[0] * n3cl);
   }
 
-  row_transpose_inverse(ncomp);  // stage_b_ -> stage_a_
+  transpose(row_pair_, /*forward=*/false, decomp_->row_comm(), bs, as,
+            kTagRowInv);
 
   {  // Stage A inverse: c2r along axis 3.
     ScopedTimer t(timings, TimeKind::kFftExec);
-    for (int c = 0; c < ncomp; ++c)
-      stage_a_inverse(stage_a_.data() + c * a_stride_, reals[c]);
+    for (int c = 0; c < ncomp; ++c) stage_a_inverse(a[c], reals[c]);
   }
 }
 
 // ---------------------------------------------------------------------------
-// Transposes. Pack/unpack loops write the flat send/recv buffers in peer
-// order, each peer chunk holding the components back to back.
+// The transpose.
 
-void DistributedFft3d::row_transpose_forward(int ncomp) {
-  auto& row_comm = decomp_->row_comm();
-  Timings& timings = row_comm.timings();
-  const int p2 = decomp_->p2();
-  const Int3 rl = decomp_->local_real_dims();
-  const index_t n1l = rl[0], n2l = rl[1];
-  const index_t n3c = decomp_->n3c();
-  const index_t n2 = decomp_->dims()[1];
-  const index_t n3cl = decomp_->srange3().size();
-
-  if (p2 == 1) {
-    // Degenerate pencil dimension: the exchange is the identity, so
-    // transpose stage_a_ -> stage_b_ directly instead of round-tripping
-    // through the send/recv buffers. Still counted as an exchange entered,
-    // keeping the comm counters comparable across process grids.
-    ScopedTimer t(timings, TimeKind::kFftExec);
-    timings.add_exchange(TimeKind::kFftComm);
-    for (int c = 0; c < ncomp; ++c) {
-      const complex_t* a = stage_a_.data() + c * a_stride_;
-      complex_t* b = stage_b_.data() + c * b_stride_;
-      for (index_t i1 = 0; i1 < n1l; ++i1)
-        transpose_block(a + i1 * n2 * n3c, n3c, b + i1 * n3c * n2, n2,
-                        /*rows=*/n2, /*cols=*/n3c);
-    }
-    return;
-  }
-
-  {
-    ScopedTimer t(timings, TimeKind::kFftExec);
-    index_t pos = 0;
-    for (int q = 0; q < p2; ++q) {
-      const BlockRange k3r = block_range(n3c, p2, q);
-      for (int c = 0; c < ncomp; ++c) {
-        const complex_t* a = stage_a_.data() + c * a_stride_;
-        for (index_t i1 = 0; i1 < n1l; ++i1)
-          for (index_t k3 = k3r.begin; k3 < k3r.end; ++k3)
-            for (index_t i2 = 0; i2 < n2l; ++i2)
-              send_buf_[pos++] = a[(i1 * n2l + i2) * n3c + k3];
+// diffreg:zero-alloc
+void DistributedFft3d::copy_box(const complex_t* src, Strides ss,
+                                complex_t* dst, Strides ds, index_t no,
+                                index_t na, index_t nb) {
+  constexpr index_t kTile = 8;
+  for (index_t o = 0; o < no; ++o) {
+    const complex_t* s = src + o * ss.o;
+    complex_t* d = dst + o * ds.o;
+    for (index_t a0 = 0; a0 < na; a0 += kTile) {
+      const index_t a1 = std::min(na, a0 + kTile);
+      for (index_t b0 = 0; b0 < nb; b0 += kTile) {
+        const index_t b1 = std::min(nb, b0 + kTile);
+        for (index_t a = a0; a < a1; ++a)
+          for (index_t b = b0; b < b1; ++b)
+            d[a * ds.a + b * ds.b] = s[a * ss.a + b * ss.b];
       }
     }
   }
-  // Unpack the peer chunks selected by `want_self` (chunk offsets are
-  // q-major prefix sums, so self and peers can be unpacked in any order).
-  const int self_q = row_comm.rank();
-  const auto unpack = [&](bool want_self) {
-    ScopedTimer t(timings, TimeKind::kFftExec);
-    index_t base = 0;
-    for (int q = 0; q < p2; ++q) {
-      const BlockRange i2r = block_range(n2, p2, q);
-      if ((q == self_q) == want_self) {
-        index_t pos = base;
-        for (int c = 0; c < ncomp; ++c) {
-          complex_t* b = stage_b_.data() + c * b_stride_;
-          for (index_t i1 = 0; i1 < n1l; ++i1)
-            for (index_t k3 = 0; k3 < n3cl; ++k3)
-              for (index_t i2 = i2r.begin; i2 < i2r.end; ++i2)
-                b[(i1 * n3cl + k3) * n2 + i2] = recv_buf_[pos++];
-        }
-      }
-      base += ncomp * row_recv_counts_[q];
-    }
-  };
-  // The self chunk lands locally at post time; unpack it under the
-  // flight of the peer chunks.
-  auto req = exchange(row_comm, p2, ncomp, row_send_counts_,
-                      row_recv_counts_, a_stride_, b_stride_, kTagRowFwd);
-  unpack(/*want_self=*/true);
-  req.wait();
-  unpack(/*want_self=*/false);
 }
 
-void DistributedFft3d::row_transpose_inverse(int ncomp) {
-  auto& row_comm = decomp_->row_comm();
-  Timings& timings = row_comm.timings();
-  const int p2 = decomp_->p2();
-  const Int3 rl = decomp_->local_real_dims();
-  const index_t n1l = rl[0], n2l = rl[1];
-  const index_t n3c = decomp_->n3c();
-  const index_t n2 = decomp_->dims()[1];
-  const index_t n3cl = decomp_->srange3().size();
+// diffreg:zero-alloc
+void DistributedFft3d::transpose(const TransposePair& pair, bool forward,
+                                 mpisim::Communicator& comm,
+                                 std::span<const complex_t* const> src,
+                                 std::span<complex_t* const> dst, int tag) {
+  const Layout& from = forward ? pair.lo : pair.hi;
+  const Layout& to = forward ? pair.hi : pair.lo;
+  const auto ncomp = static_cast<index_t>(src.size());
+  const int p = comm.size(), self = comm.rank();
+  Timings& timings = comm.timings();
 
-  if (p2 == 1) {
-    ScopedTimer t(timings, TimeKind::kFftExec);
-    timings.add_exchange(TimeKind::kFftComm);
-    for (int c = 0; c < ncomp; ++c) {
-      const complex_t* b = stage_b_.data() + c * b_stride_;
-      complex_t* a = stage_a_.data() + c * a_stride_;
-      for (index_t i1 = 0; i1 < n1l; ++i1)
-        transpose_block(b + i1 * n3c * n2, n2, a + i1 * n2 * n3c, n3c,
-                        /*rows=*/n3c, /*cols=*/n2);
-    }
-    return;
-  }
-
+  // 1. Pack the peer chunks in peer order, each [component][o][a][b].
+  index_t send_total = 0, recv_total = 0;
   {
     ScopedTimer t(timings, TimeKind::kFftExec);
-    index_t pos = 0;
-    for (int q = 0; q < p2; ++q) {
-      const BlockRange i2r = block_range(n2, p2, q);
-      for (int c = 0; c < ncomp; ++c) {
-        const complex_t* b = stage_b_.data() + c * b_stride_;
-        for (index_t i1 = 0; i1 < n1l; ++i1)
-          for (index_t k3 = 0; k3 < n3cl; ++k3)
-            for (index_t i2 = i2r.begin; i2 < i2r.end; ++i2)
-              send_buf_[pos++] = b[(i1 * n3cl + k3) * n2 + i2];
+    for (int q = 0; q < p; ++q) {
+      send_counts_[q] = recv_counts_[q] = 0;
+      if (q == self) continue;
+      const Chunk s = from.chunk(p, q), r = to.chunk(p, q);
+      for (index_t c = 0; c < ncomp; ++c) {
+        copy_box(src[c] + s.offset, from.stride, send_buf_.data() + send_total,
+                 s.wire(), pair.no, s.na, s.nb);
+        send_total += pair.no * s.size();
       }
+      send_counts_[q] = ncomp * pair.no * s.size();
+      recv_counts_[q] = ncomp * pair.no * r.size();
+      recv_total += recv_counts_[q];
     }
   }
-  const int self_q = row_comm.rank();
-  const auto unpack = [&](bool want_self) {
-    ScopedTimer t(timings, TimeKind::kFftExec);
-    index_t base = 0;
-    for (int q = 0; q < p2; ++q) {
-      const BlockRange k3r = block_range(n3c, p2, q);
-      if ((q == self_q) == want_self) {
-        index_t pos = base;
-        for (int c = 0; c < ncomp; ++c) {
-          complex_t* a = stage_a_.data() + c * a_stride_;
-          for (index_t i1 = 0; i1 < n1l; ++i1)
-            for (index_t k3 = k3r.begin; k3 < k3r.end; ++k3)
-              for (index_t i2 = 0; i2 < n2l; ++i2)
-                a[(i1 * n2l + i2) * n3c + k3] = recv_buf_[pos++];
-        }
-      }
-      base += ncomp * row_send_counts_[q];
-    }
-  };
-  auto req = exchange(row_comm, p2, ncomp, row_recv_counts_,
-                      row_send_counts_, b_stride_, a_stride_, kTagRowInv);
-  unpack(/*want_self=*/true);
-  req.wait();
-  unpack(/*want_self=*/false);
-}
 
-void DistributedFft3d::col_transpose_forward(
-    int ncomp, std::span<complex_t* const> specs) {
-  auto& col_comm = decomp_->col_comm();
-  Timings& timings = col_comm.timings();
-  const int p1 = decomp_->p1();
-  const index_t n1l = decomp_->range1().size();
-  const index_t n3cl = decomp_->srange3().size();
-  const index_t n1 = decomp_->dims()[0];
-  const index_t n2 = decomp_->dims()[1];
-  const index_t n2kl = decomp_->srange2().size();
+  // 2. Post them; the self chunk never enters the buffers.
+  comm.set_time_kind(TimeKind::kFftComm);
+  const auto np = static_cast<size_t>(p);
+  auto req = comm.ialltoallv(
+      std::span<const complex_t>(send_buf_.data(),
+                                 static_cast<size_t>(send_total)),
+      std::span<const index_t>(send_counts_.data(), np),
+      std::span<complex_t>(recv_buf_.data(), static_cast<size_t>(recv_total)),
+      std::span<const index_t>(recv_counts_.data(), np), tag);
 
-  if (p1 == 1) {
-    ScopedTimer t(timings, TimeKind::kFftExec);
-    timings.add_exchange(TimeKind::kFftComm);
-    for (int c = 0; c < ncomp; ++c) {
-      const complex_t* b = stage_b_.data() + c * b_stride_;
-      complex_t* s = specs[c];
-      for (index_t k3 = 0; k3 < n3cl; ++k3)
-        transpose_block(b + k3 * n2, n3cl * n2, s + k3 * n2 * n1, n1,
-                        /*rows=*/n1, /*cols=*/n2);
-    }
-    return;
-  }
-
+  // 3. Copy the self chunk straight across under the peer chunks' flight.
   {
     ScopedTimer t(timings, TimeKind::kFftExec);
-    index_t pos = 0;
-    for (int q = 0; q < p1; ++q) {
-      const BlockRange k2r = block_range(n2, p1, q);
-      for (int c = 0; c < ncomp; ++c) {
-        const complex_t* b = stage_b_.data() + c * b_stride_;
-        for (index_t k3 = 0; k3 < n3cl; ++k3)
-          for (index_t k2 = k2r.begin; k2 < k2r.end; ++k2)
-            for (index_t i1 = 0; i1 < n1l; ++i1)
-              send_buf_[pos++] = b[(i1 * n3cl + k3) * n2 + k2];
-      }
-    }
+    const Chunk s = from.chunk(p, self), r = to.chunk(p, self);
+    for (index_t c = 0; c < ncomp; ++c)
+      copy_box(src[c] + s.offset, from.stride, dst[c] + r.offset, to.stride,
+               pair.no, s.na, s.nb);
   }
-  const int self_q = col_comm.rank();
-  const auto unpack = [&](bool want_self) {
-    ScopedTimer t(timings, TimeKind::kFftExec);
-    index_t base = 0;
-    for (int q = 0; q < p1; ++q) {
-      const BlockRange i1r = block_range(n1, p1, q);
-      if ((q == self_q) == want_self) {
-        index_t pos = base;
-        for (int c = 0; c < ncomp; ++c) {
-          complex_t* s = specs[c];
-          for (index_t k3 = 0; k3 < n3cl; ++k3)
-            for (index_t k2 = 0; k2 < n2kl; ++k2)
-              for (index_t i1 = i1r.begin; i1 < i1r.end; ++i1)
-                s[(k3 * n2kl + k2) * n1 + i1] = recv_buf_[pos++];
-        }
-      }
-      base += ncomp * col_recv_counts_[q];
-    }
-  };
-  auto req = exchange(col_comm, p1, ncomp, col_send_counts_,
-                      col_recv_counts_, b_stride_, s_stride_, kTagColFwd);
-  unpack(/*want_self=*/true);
+
+  // 4. Wait, then unpack the peer chunks.
   req.wait();
-  unpack(/*want_self=*/false);
-}
-
-void DistributedFft3d::col_transpose_inverse(int ncomp) {
-  auto& col_comm = decomp_->col_comm();
-  Timings& timings = col_comm.timings();
-  const int p1 = decomp_->p1();
-  const index_t n1l = decomp_->range1().size();
-  const index_t n3cl = decomp_->srange3().size();
-  const index_t n1 = decomp_->dims()[0];
-  const index_t n2 = decomp_->dims()[1];
-  const index_t n2kl = decomp_->srange2().size();
-
-  if (p1 == 1) {
-    ScopedTimer t(timings, TimeKind::kFftExec);
-    timings.add_exchange(TimeKind::kFftComm);
-    for (int c = 0; c < ncomp; ++c) {
-      const complex_t* s = stage_e_.data() + c * s_stride_;
-      complex_t* b = stage_b_.data() + c * b_stride_;
-      for (index_t k3 = 0; k3 < n3cl; ++k3)
-        transpose_block(s + k3 * n2 * n1, n1, b + k3 * n2, n3cl * n2,
-                        /*rows=*/n2, /*cols=*/n1);
-    }
-    return;
-  }
-
-  {
-    ScopedTimer t(timings, TimeKind::kFftExec);
-    index_t pos = 0;
-    for (int q = 0; q < p1; ++q) {
-      const BlockRange i1r = block_range(n1, p1, q);
-      for (int c = 0; c < ncomp; ++c) {
-        const complex_t* s = stage_e_.data() + c * s_stride_;
-        for (index_t k3 = 0; k3 < n3cl; ++k3)
-          for (index_t k2 = 0; k2 < n2kl; ++k2)
-            for (index_t i1 = i1r.begin; i1 < i1r.end; ++i1)
-              send_buf_[pos++] = s[(k3 * n2kl + k2) * n1 + i1];
-      }
+  ScopedTimer t(timings, TimeKind::kFftExec);
+  index_t pos = 0;
+  for (int q = 0; q < p; ++q) {
+    if (q == self) continue;
+    const Chunk r = to.chunk(p, q);
+    for (index_t c = 0; c < ncomp; ++c) {
+      copy_box(recv_buf_.data() + pos, r.wire(), dst[c] + r.offset,
+               to.stride, pair.no, r.na, r.nb);
+      pos += pair.no * r.size();
     }
   }
-  const int self_q = col_comm.rank();
-  const auto unpack = [&](bool want_self) {
-    ScopedTimer t(timings, TimeKind::kFftExec);
-    index_t base = 0;
-    for (int q = 0; q < p1; ++q) {
-      const BlockRange k2r = block_range(n2, p1, q);
-      if ((q == self_q) == want_self) {
-        index_t pos = base;
-        for (int c = 0; c < ncomp; ++c) {
-          complex_t* b = stage_b_.data() + c * b_stride_;
-          for (index_t k3 = 0; k3 < n3cl; ++k3)
-            for (index_t k2 = k2r.begin; k2 < k2r.end; ++k2)
-              for (index_t i1 = 0; i1 < n1l; ++i1)
-                b[(i1 * n3cl + k3) * n2 + k2] = recv_buf_[pos++];
-        }
-      }
-      base += ncomp * col_send_counts_[q];
-    }
-  };
-  auto req = exchange(col_comm, p1, ncomp, col_recv_counts_,
-                      col_send_counts_, s_stride_, b_stride_, kTagColInv);
-  unpack(/*want_self=*/true);
-  req.wait();
-  unpack(/*want_self=*/false);
 }
 
 }  // namespace diffreg::fft

@@ -13,10 +13,13 @@
 //      k2 against axis 1, giving every rank full axis-1 rows;
 //   E. c2c 1D FFTs along axis 1.
 //
-// All transpose pack/unpack traffic goes through flat send/recv buffers and
-// per-peer count tables owned by the plan, so forward/inverse perform no
-// heap allocation after construction (the thread-backed mpisim transport
-// still copies message payloads — that is the simulated wire).
+// Both transposes are one operation: each side is a component's block
+// viewed as [o][a][b] with its own strides, one of a or b split over the
+// peers of the row (or column) communicator. Peer chunks travel as
+// [component][o][a][b] through flat send/recv buffers and per-peer count
+// tables owned by the plan, so forward/inverse perform no heap allocation
+// after construction (the thread-backed mpisim transport still copies
+// message payloads — that is the simulated wire).
 //
 // `forward_many`/`inverse_many` transform up to kMaxBatch components (the
 // three components of a velocity field) in one pass: every component rides
@@ -26,16 +29,18 @@
 //
 // Cost model (paper): O(7.5 N^3/p log N) flops and two sqrt(p)-wide
 // alltoall rounds per transform. Time spent inside the exchanges is charged
-// to TimeKind::kFftComm, local 1D FFTs and pack/unpack to kFftExec; the
-// exchange/message/byte counters of Timings track comm volume.
+// to TimeKind::kFftComm, local 1D FFTs and pack/copy/unpack to kFftExec;
+// the exchange/message/byte counters of Timings track comm volume.
 //
-// Comm/compute overlap: each transpose alltoallv is posted nonblocking and
-// the SELF chunk of the receive buffer — already valid at post time, it
-// never crosses the wire — is unpacked while the peer chunks are in flight;
-// the plan waits only before the peer unpack. (The downstream 1D FFT stages
-// each need FULL rows spanning every peer, so the self unpack is exactly
-// the independent work available under the exchange.) The overlapped wire
-// time lands in the Timings hidden-comm counter.
+// Comm/compute overlap: a transpose packs its peer chunks, posts them
+// nonblocking with a self count of 0, and copies the SELF chunk — the part
+// of the block that stays on this rank — straight from source to
+// destination while the peer chunks are in flight; it waits only before
+// unpacking the peer chunks. (The downstream 1D FFT stages each need FULL
+// rows spanning every peer, so the self copy is exactly the independent
+// work available under the exchange.) The overlapped wire time lands in
+// the Timings hidden-comm counter. When a communicator has one rank
+// (p1 = 1 or p2 = 1) the same code runs with nothing to pack or unpack.
 #pragma once
 
 #include <span>
@@ -85,24 +90,54 @@ class DistributedFft3d {
   void stage_a_forward(const real_t* real_in, complex_t* half_out);
   void stage_a_inverse(const complex_t* half_in, real_t* real_out);
 
-  // Transposes between the [n1l][n2l][n3c] layout (stage A/B boundary) and
-  // the [n1l][n3c_l][N2] layout (stage B/C boundary), and between
-  // [n1l][n3c_l][N2] and [n3c_l][n2k_l][N1]. All of them pack `ncomp`
-  // components into one exchange.
-  void row_transpose_forward(int ncomp);
-  void row_transpose_inverse(int ncomp);
-  void col_transpose_forward(int ncomp, std::span<complex_t* const> specs);
-  void col_transpose_inverse(int ncomp);
+  /// Element strides of an [o][a][b] view.
+  struct Strides {
+    index_t o = 0, a = 0, b = 0;
+  };
+  /// The part of a layout exchanged with one peer: its first element and
+  /// its [a][b] extents.
+  struct Chunk {
+    index_t offset = 0, na = 0, nb = 0;
+    index_t size() const { return na * nb; }
+    /// Strides of the chunk on the wire: [o][a][b], b fastest.
+    Strides wire() const { return {size(), nb, 1}; }
+  };
+  /// One side of a transpose. Exactly one of a and b is split over the
+  /// peers (peer q owns block_range(split_n, p, q) of it); the other has
+  /// `local_n` entries on every peer.
+  struct Layout {
+    Strides stride;
+    bool split_b = false;
+    index_t split_n = 0;
+    index_t local_n = 0;
 
-  /// Scales the per-component peer counts by ncomp into the scratch count
-  /// arrays and posts the span alltoallv over send_buf_/recv_buf_. The SELF
-  /// chunk of recv_buf_ is valid on return (delivered locally at post), the
-  /// peer chunks only after wait().
-  mpisim::CommRequest exchange(mpisim::Communicator& comm, int npeers,
-                               int ncomp,
-                               const std::vector<index_t>& send_counts,
-                               const std::vector<index_t>& recv_counts,
-                               index_t send_total, index_t recv_total, int tag);
+    Chunk chunk(int p, int q) const {
+      const BlockRange r = block_range(split_n, p, q);
+      if (split_b) return {r.begin * stride.b, local_n, r.size()};
+      return {r.begin * stride.a, r.size(), local_n};
+    }
+  };
+  /// The two layouts a transpose moves between (forward: lo -> hi) and
+  /// the outer extent they share.
+  struct TransposePair {
+    Layout lo, hi;
+    index_t no = 0;
+  };
+
+  /// dst[o, a, b] = src[o, a, b] over a [no][na][nb] box, each side with
+  /// its own strides: the pack, the unpack and the self copy of every
+  /// transpose. 8x8 (a, b) tiles keep both the strided reads and the writes
+  /// inside a few cache lines per tile.
+  static void copy_box(const complex_t* src, Strides ss, complex_t* dst,
+                       Strides ds, index_t no, index_t na, index_t nb);
+
+  /// Moves `src[c]` (one layout of `pair`) into `dst[c]` (the other) for
+  /// every component over `comm`: pack the peer chunks, post them, copy
+  /// the self chunk under their flight, wait, unpack.
+  void transpose(const TransposePair& pair, bool forward,
+                 mpisim::Communicator& comm,
+                 std::span<const complex_t* const> src,
+                 std::span<complex_t* const> dst, int tag);
 
   grid::PencilDecomp* decomp_;
   Fft1d fft1_, fft2_, fft3_;
@@ -127,13 +162,14 @@ class DistributedFft3d {
   index_t ablock_rows_ = 1;
   std::vector<complex_t> arow_block_;  // [ablock_rows_][N3]
 
-  // Persistent flat transpose buffers plus per-peer element counts for one
-  // component; `exchange` scales them by the batch size into the scratch
-  // arrays, so no call allocates.
+  // [n1l][n2l][n3c] <-> [n1l][n3c_l][N2] over the row communicator, and
+  // [n1l][n3c_l][N2] <-> [n3c_l][n2k_l][N1] over the column communicator.
+  TransposePair row_pair_, col_pair_;
+
+  // Persistent flat buffers for the peer chunks and the per-peer element
+  // counts of one call, so no transpose allocates.
   std::vector<complex_t> send_buf_, recv_buf_;
-  std::vector<index_t> row_send_counts_, row_recv_counts_;
-  std::vector<index_t> col_send_counts_, col_recv_counts_;
-  std::vector<index_t> scaled_send_counts_, scaled_recv_counts_;
+  std::vector<index_t> send_counts_, recv_counts_;
 
   static constexpr int kTagRowFwd = 101;
   static constexpr int kTagColFwd = 102;

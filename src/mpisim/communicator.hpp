@@ -30,10 +30,9 @@
 ///   allreduce vector  binomial-tree reduce to rank 0 + binomial broadcast
 ///                     (reduce-then-broadcast, for batched field norms)
 ///   alltoallv         pairwise exchange (p-1 rounds, bandwidth-bound by
-///                     design) with a collective-consistency self-check; a
-///                     span-based overload works over caller-owned flat
-///                     buffers so hot paths (the FFT transposes) allocate
-///                     nothing per call
+///                     design) with a collective-consistency self-check,
+///                     over caller-owned flat buffers so hot paths (the FFT
+///                     transposes) allocate nothing per call
 /// Scalar allreduce combines operands in subgroup order, so every rank
 /// computes bitwise-identical results; the vector form broadcasts rank 0's
 /// combination, which is likewise identical everywhere.
@@ -344,12 +343,6 @@ class Communicator {
 
   template <typename T>
   std::vector<T> allgather(T value);
-
-  /// Personalized all-to-all: send_bufs[r] goes to rank r; returns one buffer
-  /// per source rank. Self-exchange is a local move.
-  template <typename T>
-  std::vector<std::vector<T>> alltoallv(std::vector<std::vector<T>> send_bufs,
-                                        int tag);
 
   /// Zero-allocation personalized all-to-all over caller-provided flat
   /// buffers, posted nonblocking: rank r's chunk occupies
@@ -827,38 +820,6 @@ void Communicator::allreduce_min(std::vector<T>& data) {
   verify_record(ScheduleOpKind::kAllreduceVec, 3, sizeof(T) * 8, data.size());
   allreduce_vec(data, [](T a, T b) { return a < b ? a : b; },
                 kCollectiveTag + 4);
-}
-
-template <typename T>
-std::vector<std::vector<T>> Communicator::alltoallv(
-    std::vector<std::vector<T>> send_bufs, int tag) {
-  if (static_cast<int>(send_bufs.size()) != size())
-    throw CommContractError("mpisim: alltoallv needs one buffer per rank");
-  check_idle();
-  verify_record(ScheduleOpKind::kAlltoallv, tag, sizeof(T) * 8, 0);
-  verify_checkpoint("alltoallv");
-  // Every rank must have entered the same alltoallv (same tag) — a
-  // mismatched schedule would otherwise deliver buffers to the wrong
-  // exchange and corrupt data silently. O(log p) cost, negligible against
-  // the pairwise payload exchange.
-  check_collective_consistent(tag, "alltoallv tag");
-  timings_->add_exchange(time_kind_);
-  std::vector<std::vector<T>> recv_bufs(size());
-  recv_bufs[rank_] = std::move(send_bufs[rank_]);
-  for (int offset = 1; offset < size(); ++offset) {
-    const int dest = (rank_ + offset) % size();
-    // This overload learns its recv sizes from the arriving messages, so
-    // the receiver folds what actually landed (below) instead of an
-    // expectation — order divergence is still caught by the hash.
-    verify_fold_send(dest, send_bufs[dest].size() * sizeof(T));
-    send(std::span<const T>(send_bufs[dest]), dest, tag);
-  }
-  for (int offset = 1; offset < size(); ++offset) {
-    const int src = (rank_ - offset + size()) % size();
-    recv_bufs[src] = recv<T>(src, tag);
-    verify_fold_recv(src, recv_bufs[src].size() * sizeof(T));
-  }
-  return recv_bufs;
 }
 
 inline void Communicator::check_alltoallv_counts(

@@ -103,57 +103,6 @@ void SpectralOps::divergence(const VectorField& v, ScalarField& out) {
   fft_.inverse(spec_, out);
 }
 
-void SpectralOps::laplacian(std::span<const real_t> f, ScalarField& out) {
-  fft_.forward(f, spec_);
-  scale_spectrum(std::span<complex_t>(spec_),
-                 [&](index_t a, index_t b, index_t c) {
-                   const Vec3 k = wavenumber(a, b, c, false);
-                   return -k.dot(k);
-                 });
-  if (out.size() != static_cast<size_t>(local_size()))
-    out.resize(local_size());
-  fft_.inverse(spec_, out);
-}
-
-void SpectralOps::inv_laplacian(std::span<const real_t> f, ScalarField& out) {
-  fft_.forward(f, spec_);
-  scale_spectrum(std::span<complex_t>(spec_),
-                 [&](index_t a, index_t b, index_t c) {
-                   const Vec3 k = wavenumber(a, b, c, false);
-                   const real_t k2 = k.dot(k);
-                   return k2 == 0 ? real_t(0) : real_t(-1) / k2;
-                 });
-  if (out.size() != static_cast<size_t>(local_size()))
-    out.resize(local_size());
-  fft_.inverse(spec_, out);
-}
-
-void SpectralOps::biharmonic(std::span<const real_t> f, ScalarField& out) {
-  fft_.forward(f, spec_);
-  scale_spectrum(std::span<complex_t>(spec_),
-                 [&](index_t a, index_t b, index_t c) {
-                   const Vec3 k = wavenumber(a, b, c, false);
-                   const real_t k2 = k.dot(k);
-                   return k2 * k2;
-                 });
-  if (out.size() != static_cast<size_t>(local_size()))
-    out.resize(local_size());
-  fft_.inverse(spec_, out);
-}
-
-void SpectralOps::inv_biharmonic(std::span<const real_t> f, ScalarField& out) {
-  fft_.forward(f, spec_);
-  scale_spectrum(std::span<complex_t>(spec_),
-                 [&](index_t a, index_t b, index_t c) {
-                   const Vec3 k = wavenumber(a, b, c, false);
-                   const real_t k2 = k.dot(k);
-                   return k2 == 0 ? real_t(0) : real_t(1) / (k2 * k2);
-                 });
-  if (out.size() != static_cast<size_t>(local_size()))
-    out.resize(local_size());
-  fft_.inverse(spec_, out);
-}
-
 void SpectralOps::neg_laplacian_pow(const VectorField& v, int gamma,
                                     VectorField& w) {
   assert(gamma == 1 || gamma == 2);

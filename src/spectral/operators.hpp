@@ -1,7 +1,8 @@
 // Spectral differential operators on the pencil decomposition
-// (paper section III-B1): gradient, divergence, (vector) Laplacian,
-// biharmonic, their inverses, the Leray projector that eliminates the
-// incompressibility constraint, and Gaussian smoothing.
+// (paper section III-B1): gradient, divergence, the componentwise vector
+// Laplacian and biharmonic (-lap)^gamma and their inverses, the Leray
+// projector that eliminates the incompressibility constraint, and Gaussian
+// smoothing.
 //
 // Everything is a diagonal scaling in Fourier space between one forward and
 // one inverse distributed FFT; the gradient shares a single forward
@@ -47,18 +48,6 @@ class SpectralOps {
 
   /// out = div v (3 forward + 1 inverse FFTs).
   void divergence(const VectorField& v, ScalarField& out);
-
-  /// out = lap f.
-  void laplacian(std::span<const real_t> f, ScalarField& out);
-
-  /// out = pseudo-inverse of the Laplacian (zero-mean convention).
-  void inv_laplacian(std::span<const real_t> f, ScalarField& out);
-
-  /// out = lap^2 f (biharmonic).
-  void biharmonic(std::span<const real_t> f, ScalarField& out);
-
-  /// out = pseudo-inverse of the biharmonic (zero-mean convention).
-  void inv_biharmonic(std::span<const real_t> f, ScalarField& out);
 
   /// Componentwise vector Laplacian (and powers): w = (-lap)^gamma v,
   /// gamma in {1, 2}; used by the H1/H2 regularization operators.

@@ -346,12 +346,23 @@ INSTANTIATE_TEST_SUITE_P(
                       DistCase{{12, 7, 9}, 6, 1},    // p = 6, col-only
                       DistCase{{7, 12, 9}, 1, 6}));  // p = 6, row-only
 
-TEST(DistributedFft3d, BatchedManyMatchesSequentialBitwise) {
+// Every process-grid shape the transpose handles: 1x1 (no peers at all),
+// one degenerate pencil dimension either way, and 2-D grids. 10x9x7 splits
+// unevenly over all of them (k3 has 4 half-spectrum modes).
+struct GridCase {
+  int p1, p2;
+};
+
+class DistributedFft3dGrid : public ::testing::TestWithParam<GridCase> {};
+
+const Int3 kUnevenDims{10, 9, 7};
+
+TEST_P(DistributedFft3dGrid, BatchedManyMatchesSequentialBitwise) {
   // forward_many/inverse_many must agree bitwise with per-component
   // transforms: the batch changes the exchange schedule, not the arithmetic.
-  const Int3 dims{8, 12, 10};
-  mpisim::run_spmd(4, [&](mpisim::Communicator& comm) {
-    grid::PencilDecomp decomp(comm, dims, 2, 2);
+  const auto [p1, p2] = GetParam();
+  mpisim::run_spmd(p1 * p2, [&, p1 = p1, p2 = p2](mpisim::Communicator& comm) {
+    grid::PencilDecomp decomp(comm, kUnevenDims, p1, p2);
     DistributedFft3d fft(decomp);
     const index_t nr = fft.local_real_size();
     const index_t ns = fft.local_spectral_size();
@@ -400,6 +411,60 @@ TEST(DistributedFft3d, BatchedManyMatchesSequentialBitwise) {
         ASSERT_EQ(back_many[c][i], back_seq[c][i]);
   });
 }
+
+TEST_P(DistributedFft3dGrid, CommCountersTrackExchangesAndBytes) {
+  // Every transform = 2 alltoallv exchanges (row + col), scalar or batched,
+  // whatever the grid. Bytes and messages are attributed to the FFT comm
+  // category: none at 1x1, where every chunk stays on the rank, and some
+  // on every other grid. Batching scales the chunks, not the messages.
+  const auto [p1, p2] = GetParam();
+  const bool alone = p1 * p2 == 1;
+  auto timings = mpisim::run_spmd(p1 * p2, [&, p1 = p1, p2 = p2](
+                                               mpisim::Communicator& comm) {
+    grid::PencilDecomp decomp(comm, kUnevenDims, p1, p2);
+    DistributedFft3d fft(decomp);
+    std::vector<std::vector<real_t>> x(
+        3, std::vector<real_t>(fft.local_real_size(), 1.0));
+    std::vector<std::vector<complex_t>> spec(
+        3, std::vector<complex_t>(fft.local_spectral_size()));
+    const Timings& t = comm.timings();
+    comm.timings().clear();
+    fft.forward(x[0], spec[0]);
+    EXPECT_EQ(t.exchanges(TimeKind::kFftComm), 2u);
+    const std::uint64_t scalar_messages = t.messages(TimeKind::kFftComm);
+    fft.inverse(spec[0], x[0]);
+    EXPECT_EQ(t.exchanges(TimeKind::kFftComm), 4u);
+
+    const real_t* creals[3] = {x[0].data(), x[1].data(), x[2].data()};
+    real_t* reals[3] = {x[0].data(), x[1].data(), x[2].data()};
+    complex_t* specs[3] = {spec[0].data(), spec[1].data(), spec[2].data()};
+    const complex_t* cspecs[3] = {spec[0].data(), spec[1].data(),
+                                  spec[2].data()};
+    const std::uint64_t before_many = t.messages(TimeKind::kFftComm);
+    fft.forward_many(std::span<const real_t* const>(creals),
+                     std::span<complex_t* const>(specs));
+    EXPECT_EQ(t.exchanges(TimeKind::kFftComm), 6u);
+    EXPECT_EQ(t.messages(TimeKind::kFftComm) - before_many, scalar_messages);
+    fft.inverse_many(std::span<const complex_t* const>(cspecs),
+                     std::span<real_t* const>(reals));
+    EXPECT_EQ(t.exchanges(TimeKind::kFftComm), 8u);
+  });
+  for (const auto& t : timings) {
+    EXPECT_EQ(t.exchanges(TimeKind::kFftComm), 8u);
+    if (alone) {
+      EXPECT_EQ(t.bytes(TimeKind::kFftComm), 0u);
+      EXPECT_EQ(t.messages(TimeKind::kFftComm), 0u);
+    } else {
+      EXPECT_GT(t.bytes(TimeKind::kFftComm), 0u);
+      EXPECT_GT(t.messages(TimeKind::kFftComm), 0u);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Grids, DistributedFft3dGrid,
+                         ::testing::Values(GridCase{1, 1}, GridCase{1, 3},
+                                           GridCase{3, 1}, GridCase{2, 2},
+                                           GridCase{2, 3}));
 
 TEST(DistributedFft3d, RepeatedTransformsReuseBuffersBitwise) {
   // All pack/unpack scratch lives in the plan; running the same transform
@@ -478,29 +543,6 @@ TEST(DistributedFft3d, WarmTransformsAreAllocationFree) {
   });
 }
 
-TEST(DistributedFft3d, CommCountersTrackExchangesAndBytes) {
-  // One forward = 2 alltoallv exchanges (row + col); with p1 = p2 = 2 every
-  // rank ships data to one peer per exchange, so bytes and messages are
-  // nonzero and attributed to the FFT comm category.
-  const Int3 dims{8, 8, 8};
-  auto timings = mpisim::run_spmd(4, [&](mpisim::Communicator& comm) {
-    grid::PencilDecomp decomp(comm, dims, 2, 2);
-    DistributedFft3d fft(decomp);
-    std::vector<real_t> x(fft.local_real_size(), 1.0);
-    std::vector<complex_t> spec(fft.local_spectral_size());
-    comm.timings().clear();
-    fft.forward(x, spec);
-    EXPECT_EQ(comm.timings().exchanges(TimeKind::kFftComm), 2u);
-    fft.inverse(spec, x);
-    EXPECT_EQ(comm.timings().exchanges(TimeKind::kFftComm), 4u);
-  });
-  for (const auto& t : timings) {
-    EXPECT_EQ(t.exchanges(TimeKind::kFftComm), 4u);
-    EXPECT_GT(t.bytes(TimeKind::kFftComm), 0u);
-    EXPECT_GT(t.messages(TimeKind::kFftComm), 0u);
-  }
-}
-
 TEST(DistributedFft3d, TimingsAreAttributed) {
   const Int3 dims{16, 16, 16};
   auto timings = mpisim::run_spmd(4, [&](mpisim::Communicator& comm) {
@@ -515,7 +557,7 @@ TEST(DistributedFft3d, TimingsAreAttributed) {
 }
 
 TEST(DistributedFft3d, TransposesHideWireTime) {
-  // Every transpose unpacks its self chunk under the peer chunks' flight,
+  // Every transpose copies its self chunk under the peer chunks' flight,
   // so for p > 1 some wire time must surface as hidden.
   const Int3 dims{20, 16, 12};
   for (int p : {2, 4, 6}) {

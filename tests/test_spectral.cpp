@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <tuple>
 
 #include "grid/field_io.hpp"
 #include "mpisim/communicator.hpp"
@@ -95,42 +96,20 @@ TEST_P(SpectralSweep, LaplacianEigenfunction) {
   mpisim::run_spmd(p, [&, dims = dims](mpisim::Communicator& comm) {
     PencilDecomp decomp(comm, dims);
     SpectralOps ops(decomp);
-    // lap sin(x1)cos(2 x3) = -(1 + 4) sin(x1)cos(2 x3)
+    // -lap sin(x1)cos(2 x3) = (1 + 4) sin(x1)cos(2 x3), and lap^2 = 25 f.
     auto f = fill(decomp, [](real_t x1, real_t, real_t x3) {
       return std::sin(x1) * std::cos(2 * x3);
     });
-    ScalarField lap;
-    ops.laplacian(f, lap);
-    ScalarField expected = f;
-    for (auto& v : expected) v *= -5.0;
-    expect_field_near(lap, expected, 1e-10);
-
-    // Biharmonic: lap^2 = 25 f.
-    ScalarField bih;
-    ops.biharmonic(f, bih);
-    expected = f;
-    for (auto& v : expected) v *= 25.0;
-    expect_field_near(bih, expected, 1e-9);
-  });
-}
-
-TEST_P(SpectralSweep, InverseLaplacianIsRightInverseOnZeroMean) {
-  const auto [dims, p] = GetParam();
-  mpisim::run_spmd(p, [&, dims = dims](mpisim::Communicator& comm) {
-    PencilDecomp decomp(comm, dims);
-    SpectralOps ops(decomp);
-    auto f = fill(decomp, [](real_t x1, real_t x2, real_t x3) {
-      return std::sin(x1) + std::cos(x2) * std::sin(2 * x3);  // zero mean
-    });
-    ScalarField u, back;
-    ops.inv_laplacian(f, u);
-    ops.laplacian(u, back);
-    expect_field_near(back, f, 1e-9);
-
-    // Same for the biharmonic.
-    ops.inv_biharmonic(f, u);
-    ops.biharmonic(u, back);
-    expect_field_near(back, f, 1e-8);
+    VectorField v(decomp.local_real_size());
+    for (int d = 0; d < 3; ++d) v[d] = f;
+    for (const auto& [gamma, eigenvalue, tol] :
+         {std::tuple{1, 5.0, 1e-10}, std::tuple{2, 25.0, 1e-9}}) {
+      VectorField w(v.local_size());
+      ops.neg_laplacian_pow(v, gamma, w);
+      ScalarField expected = f;
+      for (auto& x : expected) x *= eigenvalue;
+      for (int d = 0; d < 3; ++d) expect_field_near(w[d], expected, tol);
+    }
   });
 }
 
@@ -194,13 +173,20 @@ TEST_P(SpectralSweep, RegularizationInverseIsExactInverse) {
     v[1] = fill(decomp, [](real_t, real_t x2, real_t) { return std::cos(x2); });
     v[2] = fill(decomp,
                 [](real_t, real_t, real_t x3) { return std::sin(2 * x3); });
-    for (int gamma : {1, 2}) {
-      VectorField av(v.local_size()), back(v.local_size());
-      ops.neg_laplacian_pow(v, gamma, av);
-      ops.inv_neg_laplacian_pow(av, gamma, back);
-      // Inputs are zero-mean, so the pseudo-inverse is exact.
-      for (int d = 0; d < 3; ++d) expect_field_near(back[d], v[d], 1e-9);
-    }
+    // A field mixing modes along several axes in one component.
+    VectorField mixed(decomp.local_real_size());
+    for (int d = 0; d < 3; ++d)
+      mixed[d] = fill(decomp, [](real_t x1, real_t x2, real_t x3) {
+        return std::sin(x1) + std::cos(x2) * std::sin(2 * x3);
+      });
+    for (const VectorField* in : {&v, &mixed})
+      for (int gamma : {1, 2}) {
+        VectorField av(in->local_size()), back(in->local_size());
+        ops.neg_laplacian_pow(*in, gamma, av);
+        ops.inv_neg_laplacian_pow(av, gamma, back);
+        // Inputs are zero-mean, so the pseudo-inverse is exact.
+        for (int d = 0; d < 3; ++d) expect_field_near(back[d], (*in)[d], 1e-9);
+      }
   });
 }
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific contract lint for the diffreg tree.
 
-Four rules, each encoding a cross-file invariant the compiler cannot see
+Three rules, each encoding a cross-file invariant the compiler cannot see
 (docs/ANALYSIS.md has the full rationale):
 
   zero-alloc        A function annotated with a `// diffreg:zero-alloc`
@@ -11,11 +11,6 @@ Four rules, each encoding a cross-file invariant the compiler cannot see
                     These are the warm-path kernels the paper's flop/byte
                     model budgets; an accidental allocation is a silent
                     performance regression no test asserts on.
-  timings-plumbing  Every private counter member of `Timings` (timer.hpp)
-                    must be plumbed through clear(), operator+=, max_with()
-                    and the free timings_delta() helper. Forgetting one
-                    (the historical failure mode when a counter is added)
-                    makes per-phase deltas silently wrong.
   mpisim-throw      Every `throw` under src/mpisim must throw a type that
                     derives from CommError (errors.hpp), so run_spmd
                     callers can classify any comm failure from one root
@@ -48,7 +43,7 @@ import re
 import sys
 from dataclasses import dataclass
 
-RULE_IDS = ("zero-alloc", "timings-plumbing", "mpisim-throw", "timekind-unused")
+RULE_IDS = ("zero-alloc", "mpisim-throw", "timekind-unused")
 
 MARKER = "diffreg:zero-alloc"
 
@@ -200,6 +195,22 @@ def function_body_after(stripped: str, marker_end: int) -> tuple[int, int] | Non
     return None
 
 
+def extract_braced(stripped: str, start: int) -> str | None:
+    """Body text from the first '{' at/after `start` to its matching '}'."""
+    i = stripped.find("{", start)
+    if i < 0:
+        return None
+    depth = 0
+    for j in range(i, len(stripped)):
+        if stripped[j] == "{":
+            depth += 1
+        elif stripped[j] == "}":
+            depth -= 1
+            if depth == 0:
+                return stripped[i:j + 1]
+    return None
+
+
 # --- Rule: zero-alloc (token backend) --------------------------------------
 
 def check_zero_alloc_text(path: str, raw: str, stripped: str) -> list[Finding]:
@@ -313,81 +324,6 @@ def check_zero_alloc_clang(paths: list[str], root: str,
     return findings
 
 
-# --- Rule: timings-plumbing --------------------------------------------------
-
-# Counters whose timings_delta plumbing goes through a differently-named
-# accessor rather than `member name minus trailing underscore`.
-TIMINGS_ACCESSOR = {"seconds_": "get", "hidden_seconds_": "hidden"}
-
-
-def extract_braced(stripped: str, start: int) -> str | None:
-    """Body text from the first '{' at/after `start` to its matching '}'."""
-    i = stripped.find("{", start)
-    if i < 0:
-        return None
-    depth = 0
-    for j in range(i, len(stripped)):
-        if stripped[j] == "{":
-            depth += 1
-        elif stripped[j] == "}":
-            depth -= 1
-            if depth == 0:
-                return stripped[i:j + 1]
-    return None
-
-
-def check_timings(root: str) -> list[Finding]:
-    path = os.path.join(root, "src", "common", "timer.hpp")
-    if not os.path.exists(path):
-        return [Finding(path, 1, "timings-plumbing",
-                        "src/common/timer.hpp not found")]
-    raw = open(path, encoding="utf-8").read()
-    stripped = strip_comments_and_strings(raw)
-
-    class_m = re.search(r"\bclass\s+Timings\b", stripped)
-    if not class_m:
-        return [Finding(path, 1, "timings-plumbing", "class Timings not found")]
-    class_body = extract_braced(stripped, class_m.end())
-    if class_body is None:
-        return [Finding(path, class_m.start(), "timings-plumbing",
-                        "could not parse class Timings body")]
-
-    members = re.findall(r"std::array<[^;]*?>\s+(\w+_)\s*\{\}\s*;", class_body)
-    if not members:
-        return [Finding(path, line_of(stripped, class_m.start()),
-                        "timings-plumbing",
-                        "no std::array counter members found in Timings")]
-
-    def body_of(pattern: str, text: str) -> str | None:
-        m = re.search(pattern, text)
-        return extract_braced(text, m.end()) if m else None
-
-    functions = {
-        "clear()": body_of(r"\bvoid\s+clear\s*\(\s*\)", class_body),
-        "operator+=": body_of(r"operator\+=\s*\(", class_body),
-        "max_with()": body_of(r"\bvoid\s+max_with\s*\(", class_body),
-        "timings_delta()": body_of(r"\bTimings\s+timings_delta\s*\(", stripped),
-    }
-
-    findings = []
-    for fn_name, body in functions.items():
-        if body is None:
-            findings.append(Finding(path, 1, "timings-plumbing",
-                                    f"{fn_name} not found"))
-            continue
-        for member in members:
-            accessor = TIMINGS_ACCESSOR.get(member, member[:-1])
-            if member in body:
-                continue
-            if fn_name == "timings_delta()" and re.search(
-                    rf"\b{re.escape(accessor)}\s*\(", body):
-                continue  # delta goes through the public accessors
-            findings.append(Finding(
-                path, line_of(stripped, class_m.start()), "timings-plumbing",
-                f"Timings member '{member}' is not plumbed through {fn_name}"))
-    return findings
-
-
 # --- Rule: mpisim-throw ------------------------------------------------------
 
 def comm_error_types(root: str) -> tuple[set[str], list[Finding]]:
@@ -474,7 +410,6 @@ def run_all(root: str, compile_commands: str | None) -> list[Finding]:
             stripped = strip_comments_and_strings(raw)
             findings += check_zero_alloc_text(path, raw, stripped)
     findings += check_zero_alloc_clang(paths, root, compile_commands)
-    findings += check_timings(root)
     findings += check_mpisim_throws(root)
     findings += check_timekind(root)
     # The AST backend may re-report a token-level hit; dedupe on

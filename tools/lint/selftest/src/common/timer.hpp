@@ -1,13 +1,9 @@
-// Miniature Timings used by contract_lint.py --selftest. Seeds exactly
-// two violations:
-//   timings-plumbing  `bytes_` is missing from clear()
+// Miniature TimeKind used by contract_lint.py --selftest. Seeds exactly one
+// violation:
 //   timekind-unused   TimeKind::kGhost is never referenced
-// Everything else is deliberately clean so the selftest count stays at
-// one finding per rule.
+// Every other value is referenced below, so the selftest count stays at one
+// finding.
 #pragma once
-
-#include <array>
-#include <cstdint>
 
 namespace selftest {
 
@@ -19,54 +15,6 @@ enum class TimeKind : int {
 
 constexpr int kNumTimeKinds = static_cast<int>(TimeKind::kCount);
 
-class Timings {
- public:
-  void clear() {
-    seconds_.fill(0.0);
-    // seeded: bytes_ is NOT cleared
-  }
-
-  Timings& operator+=(const Timings& other) {
-    for (int k = 0; k < kNumTimeKinds; ++k) {
-      seconds_[k] += other.seconds_[k];
-      bytes_[k] += other.bytes_[k];
-    }
-    return *this;
-  }
-
-  void max_with(const Timings& other) {
-    for (int k = 0; k < kNumTimeKinds; ++k) {
-      if (other.seconds_[k] > seconds_[k]) seconds_[k] = other.seconds_[k];
-      if (other.bytes_[k] > bytes_[k]) bytes_[k] = other.bytes_[k];
-    }
-  }
-
-  double get(TimeKind kind) const {
-    return seconds_[static_cast<int>(kind)];
-  }
-  std::uint64_t bytes(TimeKind kind) const {
-    return bytes_[static_cast<int>(kind)];
-  }
-  void add(TimeKind kind, double s) { seconds_[static_cast<int>(kind)] += s; }
-  void add_bytes(TimeKind kind, std::uint64_t b) {
-    bytes_[static_cast<int>(kind)] += b;
-  }
-
- private:
-  std::array<double, kNumTimeKinds> seconds_{};
-  std::array<std::uint64_t, kNumTimeKinds> bytes_{};
-};
-
-inline Timings timings_delta(const Timings& before, const Timings& after) {
-  Timings d;
-  for (int k = 0; k < kNumTimeKinds; ++k) {
-    const auto kind = static_cast<TimeKind>(k);
-    d.add(kind, after.get(kind) - before.get(kind));
-    d.add_bytes(kind, after.bytes(kind) - before.bytes(kind));
-  }
-  return d;
-}
-
-inline double use_fft(const Timings& t) { return t.get(TimeKind::kFftComm); }
+inline bool is_fft(TimeKind kind) { return kind == TimeKind::kFftComm; }
 
 }  // namespace selftest
