@@ -6,7 +6,8 @@
 //  * 3D FFT forward/inverse (the O(N^3 log N) spectral workhorse), on cubes
 //    and on brain-48's mixed-radix 48x56x48 grid
 //  * spectral gradient (1 forward + 3 inverse FFTs, the fused variant)
-//  * raw tricubic kernel throughput (the paper's ~600 flops/point estimate)
+//  * tricubic evaluation sweep over precomputed stencils, 1 and 3 fields
+//    (the paper's ~600 flops/point estimate)
 //  * interpolation plan: build (scatter phase) vs execute (reuse) — the
 //    paper's "once per field per Newton iteration" optimization
 //  * tricubic vs trilinear execution cost
@@ -148,22 +149,44 @@ void BM_SpectralGradient(benchmark::State& state) {
 }
 BENCHMARK(BM_SpectralGradient)->Arg(32)->Arg(64);
 
-void BM_TricubicKernelRaw(benchmark::State& state) {
-  // Pure kernel throughput on a padded block, no communication.
-  const Int3 gdims{36, 36, 36};
-  std::vector<real_t> g(gdims.prod());
-  for (index_t i = 0; i < gdims.prod(); ++i)
-    g[i] = std::sin(0.01 * static_cast<real_t>(i));
-  real_t u = 2.0;
-  real_t sum = 0;
+void BM_TricubicStencilSweep(benchmark::State& state) {
+  // The plan's evaluation sweep without communication: the stencils of one
+  // 64^3 / p = 4 pencil block (32 x 32 x 64 points, ghost width 2),
+  // precomputed as at plan build and visited in grid order, each applied to
+  // m ghosted fields. Every departure point sits a smooth sub-cell offset
+  // from its grid point, as after a semi-Lagrangian step.
+  const int m = static_cast<int>(state.range(0));
+  const Int3 ld{32, 32, 64};
+  const index_t w = interp::kGhostWidth;
+  const Int3 gdims{ld[0] + 2 * w, ld[1] + 2 * w, ld[2] + 2 * w};
+  const index_t npts = ld.prod();
+  std::vector<real_t> ghosted(m * gdims.prod());
+  for (size_t i = 0; i < ghosted.size(); ++i)
+    ghosted[i] = std::sin(0.01 * static_cast<real_t>(i));
+  std::vector<interp::CubicStencil> stencils(npts);
+  index_t j = 0;
+  for (index_t a = 0; a < ld[0]; ++a)
+    for (index_t b = 0; b < ld[1]; ++b)
+      for (index_t c = 0; c < ld[2]; ++c, ++j) {
+        const real_t s =
+            0.4 * std::sin(0.1 * static_cast<real_t>(a + 2 * b + 3 * c));
+        interp::make_cubic_stencil(gdims, static_cast<real_t>(a + w) + s,
+                                   static_cast<real_t>(b + w) - 0.5 * s,
+                                   static_cast<real_t>(c + w) + 0.7 * s,
+                                   stencils[j]);
+      }
+  std::vector<real_t> out(m * npts);
   for (auto _ : state) {
-    u = 2.0 + std::fmod(u * 1.61803, 30.0);
-    sum += interp::tricubic_eval(g.data(), gdims, u, 0.5 * u + 2, 17.3);
+    for (index_t q = 0; q < npts; ++q)
+      for (int f = 0; f < m; ++f)
+        out[f * npts + q] = interp::cubic_stencil_apply(
+            ghosted.data() + f * gdims.prod(), gdims, stencils[q]);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
-  benchmark::DoNotOptimize(sum);
-  state.SetItemsProcessed(state.iterations());
+  state.SetItemsProcessed(state.iterations() * npts * m);
 }
-BENCHMARK(BM_TricubicKernelRaw);
+BENCHMARK(BM_TricubicStencilSweep)->Arg(1)->Arg(3);
 
 void BM_InterpPlanBuild(benchmark::State& state) {
   // The scatter phase the paper amortizes: force a rebuild every iteration

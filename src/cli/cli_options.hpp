@@ -66,7 +66,8 @@ std::optional<CliOptions> parse_options(const std::string& job_spec,
 /// Builds or loads the image pair of `opt` on `decomp` (collective over
 /// the decomposition's communicator — under --batch that is the shard the
 /// job landed on). `ops` must live on `decomp`. Returns false with `error`
-/// set for an unknown workload.
+/// set for an unknown workload, and on every rank for an input file the
+/// root cannot read in full.
 bool build_workload(grid::PencilDecomp& decomp, spectral::SpectralOps& ops,
                     const CliOptions& opt, grid::ScalarField& rho_t,
                     grid::ScalarField& rho_r, std::string& error);

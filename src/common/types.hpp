@@ -62,8 +62,11 @@ constexpr index_t linear_index(index_t i1, index_t i2, index_t i3,
   return (i1 * n[1] + i2) * n[2] + i3;
 }
 
-/// Wraps x into the periodic interval [0, period).
+/// Wraps x into the periodic interval [0, period). An x already inside is
+/// returned as is — exactly what fmod returns for it — so the common case of
+/// a departure point that stays in the domain makes no libm call.
 inline real_t periodic_wrap(real_t x, real_t period) {
+  if (x >= 0 && x < period) return x;
   x = std::fmod(x, period);
   if (x < 0) x += period;
   // fmod of a slightly negative value can round back up to `period` itself.

@@ -55,17 +55,17 @@ NewtonReport newton_solve(OptimalitySystem& system, VectorField& v,
 
   for (int iter = 0; iter <= options.max_newton_iters; ++iter) {
     system.gradient(g);
-    if (options.guard) {
-      // Collective finite sweep (every rank throws together; see
-      // grid::validate_finite). The objective is already reduced, so the
-      // scalar test below is consistent across ranks without another
-      // collective.
-      grid::validate_finite(decomp, g, "newton gradient");
-      if (!std::isfinite(objective))
-        throw grid::NonFiniteFieldError(
-            "non-finite objective in newton_solve");
-    }
+    // Collective finite sweep under the guard (every rank throws together
+    // and the message counts the bad values; see grid::validate_finite).
+    if (options.guard) grid::validate_finite(decomp, g, "newton gradient");
     const real_t g_norm = grid::norm_l2(decomp, g);
+    // With or without the guard: the objective and the gradient norm are
+    // already reduced, so this scalar test throws on every rank without
+    // another collective. A NaN norm would otherwise read as rel_g = 0,
+    // i.e. "converged".
+    if (!std::isfinite(objective) || !std::isfinite(g_norm))
+      throw grid::NonFiniteFieldError(
+          "non-finite objective or gradient norm in newton_solve");
     if (iter == 0) {
       g0_norm = g_ref > 0 ? g_ref : g_norm;
       report.initial_gradient_norm = g_norm;

@@ -160,10 +160,11 @@ SolveReport RegistrationSolver::solve(const SolveRequest& request) {
     ScalarField res(n);
     system.final_residual(res);
     result.final_residual_norm = grid::norm_l2(*decomp_, res);
+    // A non-finite norm propagates instead of reading as 0.
     result.rel_residual =
-        result.initial_residual_norm > 0
-            ? result.final_residual_norm / result.initial_residual_norm
-            : real_t(0);
+        result.initial_residual_norm == 0
+            ? real_t(0)
+            : result.final_residual_norm / result.initial_residual_norm;
   }
 
   const DeformationAnalysis deformation = analyze_deformation(*ops_, transport);

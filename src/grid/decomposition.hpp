@@ -9,8 +9,10 @@
 //                 over p1. Both splits allow non-divisible sizes.
 #pragma once
 
+#include <cassert>
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 #include "common/partition.hpp"
 #include "common/types.hpp"
@@ -42,6 +44,14 @@ class PencilDecomp {
     n3c_ = dims_[2] / 2 + 1;
     srange3_ = block_range(n3c_, p2_, r2_);
     srange2_ = block_range(dims_[1], p1_, r1_);
+    // Per-axis owner tables: owner_of runs once per departure point at
+    // every plan build, and a lookup replaces block_owner's divisions.
+    owner1_.resize(dims_[0]);
+    owner2_.resize(dims_[1]);
+    for (index_t i = 0; i < dims_[0]; ++i)
+      owner1_[i] = block_owner(i, dims_[0], p1_) * p2_;
+    for (index_t i = 0; i < dims_[1]; ++i)
+      owner2_[i] = block_owner(i, dims_[1], p2_);
   }
 
   PencilDecomp(mpisim::Communicator comm, const Int3& dims)
@@ -91,9 +101,8 @@ class PencilDecomp {
 
   /// Rank owning real-space point (i1, i2) (dim 3 irrelevant).
   int owner_of(index_t i1, index_t i2) const {
-    const int o1 = block_owner(i1, dims_[0], p1_);
-    const int o2 = block_owner(i2, dims_[1], p2_);
-    return o1 * p2_ + o2;
+    assert(i1 >= 0 && i1 < dims_[0] && i2 >= 0 && i2 < dims_[1]);
+    return owner1_[i1] + owner2_[i2];
   }
 
   /// Rank at process-grid coordinates (c1, c2).
@@ -107,6 +116,8 @@ class PencilDecomp {
   BlockRange range1_, range2_;
   index_t n3c_ = 0;
   BlockRange srange3_, srange2_;
+  std::vector<int> owner1_;  // [N1]: block_owner(i1, N1, p1) * p2
+  std::vector<int> owner2_;  // [N2]: block_owner(i2, N2, p2)
 };
 
 }  // namespace diffreg::grid

@@ -52,9 +52,9 @@ void InterpPlan::build(std::span<const Vec3> points) {
       const real_t u1 = periodic_grid_units(points[i][0], h1, dims[0]);
       const real_t u2 = periodic_grid_units(points[i][1], h2, dims[1]);
       const real_t u3 = periodic_grid_units(points[i][2], h3, dims[2]);
-      const index_t f1 = periodic_index(static_cast<index_t>(u1), dims[0]);
-      const index_t f2 = periodic_index(static_cast<index_t>(u2), dims[1]);
-      const int owner = decomp_->owner_of(f1, f2);
+      // u is in [0, n), so truncation is floor and already a grid index.
+      const int owner = decomp_->owner_of(static_cast<index_t>(u1),
+                                          static_cast<index_t>(u2));
       owner_[i] = owner;
       wrapped_[3 * i] = u1;
       wrapped_[3 * i + 1] = u2;

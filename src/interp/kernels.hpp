@@ -40,44 +40,41 @@ struct CubicStencil {
   real_t w1[4], w2[4], w3[4];
 };
 
+/// Truncation equals floor here, without a libm call: the stencil reads
+/// node i - 1, so every in-block position has u >= 1.
 // diffreg:zero-alloc
 inline void make_cubic_stencil(const Int3& gdims, real_t u1, real_t u2,
                                real_t u3, CubicStencil& st) {
-  const index_t i1 = static_cast<index_t>(std::floor(u1));
-  const index_t i2 = static_cast<index_t>(std::floor(u2));
-  const index_t i3 = static_cast<index_t>(std::floor(u3));
+  const index_t i1 = static_cast<index_t>(u1);
+  const index_t i2 = static_cast<index_t>(u2);
+  const index_t i3 = static_cast<index_t>(u3);
   st.base = (i1 - 1) * gdims[1] * gdims[2] + (i2 - 1) * gdims[2] + (i3 - 1);
   cubic_weights(u1 - static_cast<real_t>(i1), st.w1);
   cubic_weights(u2 - static_cast<real_t>(i2), st.w2);
   cubic_weights(u3 - static_cast<real_t>(i3), st.w3);
 }
 
-/// Applies a precomputed stencil to one ghosted field. The i3 direction is
-/// kept in four independent accumulators (the 4 contiguous line entries), so
-/// the 64 multiply-adds vectorize and pipeline instead of forming a serial
-/// reduction chain; ~64 coefficients as in the paper's O(600 N^3 / p) flop
-/// estimate.
+/// Applies a precomputed stencil to one ghosted field: each contiguous
+/// 4-point i3 line is contracted with w3 first, then the lines with w2 and
+/// the planes with w1, every sum taken in pairs. No accumulator waits on more
+/// than a few dependent adds, so the 64 products pipeline; ~64 coefficients
+/// as in the paper's O(600 N^3 / p) flop estimate.
 // diffreg:zero-alloc
 inline real_t cubic_stencil_apply(const real_t* g, const Int3& gdims,
                                   const CubicStencil& st) {
   const index_t s1 = gdims[1] * gdims[2];
   const index_t s2 = gdims[2];
+  const auto line = [&st](const real_t* l) {
+    return (st.w3[0] * l[0] + st.w3[1] * l[1]) +
+           (st.w3[2] * l[2] + st.w3[3] * l[3]);
+  };
+  const auto plane = [&](const real_t* q) {
+    return (st.w2[0] * line(q) + st.w2[1] * line(q + s2)) +
+           (st.w2[2] * line(q + 2 * s2) + st.w2[3] * line(q + 3 * s2));
+  };
   const real_t* base = g + st.base;
-  real_t acc0 = 0, acc1 = 0, acc2 = 0, acc3 = 0;
-  for (int a = 0; a < 4; ++a) {
-    const real_t w1a = st.w1[a];
-    const real_t* plane = base + a * s1;
-    for (int b = 0; b < 4; ++b) {
-      const real_t s = w1a * st.w2[b];
-      const real_t* line = plane + b * s2;
-      acc0 += s * line[0];
-      acc1 += s * line[1];
-      acc2 += s * line[2];
-      acc3 += s * line[3];
-    }
-  }
-  return st.w3[0] * acc0 + st.w3[1] * acc1 + st.w3[2] * acc2 +
-         st.w3[3] * acc3;
+  return (st.w1[0] * plane(base) + st.w1[1] * plane(base + s1)) +
+         (st.w1[2] * plane(base + 2 * s1) + st.w1[3] * plane(base + 3 * s1));
 }
 
 /// Evaluates the tricubic interpolant of the ghosted block `g` (dims

@@ -6,8 +6,6 @@
 
 namespace diffreg::semilag {
 
-using interp::InterpPlan;
-
 namespace {
 
 /// Bitwise equality of two fields (plan-invalidation check: identical bits
@@ -99,7 +97,6 @@ void Transport::set_velocity(const VectorField& v) {
 
   compute_departure_points(+1);
   plan_fwd_.build(points_);
-  plan_fwd_.interpolate_vec(gx_, v_, v_at_fwd_, config_.method);
 
   compute_departure_points(-1);
   plan_bwd_.build(points_);
@@ -116,29 +113,14 @@ void Transport::set_velocity(const VectorField& v) {
   ++plan_builds_;
 }
 
-void Transport::advect_step(InterpPlan& plan, const ScalarField& nu,
-                            const ScalarField* f0_at_points,
-                            const ScalarField* f1_grid, ScalarField& out) {
-  plan.interpolate(gx_, nu, nu_at_x_, config_.method);
-  const index_t n = decomp_->local_real_size();
-  const real_t half_dt = real_t(0.5) * dt();
-  if (f0_at_points == nullptr && f1_grid == nullptr) {
-    out = nu_at_x_;
-    return;
-  }
-  assert(f0_at_points != nullptr && f1_grid != nullptr);
-  if (out.size() != static_cast<size_t>(n)) out.resize(n);
-  for (index_t i = 0; i < n; ++i)
-    out[i] = nu_at_x_[i] + half_dt * ((*f0_at_points)[i] + (*f1_grid)[i]);
-}
-
 void Transport::solve_state(const ScalarField& rho0) {
   if (!plans_built_)
     throw std::logic_error("Transport: set_velocity before solve_state");
   rho_hist_[0] = rho0;
   for (auto& g : grad_rho_hist_) g.reset();
   for (int j = 0; j < config_.nt; ++j)
-    advect_step(plan_fwd_, rho_hist_[j], nullptr, nullptr, rho_hist_[j + 1]);
+    plan_fwd_.interpolate(gx_, rho_hist_[j], rho_hist_[j + 1],
+                          config_.method);
 }
 
 const VectorField& Transport::state_gradient(int j) {
@@ -174,7 +156,7 @@ void Transport::solve_adjoint(const ScalarField& lambda1, VectorField& b,
   accumulate(nt, cur);
   for (int j = nt; j >= 1; --j) {
     if (config_.incompressible) {
-      advect_step(plan_bwd_, cur, nullptr, nullptr, next);
+      plan_bwd_.interpolate(gx_, cur, next, config_.method);
     } else {
       // f = lam * div v is linear in lam: f0(X) = lam(X) div_v(X) comes from
       // the cached div v at the departure points, the corrector uses the
@@ -214,34 +196,22 @@ void Transport::solve_incremental_state(const VectorField& vtilde,
                vtilde[2][i] * grad_rho[2][i]);
   };
 
-  ScalarField cur(n, 0);  // rho_tilde(0) = 0
-  ScalarField next(n);
+  // Interpolation is linear, so the RK2 step nu(X) + dt/2 (f0(X) + f1(x))
+  // interpolates ONE field per step: (nu + dt/2 f0)(X). f0_grid_ holds that
+  // field until the interpolation has read it, then the next step's f0.
+  const real_t half_dt = real_t(0.5) * dt();
+  ScalarField& cur = rho_tilde1;
+  cur.assign(n, 0);  // rho_tilde(0) = 0
   source(0, f0_grid_);
   for (int j = 0; j < nt; ++j) {
-    source(j + 1, f1_grid_);
-    if (j == 0) {
-      // rho_tilde(0) = 0, so the advected term vanishes.
-      plan_fwd_.interpolate(gx_, f0_grid_, f_at_x_, config_.method);
-      const real_t half_dt = real_t(0.5) * dt();
-      for (index_t i = 0; i < n; ++i)
-        next[i] = half_dt * (f_at_x_[i] + f1_grid_[i]);
-    } else {
-      // Advected quantity and source share one batched exchange.
-      const real_t* fields[2] = {cur.data(), f0_grid_.data()};
-      real_t* outs[2] = {nu_at_x_.data(), f_at_x_.data()};
-      plan_fwd_.interpolate_many(gx_,
-                                 std::span<const real_t* const>(fields, 2),
-                                 std::span<real_t* const>(outs, 2),
-                                 config_.method);
-      const real_t half_dt = real_t(0.5) * dt();
-      for (index_t i = 0; i < n; ++i)
-        next[i] = nu_at_x_[i] + half_dt * (f_at_x_[i] + f1_grid_[i]);
-    }
-    std::swap(cur, next);
-    std::swap(f0_grid_, f1_grid_);
+    for (index_t i = 0; i < n; ++i)
+      f0_grid_[i] = cur[i] + half_dt * f0_grid_[i];
+    plan_fwd_.interpolate(gx_, f0_grid_, nu_at_x_, config_.method);
+    source(j + 1, f0_grid_);
+    for (index_t i = 0; i < n; ++i)
+      cur[i] = nu_at_x_[i] + half_dt * f0_grid_[i];
     if (store_hist) rho_tilde_hist_[j + 1] = cur;
   }
-  rho_tilde1 = cur;
 }
 
 void Transport::solve_incremental_adjoint_gn(const ScalarField& lambda_tilde1,
@@ -330,25 +300,20 @@ void Transport::solve_displacement(VectorField& u1) {
   const int nt = config_.nt;
   const real_t half_dt = real_t(0.5) * dt();
 
-  u1 = VectorField(n);  // u(0) = 0
-  grid::resize_zero(u_at_x_, n);
-  for (int j = 0; j < nt; ++j) {
-    if (j == 0) {
-      for (int d = 0; d < 3; ++d)
-        for (index_t i = 0; i < n; ++i)
-          u1[d][i] = -half_dt * (v_at_fwd_[i][d] + v_[d][i]);
-      continue;
-    }
+  // The source -v is stationary, so the RK2 source term
+  // -dt/2 (v(X) + v(x)) is the same in every step: v(X) costs one batched
+  // interpolation per solve, and u(t_1) is that term alone (u(0) = 0).
+  interp_vec_at_forward_points(v_, disp_source_);
+  for (int d = 0; d < 3; ++d)
+    for (index_t i = 0; i < n; ++i)
+      disp_source_[d][i] = -half_dt * (disp_source_[d][i] + v_[d][i]);
+  u1 = disp_source_;
+  for (int j = 1; j < nt; ++j) {
     // All three components share one batched exchange per time step.
-    const real_t* fields[3] = {u1[0].data(), u1[1].data(), u1[2].data()};
-    real_t* outs[3] = {u_at_x_[0].data(), u_at_x_[1].data(),
-                       u_at_x_[2].data()};
-    plan_fwd_.interpolate_many(gx_, std::span<const real_t* const>(fields, 3),
-                               std::span<real_t* const>(outs, 3),
-                               config_.method);
+    interp_vec_at_forward_points(u1, u_at_x_);
     for (int d = 0; d < 3; ++d)
       for (index_t i = 0; i < n; ++i)
-        u1[d][i] = u_at_x_[d][i] - half_dt * (v_at_fwd_[i][d] + v_[d][i]);
+        u1[d][i] = u_at_x_[d][i] + disp_source_[d][i];
   }
 }
 

@@ -12,7 +12,12 @@
 // departure points X are computed once per velocity (they are shared by all
 // time steps because v is stationary), the interpolation communication plans
 // are cached (paper: "the scatter phase needs to be done once per field per
-// Newton iteration"), and each step costs one or two plan executions.
+// Newton iteration"), and each step costs one plan execution. It evaluates
+// one field for the state, adjoint and incremental state and adjoint (the
+// incremental state's nu(X) + dt/2 f0(X) is the one field (nu + dt/2 f0)(X),
+// interpolation being linear), a batched pair for the full-Newton
+// incremental adjoint (its nu div v(X) term is not linear in the
+// interpolated field), and three components for the displacement.
 //
 // Plan caching contract: set_velocity() rebuilds the forward/backward plans
 // ONLY when the velocity actually changed (bitwise comparison against the
@@ -59,9 +64,10 @@ class Transport {
   real_t dt() const { return real_t(1) / static_cast<real_t>(config_.nt); }
 
   /// Computes RK2 departure points for +v and -v, rebuilds both cached
-  /// interpolation plans, and caches v and div v at the departure points.
-  /// A velocity bitwise equal to the cached one is a no-op (the plans stay
-  /// valid). Collective.
+  /// interpolation plans, and caches div v at the backward departure points
+  /// (compressible only). v at the forward points is not cached: its one
+  /// reader, solve_displacement, interpolates it. A velocity bitwise equal
+  /// to the cached one is a no-op (the plans stay valid). Collective.
   void set_velocity(const VectorField& v);
   const VectorField& velocity() const { return v_; }
 
@@ -117,7 +123,9 @@ class Transport {
                                       const VectorField& vtilde,
                                       VectorField& b_tilde);
 
-  /// Solves (1) for the displacement u = y - x; y1(x) = x + u(x, 1).
+  /// Solves (1) for the displacement u = y - x; y1(x) = x + u(x, 1). Costs
+  /// nt batched 3-component interpolations: v(X) once, then u per step
+  /// after the first.
   void solve_displacement(VectorField& u1);
 
   /// Interpolates an arbitrary scalar field at the forward departure points
@@ -131,12 +139,6 @@ class Transport {
   /// RK2 departure points (eq. 6) for velocity sign * v, into points_.
   void compute_departure_points(int sign);
 
-  /// One semi-Lagrangian step of d nu/dt = f along the planned direction:
-  /// out(x) = nu(X) + dt/2 (f0(X) + f1(x)); the f terms are optional.
-  void advect_step(interp::InterpPlan& plan, const ScalarField& nu,
-                   const ScalarField* f0_at_points, const ScalarField* f1_grid,
-                   ScalarField& out);
-
   spectral::SpectralOps* ops_;
   grid::PencilDecomp* decomp_;
   TransportConfig config_;
@@ -149,7 +151,6 @@ class Transport {
   interp::InterpPlan plan_fwd_;   // departure points of +v
   interp::InterpPlan plan_bwd_;   // departure points of -v
   interp::InterpPlan star_plan_;  // RK2 predictor points (build scratch)
-  std::vector<Vec3> v_at_fwd_;    // v(X) at forward points
   ScalarField div_v_at_bwd_;
 
   std::vector<ScalarField> rho_hist_;
@@ -163,6 +164,7 @@ class Transport {
   std::vector<Vec3> v_star_;   // RK2 predictor velocities
   ScalarField nu_at_x_, f_at_x_, f0_grid_, f1_grid_;
   VectorField u_at_x_;         // displacement components at X (batched)
+  VectorField disp_source_;    // -dt/2 (v(X) + v(x)) of solve_displacement
 };
 
 }  // namespace diffreg::semilag

@@ -5,11 +5,13 @@
 // print/exit from the library).
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "cli/cli_options.hpp"
+#include "mpisim/communicator.hpp"
 
 namespace diffreg::cli {
 namespace {
@@ -187,6 +189,58 @@ TEST(CliParse, MalformedNumbersAreRejectedNamingTheFlag) {
   auto opt = parse_argv({"--max-newton", "0", "--deadline", "0"}, error);
   ASSERT_TRUE(opt.has_value()) << error;
   EXPECT_EQ(opt->reg.max_newton_iters, 0);
+}
+
+TEST(CliWorkload, UnreadableInputFailsEveryRank) {
+  // Only the root reads --template/--reference. A missing or short file
+  // must fail every rank with the root's error before the scatter, instead
+  // of leaving the other ranks blocked in it. The watchdog turns such a
+  // hang into a timeout error, and so into a test failure.
+  const std::string dir = ::testing::TempDir();
+  const std::string missing = dir + "diffreg_cli_no_such_volume";
+  const std::string short_file = dir + "diffreg_cli_short_volume";
+  {
+    std::ofstream out(short_file + ".raw", std::ios::binary);
+    const std::vector<real_t> few(10, 1.0);
+    out.write(reinterpret_cast<const char*>(few.data()),
+              static_cast<std::streamsize>(few.size() * sizeof(real_t)));
+  }
+  const std::pair<std::string, std::string> cases[] = {
+      {missing, "cannot open"}, {short_file, "truncated"}};
+  mpisim::SpmdOptions spmd;
+  spmd.comm_timeout_ms = 5000;
+  for (int p : {2, 4}) {
+    for (const auto& [path, expected] : cases) {
+      CliOptions opt;
+      opt.workload = "files";
+      opt.dims = {8, 8, 8};
+      opt.template_path = path;
+      opt.reference_path = path;
+      std::vector<std::string> errors(p);
+      std::vector<int> returned(p, -1);
+      mpisim::run_spmd(
+          p,
+          [&](mpisim::Communicator& comm) {
+            grid::PencilDecomp decomp(comm, opt.dims);
+            spectral::SpectralOps ops(decomp);
+            grid::ScalarField rho_t, rho_r;
+            std::string& error = errors[comm.rank()];
+            try {
+              returned[comm.rank()] =
+                  build_workload(decomp, ops, opt, rho_t, rho_r, error);
+            } catch (const std::exception& e) {
+              error = e.what();
+            }
+          },
+          spmd);
+      for (int r = 0; r < p; ++r) {
+        EXPECT_EQ(returned[r], 0) << "p=" << p << " rank " << r;
+        EXPECT_NE(errors[r].find(expected), std::string::npos)
+            << "p=" << p << " rank " << r << ": " << errors[r];
+        EXPECT_EQ(errors[r], errors[0]) << "p=" << p << " rank " << r;
+      }
+    }
+  }
 }
 
 }  // namespace

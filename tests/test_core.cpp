@@ -812,6 +812,40 @@ TEST(Guard, ThrowsOnNonFiniteInputImages) {
       grid::NonFiniteFieldError);
 }
 
+TEST(Guard, UnguardedSolveThrowsOnNonFiniteGradient) {
+  // One NaN template voxel makes the reduced gradient norm NaN. Without the
+  // guard the solve must still fail on every rank: a NaN norm once read as
+  // a relative gradient of 0, i.e. "converged", with rel residual 0.
+  for (int p : {1, 4}) {
+    std::atomic<int> threw{0};
+    EXPECT_THROW(
+        mpisim::run_spmd(
+            p,
+            [&](mpisim::Communicator& comm) {
+              PencilDecomp decomp(comm, {16, 16, 16});
+              spectral::SpectralOps ops(decomp);
+              auto rho_t = imaging::synthetic_template(decomp);
+              auto v_star = imaging::synthetic_velocity(decomp, 0.5);
+              auto rho_r = imaging::make_reference(ops, rho_t, v_star);
+              if (comm.rank() == 0)
+                rho_t[1] = std::numeric_limits<real_t>::quiet_NaN();
+              RegistrationOptions opt;
+              ASSERT_FALSE(opt.guard);
+              opt.max_newton_iters = 3;
+              RegistrationSolver solver(decomp, opt);
+              try {
+                solver.run(rho_t, rho_r);
+              } catch (const grid::NonFiniteFieldError&) {
+                ++threw;
+                throw;
+              }
+            }),
+        grid::NonFiniteFieldError)
+        << "p=" << p;
+    EXPECT_EQ(threw.load(), p);
+  }
+}
+
 TEST(Guard, GuardedSolveIsBitwiseIdenticalToUnguarded) {
   // On healthy inputs --guard adds sweeps but must not perturb a single
   // bit of the solve (the acceptance criterion for having it default off).

@@ -112,6 +112,40 @@ TEST(TricubicKernel, ExactOnTriCubicPolynomials) {
   }
 }
 
+TEST(TricubicKernel, StencilApplyMatchesNaiveSum) {
+  // cubic_stencil_apply reassociates the 64-term sum (each i3 line first,
+  // then pairwise). It must match the plain triple loop, summed in long
+  // double, to rounding: within 1e-14 of sum |w1 w2 w3 g|.
+  const Int3 dims{9, 10, 11};
+  const index_t s1 = dims[1] * dims[2], s2 = dims[2];
+  std::mt19937 rng(19);
+  std::uniform_real_distribution<real_t> value(-50.0, 50.0);
+  std::vector<real_t> g(dims.prod());
+  for (auto& x : g) x = value(rng);
+  for (int trial = 0; trial < 500; ++trial) {
+    real_t u[3];
+    for (int d = 0; d < 3; ++d)  // the stencil reads nodes i - 1 .. i + 2
+      u[d] = std::uniform_real_distribution<real_t>(
+          1.0, static_cast<real_t>(dims[d] - 2))(rng);
+    CubicStencil st;
+    make_cubic_stencil(dims, u[0], u[1], u[2], st);
+    long double sum = 0, magnitude = 0;
+    for (int a = 0; a < 4; ++a)
+      for (int b = 0; b < 4; ++b)
+        for (int c = 0; c < 4; ++c) {
+          const long double term =
+              static_cast<long double>(st.w1[a]) * st.w2[b] * st.w3[c] *
+              g[st.base + a * s1 + b * s2 + c];
+          sum += term;
+          magnitude += std::fabs(term);
+        }
+    EXPECT_NEAR(cubic_stencil_apply(g.data(), dims, st),
+                static_cast<real_t>(sum),
+                1e-14 * static_cast<real_t>(magnitude))
+        << "trial " << trial;
+  }
+}
+
 TEST(TrilinearKernel, ExactOnTriLinearPolynomials) {
   const Int3 dims{6, 6, 6};
   auto poly = [](real_t a, real_t b, real_t c) {

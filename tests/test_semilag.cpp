@@ -351,8 +351,8 @@ TEST(Transport, PlanCacheRebuildsOnlyOnVelocityChange) {
 
 TEST(Transport, ExchangeCountsPerSolveAreFixed) {
   // One alltoallv per semi-Lagrangian step, batch-invariant: solve_state is
-  // nt exchanges; the incremental state batches its two interpolations per
-  // step into one exchange; the GN incremental adjoint is nt exchanges.
+  // nt exchanges; the incremental state interpolates one combined field per
+  // step; the GN incremental adjoint is nt exchanges.
   for (int p : {1, 2, 4}) {
     mpisim::run_spmd(p, [&](mpisim::Communicator& comm) {
       PencilDecomp decomp(comm, {16, 16, 16});
@@ -363,11 +363,17 @@ TEST(Transport, ExchangeCountsPerSolveAreFixed) {
       TransportConfig tc;
       tc.nt = 4;
       Transport transport(ops, tc);
-      transport.set_velocity(v);
 
       auto interp_exchanges = [&] {
         return comm.timings().exchanges(TimeKind::kInterpComm);
       };
+      // set_velocity: 2 exchanges per plan build (the +v and -v RK2
+      // predictor plans, the forward and the backward plan), one predictor
+      // interpolation per direction, and div v at the backward points.
+      comm.timings().clear();
+      transport.set_velocity(v);
+      EXPECT_EQ(interp_exchanges(), 11u) << "p=" << p;
+
       comm.timings().clear();
       transport.solve_state(rho0);
       EXPECT_EQ(interp_exchanges(), 4u) << "p=" << p;
@@ -382,12 +388,66 @@ TEST(Transport, ExchangeCountsPerSolveAreFixed) {
       transport.solve_incremental_adjoint_gn(rho_tilde1, b);
       EXPECT_EQ(interp_exchanges(), 4u) << "p=" << p;
 
-      // Displacement: one batched exchange per step after the first.
+      // Displacement: v(X) once, then one batched exchange per step after
+      // the first.
       comm.timings().clear();
       VectorField u1;
       transport.solve_displacement(u1);
-      EXPECT_EQ(interp_exchanges(), 3u) << "p=" << p;
+      EXPECT_EQ(interp_exchanges(), 4u) << "p=" << p;
     });
+  }
+}
+
+TEST(Transport, IncrementalStateMatchesUnfusedRecurrence) {
+  // solve_incremental_state interpolates nu + dt/2 f0 once per step. By
+  // linearity that is the RK2 recurrence nu(X) + dt/2 (f0(X) + f1(x)) with
+  // nu and f0 interpolated separately, rebuilt here on the public
+  // interp_at_forward_points; the two agree to rounding.
+  for (int p : {1, 4}) {
+    for (int nt : {1, 4}) {
+      mpisim::run_spmd(p, [&](mpisim::Communicator& comm) {
+        PencilDecomp decomp(comm, {16, 16, 16});
+        spectral::SpectralOps ops(decomp);
+        auto rho0 = imaging::synthetic_template(decomp);
+        auto v = imaging::synthetic_velocity(decomp, 0.5);
+        auto w = imaging::synthetic_velocity_divfree(decomp, 0.3);
+        TransportConfig tc;
+        tc.nt = nt;
+        Transport transport(ops, tc);
+        transport.set_velocity(v);
+        transport.solve_state(rho0);
+        ScalarField fused;
+        transport.solve_incremental_state(w, fused);
+
+        const index_t n = decomp.local_real_size();
+        const real_t half_dt = real_t(0.5) * transport.dt();
+        auto source = [&](int j) {
+          const VectorField& g = transport.state_gradient(j);
+          ScalarField f(n);
+          for (index_t i = 0; i < n; ++i)
+            f[i] = -(w[0][i] * g[0][i] + w[1][i] * g[1][i] +
+                     w[2][i] * g[2][i]);
+          return f;
+        };
+        ScalarField nu(n, 0), nu_x(n), f0_x(n);
+        for (int j = 0; j < nt; ++j) {
+          transport.interp_at_forward_points(nu, nu_x);
+          transport.interp_at_forward_points(source(j), f0_x);
+          const ScalarField f1 = source(j + 1);
+          for (index_t i = 0; i < n; ++i)
+            nu[i] = nu_x[i] + half_dt * (f0_x[i] + f1[i]);
+        }
+        real_t diff = 0, scale = 0;
+        for (index_t i = 0; i < n; ++i) {
+          diff = std::max(diff, std::abs(fused[i] - nu[i]));
+          scale = std::max(scale, std::abs(nu[i]));
+        }
+        diff = comm.allreduce_max(diff);
+        scale = comm.allreduce_max(scale);
+        EXPECT_GT(scale, 0) << "p=" << p << " nt=" << nt;
+        EXPECT_LE(diff, 1e-12 * scale) << "p=" << p << " nt=" << nt;
+      });
+    }
   }
 }
 

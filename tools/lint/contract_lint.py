@@ -40,7 +40,9 @@ import argparse
 import json
 import os
 import re
+import shutil
 import sys
+import tempfile
 from dataclasses import dataclass
 
 RULE_IDS = ("zero-alloc", "mpisim-throw", "timekind-unused")
@@ -382,7 +384,11 @@ def check_timekind(root: str) -> list[Finding]:
     if enum_body is None:
         return [Finding(path, 1, "timekind-unused",
                         "could not parse enum TimeKind body")]
-    values = re.findall(r"\b(k\w+)\b", enum_body)
+    body_start = stripped.find("{", enum_m.end())
+    # Enumerator name -> its own declaration line, so every unreferenced
+    # value is a finding of its own (run_all dedupes on the line).
+    values = {m.group(1): line_of(stripped, body_start + m.start(1))
+              for m in re.finditer(r"[{,]\s*(k\w+)", enum_body)}
 
     referenced: set[str] = set()
     for src in source_files(root, "src") + source_files(root, "tools"):
@@ -392,11 +398,10 @@ def check_timekind(root: str) -> list[Finding]:
         for m in re.finditer(r"\bTimeKind::(k\w+)", text):
             referenced.add(m.group(1))
 
-    enum_line = line_of(stripped, enum_m.start())
-    return [Finding(path, enum_line, "timekind-unused",
+    return [Finding(path, line, "timekind-unused",
                     f"TimeKind::{v} is never referenced outside its "
                     "declaration")
-            for v in values if v not in referenced]
+            for v, line in values.items() if v not in referenced]
 
 
 # --- Driver ------------------------------------------------------------------
@@ -424,6 +429,30 @@ def run_all(root: str, compile_commands: str | None) -> list[Finding]:
     return unique
 
 
+def selftest_two_unused_timekinds(root: str) -> bool:
+    """Two unreferenced TimeKind values must stay two findings: runs the
+    linter on a copy of the fixture whose only kCount reference is gone."""
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copytree(os.path.join(root, "src"), os.path.join(tmp, "src"))
+        timer = os.path.join(tmp, "src", "common", "timer.hpp")
+        text = open(timer, encoding="utf-8").read()
+        cut = text.replace("static_cast<int>(TimeKind::kCount)", "2")
+        if cut == text:
+            print("selftest: FAIL fixture has no kCount reference to remove",
+                  file=sys.stderr)
+            return False
+        with open(timer, "w", encoding="utf-8") as f:
+            f.write(cut)
+        got = [f for f in run_all(tmp, None) if f.rule == "timekind-unused"]
+    if len(got) == 2:
+        print("selftest: [timekind-unused] reports kGhost and kCount "
+              "separately: lines " + ", ".join(str(f.line) for f in got))
+        return True
+    print(f"selftest: FAIL [timekind-unused] expected 2 findings with kCount "
+          f"also unreferenced, got {len(got)}", file=sys.stderr)
+    return False
+
+
 def run_selftest(lint_dir: str) -> int:
     root = os.path.join(lint_dir, "selftest")
     findings = run_all(root, None)
@@ -448,6 +477,7 @@ def run_selftest(lint_dir: str) -> int:
         for f in extra:
             print(f"selftest: FAIL unexpected rule id: {f.render(root)}",
                   file=sys.stderr)
+    ok = selftest_two_unused_timekinds(root) and ok
     print("selftest: " + ("PASS" if ok else "FAIL"))
     return 0 if ok else 1
 

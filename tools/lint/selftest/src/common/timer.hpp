@@ -2,7 +2,8 @@
 // violation:
 //   timekind-unused   TimeKind::kGhost is never referenced
 // Every other value is referenced below, so the selftest count stays at one
-// finding.
+// finding. The selftest also lints a copy with the kCount reference removed
+// and expects two findings, one at each enumerator's line.
 #pragma once
 
 namespace selftest {
