@@ -5,10 +5,12 @@
 #include <cmath>
 #include <cstdio>
 #include <deque>
+#include <exception>
 #include <map>
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "common/timer.hpp"
@@ -35,6 +37,26 @@ void degrade_options(RegistrationOptions& opt) {
   opt.max_newton_iters = std::max(1, opt.max_newton_iters / 2);
   opt.max_krylov_iters = std::max(1, opt.max_krylov_iters / 2);
   opt.two_level_precond = false;
+}
+
+/// Ends run_all on every rank after a shard left its round on an error that
+/// is not a job fault: the ranks that caught it (`error` set) rethrow it, the
+/// others throw the message of rank `root`, broadcast once.
+[[noreturn]] void fail_every_rank(mpisim::Communicator& comm,
+                                  const std::exception_ptr& error, int root) {
+  std::string what = "BatchSolver: a batch shard failed";
+  if (comm.rank() == root && error) {
+    try {
+      std::rethrow_exception(error);
+    } catch (const std::exception& e) {
+      what = e.what();
+    } catch (...) {
+    }
+  }
+  std::vector<char> message(what.begin(), what.end());
+  comm.broadcast(message, root);
+  if (error) std::rethrow_exception(error);
+  throw std::runtime_error(std::string(message.begin(), message.end()));
 }
 
 }  // namespace
@@ -78,8 +100,7 @@ std::uint64_t BatchSolver::submit(BatchJobSpec spec) {
   return id;
 }
 
-BatchSolver::Shard& BatchSolver::shard_context(int shards, int shard_size,
-                                               int color) {
+BatchSolver::Shard& BatchSolver::shard_context(int shards, int color) {
   auto it = shards_.find(shards);
   if (it == shards_.end()) {
     Shard ctx;
@@ -87,7 +108,6 @@ BatchSolver::Shard& BatchSolver::shard_context(int shards, int shard_size,
     // schedule (and therefore every result) matches standalone solves
     // bitwise. More shards split collectively — every rank participates.
     ctx.sub = shards == 1 ? comm_ : comm_.split(color);
-    (void)shard_size;
     ctx.registry = std::make_shared<PlanRegistry>(ctx.sub);
     it = shards_.emplace(shards, std::move(ctx)).first;
   }
@@ -131,7 +151,7 @@ BatchReport BatchSolver::run_all(const BatchOptions& opts) {
   }
   const int shard_size = p / shards;
   const int color = comm_.rank() / shard_size;
-  Shard* ctx = &shard_context(shards, shard_size, color);
+  Shard* ctx = &shard_context(shards, color);
   out.shards = shards;
 
   WallTimer batch_clock;
@@ -227,16 +247,12 @@ BatchReport BatchSolver::run_all(const BatchOptions& opts) {
     real_t warm_gradient_reference = 0;
   };
   std::map<int, JobData> jobdata;  // keyed by queue index
-  std::map<std::tuple<index_t, index_t, index_t>,
-           std::unique_ptr<RegistrationSolver>>
-      solvers;
-  const auto solver_for = [&](const BatchJobSpec& spec) -> RegistrationSolver& {
-    auto& slot = solvers[{spec.dims[0], spec.dims[1], spec.dims[2]}];
-    if (!slot)
-      slot = std::make_unique<RegistrationSolver>(
-          *ctx->registry->decomp(spec.dims), spec.request.options,
-          ctx->registry);
-    return *slot;
+  // Each job gets a solver built from its own options (two registry leases,
+  // no plan work), so its deformed template is transported with its own nt,
+  // interpolation method and incompressibility.
+  const auto solver_for = [&](const BatchJobSpec& spec) {
+    return RegistrationSolver(*ctx->registry->decomp(spec.dims),
+                              spec.request.options, ctx->registry);
   };
 
   auto materialize = [&](int qi) {
@@ -379,10 +395,8 @@ BatchReport BatchSolver::run_all(const BatchOptions& opts) {
 
     // The per-job structured-error boundary: the heart of the fault
     // isolation. Each attempt either finalizes its job or requeues it; a
-    // CommError / NonFiniteFieldError never propagates past this loop.
-    while (healthy && !runq.empty()) {
-      Attempt a = runq.front();
-      runq.pop_front();
+    // CommError / NonFiniteFieldError never propagates past it.
+    const auto run_attempt = [&](Attempt a) {
       const BatchJobSpec& spec = queue_[a.qi];
       JobData& jd = jobdata[a.qi];
       while (a.not_before > 0 && batch_clock.seconds() < a.not_before)
@@ -456,15 +470,30 @@ BatchReport BatchSolver::run_all(const BatchOptions& opts) {
       } catch (const mpisim::CommError& e) {
         handle_fault(a, e.what());
       }
+    };
+    // Any other exception (input, manifest or option errors) ends this
+    // shard's round and is voted in the round sync below, so every shard
+    // fails with it instead of waiting for this one forever.
+    std::exception_ptr round_error;
+    try {
+      while (healthy && !runq.empty()) {
+        const Attempt a = runq.front();
+        runq.pop_front();
+        run_attempt(a);
+      }
+    } catch (...) {
+      round_error = std::current_exception();
     }
 
     // Round sync over the PARENT communicator: shard rank 0 contributes the
     // digest rows of this round's placements, every rank contributes its
-    // shard-health vote, one allreduce assembles both tables identically on
-    // every rank (this is also the cross-shard round barrier).
+    // shard-health and round-error votes, one allreduce assembles the tables
+    // identically on every rank (this is also the cross-shard round
+    // barrier).
     constexpr int kCols = 12;
-    std::vector<double> flat(
-        static_cast<std::size_t>(njobs) * kCols + shards, 0.0);
+    const std::size_t vote_base = static_cast<std::size_t>(njobs) * kCols;
+    std::vector<double> flat(vote_base + 2 * static_cast<std::size_t>(shards),
+                             0.0);
     if (ctx->sub.rank() == 0) {
       for (int qi : my_assigned) {
         const JobState& s = st[qi];
@@ -486,8 +515,12 @@ BatchReport BatchSolver::run_all(const BatchOptions& opts) {
     // Health is voted by EVERY rank of the shard, not just rank 0: a rank
     // whose recovery attempt diverged from its peers must still force the
     // rebuild, or the shard would deadlock split between two beliefs.
-    if (!healthy) flat[static_cast<std::size_t>(njobs) * kCols + color] = 1;
+    if (!healthy) flat[vote_base + color] = 1;
+    if (round_error) flat[vote_base + shards + color] = 1;
     comm_.allreduce_sum(flat);
+    for (int s = 0; s < shards; ++s)
+      if (flat[vote_base + shards + s] > 0.5)
+        fail_every_rank(comm_, round_error, s * shard_size);
     for (int j = 0; j < njobs; ++j) {
       const double* row = flat.data() + static_cast<std::size_t>(j) * kCols;
       if (row[11] < 0.5) continue;
@@ -508,7 +541,7 @@ BatchReport BatchSolver::run_all(const BatchOptions& opts) {
     int down_count = 0;
     for (int s = 0; s < shards; ++s) {
       shard_down[static_cast<std::size_t>(s)] =
-          flat[static_cast<std::size_t>(njobs) * kCols + s] > 0.5 ? 1 : 0;
+          flat[vote_base + s] > 0.5 ? 1 : 0;
       down_count += shard_down[static_cast<std::size_t>(s)];
     }
 
@@ -540,7 +573,6 @@ BatchReport BatchSolver::run_all(const BatchOptions& opts) {
       mpisim::Communicator fresh =
           shards == 1 ? comm_ : comm_.split(color);
       if (shard_down[static_cast<std::size_t>(color)]) {
-        solvers.clear();  // solvers reference the purged registry's decomps
         jobdata.clear();
         ctx->registry->purge();
         if (shards == 1) comm_.recover_after_fault(recover_timeout);

@@ -199,8 +199,10 @@ class BatchSolver {
   /// Shard registries persist across run_all calls, so a second batch of
   /// same-shape jobs builds no plans at all. Structured job failures
   /// (CommError, NonFiniteFieldError) are absorbed by the retry/failover
-  /// machinery and reported per job in the summary; only infrastructure
-  /// errors (manifest I/O, invalid options) still throw.
+  /// machinery and reported per job in the summary; any other error (input
+  /// files, manifest I/O, invalid options) throws on EVERY rank once the
+  /// round ends: the ranks of the failing shard rethrow it, the others
+  /// throw a std::runtime_error carrying its message.
   BatchReport run_all(const BatchOptions& opts = {});
 
  private:
@@ -208,7 +210,7 @@ class BatchSolver {
     mpisim::Communicator sub;
     std::shared_ptr<PlanRegistry> registry;
   };
-  Shard& shard_context(int shards, int shard_size, int color);
+  Shard& shard_context(int shards, int color);
 
   mpisim::Communicator comm_;
   std::vector<BatchJobSpec> queue_;

@@ -1,5 +1,6 @@
 #include "core/newton.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
@@ -9,17 +10,10 @@ namespace diffreg::core {
 
 namespace {
 
-real_t forcing_term(const RegistrationOptions& opt, real_t rel_gradient) {
-  switch (opt.forcing) {
-    case Forcing::kQuadratic:
-      return std::min(opt.forcing_max, rel_gradient);
-    case Forcing::kSuperlinear:
-      return std::min(opt.forcing_max, std::sqrt(rel_gradient));
-    case Forcing::kConstant:
-      break;
-  }
-  return opt.forcing_max;
-}
+/// Quadratic forcing cap: eta_k = min(kForcingMax, ||g_k|| / ||g_0||).
+constexpr real_t kForcingMax = 0.5;
+/// Armijo sufficient-decrease constant of the backtracking line search.
+constexpr real_t kArmijoC1 = 1e-4;
 
 }  // namespace
 
@@ -94,7 +88,7 @@ NewtonReport newton_solve(OptimalitySystem& system, VectorField& v,
     }
 
     // Newton step: H s = -g, solved inexactly (Eisenstat-Walker forcing).
-    const real_t eta = forcing_term(options, rel_g);
+    const real_t eta = std::min(kForcingMax, rel_g);
     entry.forcing = eta;
     rhs = g;
     grid::scale(real_t(-1), rhs);
@@ -125,7 +119,7 @@ NewtonReport newton_solve(OptimalitySystem& system, VectorField& v,
       grid::copy(v, v_trial);
       grid::axpy(alpha, step, v_trial);
       trial_objective = system.evaluate(v_trial);
-      if (trial_objective <= objective + options.armijo_c1 * alpha * gs) {
+      if (trial_objective <= objective + kArmijoC1 * alpha * gs) {
         accepted = true;
         break;
       }
@@ -144,8 +138,7 @@ NewtonReport newton_solve(OptimalitySystem& system, VectorField& v,
           grid::copy(v, v_trial);
           grid::axpy(alpha, step, v_trial);
           trial_objective = system.evaluate(v_trial);
-          if (trial_objective <=
-              objective + options.armijo_c1 * alpha * gs) {
+          if (trial_objective <= objective + kArmijoC1 * alpha * gs) {
             accepted = true;
             ++report.line_search_recoveries;
             break;

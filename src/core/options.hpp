@@ -21,12 +21,6 @@ struct NewtonIterateInfo {
   const grid::VectorField* velocity = nullptr;  ///< Current iterate.
 };
 
-enum class Forcing {
-  kQuadratic,    // eta_k = min(eta_max, ||g_k|| / ||g_0||)
-  kSuperlinear,  // eta_k = min(eta_max, sqrt(||g_k|| / ||g_0||))
-  kConstant,     // eta_k = eta_max
-};
-
 struct RegistrationOptions {
   // Discretization.
   int nt = 4;
@@ -51,8 +45,6 @@ struct RegistrationOptions {
   real_t gradient_reference = 0;
   int max_newton_iters = 50;
   int max_krylov_iters = 100;
-  Forcing forcing = Forcing::kQuadratic;
-  real_t forcing_max = 0.5;
 
   // Two-level coarse-grid Hessian preconditioner (opt-in; see
   // core/precond.hpp). Combines the spectral smoother (beta A)^{-1} with an
@@ -67,7 +59,6 @@ struct RegistrationOptions {
 
   // Armijo line search.
   int max_line_search = 12;
-  real_t armijo_c1 = 1e-4;
 
   // Input preprocessing (paper section III-B1: spectral Gaussian smoothing
   // with bandwidth of about one grid cell to control aliasing).

@@ -73,11 +73,16 @@ void InterpPlan::build(std::span<const Vec3> points) {
     }
   }
 
-  // Learn how many points each rank sends me (one fixed-count alltoall),
-  // then exchange the coordinates themselves (one alltoallv). The count
-  // tables double as the per-peer tables of every later value exchange.
-  comm.alltoall(std::span<const index_t>(send_counts_),
-                std::span<index_t>(recv_counts_), kTagCounts);
+  // Learn how many points each rank sends me (an alltoallv of one count per
+  // peer; the value count table holds those unit counts until it is scaled
+  // below), then exchange the coordinates themselves (one alltoallv). The
+  // count tables double as the per-peer tables of every later value
+  // exchange.
+  std::fill(val_send_counts_.begin(), val_send_counts_.end(), index_t(1));
+  comm.alltoallv(std::span<const index_t>(send_counts_),
+                 std::span<const index_t>(val_send_counts_),
+                 std::span<index_t>(recv_counts_),
+                 std::span<const index_t>(val_send_counts_), kTagCounts);
   recv_total_ = 0;
   for (int r = 0; r < p; ++r) recv_total_ += recv_counts_[r];
   for (int r = 0; r < p; ++r) {

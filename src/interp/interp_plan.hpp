@@ -3,8 +3,8 @@
 //
 // A plan is *built* once per set of departure points ("scatter" phase): every
 // query point is assigned to the rank whose pencil contains it, the per-rank
-// point counts are exchanged with one fixed-count alltoall, the coordinates
-// with one alltoallv, and flat dest-ordered send/recv tables are kept.
+// point counts are exchanged with one unit-count alltoallv, the coordinates
+// with another, and flat dest-ordered send/recv tables are kept.
 // Interpolating a field then costs one ghost-layer exchange, a local
 // (tri)cubic evaluation sweep, and one alltoallv to return values — exactly
 // the paper's "communicate points, interpolate, communicate back".
@@ -58,9 +58,9 @@ class InterpPlan {
 
   /// (Re)builds the plan for a new set of departure points. `points` are
   /// physical coordinates in [0, 2*pi)^3 (wrapped internally), one value
-  /// produced per point by the interpolate calls. Collective (one alltoall
-  /// for the counts + one alltoallv for the coordinates); reuses all
-  /// previously grown buffers.
+  /// produced per point by the interpolate calls. Collective (one alltoallv
+  /// for the counts + one for the coordinates); reuses all previously grown
+  /// buffers.
   void build(std::span<const Vec3> points);
 
   bool built() const { return built_; }

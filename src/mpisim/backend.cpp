@@ -7,6 +7,16 @@ namespace diffreg::mpisim {
 
 namespace detail {
 
+namespace {
+
+std::chrono::steady_clock::time_point deadline_after(double timeout_ms) {
+  return std::chrono::steady_clock::now() +
+         std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+             std::chrono::duration<double, std::milli>(timeout_ms));
+}
+
+}  // namespace
+
 void Mailbox::push(Message message) {
   {
     std::scoped_lock lock(mutex_);
@@ -15,46 +25,24 @@ void Mailbox::push(Message message) {
   cv_.notify_all();
 }
 
-Incoming Mailbox::pop(int src, int tag) {
+std::optional<Incoming> Mailbox::pop(int src, int tag, double timeout_ms) {
   std::unique_lock lock(mutex_);
-  for (;;) {
-    auto it = std::find_if(queue_.begin(), queue_.end(), [&](const Message& m) {
+  auto it = queue_.end();
+  const auto arrived = [&] {
+    it = std::find_if(queue_.begin(), queue_.end(), [&](const Message& m) {
       return m.src == src && m.tag == tag;
     });
-    if (it != queue_.end()) {
-      Incoming in{std::move(it->data), it->arrival};
-      queue_.erase(it);
-      return in;
-    }
-    cv_.wait(lock);
-  }
-}
-
-std::optional<Incoming> Mailbox::pop_for(int src, int tag,
-                                         double timeout_ms) {
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double, std::milli>(
-              timeout_ms > 0 ? timeout_ms : 0));
-  std::unique_lock lock(mutex_);
-  for (;;) {
-    auto it = std::find_if(queue_.begin(), queue_.end(), [&](const Message& m) {
-      return m.src == src && m.tag == tag;
-    });
-    if (it != queue_.end()) {
-      Incoming in{std::move(it->data), it->arrival};
-      queue_.erase(it);
-      return in;
-    }
-    if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) {
-      // Final check under the lock: a push may have raced the timeout.
-      it = std::find_if(queue_.begin(), queue_.end(), [&](const Message& m) {
-        return m.src == src && m.tag == tag;
-      });
-      if (it == queue_.end()) return std::nullopt;
-    }
-  }
+    return it != queue_.end();
+  };
+  // The predicate forms re-check under the lock after a timeout, so a push
+  // that raced the deadline is still delivered.
+  if (timeout_ms <= 0)
+    cv_.wait(lock, arrived);
+  else if (!cv_.wait_until(lock, deadline_after(timeout_ms), arrived))
+    return std::nullopt;
+  Incoming in{std::move(it->data), it->arrival};
+  queue_.erase(it);
+  return in;
 }
 
 bool Mailbox::probe(int src, int tag) {
@@ -89,14 +77,10 @@ void MailboxBackend::send_bytes(std::span<const std::byte> data, int dest,
       {rank_, tag, std::vector<std::byte>(data.begin(), data.end()), now()});
 }
 
-Incoming MailboxBackend::recv_bytes(int src, int tag) {
-  return state_->mailboxes[static_cast<size_t>(rank_)].pop(src, tag);
-}
-
-std::optional<Incoming> MailboxBackend::try_recv_bytes(int src, int tag,
-                                                       double timeout_ms) {
-  return state_->mailboxes[static_cast<size_t>(rank_)].pop_for(src, tag,
-                                                               timeout_ms);
+std::optional<Incoming> MailboxBackend::recv_bytes(int src, int tag,
+                                                   double timeout_ms) {
+  return state_->mailboxes[static_cast<size_t>(rank_)].pop(src, tag,
+                                                           timeout_ms);
 }
 
 bool MailboxBackend::probe(int src, int tag) {
@@ -107,21 +91,7 @@ std::size_t MailboxBackend::drain() {
   return state_->mailboxes[static_cast<size_t>(rank_)].clear();
 }
 
-void MailboxBackend::barrier() {
-  auto& s = *state_;
-  std::unique_lock lock(s.barrier_mutex);
-  const long generation = s.barrier_generation;
-  if (++s.barrier_count == s.size) {
-    s.barrier_count = 0;
-    ++s.barrier_generation;
-    lock.unlock();
-    s.barrier_cv.notify_all();
-  } else {
-    s.barrier_cv.wait(lock, [&] { return s.barrier_generation != generation; });
-  }
-}
-
-bool MailboxBackend::try_barrier(double timeout_ms) {
+bool MailboxBackend::barrier(double timeout_ms) {
   auto& s = *state_;
   std::unique_lock lock(s.barrier_mutex);
   const long generation = s.barrier_generation;
@@ -132,36 +102,30 @@ bool MailboxBackend::try_barrier(double timeout_ms) {
     s.barrier_cv.notify_all();
     return true;
   }
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double, std::milli>(
-              timeout_ms > 0 ? timeout_ms : 0));
-  while (s.barrier_generation == generation) {
-    if (s.barrier_cv.wait_until(lock, deadline) == std::cv_status::timeout &&
-        s.barrier_generation == generation) {
-      // Withdraw under the lock so a late full complement still releases
-      // cleanly on its own (every waiter left re-decrements its entry).
-      --s.barrier_count;
-      return false;
-    }
+  const auto released = [&] { return s.barrier_generation != generation; };
+  if (timeout_ms <= 0) {
+    s.barrier_cv.wait(lock, released);
+    return true;
   }
-  return true;
+  if (s.barrier_cv.wait_until(lock, detail::deadline_after(timeout_ms),
+                              released))
+    return true;
+  // Withdraw under the lock so a late full complement still releases
+  // cleanly on its own (every waiter left re-decrements its entry).
+  --s.barrier_count;
+  return false;
 }
 
 std::shared_ptr<Backend> MailboxBackend::split(int color, int new_rank,
                                                int new_size,
                                                double timeout_ms) {
-  // One split epoch per collective call so repeated splits don't collide.
-  long epoch = 0;
-  {
-    std::scoped_lock lock(state_->split_mutex);
-    epoch = state_->split_epoch;
-  }
+  // One split epoch per collective call so repeated splits don't collide:
+  // rank 0 advances the epoch only after the first rendezvous below, so
+  // every rank reads the same one here.
   std::shared_ptr<detail::SharedState> child;
   {
     std::scoped_lock lock(state_->split_mutex);
-    auto key = std::make_pair(epoch, color);
+    auto key = std::make_pair(state_->split_epoch, color);
     auto it = state_->split_states.find(key);
     if (it == state_->split_states.end()) {
       child = std::make_shared<detail::SharedState>(new_size);
@@ -174,22 +138,14 @@ std::shared_ptr<Backend> MailboxBackend::split(int color, int new_rank,
   // after the caller's collective agreement (e.g. on a checksum failure in
   // the allgather) must surface as a timeout here, not strand the
   // survivors in an untimed wait.
-  if (timeout_ms > 0) {
-    if (!try_barrier(timeout_ms)) return nullptr;
-  } else {
-    barrier();
-  }
+  if (!barrier(timeout_ms)) return nullptr;
   // After the barrier every rank has resolved its child state; advance the
   // epoch (rank 0) and clear the board lazily on the next epoch rollover.
   if (rank_ == 0) {
     std::scoped_lock lock(state_->split_mutex);
     ++state_->split_epoch;
   }
-  if (timeout_ms > 0) {
-    if (!try_barrier(timeout_ms)) return nullptr;
-  } else {
-    barrier();
-  }
+  if (!barrier(timeout_ms)) return nullptr;
   return std::make_shared<MailboxBackend>(std::move(child), new_rank);
 }
 

@@ -23,6 +23,11 @@
 ///  * Messages between a (source, destination) pair are matched by tag in
 ///    FIFO order; `recv_bytes` blocks until a (src, tag) match arrives and
 ///    `probe` is its nonblocking counterpart.
+///  * There is one receive and one barrier. Each takes the watchdog
+///    deadline `timeout_ms` as a parameter: 0 (or less) means no deadline,
+///    and a call that misses a positive deadline reports it (`recv_bytes`
+///    returns std::nullopt, `barrier` false) instead of throwing — the
+///    Communicator turns that into a CommTimeoutError with a diagnosis.
 ///  * `recv_bytes` reports each message's ARRIVAL time on the clock exposed
 ///    by `now()`. CommRequest::wait() uses it to split an exchange's wire
 ///    time into hidden (overlapped with compute between post and wait) and
@@ -68,26 +73,22 @@ class Backend {
                           int tag) = 0;
 
   /// Blocks until a message from `src` with `tag` is available and returns
-  /// it together with its arrival timestamp.
-  virtual Incoming recv_bytes(int src, int tag) = 0;
+  /// it together with its arrival timestamp. With `timeout_ms > 0` it
+  /// blocks at most that long and returns std::nullopt when no match
+  /// arrived in time; 0 means no deadline.
+  virtual std::optional<Incoming> recv_bytes(int src, int tag,
+                                             double timeout_ms) = 0;
 
-  /// Deadline variant of recv_bytes: blocks at most `timeout_ms` and returns
-  /// std::nullopt when no match arrived in time (the watchdog primitive —
-  /// the Communicator turns the nullopt into a CommTimeoutError with a full
-  /// diagnosis). `timeout_ms <= 0` degenerates to an immediate probe.
-  virtual std::optional<Incoming> try_recv_bytes(int src, int tag,
-                                                 double timeout_ms) = 0;
-
-  /// Nonblocking match probe: true iff recv_bytes(src, tag) would not block.
+  /// Nonblocking match probe: true iff recv_bytes(src, tag, ...) would not
+  /// block.
   virtual bool probe(int src, int tag) = 0;
 
-  /// Blocks until every rank of this communicator has entered.
-  virtual void barrier() = 0;
-
-  /// Deadline variant of barrier: returns false when not every rank arrived
-  /// within `timeout_ms` (this rank then withdraws from the barrier so the
-  /// shared state stays consistent for the ranks that do show up later).
-  virtual bool try_barrier(double timeout_ms) = 0;
+  /// Blocks until every rank of this communicator has entered and returns
+  /// true. With `timeout_ms > 0` it returns false when not every rank
+  /// arrived in time (this rank then withdraws from the barrier so the
+  /// shared state stays consistent for the ranks that do show up later);
+  /// 0 means no deadline.
+  virtual bool barrier(double timeout_ms) = 0;
 
   /// Creates this rank's transport for the sub-communicator selected by
   /// `color`. The caller (Communicator::split) has already agreed on
@@ -130,10 +131,9 @@ struct Message {
 class Mailbox {
  public:
   void push(Message message);
-  /// Blocks until a message with the given source and tag is available.
-  Incoming pop(int src, int tag);
-  /// Deadline pop: nullopt when no (src, tag) match arrived in time.
-  std::optional<Incoming> pop_for(int src, int tag, double timeout_ms);
+  /// Blocks until a message with the given source and tag is available;
+  /// with `timeout_ms > 0`, nullopt when no match arrived in time.
+  std::optional<Incoming> pop(int src, int tag, double timeout_ms);
   /// Nonblocking: true iff a (src, tag) match is queued.
   bool probe(int src, int tag);
   /// Discards every queued message; returns how many were dropped.
@@ -181,12 +181,10 @@ class MailboxBackend final : public Backend {
   int size() const override { return state_->size; }
   void send_bytes(std::span<const std::byte> data, int dest,
                   int tag) override;
-  Incoming recv_bytes(int src, int tag) override;
-  std::optional<Incoming> try_recv_bytes(int src, int tag,
-                                         double timeout_ms) override;
+  std::optional<Incoming> recv_bytes(int src, int tag,
+                                     double timeout_ms) override;
   bool probe(int src, int tag) override;
-  void barrier() override;
-  bool try_barrier(double timeout_ms) override;
+  bool barrier(double timeout_ms) override;
   std::shared_ptr<Backend> split(int color, int new_rank, int new_size,
                                  double timeout_ms) override;
   std::size_t drain() override;

@@ -258,29 +258,21 @@ void Communicator::verify_and_strip_checksum(std::vector<std::byte>& data,
 Incoming Communicator::receive_payload(
     int src, int tag, const char* operation,
     std::span<const detail::PendingRecv> posted) {
-  Incoming in;
-  if (timeout_ms_ > 0) {
-    WallTimer waited;
-    std::optional<Incoming> got =
-        backend_->try_recv_bytes(src, tag, timeout_ms_);
-    if (!got) {
-      // Deadline expired: snapshot which of the posted matches are STILL
-      // missing (probe is nonblocking), so the diagnosis names every absent
-      // peer of the exchange, not just the one we were blocked on.
-      std::vector<std::pair<int, int>> missing;
-      for (const detail::PendingRecv& pr : posted)
-        if (!backend_->probe(pr.src, pr.tag))
-          missing.emplace_back(pr.src, pr.tag);
-      if (posted.empty()) missing.emplace_back(src, tag);
-      throw CommTimeoutError(make_diagnosis(
-          operation, src, tag, waited.seconds() * 1e3, std::move(missing)));
-    }
-    in = std::move(*got);
-  } else {
-    in = backend_->recv_bytes(src, tag);
+  std::optional<Incoming> in = backend_->recv_bytes(src, tag, timeout_ms_);
+  if (!in) {
+    // Deadline expired: snapshot which of the posted matches are STILL
+    // missing (probe is nonblocking), so the diagnosis names every absent
+    // peer of the exchange, not just the one we were blocked on.
+    std::vector<std::pair<int, int>> missing;
+    for (const detail::PendingRecv& pr : posted)
+      if (!backend_->probe(pr.src, pr.tag))
+        missing.emplace_back(pr.src, pr.tag);
+    if (posted.empty()) missing.emplace_back(src, tag);
+    throw CommTimeoutError(make_diagnosis(operation, src, tag, timeout_ms_,
+                                          std::move(missing)));
   }
-  if (checksums_) verify_and_strip_checksum(in.data, src, tag);
-  return in;
+  if (checksums_) verify_and_strip_checksum(in->data, src, tag);
+  return std::move(*in);
 }
 
 bool Communicator::recover_after_fault(double timeout_ms) {
@@ -310,14 +302,14 @@ bool Communicator::recover_after_fault(double timeout_ms) {
   // unrecoverable instead of hanging or rethrowing.
   const double deadline = timeout_ms > 0 ? timeout_ms : 1000;
   try {
-    if (!backend_->try_barrier(deadline)) return false;
+    if (!backend_->barrier(deadline)) return false;
     const std::size_t dropped = backend_->drain();
     if (dropped > 0)
       log_warn_rated("mpisim.recover.drain",
                      "mpisim: fault recovery dropped " +
                          std::to_string(dropped) +
                          " stale in-flight message(s)");
-    if (!backend_->try_barrier(deadline)) return false;
+    if (!backend_->barrier(deadline)) return false;
   } catch (const CommError&) {
     // The recovery attempt itself tripped the fault injector (a persistent
     // crash): the rank is effectively down for this communicator.
@@ -332,13 +324,8 @@ void Communicator::barrier() {
   verify_record(ScheduleOpKind::kBarrier, 0, 0, 0);
   verify_checkpoint("barrier");
   ScopedTimer timer(*timings_, time_kind_);
-  if (timeout_ms_ > 0) {
-    if (!backend_->try_barrier(timeout_ms_))
-      throw CommTimeoutError(
-          make_diagnosis("barrier", -1, -1, timeout_ms_, {}));
-    return;
-  }
-  backend_->barrier();
+  if (!backend_->barrier(timeout_ms_))
+    throw CommTimeoutError(make_diagnosis("barrier", -1, -1, timeout_ms_, {}));
 }
 
 Communicator Communicator::split(int color) {

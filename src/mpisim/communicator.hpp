@@ -13,11 +13,11 @@
 /// through the abstract `Backend` interface (backend.hpp). The collective
 /// algorithms, consistency self-checks, and all Timings accounting live
 /// HERE, so a real-MPI backend inherits them — and the entire test suite —
-/// by implementing six byte-level primitives.
+/// by implementing the nine virtuals of `Backend`.
 ///
 /// Supported surface (what the solver needs): rank/size, barrier, send/recv,
 /// sendrecv, broadcast, allreduce (sum/max/min, scalar and element-wise
-/// vector), allgather, alltoall(v), nonblocking alltoallv / point-to-point
+/// vector), allgather, alltoallv, nonblocking alltoallv / point-to-point
 /// variants returning CommRequest completion handles, and communicator
 /// splitting (row/col sub-communicators of the pencil grid).
 ///
@@ -113,7 +113,7 @@ enum class ScheduleOpKind : std::uint8_t {
   kAllreduce,
   kAllreduceVec,
   kAllgather,
-  kAlltoall,
+  kAlltoall,  ///< Retired (every all-to-all is an alltoallv); holds its slot.
   kAlltoallv,
   kSplit,
   kMark,
@@ -308,11 +308,6 @@ class Communicator {
   template <typename T>
   std::vector<T> recv(int src, int tag);
 
-  /// Receives into a caller-provided buffer (no allocation on the caller
-  /// side); throws if the message payload does not match `out` exactly.
-  template <typename T>
-  void recv_into(std::span<T> out, int src, int tag);
-
   /// Exchanges buffers with a partner rank without deadlocking.
   template <typename T>
   std::vector<T> sendrecv(std::span<const T> send_data, int dest, int src,
@@ -361,7 +356,9 @@ class Communicator {
                                        std::span<const index_t> recv_counts,
                                        int tag);
 
-  /// Blocking span alltoallv: ialltoallv, then completion.
+  /// Blocking span alltoallv: ialltoallv, then completion. Unit counts make
+  /// it the fixed-count all-to-all that variable-size plans (e.g. the
+  /// scattered interpolation plan) use to learn their recv counts.
   template <typename T>
   void alltoallv(std::span<const T> send, std::span<const index_t> send_counts,
                  std::span<T> recv, std::span<const index_t> recv_counts,
@@ -372,13 +369,6 @@ class Communicator {
   /// enforced).
   template <typename T>
   [[nodiscard]] CommRequest irecv_into(std::span<T> out, int src, int tag);
-
-  /// Fixed-count all-to-all: exactly one element to and from every rank,
-  /// over caller-owned buffers of p elements each (zero allocation). This is
-  /// the count-exchange primitive variable-size plans (e.g. the scattered
-  /// interpolation plan) use to learn their alltoallv recv counts.
-  template <typename T>
-  void alltoall(std::span<const T> send, std::span<T> recv, int tag);
 
   /// Splits into sub-communicators by color; new ranks are ordered by the
   /// parent rank. Collective over the parent communicator.
@@ -414,8 +404,8 @@ class Communicator {
   /// The single receive funnel: applies the watchdog deadline (throwing
   /// CommTimeoutError with a diagnosis when it expires) and the
   /// wire-checksum validation (throwing CommIntegrityError on corruption).
-  /// Every receive path — recv, recv_into, the collectives built on them,
-  /// and request completion — lands here. A timeout lists as missing every
+  /// Every receive path — recv, the collectives built on it, and request
+  /// completion — lands here. A timeout lists as missing every
   /// entry of `posted` that has not arrived (a request's deferred
   /// receives), or just (src, tag) when `posted` is empty.
   Incoming receive_payload(int src, int tag, const char* operation,
@@ -505,40 +495,6 @@ class Communicator {
   static constexpr int kCollectiveTag = 1 << 20;
 };
 
-template <typename T>
-void Communicator::alltoall(std::span<const T> send, std::span<T> recv,
-                            int tag) {
-  const int p = size();
-  if (static_cast<int>(send.size()) != p ||
-      static_cast<int>(recv.size()) != p)
-    throw CommContractError("mpisim: alltoall needs one element per rank");
-  check_idle();
-  // Verifier checkpoints run at collective ENTRY, before any payload moves:
-  // ranks that diverged into different collectives still meet in the
-  // checkpoint allreduce (same dedicated tag) and all throw, instead of
-  // blocking on each other's mismatched payload tags.
-  verify_record(ScheduleOpKind::kAlltoall, tag, sizeof(T) * 8, 0);
-  verify_checkpoint("alltoall");
-  check_collective_consistent(tag, "alltoall tag");
-  timings_->add_exchange(time_kind_);
-  if (verify_) {
-    for (int r = 0; r < p; ++r) {
-      if (r == rank_) continue;
-      verify_fold_send(r, sizeof(T));
-      verify_fold_recv(r, sizeof(T));
-    }
-  }
-  recv[rank_] = send[rank_];
-  for (int offset = 1; offset < p; ++offset) {
-    const int dest = (rank_ + offset) % p;
-    this->send(send.subspan(static_cast<size_t>(dest), 1), dest, tag);
-  }
-  for (int offset = 1; offset < p; ++offset) {
-    const int src = (rank_ - offset + p) % p;
-    recv_into(recv.subspan(static_cast<size_t>(src), 1), src, tag);
-  }
-}
-
 /// Robustness knobs of an SPMD run (fault_injection.hpp, errors.hpp).
 /// Default-constructed = the historical behavior: mailbox transport, no
 /// faults, block-forever receives, no checksums.
@@ -609,18 +565,6 @@ std::vector<T> Communicator::recv(int src, int tag) {
   check_idle();
   ScopedTimer timer(*timings_, time_kind_);
   return deserialize<T>(receive_payload(src, tag, "recv").data);
-}
-
-template <typename T>
-void Communicator::recv_into(std::span<T> out, int src, int tag) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  check_idle();
-  ScopedTimer timer(*timings_, time_kind_);
-  const Incoming in = receive_payload(src, tag, "recv_into");
-  if (in.data.size() != out.size_bytes())
-    throw CommContractError(
-        "mpisim: recv_into buffer size does not match message payload");
-  if (!in.data.empty()) std::memcpy(out.data(), in.data.data(), in.data.size());
 }
 
 template <typename T>

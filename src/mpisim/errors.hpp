@@ -42,7 +42,7 @@ struct CommDiagnosis {
   std::string operation;  ///< "recv", "nonblocking wait", "barrier", ...
   int src = -1;           ///< Blocking source rank (-1: not a point-to-point).
   int tag = -1;           ///< Blocking tag (-1: not a point-to-point).
-  double waited_ms = 0;   ///< How long the rank blocked before giving up.
+  double waited_ms = 0;   ///< The deadline the rank blocked for.
   /// Outstanding (src, tag) matches that had NOT arrived when the deadline
   /// expired (probe snapshot; nonblocking waits list every missing peer).
   std::vector<std::pair<int, int>> missing;

@@ -39,7 +39,6 @@ double parse_probability(const std::string& key, const std::string& value) {
 
 FaultSpec FaultSpec::parse(const std::string& spec) {
   FaultSpec out;
-  bool delay_prob_given = false;
   size_t pos = 0;
   while (pos < spec.size()) {
     size_t comma = spec.find(',', pos);
@@ -69,7 +68,6 @@ FaultSpec FaultSpec::parse(const std::string& spec) {
         throw CommConfigError("fault-spec: delay_ms must be >= 0");
     } else if (key == "delay_prob") {
       out.delay_prob = parse_probability(key, value);
-      delay_prob_given = true;
     } else if (key == "crash_rank") {
       out.crash_rank = static_cast<int>(parse_number(key, value));
     } else if (key == "crash_at") {
@@ -82,7 +80,6 @@ FaultSpec FaultSpec::parse(const std::string& spec) {
       throw CommConfigError("fault-spec: unknown key '" + key + "'");
     }
   }
-  (void)delay_prob_given;
   if (out.crash_rank >= 0 && out.crash_at < 0)
     throw CommConfigError(
         "fault-spec: crash_rank needs a crash_at step");
@@ -145,29 +142,19 @@ void FaultInjectingBackend::send_bytes(std::span<const std::byte> data,
   if (roll(m, 6) < spec_.dup) inner_->send_bytes(wire, dest, tag);
 }
 
-Incoming FaultInjectingBackend::recv_bytes(int src, int tag) {
+std::optional<Incoming> FaultInjectingBackend::recv_bytes(int src, int tag,
+                                                          double timeout_ms) {
   step();
-  return inner_->recv_bytes(src, tag);
-}
-
-std::optional<Incoming> FaultInjectingBackend::try_recv_bytes(
-    int src, int tag, double timeout_ms) {
-  step();
-  return inner_->try_recv_bytes(src, tag, timeout_ms);
+  return inner_->recv_bytes(src, tag, timeout_ms);
 }
 
 bool FaultInjectingBackend::probe(int src, int tag) {
   return inner_->probe(src, tag);
 }
 
-void FaultInjectingBackend::barrier() {
+bool FaultInjectingBackend::barrier(double timeout_ms) {
   step();
-  inner_->barrier();
-}
-
-bool FaultInjectingBackend::try_barrier(double timeout_ms) {
-  step();
-  return inner_->try_barrier(timeout_ms);
+  return inner_->barrier(timeout_ms);
 }
 
 std::shared_ptr<Backend> FaultInjectingBackend::split(int color, int new_rank,

@@ -98,12 +98,10 @@ class FaultInjectingBackend final : public Backend {
   int size() const override { return inner_->size(); }
   void send_bytes(std::span<const std::byte> data, int dest,
                   int tag) override;
-  Incoming recv_bytes(int src, int tag) override;
-  std::optional<Incoming> try_recv_bytes(int src, int tag,
-                                         double timeout_ms) override;
+  std::optional<Incoming> recv_bytes(int src, int tag,
+                                     double timeout_ms) override;
   bool probe(int src, int tag) override;
-  void barrier() override;
-  bool try_barrier(double timeout_ms) override;
+  bool barrier(double timeout_ms) override;
   std::shared_ptr<Backend> split(int color, int new_rank, int new_size,
                                  double timeout_ms) override;
   std::size_t drain() override { return inner_->drain(); }

@@ -2,9 +2,11 @@
 // build each plan family exactly once, mixed shapes get distinct entries),
 // the transport pool, SolveRequest/solve() vs the legacy
 // run() entrypoint, BatchSolver-vs-sequential bitwise identity at p = 1, 2
-// and 4, priority/deadline semantics, and per-job deformed templates.
+// and 4, priority/deadline semantics, per-job deformed templates, and
+// every-rank failure on an error that is not a job fault.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -336,18 +338,27 @@ TEST(BatchSolver, InvalidConfigurationsThrow) {
 // Deformed templates: the batch runs the per-job deform_template path.
 
 TEST(BatchSolver, DeformedTemplatesMatchPerJobBitwise) {
+  // The third job shares the grid of the first two but not their nt: its
+  // template must be deformed with its own transport, not with the
+  // transport of the first job placed on that grid.
   mpisim::run_spmd(2, [&](mpisim::Communicator& comm) {
     const Int3 dims{16, 16, 16};
-    const RegistrationOptions opt = small_options();
-    const std::vector<real_t> amps{0.30, 0.45};
+    const std::vector<real_t> amps{0.30, 0.45, 0.40};
+    const std::vector<int> nts{2, 2, 4};
+    const auto options_for = [&](std::size_t j) {
+      RegistrationOptions opt = small_options();
+      opt.nt = nts[j];
+      return opt;
+    };
 
     // Per-job reference: solve, then deform_template.
     std::vector<ScalarField> ref;
     std::vector<VectorField> velocities;
-    for (real_t amp : amps) {
+    for (std::size_t j = 0; j < amps.size(); ++j) {
+      const RegistrationOptions opt = options_for(j);
       PencilDecomp decomp(comm, dims);
       ScalarField rho_t, rho_r;
-      make_pair(decomp, amp, opt.nt, rho_t, rho_r);
+      make_pair(decomp, amps[j], opt.nt, rho_t, rho_r);
       RegistrationSolver solver(decomp, opt);
       auto res = solver.run(rho_t, rho_r);
       ScalarField deformed;
@@ -357,11 +368,12 @@ TEST(BatchSolver, DeformedTemplatesMatchPerJobBitwise) {
     }
 
     BatchSolver batch(comm);
-    for (real_t amp : amps) {
+    for (std::size_t j = 0; j < amps.size(); ++j) {
       BatchJobSpec spec;
       spec.dims = dims;
-      spec.request.options = opt;
-      const int nt = opt.nt;
+      spec.request.options = options_for(j);
+      const real_t amp = amps[j];
+      const int nt = nts[j];
       spec.make_inputs = [amp, nt](PencilDecomp& d, ScalarField& t,
                                    ScalarField& r) {
         make_pair(d, amp, nt, t, r);
@@ -379,6 +391,48 @@ TEST(BatchSolver, DeformedTemplatesMatchPerJobBitwise) {
       EXPECT_TRUE(same_bits(ref[j], rep.deformed[j])) << "job " << j;
     }
   });
+}
+
+TEST(BatchSolver, NonJobErrorOnOneShardFailsEveryRank) {
+  // An error that is not a job fault (here: an input factory that throws on
+  // every rank of shard 0) must fail every rank with its message, not leave
+  // shard 1 waiting in the round sync. The watchdog turns such a wait into
+  // a CommTimeoutError, which the message check below rejects.
+  mpisim::SpmdOptions spmd;
+  spmd.comm_timeout_ms = 5000;
+  const std::string message = "cannot open nosuch.raw";
+  std::atomic<int> matched{0};
+  EXPECT_THROW(
+      mpisim::run_spmd(
+          4,
+          [&](mpisim::Communicator& comm) {
+            const RegistrationOptions opt = small_options();
+            BatchSolver batch(comm);
+            for (int j = 0; j < 2; ++j) {
+              BatchJobSpec spec;
+              spec.dims = {16, 16, 16};
+              spec.request.options = opt;
+              const int nt = opt.nt;
+              spec.make_inputs = [j, nt, &message](PencilDecomp& d,
+                                                   ScalarField& t,
+                                                   ScalarField& r) {
+                if (j == 0) throw std::runtime_error(message);
+                make_pair(d, 0.4, nt, t, r);
+              };
+              batch.submit(std::move(spec));
+            }
+            BatchOptions bopt;
+            bopt.shards = 2;
+            try {
+              batch.run_all(bopt);
+            } catch (const std::exception& e) {
+              if (e.what() == message) ++matched;
+              throw;
+            }
+          },
+          spmd),
+      std::runtime_error);
+  EXPECT_EQ(matched.load(), 4);
 }
 
 // --------------------------------------------------------------------------

@@ -511,7 +511,7 @@ TEST(InterpPlan, RebuildWithSamePointsIsBitwiseDeterministic) {
 
 TEST(InterpPlan, ExchangeCountsAreFixedPerOperation) {
   // The comm schedule of the plan: 2 collective exchanges per build (counts
-  // alltoall + coordinate alltoallv), 1 per interpolate, and 1 per
+  // alltoallv + coordinate alltoallv), 1 per interpolate, and 1 per
   // interpolate_many REGARDLESS of the batch size. p covers 1, 2, 4, 6.
   for (int p : {1, 2, 4, 6}) {
     mpisim::run_spmd(p, [&](mpisim::Communicator& comm) {

@@ -370,31 +370,25 @@ TEST(Collectives, AlltoallvDetectsCollectiveMismatch) {
                std::runtime_error);
 }
 
-TEST(Collectives, AlltoallFixedCountMatchesReference) {
-  // alltoall: element j of rank r's send buffer lands at recv[r] on rank j.
+TEST(Collectives, UnitCountAlltoallvMatchesReference) {
+  // The count-exchange pattern of variable-size plans: an alltoallv with one
+  // element per peer delivers element j of rank r's send buffer to recv[r]
+  // on rank j, in one exchange.
   for (int p : {1, 2, 3, 4, 6}) {
     auto timings = run_spmd(p, [&](Communicator& comm) {
       comm.set_time_kind(TimeKind::kInterpComm);
+      const std::vector<index_t> ones(p, 1);
       std::vector<index_t> send(p), recv(p, -1);
       for (int j = 0; j < p; ++j) send[j] = 100 * comm.rank() + j;
-      comm.alltoall(std::span<const index_t>(send), std::span<index_t>(recv),
-                    /*tag=*/31);
+      comm.alltoallv(std::span<const index_t>(send),
+                     std::span<const index_t>(ones), std::span<index_t>(recv),
+                     std::span<const index_t>(ones), /*tag=*/31);
       for (int r = 0; r < p; ++r)
         EXPECT_EQ(recv[r], 100 * r + comm.rank()) << "p=" << p;
     });
     for (const auto& t : timings)
       EXPECT_EQ(t.exchanges(TimeKind::kInterpComm), 1u) << "p=" << p;
   }
-}
-
-TEST(Collectives, AlltoallRejectsWrongBufferSize) {
-  run_spmd(2, [&](Communicator& comm) {
-    std::vector<index_t> send(3), recv(2);
-    EXPECT_THROW(comm.alltoall(std::span<const index_t>(send),
-                               std::span<index_t>(recv), /*tag=*/32),
-                 std::runtime_error);
-    comm.barrier();
-  });
 }
 
 TEST(Spmd, ExceptionPropagatesToLauncher) {
@@ -610,7 +604,8 @@ TEST(Nonblocking, MoveAssignOverALiveRequestCompletesIt) {
     comm.send(std::span<const double>(&mine[1], 1), peer, /*tag=*/86);
     double second = -1;
     EXPECT_NO_THROW(
-        comm.recv_into(std::span<double>(&second, 1), peer, /*tag=*/86));
+        comm.irecv_into(std::span<double>(&second, 1), peer, /*tag=*/86)
+            .wait());
     EXPECT_EQ(second, 7.0 + peer);
   });
 }
@@ -760,7 +755,7 @@ TEST(ConcurrencyStress, ProbesAndDeadlinePopsRaceBufferedSends) {
       for (int peer = 0; peer < p; ++peer) {
         if (peer == comm.rank()) continue;
         comm.backend()->probe(peer, round % 5);
-        auto got = comm.backend()->try_recv_bytes(peer, round % 5, 5000.0);
+        auto got = comm.backend()->recv_bytes(peer, round % 5, 5000.0);
         ASSERT_TRUE(got.has_value());
         double value = 0;
         ASSERT_EQ(got->data.size(), sizeof value);
