@@ -73,7 +73,8 @@ PyramidRecord run_pyramid_case(index_t n, int p) {
     // 1 remap + 2 inverse alltoallv, a deterministic property of the plan.
     grid::PencilDecomp coarse(comm, spectral::coarsen_dims(fine.dims(), 8),
                               fine.p1(), fine.p2());
-    spectral::ResamplePlan plan(fine, coarse);
+    spectral::SpectralOps coarse_ops(coarse);
+    spectral::ResamplePlan plan(ops, coarse_ops);
     grid::VectorField vec_out;
     const auto before = comm.timings().exchanges(TimeKind::kFftComm);
     plan.apply(cold.velocity, vec_out);

@@ -190,20 +190,20 @@ int main(int argc, char** argv) {
   int exit_code = 0;
   const auto body = [&](mpisim::Communicator& comm) {
     grid::PencilDecomp decomp(comm, opt.dims);
-    spectral::SpectralOps ops(decomp);
+    core::RegistrationSolver solver(decomp, opt.reg);
     const bool root = comm.is_root();
 
-    // Build or load the image pair.
+    // Build or load the image pair on the solver's spectral operators.
     grid::ScalarField rho_t, rho_r;
     std::string werror;
-    if (!cli::build_workload(decomp, ops, opt, rho_t, rho_r, werror)) {
+    if (!cli::build_workload(decomp, solver.ops(), opt, rho_t, rho_r,
+                             werror)) {
       if (root) std::fprintf(stderr, "error: %s\n", werror.c_str());
       exit_code = 1;
       return;
     }
 
     // Solve.
-    core::RegistrationSolver solver(decomp, opt.reg);
     core::RegistrationResult result;
     double summary_beta = opt.reg.beta;
     if (opt.multilevel) {

@@ -193,8 +193,6 @@ class BatchSolver {
   /// 0). Submission never communicates.
   std::uint64_t submit(BatchJobSpec spec);
 
-  std::size_t pending() const { return queue_.size(); }
-
   /// Drains the queue. Collective over the constructor communicator.
   /// Shard registries persist across run_all calls, so a second batch of
   /// same-shape jobs builds no plans at all. Structured job failures

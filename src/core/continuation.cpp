@@ -6,7 +6,7 @@
 #include <utility>
 
 #include "core/checkpoint.hpp"
-#include "spectral/resample.hpp"
+#include "core/plan_registry.hpp"
 
 namespace diffreg::core {
 
@@ -108,16 +108,13 @@ MultilevelResult run_multilevel_continuation(grid::PencilDecomp& fine_decomp,
 
   MultilevelResult out;
 
-  // Decompositions share the fine process grid so every transfer is a pure
-  // layout remap (level 0 borrows the caller's decomposition).
-  std::vector<std::unique_ptr<grid::PencilDecomp>> owned;
-  std::vector<grid::PencilDecomp*> decomps{&fine_decomp};
-  for (int k = 1; k < nlevels; ++k) {
-    owned.push_back(std::make_unique<grid::PencilDecomp>(
-        fine_decomp.comm(), level_dims[k], fine_decomp.p1(),
-        fine_decomp.p2()));
-    decomps.push_back(owned.back().get());
-  }
+  // One registry serves every plan of the pyramid: it adopts the caller's
+  // decomposition as level 0 and builds the coarser ones on the same
+  // process grid, so every transfer is a pure layout remap.
+  const auto registry = std::make_shared<PlanRegistry>(fine_decomp);
+  std::vector<std::shared_ptr<grid::PencilDecomp>> decomps;
+  for (int k = 0; k < nlevels; ++k)
+    decomps.push_back(registry->decomp(level_dims[k]));
 
   // Smooth once on the fine grid (exactly what RegistrationSolver would do)
   // and restrict the smoothed images: spectral truncation keeps the coarser
@@ -128,7 +125,7 @@ MultilevelResult run_multilevel_continuation(grid::PencilDecomp& fine_decomp,
   RegistrationOptions base = opt;
   std::vector<ScalarField> rho_ts(nlevels), rho_rs(nlevels);
   if (opt.smooth_inputs && nlevels > 1) {
-    spectral::SpectralOps fine_ops(fine_decomp);
+    spectral::SpectralOps& fine_ops = *registry->spectral(level_dims[0]);
     const Int3 fd = fine_decomp.dims();
     const Vec3 sigma{opt.smoothing_cells * kTwoPi / fd[0],
                      opt.smoothing_cells * kTwoPi / fd[1],
@@ -144,14 +141,14 @@ MultilevelResult run_multilevel_continuation(grid::PencilDecomp& fine_decomp,
   // Cascade image restriction: both images of a transition share one
   // batched 2-component transfer (5 exchanges per level).
   for (int k = 1; k < nlevels; ++k) {
-    spectral::ResamplePlan plan(*decomps[k - 1], *decomps[k]);
     const index_t n = decomps[k]->local_real_size();
     rho_ts[k].resize(n);
     rho_rs[k].resize(n);
     const real_t* ins[2] = {rho_ts[k - 1].data(), rho_rs[k - 1].data()};
     real_t* outs[2] = {rho_ts[k].data(), rho_rs[k].data()};
-    plan.apply_many(std::span<const real_t* const>(ins, 2),
-                    std::span<real_t* const>(outs, 2));
+    registry->resample(level_dims[k - 1], level_dims[k])
+        ->apply_many(std::span<const real_t* const>(ins, 2),
+                     std::span<real_t* const>(outs, 2));
   }
 
   auto scheduled_beta = [&](int k) {  // k = 0 is the finest level
@@ -220,7 +217,7 @@ MultilevelResult run_multilevel_continuation(grid::PencilDecomp& fine_decomp,
     if (mopt.checkpoint_every > 0 && !coarse_cont) {
       const real_t level_beta = lopt.beta;
       const Int3 ldims = level_dims[k];
-      grid::PencilDecomp* const ldecomp = decomps[k];
+      grid::PencilDecomp* const ldecomp = decomps[k].get();
       const auto user_hook = base.iterate_hook;
       lopt.iterate_hook = [&, level_beta, ldims, ldecomp, base_iters,
                            user_hook](const NewtonIterateInfo& info) {
@@ -241,7 +238,7 @@ MultilevelResult run_multilevel_continuation(grid::PencilDecomp& fine_decomp,
                          mopt.checkpoint_path);
       };
     }
-    RegistrationSolver solver(*decomps[k], lopt);
+    RegistrationSolver solver(*decomps[k], lopt, registry);
 
     WallTimer wall;
     RegistrationResult result;
@@ -269,8 +266,9 @@ MultilevelResult run_multilevel_continuation(grid::PencilDecomp& fine_decomp,
       }
       out.coarsest = result;
     } else {
-      const VectorField v0 = spectral::spectral_resample(
-          *decomps[k + 1], prev.velocity, *decomps[k]);
+      VectorField v0;
+      registry->resample(level_dims[k + 1], level_dims[k])
+          ->apply(prev.velocity, v0);
       result = solver.run(rho_ts[k], rho_rs[k], &v0);
     }
     out.levels.push_back(

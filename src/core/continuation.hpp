@@ -114,11 +114,13 @@ struct MultilevelResult {
   std::vector<MultilevelLevelReport> levels;  // coarsest first
 };
 
-/// Coarse-to-fine pyramid solve on `fine_decomp`'s communicator. Builds the
-/// coarser decompositions internally (same process grid), restricts the
-/// images level by level (one batched 2-component transfer per transition),
-/// and prolongs each level's velocity as the next warm start. Odd dims are
-/// supported via the resample's Nyquist rules. Collective.
+/// Coarse-to-fine pyramid solve on `fine_decomp`'s communicator. One
+/// PlanRegistry adopting `fine_decomp` serves every plan: the coarser
+/// decompositions (same process grid), the image restrictions (one batched
+/// 2-component transfer per transition), the velocity prolongations, and
+/// every level's solver, so a level's two-level coarse grid reuses the
+/// next-coarser level's plans. Odd dims are supported via the resample's
+/// Nyquist rules. Collective.
 MultilevelResult run_multilevel_continuation(grid::PencilDecomp& fine_decomp,
                                              const RegistrationOptions& opt,
                                              const ScalarField& rho_t,

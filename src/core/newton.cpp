@@ -14,6 +14,8 @@ namespace {
 constexpr real_t kForcingMax = 0.5;
 /// Armijo sufficient-decrease constant of the backtracking line search.
 constexpr real_t kArmijoC1 = 1e-4;
+/// Backtracking steps per line search (and per steepest-descent recovery).
+constexpr int kMaxLineSearch = 12;
 
 }  // namespace
 
@@ -115,7 +117,7 @@ NewtonReport newton_solve(OptimalitySystem& system, VectorField& v,
     real_t alpha = 1;
     bool accepted = false;
     real_t trial_objective = objective;
-    for (int ls = 0; ls < options.max_line_search; ++ls) {
+    for (int ls = 0; ls < kMaxLineSearch; ++ls) {
       grid::copy(v, v_trial);
       grid::axpy(alpha, step, v_trial);
       trial_objective = system.evaluate(v_trial);
@@ -134,7 +136,7 @@ NewtonReport newton_solve(OptimalitySystem& system, VectorField& v,
       gs = grid::dot(decomp, g, step);
       if (gs < 0) {
         alpha = real_t(0.25);
-        for (int ls = 0; ls < options.max_line_search; ++ls) {
+        for (int ls = 0; ls < kMaxLineSearch; ++ls) {
           grid::copy(v, v_trial);
           grid::axpy(alpha, step, v_trial);
           trial_objective = system.evaluate(v_trial);

@@ -12,8 +12,8 @@ real_t OptimalitySystem::evaluate(const VectorField& v) {
   if (lambda1_.size() != static_cast<size_t>(n)) lambda1_.resize(n);
   for (index_t i = 0; i < n; ++i) lambda1_[i] = rho1[i] - rho_r_[i];
   const real_t res_norm = grid::norm_l2(decomp(), lambda1_);
-  mismatch_ = real_t(0.5) * res_norm * res_norm;
-  return mismatch_ + reg_->evaluate(v);
+  const real_t mismatch = real_t(0.5) * res_norm * res_norm;
+  return mismatch + reg_->evaluate(v);
 }
 
 void OptimalitySystem::gradient(VectorField& g) {

@@ -34,17 +34,10 @@ class OptimalitySystem {
 
   grid::PencilDecomp& decomp() { return ops_->decomp(); }
   semilag::Transport& transport() { return *transport_; }
-  Regularization& regularization() { return *reg_; }
-  bool incompressible() const { return incompressible_; }
-  const ScalarField& rho_t() const { return rho_t_; }
-  const ScalarField& rho_r() const { return rho_r_; }
 
   /// Sets the velocity (state solve) and returns
   /// J(v) = 1/2 ||rho(1) - rho_r||^2 + J_reg(v).
   real_t evaluate(const VectorField& v);
-
-  /// Image mismatch 1/2 ||rho(1) - rho_r||^2 of the last evaluate().
-  real_t mismatch() const { return mismatch_; }
 
   /// Reduced gradient at the last-evaluated iterate:
   /// g = beta A v + P b, b = Int lam grad rho dt. Collective.
@@ -66,7 +59,6 @@ class OptimalitySystem {
   void set_two_level(TwoLevelPreconditioner* precond) {
     two_level_ = precond;
   }
-  TwoLevelPreconditioner* two_level() { return two_level_; }
 
   /// rho(1) - rho_r of the current iterate.
   void final_residual(ScalarField& out) const;
@@ -83,7 +75,6 @@ class OptimalitySystem {
   bool gauss_newton_;
   TwoLevelPreconditioner* two_level_ = nullptr;
 
-  real_t mismatch_ = 0;
   int matvecs_ = 0;
 
   // Scratch, persistent across calls so the PCG-hot gradient/matvec paths

@@ -57,9 +57,6 @@ struct RegistrationOptions {
   /// Inner CG sweeps of the coarse Hessian solve per application.
   int precond_inner_iters = 5;
 
-  // Armijo line search.
-  int max_line_search = 12;
-
   // Input preprocessing (paper section III-B1: spectral Gaussian smoothing
   // with bandwidth of about one grid cell to control aliasing).
   bool smooth_inputs = true;

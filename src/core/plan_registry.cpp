@@ -3,8 +3,21 @@
 namespace diffreg::core {
 
 // Leased handles borrow from the registry's maps (a SpectralOps references
-// its PencilDecomp, a Transport its SpectralOps), so every lease is valid
-// for the registry's lifetime — the maps never evict.
+// its PencilDecomp, a Transport or ResamplePlan its SpectralOps), so every
+// lease is valid for the registry's lifetime — the maps never evict.
+
+PlanRegistry::PlanRegistry(mpisim::Communicator comm)
+    : comm_(comm),
+      p1_(grid::choose_process_grid(comm.size()).first),
+      p2_(grid::choose_process_grid(comm.size()).second) {}
+
+PlanRegistry::PlanRegistry(grid::PencilDecomp& decomp)
+    : comm_(decomp.comm()), p1_(decomp.p1()), p2_(decomp.p2()) {
+  // A non-owning handle: the caller owns the adopted decomposition.
+  decomps_.emplace(dims_key(decomp.dims()),
+                   std::shared_ptr<grid::PencilDecomp>(
+                       std::shared_ptr<grid::PencilDecomp>(), &decomp));
+}
 
 std::shared_ptr<grid::PencilDecomp> PlanRegistry::decomp(const Int3& dims) {
   ++stats_.leases;
@@ -12,7 +25,8 @@ std::shared_ptr<grid::PencilDecomp> PlanRegistry::decomp(const Int3& dims) {
   auto it = decomps_.find(key);
   if (it == decomps_.end()) {
     it = decomps_
-             .emplace(key, std::make_shared<grid::PencilDecomp>(comm_, dims))
+             .emplace(key, std::make_shared<grid::PencilDecomp>(comm_, dims,
+                                                                p1_, p2_))
              .first;
     ++stats_.decomp_builds;
   }
@@ -39,8 +53,8 @@ std::shared_ptr<spectral::ResamplePlan> PlanRegistry::resample(
   const ResampleKey key{from[0], from[1], from[2], to[0], to[1], to[2]};
   auto it = resamples_.find(key);
   if (it == resamples_.end()) {
-    auto src = decomp(from);
-    auto dst = decomp(to);
+    auto src = spectral(from);
+    auto dst = spectral(to);
     auto plan = std::make_shared<spectral::ResamplePlan>(*src, *dst);
     it = resamples_.emplace(key, std::move(plan)).first;
     ++stats_.resample_builds;
@@ -88,6 +102,14 @@ void PlanRegistry::purge() {
   resamples_.clear();
   spectrals_.clear();
   decomps_.clear();
+}
+
+semilag::TransportConfig transport_config(const RegistrationOptions& opt) {
+  semilag::TransportConfig tc;
+  tc.nt = opt.nt;
+  tc.method = opt.interp_method;
+  tc.incompressible = opt.incompressible;
+  return tc;
 }
 
 }  // namespace diffreg::core

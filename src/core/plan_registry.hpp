@@ -1,13 +1,19 @@
-// PlanRegistry: shared plan infrastructure for many-pair registration
-// (ROADMAP item 3, the service counterpart of the PR 3 caching contract).
+// PlanRegistry: the one owner of the solver's plans.
 //
-// Every plan family the solver builds — pencil decompositions (two
-// communicator splits each), spectral operator sets (a distributed FFT plan
-// with all transpose buffers), resample plans, and transports (ghost
-// exchanger + interpolation plans + time-history storage) — is built ONCE
-// per key and leased to jobs. Keys are (dims, process grid) plus, for
-// transports, the transport configuration; two jobs with the same shape
-// share one entry, jobs with different shapes get distinct entries.
+// Every plan family — pencil decompositions (two communicator splits each),
+// spectral operator sets (a distributed FFT plan with all transpose
+// buffers), grid-transfer plans (running the FFT plans of their two grids'
+// operator sets), and transports (ghost exchanger + interpolation plans +
+// time-history storage) — is built ONCE per key and leased: to batch jobs,
+// to a bare-decomposition solver, to the two-level preconditioner's coarse
+// grid and to every level of the grid pyramid. Nothing else in core/ builds
+// one. Keys are dims plus, for transports, the transport configuration.
+//
+// A registry has ONE process grid p1 x p2: PlanRegistry(comm) uses the
+// default near-square grid, and PlanRegistry(decomp) ADOPTS the caller's
+// decomposition as its entry for those dims (the caller keeps ownership,
+// and it must outlive the registry) and builds every other decomposition
+// on the same p1 x p2, so every grid transfer is a pure layout remap.
 //
 // Two lease shapes:
 //  * decomp/spectral/resample — genuinely shareable (stateless between
@@ -16,15 +22,15 @@
 //  * transport — job-scoped (it caches the job's velocity, departure-point
 //    plans and time histories), so it is POOLED, not shared: acquire checks
 //    one out (building only when the free list is empty), release checks it
-//    back in with its buffers warm. A transport reused across jobs keeps
-//    every allocation; only the per-velocity departure plans rebuild, which
-//    is the PR 3 contract (plans follow the velocity, buffers follow the
+//    back in with its buffers warm (TransportLease does both for a scope).
+//    A reused transport keeps every allocation; only the per-velocity
+//    departure plans rebuild (plans follow the velocity, buffers follow the
 //    plan object).
 //
 // `stats()` exposes per-family build counters and the total lease count, so
-// tests and the batch bench can assert "B same-shape jobs built each plan
-// exactly once" the same way Transport::plan_build_count() proves
-// per-velocity reuse.
+// tests and benches can assert "B same-shape jobs built each plan exactly
+// once" the same way Transport::plan_build_count() proves per-velocity
+// reuse.
 //
 // Collective discipline: decomp construction splits the communicator and a
 // first lease builds plans, so lease calls are COLLECTIVE over the
@@ -39,6 +45,7 @@
 #include <tuple>
 #include <vector>
 
+#include "core/options.hpp"
 #include "grid/decomposition.hpp"
 #include "semilag/transport.hpp"
 #include "spectral/operators.hpp"
@@ -51,9 +58,12 @@ class PlanRegistry {
   /// The registry serves plans on (splits of) this communicator; all
   /// decompositions it builds use the default near-square process grid for
   /// the communicator's size.
-  explicit PlanRegistry(mpisim::Communicator comm) : comm_(comm) {}
+  explicit PlanRegistry(mpisim::Communicator comm);
 
-  mpisim::Communicator& comm() { return comm_; }
+  /// Adopts `decomp` (not a build; it must outlive the registry and its
+  /// leases) and builds every other decomposition on its communicator and
+  /// p1 x p2 process grid.
+  explicit PlanRegistry(grid::PencilDecomp& decomp);
 
   /// Decomposition for `dims` (built on first lease; two communicator
   /// splits). Collective.
@@ -63,7 +73,8 @@ class PlanRegistry {
   /// bound to decomp(dims). Collective.
   std::shared_ptr<spectral::SpectralOps> spectral(const Int3& dims);
 
-  /// Grid-transfer plan decomp(from) -> decomp(to). Collective.
+  /// Grid-transfer plan spectral(from) -> spectral(to), running those two
+  /// operator sets' FFT plans. Collective.
   std::shared_ptr<spectral::ResamplePlan> resample(const Int3& from,
                                                    const Int3& to);
 
@@ -111,8 +122,6 @@ class PlanRegistry {
   }
 
   std::size_t decomp_entries() const { return decomps_.size(); }
-  std::size_t spectral_entries() const { return spectrals_.size(); }
-  std::size_t resample_entries() const { return resamples_.size(); }
 
  private:
   using DimsKey = std::tuple<index_t, index_t, index_t>;
@@ -134,12 +143,41 @@ class PlanRegistry {
   }
 
   mpisim::Communicator comm_;
+  int p1_, p2_;  // the process grid of every decomposition
   std::map<DimsKey, std::shared_ptr<grid::PencilDecomp>> decomps_;
   std::map<DimsKey, std::shared_ptr<spectral::SpectralOps>> spectrals_;
   std::map<ResampleKey, std::shared_ptr<spectral::ResamplePlan>> resamples_;
   std::map<TransportKey, std::vector<std::shared_ptr<semilag::Transport>>>
       transport_pool_;
   Stats stats_;
+};
+
+/// The transport configuration (and pool key) of a solve with `opt`; its
+/// two-level coarse grid uses the same one.
+semilag::TransportConfig transport_config(const RegistrationOptions& opt);
+
+/// A pooled transport checked out for one scope and released with its
+/// buffers warm at its end. The registry must outlive the lease.
+class TransportLease {
+ public:
+  TransportLease(PlanRegistry& registry, const Int3& dims,
+                 const semilag::TransportConfig& tc)
+      : registry_(registry),
+        dims_(dims),
+        tc_(tc),
+        transport_(registry.acquire_transport(dims, tc)) {}
+  ~TransportLease() {
+    registry_.release_transport(dims_, tc_, std::move(transport_));
+  }
+  TransportLease(const TransportLease&) = delete;
+
+  semilag::Transport& get() { return *transport_; }
+
+ private:
+  PlanRegistry& registry_;
+  Int3 dims_;
+  semilag::TransportConfig tc_;
+  std::shared_ptr<semilag::Transport> transport_;
 };
 
 }  // namespace diffreg::core

@@ -7,61 +7,56 @@ namespace diffreg::core {
 
 namespace {
 
-semilag::TransportConfig coarse_transport_config(
-    const RegistrationOptions& opt) {
-  semilag::TransportConfig tc;
-  tc.nt = opt.nt;
-  tc.method = opt.interp_method;
-  tc.incompressible = opt.incompressible;
-  return tc;
+/// The preconditioner's coarse grid; throws when `fine` cannot be coarsened.
+Int3 coarse_dims_of(const Int3& fine, index_t floor_dim) {
+  const Int3 coarse = spectral::coarsen_dims(fine, floor_dim);
+  if (coarse == fine)
+    throw std::invalid_argument(
+        "TwoLevelPreconditioner: grid cannot be coarsened (raise the fine "
+        "resolution or lower precond_coarsest_dim)");
+  return coarse;
 }
 
 }  // namespace
 
 TwoLevelPreconditioner::TwoLevelPreconditioner(
-    grid::PencilDecomp& fine_decomp, const RegistrationOptions& opt,
-    const ScalarField& rho_t_s, const ScalarField& rho_r_s)
-    : coarse_decomp_(fine_decomp.comm(),
-                     spectral::coarsen_dims(fine_decomp.dims(),
-                                            opt.precond_coarsest_dim),
-                     fine_decomp.p1(), fine_decomp.p2()),
-      ops_(coarse_decomp_),
-      transport_(ops_, coarse_transport_config(opt)),
-      reg_(ops_, opt.reg_type, opt.beta),
-      restrict_plan_(fine_decomp, coarse_decomp_),
-      prolong_plan_(coarse_decomp_, fine_decomp),
+    PlanRegistry& registry, const Int3& fine_dims,
+    const RegistrationOptions& opt, const ScalarField& rho_t_s,
+    const ScalarField& rho_r_s)
+    : ops_(registry.spectral(
+          coarse_dims_of(fine_dims, opt.precond_coarsest_dim))),
+      transport_(registry, ops_->decomp().dims(), transport_config(opt)),
+      reg_(*ops_, opt.reg_type, opt.beta),
+      restrict_plan_(registry.resample(fine_dims, ops_->decomp().dims())),
+      prolong_plan_(registry.resample(ops_->decomp().dims(), fine_dims)),
       inner_iters_(opt.precond_inner_iters) {
-  if (coarse_decomp_.dims() == fine_decomp.dims())
-    throw std::invalid_argument(
-        "TwoLevelPreconditioner: grid cannot be coarsened (raise the fine "
-        "resolution or lower precond_coarsest_dim)");
-  const index_t nc = coarse_decomp_.local_real_size();
+  const index_t nc = ops_->local_size();
   ScalarField rho_t_c(nc), rho_r_c(nc);
   const real_t* ins[2] = {rho_t_s.data(), rho_r_s.data()};
   real_t* outs[2] = {rho_t_c.data(), rho_r_c.data()};
-  restrict_plan_.apply_many(std::span<const real_t* const>(ins, 2),
-                            std::span<real_t* const>(outs, 2));
+  restrict_plan_->apply_many(std::span<const real_t* const>(ins, 2),
+                             std::span<real_t* const>(outs, 2));
   // Always Gauss-Newton on the coarse level: SPD by construction, which the
   // inner CG (and PCG theory for the outer solve) requires.
   system_ = std::make_unique<OptimalitySystem>(
-      ops_, transport_, reg_, std::move(rho_t_c), std::move(rho_r_c),
+      *ops_, transport_.get(), reg_, std::move(rho_t_c), std::move(rho_r_c),
       opt.incompressible, /*gauss_newton=*/true);
   v_c_ = VectorField(nc);
   r_c_ = VectorField(nc);
   z_c_ = VectorField(nc);
   smooth_c_ = VectorField(nc);
-  corr_ = VectorField(fine_decomp.local_real_size());
+  corr_ = VectorField(static_cast<index_t>(rho_t_s.size()));
 }
 
 void TwoLevelPreconditioner::sync(const VectorField& v_fine) {
-  restrict_plan_.apply(v_fine, v_c_);
+  restrict_plan_->apply(v_fine, v_c_);
   system_->evaluate(v_c_);  // coarse state solve at the restricted iterate
   synced_ = true;
 }
 
 void TwoLevelPreconditioner::correct(const VectorField& r, VectorField& out) {
   if (!synced_) return;
-  restrict_plan_.apply(r, r_c_);
+  restrict_plan_->apply(r, r_c_);
 
   // Approximate coarse Hessian inverse: a fixed number of CG sweeps (rtol 0
   // keeps the application deterministic), spectrally preconditioned. A
@@ -77,7 +72,7 @@ void TwoLevelPreconditioner::correct(const VectorField& r, VectorField& out) {
   const auto apply_m = [&](const VectorField& x, VectorField& y) {
     system_->apply_preconditioner(x, y);
   };
-  pcg_solve(coarse_decomp_, apply_a, apply_m, r_c_, z_c_, /*rtol=*/0,
+  pcg_solve(ops_->decomp(), apply_a, apply_m, r_c_, z_c_, /*rtol=*/0,
             inner_iters_, ws_);
 
   // Subtract the smoother's low band: the caller applied (beta A)^{-1} on
@@ -87,7 +82,7 @@ void TwoLevelPreconditioner::correct(const VectorField& r, VectorField& out) {
   reg_.invert(r_c_, smooth_c_);
   grid::axpy(real_t(-1), smooth_c_, z_c_);
 
-  prolong_plan_.apply(z_c_, corr_);
+  prolong_plan_->apply(z_c_, corr_);
   grid::axpy(real_t(1), corr_, out);
 }
 

@@ -26,9 +26,12 @@
 // One application costs two grid transfers (5 alltoallv each, all three
 // components batched) plus `inner_iters` coarse-grid Hessian matvecs — the
 // coarse grid has ~1/8 the points, so the whole correction is a fraction of
-// one fine matvec. All state (coarse decomposition, transport, transfer
-// plans, CG workspace) is owned here and reused: warm applications perform
-// no heap allocation beyond the coarse transport's plan cache.
+// one fine matvec. Its plans are LEASED from the solver's PlanRegistry, not
+// owned: the coarse decomposition, operators and both transfer plans are
+// shared entries (built once per batch of two-level jobs, or by the grid
+// pyramid's next-coarser level), and the coarse transport is checked out of
+// the pool for one solve. Warm applications perform no heap allocation
+// beyond the coarse transport's plan cache.
 #pragma once
 
 #include <memory>
@@ -36,17 +39,18 @@
 #include "core/optimality.hpp"
 #include "core/options.hpp"
 #include "core/pcg.hpp"
+#include "core/plan_registry.hpp"
 #include "core/regularization.hpp"
-#include "semilag/transport.hpp"
-#include "spectral/resample.hpp"
 
 namespace diffreg::core {
 
 class TwoLevelPreconditioner {
  public:
-  /// `rho_t_s`/`rho_r_s` are the (already smoothed) fine-grid images; they
-  /// are restricted once at construction. Collective.
-  TwoLevelPreconditioner(grid::PencilDecomp& fine_decomp,
+  /// Leases the coarse grid of `fine_dims` from `registry` (which must
+  /// outlive this object). `rho_t_s`/`rho_r_s` are the (already smoothed)
+  /// fine-grid images; they are restricted once at construction.
+  /// Collective.
+  TwoLevelPreconditioner(PlanRegistry& registry, const Int3& fine_dims,
                          const RegistrationOptions& opt,
                          const ScalarField& rho_t_s,
                          const ScalarField& rho_r_s);
@@ -60,17 +64,15 @@ class TwoLevelPreconditioner {
   /// spectral smoother applied to `r`). No-op until the first sync().
   void correct(const VectorField& r, VectorField& out);
 
-  grid::PencilDecomp& coarse_decomp() { return coarse_decomp_; }
   /// Coarse Hessian matvecs performed so far (the inner CG work).
   int coarse_matvecs() const { return system_->matvec_count(); }
 
  private:
-  grid::PencilDecomp coarse_decomp_;
-  spectral::SpectralOps ops_;
-  semilag::Transport transport_;
+  std::shared_ptr<spectral::SpectralOps> ops_;  // coarse grid
+  TransportLease transport_;
   Regularization reg_;
-  spectral::ResamplePlan restrict_plan_;  // fine -> coarse
-  spectral::ResamplePlan prolong_plan_;   // coarse -> fine
+  std::shared_ptr<spectral::ResamplePlan> restrict_plan_;  // fine -> coarse
+  std::shared_ptr<spectral::ResamplePlan> prolong_plan_;   // coarse -> fine
   std::unique_ptr<OptimalitySystem> system_;
   int inner_iters_;
   bool synced_ = false;

@@ -6,41 +6,10 @@
 
 namespace diffreg::core {
 
-namespace {
-
-/// Holds the solve's transport: pool-checked-out when a registry is
-/// present (released back on destruction), otherwise a fresh local build —
-/// the historical per-solve behavior.
-class TransportLease {
- public:
-  TransportLease(PlanRegistry* registry, spectral::SpectralOps& ops,
-                 const semilag::TransportConfig& tc)
-      : registry_(registry), dims_(ops.decomp().dims()), tc_(tc) {
-    if (registry_ != nullptr)
-      pooled_ = registry_->acquire_transport(dims_, tc_);
-    else
-      owned_ = std::make_unique<semilag::Transport>(ops, tc_);
-  }
-  ~TransportLease() {
-    if (pooled_) registry_->release_transport(dims_, tc_, std::move(pooled_));
-  }
-  semilag::Transport& get() { return pooled_ ? *pooled_ : *owned_; }
-
- private:
-  PlanRegistry* registry_;
-  Int3 dims_;
-  semilag::TransportConfig tc_;
-  std::shared_ptr<semilag::Transport> pooled_;
-  std::unique_ptr<semilag::Transport> owned_;
-};
-
-}  // namespace
-
 RegistrationSolver::RegistrationSolver(grid::PencilDecomp& decomp,
                                        const RegistrationOptions& options)
-    : decomp_(&decomp),
-      options_(options),
-      ops_(std::make_shared<spectral::SpectralOps>(decomp)) {}
+    : RegistrationSolver(decomp, options,
+                         std::make_shared<PlanRegistry>(decomp)) {}
 
 RegistrationSolver::RegistrationSolver(grid::PencilDecomp& decomp,
                                        const RegistrationOptions& options,
@@ -51,15 +20,6 @@ RegistrationSolver::RegistrationSolver(grid::PencilDecomp& decomp,
       ops_(registry_->spectral(decomp.dims())) {}
 
 RegistrationSolver::~RegistrationSolver() = default;
-
-semilag::TransportConfig RegistrationSolver::transport_config(
-    const RegistrationOptions& opt) const {
-  semilag::TransportConfig tc;
-  tc.nt = opt.nt;
-  tc.method = opt.interp_method;
-  tc.incompressible = opt.incompressible;
-  return tc;
-}
 
 void RegistrationSolver::preprocess(const ScalarField& in, ScalarField& out,
                                     const RegistrationOptions& opt) {
@@ -120,7 +80,7 @@ SolveReport RegistrationSolver::solve(const SolveRequest& request) {
   preprocess(*request.rho_t, rho_t_s, opt);
   preprocess(*request.rho_r, rho_r_s, opt);
 
-  TransportLease lease(registry_.get(), *ops_, transport_config(opt));
+  TransportLease lease(*registry_, decomp_->dims(), transport_config(opt));
   semilag::Transport& transport = lease.get();
 
   Regularization reg(*ops_, opt.reg_type, opt.beta);
@@ -135,8 +95,8 @@ SolveReport RegistrationSolver::solve(const SolveRequest& request) {
   if (opt.two_level_precond &&
       spectral::coarsen_dims(decomp_->dims(), opt.precond_coarsest_dim) !=
           decomp_->dims()) {
-    two_level = std::make_unique<TwoLevelPreconditioner>(*decomp_, opt,
-                                                         rho_t_s, rho_r_s);
+    two_level = std::make_unique<TwoLevelPreconditioner>(
+        *registry_, decomp_->dims(), opt, rho_t_s, rho_r_s);
     system.set_two_level(two_level.get());
   }
 
@@ -186,7 +146,8 @@ SolveReport RegistrationSolver::solve(const SolveRequest& request) {
 void RegistrationSolver::deform_template(const ScalarField& rho_t,
                                          const VectorField& velocity,
                                          ScalarField& deformed) {
-  TransportLease lease(registry_.get(), *ops_, transport_config(options_));
+  TransportLease lease(*registry_, decomp_->dims(),
+                       transport_config(options_));
   semilag::Transport& transport = lease.get();
   transport.set_velocity(velocity);
   transport.solve_state(rho_t);
@@ -195,7 +156,8 @@ void RegistrationSolver::deform_template(const ScalarField& rho_t,
 
 void RegistrationSolver::jacobian_field(const VectorField& velocity,
                                         ScalarField& det) {
-  TransportLease lease(registry_.get(), *ops_, transport_config(options_));
+  TransportLease lease(*registry_, decomp_->dims(),
+                       transport_config(options_));
   semilag::Transport& transport = lease.get();
   transport.set_velocity(velocity);
   VectorField u;

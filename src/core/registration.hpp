@@ -13,15 +13,19 @@
 // solver. `run(rho_t, rho_r, v0)` stays as a thin convenience wrapper that
 // solves a request built from the constructor options.
 //
-// Usage (inside an mpisim::run_spmd rank, or with a size-1 communicator):
+// Every solver leases its plans from a PlanRegistry: its spectral operators
+// once at construction, a pooled transport per solve (returned warm, so a
+// second solve builds no transport), and — with two_level_precond — the
+// coarse grid's decomposition, operators, transport and both transfer
+// plans. There is one construction path; a solver built from a bare
+// decomposition makes a private registry that adopts it:
 //
 //   grid::PencilDecomp decomp(comm, {64, 64, 64});
 //   core::RegistrationOptions opt;
 //   core::RegistrationSolver solver(decomp, opt);
 //   auto result = solver.run(rho_t_local, rho_r_local);
 //
-// With a PlanRegistry (the batch service path), the solver leases its
-// spectral operators and pools its transports instead of owning them, so B
+// Sharing one registry (the batch service and the grid pyramid) makes B
 // same-shape jobs build each plan family exactly once:
 //
 //   auto registry = std::make_shared<core::PlanRegistry>(comm);
@@ -98,16 +102,15 @@ using SolveReport = RegistrationResult;
 
 class RegistrationSolver {
  public:
-  /// Standalone solver: owns its spectral operators (built once from the
-  /// constructor options) and builds a fresh transport per solve — the
-  /// historical behavior, bitwise identical to it.
+  /// Solver on a private registry that adopts `decomp` (which must outlive
+  /// the solver); delegates to the registry constructor below.
   RegistrationSolver(grid::PencilDecomp& decomp,
                      const RegistrationOptions& options);
 
-  /// Service solver: leases spectral operators from `registry` and checks
-  /// transports out of its pool, so plan setup is shared across all solvers
-  /// and jobs on the registry. `decomp` must be (a lease of) the registry's
-  /// decomposition for its dims.
+  /// Leases spectral operators from `registry` and checks transports out of
+  /// its pool, so plan setup is shared across all solvers and jobs on the
+  /// registry. `decomp` must be the registry's decomposition for its dims
+  /// (a lease, or the one it adopted).
   RegistrationSolver(grid::PencilDecomp& decomp,
                      const RegistrationOptions& options,
                      std::shared_ptr<PlanRegistry> registry);
@@ -133,17 +136,14 @@ class RegistrationSolver {
 
   const RegistrationOptions& options() const { return options_; }
   spectral::SpectralOps& ops() { return *ops_; }
-  grid::PencilDecomp& decomp() { return *decomp_; }
 
  private:
   void preprocess(const ScalarField& in, ScalarField& out,
                   const RegistrationOptions& opt);
-  semilag::TransportConfig transport_config(
-      const RegistrationOptions& opt) const;
 
   grid::PencilDecomp* decomp_;
   RegistrationOptions options_;
-  std::shared_ptr<PlanRegistry> registry_;  // null for standalone solvers
+  std::shared_ptr<PlanRegistry> registry_;
   std::shared_ptr<spectral::SpectralOps> ops_;
 };
 

@@ -29,10 +29,6 @@ class Regularization {
   Regularization(spectral::SpectralOps& ops, RegType type, real_t beta)
       : ops_(&ops), type_(type), beta_(beta) {}
 
-  RegType type() const { return type_; }
-  real_t beta() const { return beta_; }
-  void set_beta(real_t beta) { beta_ = beta; }
-
   int gamma() const { return type_ == RegType::kH1Seminorm ? 1 : 2; }
 
   /// J_reg(v) = beta/2 <v, A v>. `av_` is persistent scratch: evaluate() is

@@ -63,7 +63,6 @@ class InterpPlan {
   /// buffers.
   void build(std::span<const Vec3> points);
 
-  bool built() const { return built_; }
   /// Number of build() calls this plan has served (plan-reuse accounting).
   int build_count() const { return builds_; }
   index_t num_points() const { return num_points_; }

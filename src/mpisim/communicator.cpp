@@ -436,14 +436,6 @@ void CommRequest::complete(const char* operation, bool credit_hidden) {
         kind_, std::max(0.0, std::min(last_arrival, wait_entry) - post_time_));
 }
 
-bool CommRequest::test() {
-  if (!comm_) return true;
-  for (const detail::PendingRecv& pr : comm_->pending_recvs_)
-    if (!comm_->backend_->probe(pr.src, pr.tag)) return false;
-  wait();  // Every match has arrived: completes without blocking.
-  return true;
-}
-
 std::vector<Timings> run_spmd(
     int p, const std::function<void(Communicator&)>& body) {
   // Environment hooks let the chaos CI job rerun any existing suite under

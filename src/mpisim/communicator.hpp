@@ -142,7 +142,7 @@ struct ScheduleOpSig {
 /// receives. `wait()` blocks until all of them have landed, copies them
 /// into the destination buffers, and credits the wire time that
 /// elapsed under the caller's compute to the Timings hidden-comm counter.
-/// Destination buffers must not be read before wait()/test() succeeds —
+/// Destination buffers must not be read before wait() returns —
 /// and the owning Communicator enforces the discipline by throwing on any
 /// receive or collective posted while this request is outstanding.
 class CommRequest {
@@ -171,8 +171,8 @@ class CommRequest {
   /// to surface failures.
   ~CommRequest() { abandon("destroyed"); }
 
-  /// True once the request has completed (wait()/test() succeeded or the
-  /// post had nothing to defer).
+  /// True once the request has completed (wait() returned or the post had
+  /// nothing to defer).
   bool done() const { return comm_ == nullptr; }
 
   /// Blocks until every deferred receive has landed and delivers the
@@ -181,11 +181,6 @@ class CommRequest {
   /// wait() is credited as hidden comm time. A watchdog expiry reports
   /// "nonblocking wait" and lists every posted (src, tag) still missing.
   void wait() { complete("nonblocking wait", /*credit_hidden=*/true); }
-
-  /// Nonblocking completion probe: returns false while any message is still
-  /// in flight; otherwise completes the request (equivalent to wait()) and
-  /// returns true.
-  bool test();
 
  private:
   friend class Communicator;
@@ -230,7 +225,6 @@ class Communicator {
 
   /// Category charged for time spent blocked in communication calls.
   void set_time_kind(TimeKind kind) { time_kind_ = kind; }
-  TimeKind time_kind() const { return time_kind_; }
   Timings& timings() { return *timings_; }
 
   /// Watchdog deadline (milliseconds) for every blocking receive, request
@@ -346,9 +340,8 @@ class Communicator {
   /// and sum to the corresponding span size; the caller owns (and can
   /// reuse) all four buffers across calls. The SELF chunk of `recv` is a
   /// local copy, already valid at return; the p-1 peer chunks arrive behind
-  /// the returned CommRequest, so `recv` must stay untouched until
-  /// wait()/test() succeeds. At most one request may be outstanding per
-  /// communicator.
+  /// the returned CommRequest, so `recv` must stay untouched until wait()
+  /// returns. At most one request may be outstanding per communicator.
   template <typename T>
   [[nodiscard]] CommRequest ialltoallv(std::span<const T> send,
                                        std::span<const index_t> send_counts,

@@ -59,8 +59,6 @@ class Transport {
  public:
   Transport(spectral::SpectralOps& ops, const TransportConfig& config);
 
-  const TransportConfig& config() const { return config_; }
-  int nt() const { return config_.nt; }
   real_t dt() const { return real_t(1) / static_cast<real_t>(config_.nt); }
 
   /// Computes RK2 departure points for +v and -v, rebuilds both cached

@@ -11,7 +11,6 @@ namespace diffreg::spectral {
 
 using fft::fft_frequency;
 using grid::PencilDecomp;
-using grid::ScalarField;
 using grid::VectorField;
 
 namespace {
@@ -39,13 +38,15 @@ std::vector<std::pair<index_t, index_t>> axis3_pairs(index_t nd, index_t ns) {
 
 }  // namespace
 
-ResamplePlan::ResamplePlan(PencilDecomp& src, PencilDecomp& dst)
-    : src_(&src),
-      dst_(&dst),
-      fft_src_(src),
-      fft_dst_(dst),
-      scale_(static_cast<real_t>(dst.dims().prod()) /
-             static_cast<real_t>(src.dims().prod())) {
+ResamplePlan::ResamplePlan(SpectralOps& src_ops, SpectralOps& dst_ops)
+    : src_ops_(&src_ops),
+      dst_ops_(&dst_ops),
+      src_(&src_ops.decomp()),
+      dst_(&dst_ops.decomp()),
+      scale_(static_cast<real_t>(dst_->dims().prod()) /
+             static_cast<real_t>(src_->dims().prod())) {
+  PencilDecomp& src = *src_;
+  PencilDecomp& dst = *dst_;
   if (src.comm().size() != dst.comm().size() ||
       src.comm().rank() != dst.comm().rank())
     throw std::invalid_argument(
@@ -150,9 +151,8 @@ void ResamplePlan::apply_many(std::span<const real_t* const> ins,
     sspec[c] = spec_src_.data() + c * s_stride;
     dspec[c] = spec_dst_.data() + c * d_stride;
   }
-  fft_src_.forward_many(ins, std::span<complex_t* const>(sspec,
-                                                         static_cast<size_t>(
-                                                             m)));
+  src_ops_->fft().forward_many(
+      ins, std::span<complex_t* const>(sspec, static_cast<size_t>(m)));
 
   auto& comm = src_->comm();
   Timings& timings = comm.timings();
@@ -202,7 +202,7 @@ void ResamplePlan::apply_many(std::span<const real_t* const> ins,
     }
   }
 
-  fft_dst_.inverse_many(
+  dst_ops_->fft().inverse_many(
       std::span<const complex_t* const>(dspec, static_cast<size_t>(m)), outs);
 }
 
@@ -224,22 +224,6 @@ void ResamplePlan::apply(const VectorField& in, VectorField& out) {
   real_t* outs[3] = {out[0].data(), out[1].data(), out[2].data()};
   apply_many(std::span<const real_t* const>(ins, 3),
              std::span<real_t* const>(outs, 3));
-}
-
-ScalarField spectral_resample(PencilDecomp& src, std::span<const real_t> field,
-                              PencilDecomp& dst) {
-  ResamplePlan plan(src, dst);
-  ScalarField out(dst.local_real_size());
-  plan.apply(field, out);
-  return out;
-}
-
-VectorField spectral_resample(PencilDecomp& src, const VectorField& field,
-                              PencilDecomp& dst) {
-  ResamplePlan plan(src, dst);
-  VectorField out;
-  plan.apply(field, out);
-  return out;
 }
 
 }  // namespace diffreg::spectral

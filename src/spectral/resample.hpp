@@ -24,15 +24,19 @@
 // warm plan performs no heap allocation. apply_many pushes up to kMaxBatch
 // components (a 3-component velocity) through the same 5 alltoallv
 // exchanges (2 forward + 1 remap + 2 inverse) that a scalar transfer costs.
+//
+// A plan owns no FFT plan: it runs the distributed FFTs of the two grids'
+// SpectralOps, which must outlive it. Sharing them is safe because every
+// FFT call writes its whole output and keeps nothing between calls.
 #pragma once
 
 #include <algorithm>
 #include <span>
 #include <vector>
 
-#include "fft/fft3d_distributed.hpp"
 #include "grid/decomposition.hpp"
 #include "grid/field_math.hpp"
+#include "spectral/operators.hpp"
 
 namespace diffreg::spectral {
 
@@ -48,19 +52,17 @@ inline Int3 coarsen_dims(const Int3& dims, index_t floor_dim) {
   return out;
 }
 
-/// Persistent grid-transfer plan between two pencil decompositions (which
-/// must wrap the same rank set). Owns the two distributed FFT plans, the
-/// remap routing tables, and all stage buffers, so every apply after the
-/// first performs zero heap allocations. Collective.
+/// Persistent grid-transfer plan between the grids of two spectral operator
+/// sets (whose decompositions must wrap the same rank set). Owns the remap
+/// routing tables and all stage buffers, so every apply after the first
+/// performs zero heap allocations; the FFTs are `src.fft()` and `dst.fft()`.
+/// Collective.
 class ResamplePlan {
  public:
   /// Components that can share one batched transfer.
   static constexpr int kMaxBatch = fft::DistributedFft3d::kMaxBatch;
 
-  ResamplePlan(grid::PencilDecomp& src, grid::PencilDecomp& dst);
-
-  grid::PencilDecomp& src() { return *src_; }
-  grid::PencilDecomp& dst() { return *dst_; }
+  ResamplePlan(SpectralOps& src, SpectralOps& dst);
 
   /// Resamples one scalar field; `in` is a src-local block, `out` a
   /// dst-local block (resized by the caller). Collective.
@@ -80,9 +82,10 @@ class ResamplePlan {
   /// Grows the stage buffers to hold `m` components; applies stay
   /// allocation free once the largest batch size in use has been seen.
   void ensure_batch_capacity(int m);
+  SpectralOps* src_ops_;
+  SpectralOps* dst_ops_;
   grid::PencilDecomp* src_;
   grid::PencilDecomp* dst_;
-  fft::DistributedFft3d fft_src_, fft_dst_;
   real_t scale_;
 
   // Per-component stage spectra ([kMaxBatch][local_spectral_size]).
@@ -100,20 +103,5 @@ class ResamplePlan {
 
   static constexpr int kTagRemap = 141;
 };
-
-/// Returns the local block of `field` (living on `src`) resampled onto the
-/// grid of `dst`. One-shot convenience over ResamplePlan (builds and drops
-/// the plan); continuation drivers that transfer repeatedly between the
-/// same grids should hold a ResamplePlan instead. Collective.
-grid::ScalarField spectral_resample(grid::PencilDecomp& src,
-                                    std::span<const real_t> field,
-                                    grid::PencilDecomp& dst);
-
-/// Component-wise resampling of a vector field (e.g. a velocity for
-/// coarse-to-fine warm starts); all three components ride one batched
-/// transfer.
-grid::VectorField spectral_resample(grid::PencilDecomp& src,
-                                    const grid::VectorField& field,
-                                    grid::PencilDecomp& dst);
 
 }  // namespace diffreg::spectral

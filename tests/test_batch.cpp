@@ -2,8 +2,9 @@
 // build each plan family exactly once, mixed shapes get distinct entries),
 // the transport pool, SolveRequest/solve() vs the legacy
 // run() entrypoint, BatchSolver-vs-sequential bitwise identity at p = 1, 2
-// and 4, priority/deadline semantics, per-job deformed templates, and
-// every-rank failure on an error that is not a job fault.
+// and 4, two-level jobs sharing their coarse-grid plans, priority/deadline
+// semantics, per-job deformed templates, and every-rank failure on an error
+// that is not a job fault.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -126,8 +127,12 @@ TEST(SolveRequest, MatchesLegacyRunBitwise) {
     req.options = opt;
     req.job_id = 42;
     auto rep = solver.solve(req);
+    // The second solve checks the first one's transport back out of the
+    // solver's private registry pool.
+    auto again = solver.solve(req);
 
     EXPECT_TRUE(same_bits(ref.velocity, rep.velocity));
+    EXPECT_TRUE(same_bits(rep.velocity, again.velocity));
     EXPECT_EQ(ref.newton.iterations, rep.newton.iterations);
     EXPECT_EQ(rep.job_id, 42u);
     EXPECT_TRUE(rep.deadline_met);  // no deadline set
@@ -179,10 +184,11 @@ TEST(SolveRequest, DeadlineSemantics) {
 // --------------------------------------------------------------------------
 // BatchSolver vs sequential: bitwise identity in the shards=1 mode.
 
-void expect_batch_matches_sequential(int ranks) {
+void expect_batch_matches_sequential(int ranks, bool two_level = false) {
   mpisim::run_spmd(ranks, [&](mpisim::Communicator& comm) {
     const Int3 dims{16, 16, 16};
-    const RegistrationOptions opt = small_options();
+    RegistrationOptions opt = small_options();
+    opt.two_level_precond = two_level;
     const std::vector<real_t> amps{0.30, 0.35, 0.40};
 
     // Sequential reference: fresh solver and plans per job.
@@ -213,13 +219,20 @@ void expect_batch_matches_sequential(int ranks) {
     auto rep = batch.run_all(bopt);
 
     ASSERT_EQ(rep.reports.size(), amps.size());
-    for (std::size_t j = 0; j < amps.size(); ++j)
+    for (std::size_t j = 0; j < amps.size(); ++j) {
       EXPECT_TRUE(same_bits(ref[j], rep.reports[j].velocity))
           << "job " << j << " diverged from its standalone solve at p="
           << ranks;
-    // All jobs share one decomposition and one spectral plan set.
-    EXPECT_EQ(rep.registry.decomp_builds, 1);
-    EXPECT_EQ(rep.registry.spectral_builds, 1);
+      EXPECT_EQ(rep.reports[j].coarse_matvecs > 0, two_level) << "job " << j;
+    }
+    // All jobs share one plan set per grid: the fine 16^3 grid and, for
+    // two-level jobs, the 8^3 coarse grid the preconditioner leases with
+    // its two transfer plans.
+    const int grids = two_level ? 2 : 1;
+    EXPECT_EQ(rep.registry.decomp_builds, grids);
+    EXPECT_EQ(rep.registry.spectral_builds, grids);
+    EXPECT_EQ(rep.registry.resample_builds, two_level ? 2 : 0);
+    EXPECT_EQ(rep.registry.transport_builds, grids);
   });
 }
 
@@ -231,6 +244,9 @@ TEST(BatchSolver, MatchesSequentialBitwiseP2) {
 }
 TEST(BatchSolver, MatchesSequentialBitwiseP4) {
   expect_batch_matches_sequential(4);
+}
+TEST(BatchSolver, TwoLevelJobsLeaseCoarsePlansOnce) {
+  expect_batch_matches_sequential(2, /*two_level=*/true);
 }
 
 TEST(BatchSolver, MixedShapesShareNothingButSolve) {

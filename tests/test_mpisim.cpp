@@ -767,27 +767,6 @@ TEST(ConcurrencyStress, ProbesAndDeadlinePopsRaceBufferedSends) {
   });
 }
 
-TEST(ConcurrencyStress, NonblockingTestPollsRaceArrivals) {
-  // test() polls probe() while peer sends are still landing, then wait()
-  // reads the arrival timestamps — the overlap path's hot contention.
-  run_spmd(4, [](Communicator& comm) {
-    comm.set_comm_timeout_ms(10000);
-    std::vector<double> send(4 * 8, comm.rank());
-    std::vector<double> recv(4 * 8);
-    std::vector<index_t> counts(4, 8);
-    for (int round = 0; round < 30; ++round) {
-      auto req = comm.ialltoallv(std::span<const double>(send), counts,
-                                 std::span<double>(recv), counts,
-                                 /*tag=*/99);
-      while (!req.test()) {
-      }
-      for (int r = 0; r < 4; ++r)
-        EXPECT_DOUBLE_EQ(recv[static_cast<size_t>(r) * 8], r);
-    }
-    comm.barrier();
-  });
-}
-
 TEST(ConcurrencyStress, RepeatedSplitsRaceRendezvousState) {
   // Split storm: the (epoch, color) exchange board and the two rendezvous
   // barriers under repeated sub-communicator creation and traffic.

@@ -1,7 +1,8 @@
-// Tests for the distributed spectral grid transfer (ResamplePlan) and the
-// multilevel grid continuation built on it: cross-checks against the old
-// serial gather-to-all reference, restrict/prolong identities, zero warm
-// allocations, exact exchange counts, and the coarse-to-fine pyramid.
+// Tests for the distributed spectral grid transfer (ResamplePlan over two
+// grids' SpectralOps) and the multilevel grid continuation built on it:
+// cross-checks against the old serial gather-to-all reference,
+// restrict/prolong identities, zero warm allocations, exact exchange
+// counts, and the coarse-to-fine pyramid.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -122,6 +123,16 @@ ScalarField serial_reference_resample(PencilDecomp& src,
   return local;
 }
 
+/// One-shot transfer of `field` from src's grid to dst's over a throwaway
+/// plan.
+ScalarField resample(SpectralOps& src, std::span<const real_t> field,
+                     SpectralOps& dst) {
+  ResamplePlan plan(src, dst);
+  ScalarField out(dst.local_size());
+  plan.apply(field, out);
+  return out;
+}
+
 ScalarField pseudo_random_field(PencilDecomp& d, unsigned seed) {
   ScalarField out(d.local_real_size());
   const Int3 ld = d.local_real_dims();
@@ -158,8 +169,9 @@ TEST(Resample, MatchesSerialReferenceAcrossRanksAndDims) {
       mpisim::run_spmd(p, [&](mpisim::Communicator& comm) {
         PencilDecomp src(comm, cs.src);
         PencilDecomp dst(comm, cs.dst);
+        SpectralOps src_ops(src), dst_ops(dst);
         auto field = pseudo_random_field(src, 17);
-        auto got = spectral_resample(src, field, dst);
+        auto got = resample(src_ops, field, dst_ops);
         auto want = serial_reference_resample(src, field, dst);
         ASSERT_EQ(got.size(), want.size());
         for (size_t i = 0; i < got.size(); ++i)
@@ -176,6 +188,7 @@ TEST(Resample, BandLimitedFieldTransfersExactlyBothWays) {
   mpisim::run_spmd(2, [&](mpisim::Communicator& comm) {
     PencilDecomp fine(comm, {16, 16, 16});
     PencilDecomp coarse(comm, {8, 8, 8});
+    SpectralOps fine_ops(fine), coarse_ops(coarse);
     // Band limited for BOTH grids: |k| <= 2 < 8/2.
     auto f = [](real_t x1, real_t x2, real_t x3) {
       return 1.5 + std::sin(x1) * std::cos(2 * x2) + std::cos(x3);
@@ -183,11 +196,11 @@ TEST(Resample, BandLimitedFieldTransfersExactlyBothWays) {
     auto on_fine = fill(fine, f);
     auto on_coarse = fill(coarse, f);
 
-    auto restricted = spectral_resample(fine, on_fine, coarse);
+    auto restricted = resample(fine_ops, on_fine, coarse_ops);
     for (size_t i = 0; i < restricted.size(); ++i)
       ASSERT_NEAR(restricted[i], on_coarse[i], 1e-11);
 
-    auto prolonged = spectral_resample(coarse, on_coarse, fine);
+    auto prolonged = resample(coarse_ops, on_coarse, fine_ops);
     for (size_t i = 0; i < prolonged.size(); ++i)
       ASSERT_NEAR(prolonged[i], on_fine[i], 1e-11);
   });
@@ -197,11 +210,12 @@ TEST(Resample, CoarseningRemovesOnlyHighFrequencies) {
   mpisim::run_spmd(2, [&](mpisim::Communicator& comm) {
     PencilDecomp fine(comm, {16, 16, 16});
     PencilDecomp coarse(comm, {8, 8, 8});
+    SpectralOps fine_ops(fine), coarse_ops(coarse);
     // Low mode (k=1, survives) + high mode (k=6 >= coarse Nyquist 4, dies).
     auto on_fine = fill(fine, [](real_t x1, real_t, real_t) {
       return std::sin(x1) + std::sin(6 * x1);
     });
-    auto restricted = spectral_resample(fine, on_fine, coarse);
+    auto restricted = resample(fine_ops, on_fine, coarse_ops);
     auto expected = fill(coarse, [](real_t x1, real_t, real_t) {
       return std::sin(x1);
     });
@@ -214,10 +228,11 @@ TEST(Resample, AnisotropicGridsSupported) {
   mpisim::run_spmd(2, [&](mpisim::Communicator& comm) {
     PencilDecomp src(comm, {12, 16, 8});
     PencilDecomp dst(comm, {8, 12, 12});
+    SpectralOps src_ops(src), dst_ops(dst);
     auto f = [](real_t x1, real_t x2, real_t x3) {
       return std::cos(x1) + std::sin(x2) * std::cos(x3);
     };
-    auto resampled = spectral_resample(src, fill(src, f), dst);
+    auto resampled = resample(src_ops, fill(src, f), dst_ops);
     auto expected = fill(dst, f);
     for (size_t i = 0; i < resampled.size(); ++i)
       ASSERT_NEAR(resampled[i], expected[i], 1e-11);
@@ -232,8 +247,10 @@ TEST(Resample, ProlongThenRestrictIsIdentityOnBandLimitedFields) {
     mpisim::run_spmd(p, [&](mpisim::Communicator& comm) {
       PencilDecomp coarse(comm, {9, 7, 7});
       PencilDecomp fine(comm, {18, 16, 13});
+      SpectralOps coarse_ops(coarse), fine_ops(fine);
       auto field = pseudo_random_field(coarse, 3);
-      ResamplePlan prolong(coarse, fine), restrict_plan(fine, coarse);
+      ResamplePlan prolong(coarse_ops, fine_ops),
+          restrict_plan(fine_ops, coarse_ops);
       ScalarField up(fine.local_real_size()), back(coarse.local_real_size());
       prolong.apply(field, up);
       restrict_plan.apply(up, back);
@@ -251,8 +268,10 @@ TEST(Resample, RestrictAfterProlongIsIdempotent) {
   mpisim::run_spmd(2, [&](mpisim::Communicator& comm) {
     PencilDecomp coarse(comm, {8, 10, 6});
     PencilDecomp fine(comm, {16, 20, 12});
+    SpectralOps coarse_ops(coarse), fine_ops(fine);
     auto field = pseudo_random_field(coarse, 9);
-    ResamplePlan prolong(coarse, fine), restrict_plan(fine, coarse);
+    ResamplePlan prolong(coarse_ops, fine_ops),
+        restrict_plan(fine_ops, coarse_ops);
     ScalarField up(fine.local_real_size());
     ScalarField once(coarse.local_real_size()), twice(coarse.local_real_size());
     prolong.apply(field, up);
@@ -268,10 +287,11 @@ TEST(Resample, ApplyManyMatchesScalarApplies) {
   mpisim::run_spmd(4, [&](mpisim::Communicator& comm) {
     PencilDecomp src(comm, {12, 10, 9});
     PencilDecomp dst(comm, {8, 8, 6});
+    SpectralOps src_ops(src), dst_ops(dst);
     auto fa = pseudo_random_field(src, 1);
     auto fb = pseudo_random_field(src, 2);
     auto fc = pseudo_random_field(src, 3);
-    ResamplePlan plan(src, dst);
+    ResamplePlan plan(src_ops, dst_ops);
     const index_t n = dst.local_real_size();
     ScalarField oa(n), ob(n), oc(n), ra(n), rb(n), rc(n);
     const real_t* ins[3] = {fa.data(), fb.data(), fc.data()};
@@ -296,7 +316,8 @@ TEST(Resample, ExactlyFiveExchangesPerApplyRegardlessOfBatchAndRanks) {
     mpisim::run_spmd(p, [&](mpisim::Communicator& comm) {
       PencilDecomp src(comm, {12, 16, 8});
       PencilDecomp dst(comm, {8, 12, 12});
-      ResamplePlan plan(src, dst);
+      SpectralOps src_ops(src), dst_ops(dst);
+      ResamplePlan plan(src_ops, dst_ops);
       auto fa = pseudo_random_field(src, 5);
       auto fb = pseudo_random_field(src, 6);
       auto fc = pseudo_random_field(src, 7);
@@ -323,11 +344,13 @@ TEST(Resample, WarmPlanAppliesAreAllocationFree) {
   // After one warm-up apply, scalar and batched transfers must not touch
   // the heap (single rank: the mailbox transport itself is out of the
   // picture). This is the per-rank O(N/p) memory contract: everything the
-  // transfer needs is owned by the plan.
+  // transfer needs is owned by the plan or by the FFT plans of the two
+  // grids' SpectralOps, which it shares.
   mpisim::run_spmd(1, [&](mpisim::Communicator& comm) {
     PencilDecomp src(comm, {16, 16, 16});
     PencilDecomp dst(comm, {8, 8, 8});
-    ResamplePlan plan(src, dst);
+    SpectralOps src_ops(src), dst_ops(dst);
+    ResamplePlan plan(src_ops, dst_ops);
     auto fa = pseudo_random_field(src, 11);
     auto fb = pseudo_random_field(src, 12);
     auto fc = pseudo_random_field(src, 13);
