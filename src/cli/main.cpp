@@ -190,7 +190,10 @@ int main(int argc, char** argv) {
   int exit_code = 0;
   const auto body = [&](mpisim::Communicator& comm) {
     grid::PencilDecomp decomp(comm, opt.dims);
-    core::RegistrationSolver solver(decomp, opt.reg);
+    // One registry for the solver and, with --levels, the grid pyramid: the
+    // fine grid's plans are built once.
+    const auto registry = std::make_shared<core::PlanRegistry>(decomp);
+    core::RegistrationSolver solver(decomp, opt.reg, registry);
     const bool root = comm.is_root();
 
     // Build or load the image pair on the solver's spectral operators.
@@ -215,7 +218,7 @@ int main(int argc, char** argv) {
         mopt.coarse_beta_cont = copt;
       }
       auto ml = core::run_multilevel_continuation(decomp, opt.reg, rho_t,
-                                                  rho_r, mopt);
+                                                  rho_r, mopt, registry);
       if (root && !ml.admissible)
         std::printf("warning: no admissible coarse stage (min det too "
                     "small); finer levels ran at beta %.1e\n",

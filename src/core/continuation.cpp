@@ -90,11 +90,10 @@ ContinuationResult run_beta_continuation(RegistrationSolver& solver,
   return out;
 }
 
-MultilevelResult run_multilevel_continuation(grid::PencilDecomp& fine_decomp,
-                                             const RegistrationOptions& opt,
-                                             const ScalarField& rho_t,
-                                             const ScalarField& rho_r,
-                                             const MultilevelOptions& mopt) {
+MultilevelResult run_multilevel_continuation(
+    grid::PencilDecomp& fine_decomp, const RegistrationOptions& opt,
+    const ScalarField& rho_t, const ScalarField& rho_r,
+    const MultilevelOptions& mopt, std::shared_ptr<PlanRegistry> registry) {
   if (mopt.levels < 1)
     throw std::invalid_argument(
         "run_multilevel_continuation: levels must be >= 1");
@@ -108,10 +107,11 @@ MultilevelResult run_multilevel_continuation(grid::PencilDecomp& fine_decomp,
 
   MultilevelResult out;
 
-  // One registry serves every plan of the pyramid: it adopts the caller's
-  // decomposition as level 0 and builds the coarser ones on the same
-  // process grid, so every transfer is a pure layout remap.
-  const auto registry = std::make_shared<PlanRegistry>(fine_decomp);
+  // One registry serves every plan of the pyramid: the caller's, or one
+  // adopting the caller's decomposition as level 0. It builds the coarser
+  // decompositions on the same process grid, so every transfer is a pure
+  // layout remap.
+  if (!registry) registry = std::make_shared<PlanRegistry>(fine_decomp);
   std::vector<std::shared_ptr<grid::PencilDecomp>> decomps;
   for (int k = 0; k < nlevels; ++k)
     decomps.push_back(registry->decomp(level_dims[k]));

@@ -17,6 +17,7 @@
 //    state+adjoint solves a warm start would otherwise trigger.
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -115,16 +116,19 @@ struct MultilevelResult {
 };
 
 /// Coarse-to-fine pyramid solve on `fine_decomp`'s communicator. One
-/// PlanRegistry adopting `fine_decomp` serves every plan: the coarser
-/// decompositions (same process grid), the image restrictions (one batched
-/// 2-component transfer per transition), the velocity prolongations, and
-/// every level's solver, so a level's two-level coarse grid reuses the
-/// next-coarser level's plans. Odd dims are supported via the resample's
-/// Nyquist rules. Collective.
-MultilevelResult run_multilevel_continuation(grid::PencilDecomp& fine_decomp,
-                                             const RegistrationOptions& opt,
-                                             const ScalarField& rho_t,
-                                             const ScalarField& rho_r,
-                                             const MultilevelOptions& mopt);
+/// PlanRegistry serves every plan: the coarser decompositions (same process
+/// grid), the image restrictions (one batched 2-component transfer per
+/// transition), the velocity prolongations, and every level's solver, so a
+/// level's two-level coarse grid reuses the next-coarser level's plans.
+/// That registry is `registry` when given (`fine_decomp` must be its
+/// decomposition for the fine dims: a caller that also solves on the fine
+/// grid shares its plans with the pyramid), else a private one adopting
+/// `fine_decomp`. Odd dims are supported via the resample's Nyquist rules.
+/// Collective.
+MultilevelResult run_multilevel_continuation(
+    grid::PencilDecomp& fine_decomp, const RegistrationOptions& opt,
+    const ScalarField& rho_t, const ScalarField& rho_r,
+    const MultilevelOptions& mopt,
+    std::shared_ptr<PlanRegistry> registry = nullptr);
 
 }  // namespace diffreg::core

@@ -47,9 +47,23 @@ DistributedFft3d::DistributedFft3d(PencilDecomp& decomp)
   col_pair_.hi = {{n2kl * n1, n1, 1}, true, n1, n2kl};
   col_pair_.no = n3cl;
 
-  const index_t max_total = std::max({a_stride_, b_stride_, s_stride_});
-  send_buf_.resize(kMaxBatch * max_total);
-  recv_buf_.resize(kMaxBatch * max_total);
+  // The self chunk never enters the flat buffers, so they hold the largest
+  // peer share of either transpose: a transpose sends the peer chunks of
+  // one layout and receives those of the other, in either direction.
+  const auto peer_share = [](const TransposePair& pair,
+                             const mpisim::Communicator& comm) {
+    index_t lo = 0, hi = 0;
+    for (int q = 0; q < comm.size(); ++q) {
+      if (q == comm.rank()) continue;
+      lo += pair.lo.chunk(comm.size(), q).size();
+      hi += pair.hi.chunk(comm.size(), q).size();
+    }
+    return pair.no * std::max(lo, hi);
+  };
+  const index_t max_share = std::max(peer_share(row_pair_, decomp.row_comm()),
+                                     peer_share(col_pair_, decomp.col_comm()));
+  send_buf_.resize(kMaxBatch * max_share);
+  recv_buf_.resize(kMaxBatch * max_share);
   const int max_p = std::max(decomp.p1(), decomp.p2());
   send_counts_.resize(max_p);
   recv_counts_.resize(max_p);

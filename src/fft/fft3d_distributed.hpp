@@ -166,8 +166,10 @@ class DistributedFft3d {
   // [n1l][n3c_l][N2] <-> [n3c_l][n2k_l][N1] over the column communicator.
   TransposePair row_pair_, col_pair_;
 
-  // Persistent flat buffers for the peer chunks and the per-peer element
-  // counts of one call, so no transpose allocates.
+  // Persistent flat buffers for the peer chunks (kMaxBatch times the
+  // largest peer share of either transpose; empty when both communicators
+  // have one rank) and the per-peer element counts of one call, so no
+  // transpose allocates.
   std::vector<complex_t> send_buf_, recv_buf_;
   std::vector<index_t> send_counts_, recv_counts_;
 

@@ -57,10 +57,19 @@ void GhostExchange::exchange(std::span<const real_t> local,
   if (ghosted.size() != static_cast<size_t>(ghost_size()))
     ghosted.resize(ghost_size());
   const real_t* locals[1] = {local.data()};
-  exchange_many(std::span<const real_t* const>(locals, 1), ghosted);
+  exchange_into(std::span<const real_t* const>(locals, 1), ghosted);
 }
 
-void GhostExchange::exchange_many(std::span<const real_t* const> locals,
+std::span<const real_t> GhostExchange::exchange_many(
+    std::span<const real_t* const> locals) {
+  const size_t need = locals.size() * static_cast<size_t>(ghost_size());
+  if (ghosted_.size() < need) ghosted_.resize(need);
+  const std::span<real_t> blocks(ghosted_.data(), need);
+  exchange_into(locals, blocks);
+  return blocks;
+}
+
+void GhostExchange::exchange_into(std::span<const real_t* const> locals,
                                   std::span<real_t> ghosted) {
   const int m = static_cast<int>(locals.size());
   assert(static_cast<index_t>(ghosted.size()) == m * ghost_size());

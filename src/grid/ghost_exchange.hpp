@@ -8,11 +8,13 @@
 // and then dimension 2 over the already-widened slabs (two-phase trick).
 // Dimension 3 is fully local, so its halo is a periodic wrap in memory.
 //
-// The exchanger owns persistent pack/unpack buffers, so a steady-state
-// exchange performs no heap allocation, and `exchange_many` widens several
-// fields through the SAME four neighbour messages (one packed slab per
-// direction instead of one per field) — the halo analogue of the batched
-// interpolation exchange.
+// The exchanger owns persistent pack/unpack buffers and the ghosted blocks
+// of the widest batch it has served, so a steady-state exchange performs no
+// heap allocation, and `exchange_many` widens several fields through the
+// SAME four neighbour messages (one packed slab per direction instead of
+// one per field) — the halo analogue of the batched interpolation exchange.
+// Every interpolation plan that shares an exchanger (a transport's forward
+// and backward plans) reads its ghosted blocks from that one buffer.
 //
 // Comm/compute overlap: the FIRST halo receive of each dimension is posted
 // nonblocking before either slab is packed, and both slabs are packed +
@@ -48,13 +50,16 @@ class GhostExchange {
   void exchange(std::span<const real_t> local, std::vector<real_t>& ghosted);
 
   /// Batched exchange: widens `locals.size()` fields into consecutive
-  /// ghost_size() blocks of `ghosted` (which must hold exactly
-  /// locals.size() * ghost_size() elements). All fields share the four
-  /// neighbour messages, so the message count is independent of the batch.
-  void exchange_many(std::span<const real_t* const> locals,
-                     std::span<real_t> ghosted);
+  /// ghost_size() blocks of the exchanger's own buffer (grow-only) and
+  /// returns them; they stay valid until the next exchange_many. All fields
+  /// share the four neighbour messages, so the message count is independent
+  /// of the batch.
+  std::span<const real_t> exchange_many(std::span<const real_t* const> locals);
 
  private:
+  /// Widens `locals` into `ghosted` (locals.size() * ghost_size() elements).
+  void exchange_into(std::span<const real_t* const> locals,
+                     std::span<real_t> ghosted);
   /// Both halos of distributed dimension `dim` (1 or 2).
   void exchange_dim(int dim, std::span<real_t> ghosted, int nfields);
   /// Grows the two slab buffers to fit `nfields` packed slabs.
@@ -76,6 +81,7 @@ class GhostExchange {
   // Persistent slab buffers (grow-only): sized for the larger of the dim-1
   // and dim-2 slabs times the widest batch seen so far.
   std::vector<real_t> pack_buf_, recv_buf_;
+  std::vector<real_t> ghosted_;  // exchange_many's blocks, back to back
 
   static constexpr int kTagLow = 201;   // data travelling toward lower index
   static constexpr int kTagHigh = 202;  // data travelling toward higher index

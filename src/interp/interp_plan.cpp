@@ -35,7 +35,10 @@ void InterpPlan::build(std::span<const Vec3> points) {
   // Classify every point by the pencil that owns it (pass 1: counts), then
   // pack its grid-unit coordinates dest-ordered (pass 2). Two passes over
   // the points replace the old per-rank vector<vector> staging, so the
-  // buffers below are flat and reused across rebuilds.
+  // buffers below are flat and reused across rebuilds. The pack pass wraps
+  // each point again instead of keeping the wrapped coordinates of pass 1:
+  // for a point inside the domain that is a compare and a division, and it
+  // yields the same bits.
   {
     ScopedTimer t(timings, TimeKind::kInterpExec);
     const real_t h1 = kTwoPi / static_cast<real_t>(dims[0]);
@@ -43,7 +46,6 @@ void InterpPlan::build(std::span<const Vec3> points) {
     const real_t h3 = kTwoPi / static_cast<real_t>(dims[2]);
     if (owner_.size() < static_cast<size_t>(num_points_)) {
       owner_.resize(num_points_);
-      wrapped_.resize(3 * num_points_);
       send_index_.resize(num_points_);
       send_coords_.resize(3 * num_points_);
     }
@@ -51,14 +53,10 @@ void InterpPlan::build(std::span<const Vec3> points) {
     for (index_t i = 0; i < num_points_; ++i) {
       const real_t u1 = periodic_grid_units(points[i][0], h1, dims[0]);
       const real_t u2 = periodic_grid_units(points[i][1], h2, dims[1]);
-      const real_t u3 = periodic_grid_units(points[i][2], h3, dims[2]);
       // u is in [0, n), so truncation is floor and already a grid index.
       const int owner = decomp_->owner_of(static_cast<index_t>(u1),
                                           static_cast<index_t>(u2));
       owner_[i] = owner;
-      wrapped_[3 * i] = u1;
-      wrapped_[3 * i + 1] = u2;
-      wrapped_[3 * i + 2] = u3;
       ++send_counts_[owner];
     }
     cursor_[0] = 0;
@@ -67,9 +65,11 @@ void InterpPlan::build(std::span<const Vec3> points) {
     for (index_t i = 0; i < num_points_; ++i) {
       const index_t slot = cursor_[owner_[i]]++;
       send_index_[slot] = i;
-      send_coords_[3 * slot] = wrapped_[3 * i];
-      send_coords_[3 * slot + 1] = wrapped_[3 * i + 1];
-      send_coords_[3 * slot + 2] = wrapped_[3 * i + 2];
+      send_coords_[3 * slot] = periodic_grid_units(points[i][0], h1, dims[0]);
+      send_coords_[3 * slot + 1] =
+          periodic_grid_units(points[i][1], h2, dims[1]);
+      send_coords_[3 * slot + 2] =
+          periodic_grid_units(points[i][2], h3, dims[2]);
     }
   }
 
@@ -141,16 +141,23 @@ void InterpPlan::build(std::span<const Vec3> points) {
     }
   }
 
-  // Pre-size the value buffers for the common vector-field batch so the
-  // first interpolate of a fresh velocity allocates nothing.
+  // Pre-size the value staging for the common vector-field batch so the
+  // first interpolate of a fresh velocity allocates nothing. It holds only
+  // the points that cross ranks: self points go straight to the caller.
   constexpr int kPresizeBatch = 3;
-  if (eval_vals_.size() < static_cast<size_t>(kPresizeBatch * recv_total_))
-    eval_vals_.resize(kPresizeBatch * recv_total_);
-  if (ret_vals_.size() < static_cast<size_t>(kPresizeBatch * num_points_))
-    ret_vals_.resize(kPresizeBatch * num_points_);
+  grow_staging(kPresizeBatch);
 
   built_ = true;
   ++builds_;
+}
+
+void InterpPlan::grow_staging(int m) {
+  const index_t self_cnt = recv_counts_[decomp_->comm().rank()];
+  const auto grow = [](std::vector<real_t>& buf, size_t need) {
+    if (buf.size() < need) buf.resize(need);
+  };
+  grow(eval_vals_, static_cast<size_t>(m) * (recv_total_ - self_cnt));
+  grow(ret_vals_, static_cast<size_t>(m) * (num_points_ - self_cnt));
 }
 
 void InterpPlan::interpolate(GhostExchange& gx, std::span<const real_t> field,
@@ -178,19 +185,6 @@ void InterpPlan::interpolate_many(GhostExchange& gx,
   const int p = comm.size();
   const index_t gsize = gx.ghost_size();
 
-  if (ghosted_.size() < static_cast<size_t>(m) * gsize)
-    ghosted_.resize(static_cast<size_t>(m) * gsize);
-  if (eval_vals_.size() < static_cast<size_t>(m) * recv_total_)
-    eval_vals_.resize(static_cast<size_t>(m) * recv_total_);
-  if (ret_vals_.size() < static_cast<size_t>(m) * num_points_)
-    ret_vals_.resize(static_cast<size_t>(m) * num_points_);
-
-  // One halo exchange for the whole batch.
-  gx.exchange_many(fields,
-                   std::span<real_t>(ghosted_.data(),
-                                     static_cast<size_t>(m) * gsize));
-  const Int3 gdims = gx.ghost_dims();
-
   // Self chunk bounds: departure points rarely leave their own pencil
   // (semi-Lagrangian steps move points by a fraction of a cell), so the
   // bulk of the planned points are evaluated ON the rank that asked for
@@ -206,6 +200,11 @@ void InterpPlan::interpolate_many(GhostExchange& gx,
     self_send_off += send_counts_[r];
   }
   const index_t self_cnt = recv_counts_[rank];
+  grow_staging(m);
+
+  // One halo exchange for the whole batch, into the exchanger's blocks.
+  const real_t* const ghosted = gx.exchange_many(fields).data();
+  const Int3 gdims = gx.ghost_dims();
 
   // Per-point evaluation kernel, shared by the peer and self sweeps:
   // `self` points land straight in the caller's output, peer points in the
@@ -219,7 +218,7 @@ void InterpPlan::interpolate_many(GhostExchange& gx,
       const CubicStencil& st = stencils_[j];
       for (int f = 0; f < m; ++f) {
         const real_t val =
-            cubic_stencil_apply(ghosted_.data() + f * gsize, gdims, st);
+            cubic_stencil_apply(ghosted + f * gsize, gdims, st);
         if (self)
           outs[f][orig] = val;
         else
@@ -231,7 +230,7 @@ void InterpPlan::interpolate_many(GhostExchange& gx,
       const real_t u3 = recv_coords_[3 * j + 2];
       for (int f = 0; f < m; ++f) {
         const real_t val =
-            trilinear_eval(ghosted_.data() + f * gsize, gdims, u1, u2, u3);
+            trilinear_eval(ghosted + f * gsize, gdims, u1, u2, u3);
         if (self)
           outs[f][orig] = val;
         else

@@ -12,18 +12,20 @@
 // Caching contract: departure points only change when the velocity changes,
 // so the owner (semilag::Transport) rebuilds the plan in set_velocity and
 // every state/adjoint solve and PCG Hessian matvec of the Newton iteration
-// reuses it. The plan owns all of its buffers (flat send/recv arrays,
-// per-peer count tables mirroring the mpisim alltoallv style, value and
-// ghost scratch), so `interpolate`/`interpolate_many` perform no heap
-// allocation once the buffers are warm; `build` reuses them across velocity
-// updates. `interpolate_many` evaluates a batch of fields through ONE ghost
-// exchange and ONE value alltoallv, so e.g. the three components of a vector
-// field cost one exchange instead of three. Points the owner rank itself
-// asked for — the vast majority: a semi-Lagrangian step moves departure
-// points by a fraction of a cell, so most stay inside their own pencil —
-// are evaluated straight into the caller's output, skipping the value
-// staging, the alltoallv self copy, and the scatter pass; the value
-// exchange ships only the true cross-rank points.
+// reuses it. The plan owns its buffers (flat send/recv arrays, per-peer
+// count tables mirroring the mpisim alltoallv style, value staging); the
+// ghosted blocks belong to the ghost exchanger, so every plan sharing one
+// exchanger reads the same blocks. `interpolate`/`interpolate_many` perform
+// no heap allocation once the buffers are warm; `build` reuses them across
+// velocity updates. `interpolate_many` evaluates a batch of fields through
+// ONE ghost exchange and ONE value alltoallv, so e.g. the three components
+// of a vector field cost one exchange instead of three. Points the owner
+// rank itself asked for — the vast majority: a semi-Lagrangian step moves
+// departure points by a fraction of a cell, so most stay inside their own
+// pencil — are evaluated straight into the caller's output, skipping the
+// value staging, the alltoallv self copy, and the scatter pass; the value
+// exchange ships only the true cross-rank points, and the value staging
+// holds only those.
 //
 // Comm/compute overlap: interpolate_many runs peer-points-first /
 // SELF-points-under-flight: the cross-rank points are evaluated and their
@@ -84,12 +86,16 @@ class InterpPlan {
                         Method method = Method::kTricubic);
 
   /// Interpolates the three components of a vector field (one batched
-  /// exchange); `out` is resized to num_points().
+  /// exchange); `out` is resized to num_points(). Stages the components in
+  /// a buffer of its own, which only this call allocates.
   void interpolate_vec(grid::GhostExchange& gx,
                        const grid::VectorField& field, std::vector<Vec3>& out,
                        Method method = Method::kTricubic);
 
  private:
+  /// Grows the value staging to `m` fields of the cross-rank points.
+  void grow_staging(int m);
+
   grid::PencilDecomp* decomp_;
   index_t num_points_ = 0;
   index_t recv_total_ = 0;
@@ -110,16 +116,14 @@ class InterpPlan {
 
   // Build scratch (reused across rebuilds).
   std::vector<int> owner_;             // per-point owner rank
-  std::vector<real_t> wrapped_;        // per-point wrapped grid-unit coords
   std::vector<index_t> cursor_;        // per-rank pack cursor [p]
 
   // Interpolate scratch: count tables scaled to the current payload and the
-  // flat value/ghost buffers (grow-only, shared by all batch sizes).
+  // flat cross-rank value buffers (grow-only, shared by all batch sizes).
   std::vector<index_t> val_send_counts_, val_recv_counts_;  // [p]
-  std::vector<real_t> eval_vals_;      // recv_total_ * batch
-  std::vector<real_t> ret_vals_;       // num_points_ * batch
-  std::vector<real_t> ghosted_;        // batch ghost blocks back to back
-  std::vector<real_t> comp_out_;       // interpolate_vec staging (3 comps)
+  std::vector<real_t> eval_vals_;  // batch * points evaluated for peers
+  std::vector<real_t> ret_vals_;   // batch * own points peers evaluate
+  std::vector<real_t> comp_out_;   // interpolate_vec staging (3 comps)
 
   static constexpr int kTagCounts = 400;
   static constexpr int kTagCoords = 401;

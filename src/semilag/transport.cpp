@@ -24,8 +24,7 @@ Transport::Transport(spectral::SpectralOps& ops, const TransportConfig& config)
       config_(config),
       gx_(*decomp_, interp::kGhostWidth, TimeKind::kInterpComm),
       plan_fwd_(*decomp_),
-      plan_bwd_(*decomp_),
-      star_plan_(*decomp_) {
+      plan_bwd_(*decomp_) {
   if (config_.nt < 1)
     throw std::invalid_argument("Transport: nt must be >= 1");
   const index_t n = decomp_->local_real_size();
@@ -33,11 +32,21 @@ Transport::Transport(spectral::SpectralOps& ops, const TransportConfig& config)
   f_at_x_.resize(n);
   f0_grid_.resize(n);
   f1_grid_.resize(n);
+  lam_cur_.resize(n);
+  lam_next_.resize(n);
+  v_star_ = VectorField(n);
   rho_hist_.assign(config_.nt + 1, ScalarField(n, 0));
-  grad_rho_hist_.assign(config_.nt + 1, std::nullopt);
+  grad_rho_hist_.resize(config_.nt + 1);
 }
 
-void Transport::compute_departure_points(int sign) {
+void Transport::drop_histories() {
+  for (auto& g : grad_rho_hist_) g.valid = false;
+  for (auto& g : grad_rho_tilde_hist_) g.valid = false;
+  lambda_hist_.clear();
+  rho_tilde_hist_.clear();
+}
+
+void Transport::compute_departure_points(int sign, interp::InterpPlan& plan) {
   const Int3 dims = decomp_->dims();
   const Int3 ld = decomp_->local_real_dims();
   const real_t h1 = kTwoPi / static_cast<real_t>(dims[0]);
@@ -61,10 +70,11 @@ void Transport::compute_departure_points(int sign) {
     }
   }
 
-  // RK2 correction (eq. 6): X = x - s/2 (v(x) + v(X*)). The predictor plan
-  // is a persistent member so its buffers are reused across rebuilds.
-  star_plan_.build(points_);
-  star_plan_.interpolate_vec(gx_, v_, v_star_, config_.method);
+  // RK2 correction (eq. 6): X = x - s/2 (v(x) + v(X*)). The predictor
+  // points X* are built into the plan the corrected points go to next, so
+  // no third plan holds them.
+  plan.build(points_);
+  interp_vec(plan, v_, v_star_);
   idx = 0;
   for (index_t i1 = 0; i1 < ld[0]; ++i1) {
     const real_t x1 = static_cast<real_t>(lo1 + i1) * h1;
@@ -74,9 +84,9 @@ void Transport::compute_departure_points(int sign) {
         const real_t x3 = static_cast<real_t>(i3) * h3;
         const real_t half = real_t(0.5) * s;
         points_[idx] =
-            Vec3{x1 - half * (v_[0][idx] + v_star_[idx][0]),
-                 x2 - half * (v_[1][idx] + v_star_[idx][1]),
-                 x3 - half * (v_[2][idx] + v_star_[idx][2])};
+            Vec3{x1 - half * (v_[0][idx] + v_star_[0][idx]),
+                 x2 - half * (v_[1][idx] + v_star_[1][idx]),
+                 x3 - half * (v_[2][idx] + v_star_[2][idx])};
       }
     }
   }
@@ -90,15 +100,12 @@ void Transport::set_velocity(const VectorField& v) {
       same_bits(v_[2], v[2]))
     return;
   v_ = v;
-  for (auto& g : grad_rho_hist_) g.reset();
-  lambda_hist_.clear();
-  rho_tilde_hist_.clear();
-  grad_rho_tilde_hist_.clear();
+  drop_histories();
 
-  compute_departure_points(+1);
+  compute_departure_points(+1, plan_fwd_);
   plan_fwd_.build(points_);
 
-  compute_departure_points(-1);
+  compute_departure_points(-1, plan_bwd_);
   plan_bwd_.build(points_);
 
   if (!config_.incompressible) {
@@ -117,20 +124,14 @@ void Transport::solve_state(const ScalarField& rho0) {
   if (!plans_built_)
     throw std::logic_error("Transport: set_velocity before solve_state");
   rho_hist_[0] = rho0;
-  for (auto& g : grad_rho_hist_) g.reset();
+  for (auto& g : grad_rho_hist_) g.valid = false;
   for (int j = 0; j < config_.nt; ++j)
     plan_fwd_.interpolate(gx_, rho_hist_[j], rho_hist_[j + 1],
                           config_.method);
 }
 
 const VectorField& Transport::state_gradient(int j) {
-  auto& slot = grad_rho_hist_[j];
-  if (!slot) {
-    VectorField g(decomp_->local_real_size());
-    ops_->gradient(rho_hist_[j], g);
-    slot = std::move(g);
-  }
-  return *slot;
+  return grad_rho_hist_[j].of(*ops_, rho_hist_[j]);
 }
 
 void Transport::solve_adjoint(const ScalarField& lambda1, VectorField& b,
@@ -141,8 +142,9 @@ void Transport::solve_adjoint(const ScalarField& lambda1, VectorField& b,
   const int nt = config_.nt;
   if (store_lambda) lambda_hist_.assign(nt + 1, ScalarField(n, 0));
 
-  ScalarField cur = lambda1;
-  ScalarField next(n);
+  ScalarField& cur = lam_cur_;
+  ScalarField& next = lam_next_;
+  cur = lambda1;
   grid::resize_zero(b, n);
 
   auto accumulate = [&](int j, const ScalarField& lam) {
@@ -186,7 +188,8 @@ void Transport::solve_incremental_state(const VectorField& vtilde,
   const int nt = config_.nt;
   if (store_hist) {
     rho_tilde_hist_.assign(nt + 1, ScalarField(n, 0));
-    grad_rho_tilde_hist_.assign(nt + 1, std::nullopt);
+    grad_rho_tilde_hist_.resize(nt + 1);
+    for (auto& g : grad_rho_tilde_hist_) g.valid = false;
   }
 
   auto source = [&](int j, ScalarField& f) {
@@ -239,24 +242,16 @@ void Transport::solve_incremental_adjoint_full(
     ops_->divergence(lam_vt, s);
   };
 
-  auto grad_rho_tilde = [&](int j) -> const VectorField& {
-    auto& slot = grad_rho_tilde_hist_[j];
-    if (!slot) {
-      VectorField g(n);
-      ops_->gradient(rho_tilde_hist_[j], g);
-      slot = std::move(g);
-    }
-    return *slot;
-  };
-
-  ScalarField cur = lambda_tilde1;
-  ScalarField next(n);
+  ScalarField& cur = lam_cur_;
+  ScalarField& next = lam_next_;
+  cur = lambda_tilde1;
   grid::resize_zero(b_tilde, n);
 
   auto accumulate = [&](int j, const ScalarField& lam_tilde) {
     const real_t w = dt() * ((j == 0 || j == nt) ? real_t(0.5) : real_t(1));
     const VectorField& grad_rho = state_gradient(j);
-    const VectorField& grad_rto = grad_rho_tilde(j);
+    const VectorField& grad_rto =
+        grad_rho_tilde_hist_[j].of(*ops_, rho_tilde_hist_[j]);
     const ScalarField& lam = lambda_hist_[j];
     for (int d = 0; d < 3; ++d)
       for (index_t i = 0; i < n; ++i)
@@ -331,11 +326,15 @@ void Transport::interp_vec_at_forward_points(const VectorField& f,
     throw std::logic_error("Transport: set_velocity before interpolation");
   const index_t n = f.local_size();
   if (out.local_size() != n) out = VectorField(n);
+  interp_vec(plan_fwd_, f, out);
+}
+
+void Transport::interp_vec(interp::InterpPlan& plan, const VectorField& f,
+                           VectorField& out) {
   const real_t* fields[3] = {f[0].data(), f[1].data(), f[2].data()};
   real_t* outs[3] = {out[0].data(), out[1].data(), out[2].data()};
-  plan_fwd_.interpolate_many(gx_, std::span<const real_t* const>(fields, 3),
-                             std::span<real_t* const>(outs, 3),
-                             config_.method);
+  plan.interpolate_many(gx_, std::span<const real_t* const>(fields, 3),
+                        std::span<real_t* const>(outs, 3), config_.method);
 }
 
 }  // namespace diffreg::semilag

@@ -25,15 +25,20 @@
 // Newton driver restoring the accepted iterate after a line search — is a
 // no-op. Every state/adjoint solve and every PCG Hessian matvec in between
 // reuses the cached plans; plan_build_count() exposes the rebuild count so
-// tests can assert the reuse. All interpolation scratch is owned by the
-// plans or this class, so the per-step hot path allocates nothing.
+// tests can assert the reuse. The transport holds two plans: each RK2
+// predictor is built in the plan it precedes, which set_velocity then
+// rebuilds at the corrected points. Both plans read their ghosted blocks
+// from the transport's one ghost exchanger. All interpolation scratch is
+// owned by the plans, the exchanger or this class, so once warm a new
+// velocity, the state and adjoint solves and a Gauss-Newton matvec's
+// solves allocate nothing.
 //
 // The state history rho(t_j) (nt+1 slices) is stored, as are — lazily — the
 // spectral gradients grad rho(t_j), which the gradient/Hessian integrands
-// reuse across all PCG iterations of a Newton step.
+// reuse across all PCG iterations of a Newton step. A new velocity or state
+// marks the gradients stale but keeps their buffers.
 #pragma once
 
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -79,10 +84,7 @@ class Transport {
   /// must not inherit the previous job's plans or lazily-computed histories.
   void invalidate_plans() {
     plans_built_ = false;
-    for (auto& g : grad_rho_hist_) g.reset();
-    lambda_hist_.clear();
-    rho_tilde_hist_.clear();
-    grad_rho_tilde_hist_.clear();
+    drop_histories();
   }
 
   /// Forward solve of (2b); stores rho(t_j) for j = 0..nt.
@@ -134,8 +136,30 @@ class Transport {
   void interp_vec_at_forward_points(const VectorField& f, VectorField& out);
 
  private:
-  /// RK2 departure points (eq. 6) for velocity sign * v, into points_.
-  void compute_departure_points(int sign);
+  /// A lazily computed gradient whose buffer outlives its value: `valid`
+  /// is cleared when its input changes, the storage stays allocated.
+  struct LazyGradient {
+    VectorField field;
+    bool valid = false;
+    const VectorField& of(spectral::SpectralOps& ops, const ScalarField& f) {
+      if (!valid) ops.gradient(f, field);
+      valid = true;
+      return field;
+    }
+  };
+
+  /// RK2 departure points (eq. 6) for velocity sign * v, into points_. The
+  /// predictor points are built into `plan`, the plan the corrected points
+  /// are built into next.
+  void compute_departure_points(int sign, interp::InterpPlan& plan);
+
+  /// Marks every lazily computed history stale (velocity or state changed).
+  void drop_histories();
+
+  /// All three components of `f` at `plan`'s points through one batched
+  /// exchange; `out` must already be sized.
+  void interp_vec(interp::InterpPlan& plan, const VectorField& f,
+                  VectorField& out);
 
   spectral::SpectralOps* ops_;
   grid::PencilDecomp* decomp_;
@@ -146,21 +170,20 @@ class Transport {
   ScalarField div_v_;  // empty when incompressible
   bool plans_built_ = false;
   int plan_builds_ = 0;
-  interp::InterpPlan plan_fwd_;   // departure points of +v
-  interp::InterpPlan plan_bwd_;   // departure points of -v
-  interp::InterpPlan star_plan_;  // RK2 predictor points (build scratch)
+  interp::InterpPlan plan_fwd_;  // departure points of +v
+  interp::InterpPlan plan_bwd_;  // departure points of -v
   ScalarField div_v_at_bwd_;
 
   std::vector<ScalarField> rho_hist_;
-  std::vector<std::optional<VectorField>> grad_rho_hist_;
+  std::vector<LazyGradient> grad_rho_hist_;
   std::vector<ScalarField> lambda_hist_;
   std::vector<ScalarField> rho_tilde_hist_;
-  std::vector<std::optional<VectorField>> grad_rho_tilde_hist_;
+  std::vector<LazyGradient> grad_rho_tilde_hist_;
 
   // Scratch buffers reused across steps (no per-call heap churn).
   std::vector<Vec3> points_;   // departure points of the current build
-  std::vector<Vec3> v_star_;   // RK2 predictor velocities
-  ScalarField nu_at_x_, f_at_x_, f0_grid_, f1_grid_;
+  VectorField v_star_;         // RK2 predictor velocities
+  ScalarField lam_cur_, lam_next_, nu_at_x_, f_at_x_, f0_grid_, f1_grid_;
   VectorField u_at_x_;         // displacement components at X (batched)
   VectorField disp_source_;    // -dt/2 (v(X) + v(x)) of solve_displacement
 };

@@ -180,11 +180,12 @@ TEST(GhostExchange, BatchedExchangeMatchesSequential) {
                        comm.rank();
     }
 
-    std::vector<real_t> batched(kFields * gx.ghost_size());
     const real_t* ptrs[kFields] = {fields[0].data(), fields[1].data(),
                                    fields[2].data()};
     const auto msgs_before = comm.timings().messages(TimeKind::kInterpComm);
-    gx.exchange_many(std::span<const real_t* const>(ptrs, kFields), batched);
+    const std::span<const real_t> batched =
+        gx.exchange_many(std::span<const real_t* const>(ptrs, kFields));
+    ASSERT_EQ(batched.size(), static_cast<size_t>(kFields * gx.ghost_size()));
     const auto batched_msgs =
         comm.timings().messages(TimeKind::kInterpComm) - msgs_before;
     // 2x2 grid: two neighbour messages per distributed dimension,

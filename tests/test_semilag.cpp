@@ -1,15 +1,53 @@
 // Semi-Lagrangian transport tests: analytic advection solutions, second
 // order convergence in time, unconditional stability at large CFL numbers,
 // state/adjoint inner-product consistency, incremental solvers as
-// directional derivatives, and the displacement/deformation map.
+// directional derivatives, the displacement/deformation map, and the
+// transport's heap traffic: warm solves allocate nothing, and the bytes one
+// velocity's cycle requests per grid point are bounded.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
+#include <new>
 
 #include "core/deformation.hpp"
 #include "imaging/synthetic.hpp"
 #include "mpisim/communicator.hpp"
 #include "semilag/transport.hpp"
+
+// Global allocation counters backing the allocation and footprint tests
+// below. Replacing the global operator new/delete pair is the only portable
+// way to observe heap traffic; counting is gated so the rest of the suite
+// pays one relaxed atomic load per allocation.
+namespace {
+std::atomic<long long> g_alloc_count{0};
+std::atomic<long long> g_alloc_bytes{0};
+std::atomic<bool> g_count_allocs{false};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (g_count_allocs.load(std::memory_order_relaxed)) {
+    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+    g_alloc_bytes.fetch_add(static_cast<long long>(size),
+                            std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(size)) return p;
+  throw std::bad_alloc();
+}
+
+// GCC pairs the std::free here with the replaced operator new above and
+// (wrongly) reports a mismatched allocation function when both ends inline
+// into the same caller; the pair is malloc/free by construction.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 namespace diffreg::semilag {
 namespace {
@@ -470,6 +508,85 @@ TEST(Transport, RepeatedSolvesAreBitwiseDeterministic) {
     const ScalarField& second = transport.final_state();
     for (size_t i = 0; i < first.size(); ++i)
       ASSERT_EQ(first[i], second[i]) << i;
+  });
+}
+
+TEST(Transport, WarmSolvesAreAllocationFree) {
+  // After one velocity's cycle, a second velocity (new bits, so both plans
+  // and their predictors are rebuilt), its state and adjoint solves, and a
+  // Gauss-Newton matvec's two solves must not touch the heap (single rank:
+  // the mailbox transport itself is out of the picture).
+  mpisim::run_spmd(1, [&](mpisim::Communicator& comm) {
+    PencilDecomp decomp(comm, {32, 32, 32});
+    spectral::SpectralOps ops(decomp);
+    auto rho0 = imaging::synthetic_template(decomp);
+    auto v = imaging::synthetic_velocity(decomp, 0.5);
+    auto w = imaging::synthetic_velocity_divfree(decomp, 0.3);
+    VectorField v2 = v;
+    grid::scale(real_t(1.001), v2);
+    Transport transport(ops, TransportConfig{});
+    ScalarField rho_tilde1;
+    VectorField b, bt;
+    const auto cycle = [&](const VectorField& vel) {
+      transport.set_velocity(vel);
+      transport.solve_state(rho0);
+      transport.solve_adjoint(transport.final_state(), b);
+    };
+    const auto matvec = [&] {
+      transport.solve_incremental_state(w, rho_tilde1);
+      transport.solve_incremental_adjoint_gn(rho_tilde1, bt);
+    };
+    cycle(v);  // warm-up: grows every buffer once
+    matvec();
+
+    g_alloc_count.store(0);
+    g_count_allocs.store(true);
+    cycle(v2);
+    const long long cycle_allocs = g_alloc_count.exchange(0);
+    matvec();
+    const long long matvec_allocs = g_alloc_count.exchange(0);
+    g_count_allocs.store(false);
+
+    EXPECT_EQ(transport.plan_build_count(), 2);
+    EXPECT_EQ(cycle_allocs, 0)
+        << "new velocity + state + adjoint solves allocated";
+    EXPECT_EQ(matvec_allocs, 0) << "Gauss-Newton matvec solves allocated";
+  });
+}
+
+TEST(Transport, FootprintPerPointIsBounded) {
+  // Bytes requested through operator new while a transport is constructed
+  // and runs one set_velocity / state / adjoint / Gauss-Newton matvec
+  // cycle, the caller's output fields included, per grid point. Two plans
+  // sharing the exchanger's ghost blocks, with value staging for the
+  // cross-rank points only, come to about 725 B; a third plan (about 270 B)
+  // or all-point value staging breaks the bound.
+  constexpr double kMaxBytesPerPoint = 800;
+  mpisim::run_spmd(1, [&](mpisim::Communicator& comm) {
+    PencilDecomp decomp(comm, {32, 32, 32});
+    spectral::SpectralOps ops(decomp);
+    auto rho0 = imaging::synthetic_template(decomp);
+    auto v = imaging::synthetic_velocity(decomp, 0.5);
+    auto w = imaging::synthetic_velocity_divfree(decomp, 0.3);
+
+    g_alloc_bytes.store(0);
+    g_count_allocs.store(true);
+    {
+      Transport transport(ops, TransportConfig{});
+      ScalarField rho_tilde1;
+      VectorField b, bt;
+      transport.set_velocity(v);
+      transport.solve_state(rho0);
+      transport.solve_adjoint(transport.final_state(), b);
+      transport.solve_incremental_state(w, rho_tilde1);
+      transport.solve_incremental_adjoint_gn(rho_tilde1, bt);
+      g_count_allocs.store(false);
+    }
+    const double per_point =
+        static_cast<double>(g_alloc_bytes.load()) /
+        static_cast<double>(decomp.local_real_size());
+    RecordProperty("bytes_per_point", static_cast<int>(per_point));
+    EXPECT_LE(per_point, kMaxBytesPerPoint);
   });
 }
 
