@@ -127,7 +127,6 @@ PrecondRecord run_precond_case(index_t n, int p) {
     const double smooth_s = t1.seconds();
 
     opt.two_level_precond = true;
-    opt.precond_coarsest_dim = 8;
     WallTimer t2;
     core::RegistrationSolver two_level_solver(decomp, opt);
     auto two_level = two_level_solver.run(rho_t, rho_r);

@@ -21,7 +21,6 @@ struct CliOptions {
   std::string out_prefix;
   bool continuation = false;
   core::RegistrationOptions reg;
-  core::ContinuationOptions cont;
   core::MultilevelOptions multi;
   bool multilevel = false;  // set by --levels N with N > 1
   /// Displacement amplitude of the synthetic workload's ground-truth

@@ -206,17 +206,15 @@ int main(int argc, char** argv) {
       return;
     }
 
-    // Solve.
+    // Solve. --continuation runs beta from 1e-1 down to --beta.
+    core::ContinuationOptions copt;
+    copt.beta_start = 1e-1;
+    copt.beta_target = opt.reg.beta;
     core::RegistrationResult result;
     double summary_beta = opt.reg.beta;
     if (opt.multilevel) {
       core::MultilevelOptions mopt = opt.multi;
-      if (opt.continuation) {
-        core::ContinuationOptions copt = opt.cont;
-        copt.beta_start = 1e-1;
-        copt.beta_target = opt.reg.beta;
-        mopt.coarse_beta_cont = copt;
-      }
+      if (opt.continuation) mopt.coarse_beta_cont = copt;
       auto ml = core::run_multilevel_continuation(decomp, opt.reg, rho_t,
                                                   rho_r, mopt, registry);
       if (root && !ml.admissible)
@@ -236,9 +234,6 @@ int main(int argc, char** argv) {
       summary_beta = ml.final_beta;
       result = std::move(ml.fine);
     } else if (opt.continuation) {
-      core::ContinuationOptions copt = opt.cont;
-      copt.beta_start = 1e-1;
-      copt.beta_target = opt.reg.beta;
       auto cont = core::run_beta_continuation(solver, rho_t, rho_r, copt);
       if (root)
         for (int s = 0; s < cont.stages; ++s)

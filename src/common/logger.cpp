@@ -1,77 +1,49 @@
 #include "common/logger.hpp"
 
+#include <cstdio>
+#include <map>
+#include <mutex>
+#include <utility>
+
 namespace diffreg {
 
-Logger& Logger::instance() {
-  static Logger logger;
-  return logger;
+namespace {
+
+constexpr int kRatedLimit = 3;
+
+struct LoggerState {
+  std::mutex mutex;
+  LogSink sink;                              // guarded by mutex
+  std::map<std::string, int> rated_counts;  // guarded by mutex
+};
+
+LoggerState& logger_state() {
+  static LoggerState state;
+  return state;
 }
 
-void Logger::set_sink(Sink sink) {
-  std::scoped_lock lock(mutex_);
-  sink_ = std::move(sink);
-  rated_counts_.clear();
+}  // namespace
+
+void set_log_sink(LogSink sink) {
+  LoggerState& s = logger_state();
+  std::scoped_lock lock(s.mutex);
+  s.sink = std::move(sink);
+  s.rated_counts.clear();
 }
 
-void Logger::emit(LogLevel level, const std::string& message) {
-  if (sink_) {
-    sink_(level, message);
-    return;
-  }
-  const char* tag = "";
-  switch (level) {
-    case LogLevel::kDebug:
-      tag = "[debug] ";
-      break;
-    case LogLevel::kInfo:
-      tag = "[info] ";
-      break;
-    case LogLevel::kWarn:
-      tag = "[warn] ";
-      break;
-    case LogLevel::kError:
-      tag = "[error] ";
-      break;
-    case LogLevel::kOff:
-      return;
-  }
-  std::fprintf(stderr, "%s%s\n", tag, message.c_str());
-}
-
-void Logger::log(LogLevel level, const std::string& message) {
-  if (level < level_.load(std::memory_order_relaxed) || level == LogLevel::kOff)
-    return;
-  std::scoped_lock lock(mutex_);
-  emit(level, message);
-}
-
-void Logger::log_rated(LogLevel level, const std::string& key,
-                       const std::string& message) {
-  if (level < level_.load(std::memory_order_relaxed) || level == LogLevel::kOff)
-    return;
-  std::scoped_lock lock(mutex_);
-  const int count = ++rated_counts_[key];
-  if (count > kRatedLimit) return;
-  if (count == kRatedLimit)
-    emit(level, message + " (suppressing further '" + key + "' messages)");
-  else
-    emit(level, message);
-}
-
-void log_info(const std::string& message) {
-  Logger::instance().log(LogLevel::kInfo, message);
-}
-void log_warn(const std::string& message) {
-  Logger::instance().log(LogLevel::kWarn, message);
-}
-void log_error(const std::string& message) {
-  Logger::instance().log(LogLevel::kError, message);
-}
-void log_debug(const std::string& message) {
-  Logger::instance().log(LogLevel::kDebug, message);
-}
 void log_warn_rated(const std::string& key, const std::string& message) {
-  Logger::instance().log_rated(LogLevel::kWarn, key, message);
+  LoggerState& s = logger_state();
+  std::scoped_lock lock(s.mutex);
+  const int count = ++s.rated_counts[key];
+  if (count > kRatedLimit) return;
+  const std::string text =
+      count == kRatedLimit
+          ? message + " (suppressing further '" + key + "' messages)"
+          : message;
+  if (s.sink)
+    s.sink(text);
+  else
+    std::fprintf(stderr, "[warn] %s\n", text.c_str());
 }
 
 }  // namespace diffreg

@@ -1,70 +1,26 @@
-// Minimal thread-safe logger. Rank 0 of an SPMD run typically owns stdout;
-// other ranks stay quiet unless explicitly enabled. Supports an injectable
-// sink (tests capture warnings instead of scraping stderr) and per-key
-// rate-limited warnings for conditions that can fire once per message on a
-// hot path (e.g. the CommRequest drain-on-destroy warning).
+// Rate-limited warnings shared by every rank thread. A condition that can
+// fire once per message on a hot path (e.g. the CommRequest drain-on-destroy
+// warning) prints at most a few lines per key. Tests install a sink to
+// capture warnings instead of scraping stderr.
 #pragma once
 
-#include <atomic>
-#include <cstdio>
 #include <functional>
-#include <map>
-#include <mutex>
 #include <string>
 
 namespace diffreg {
 
-enum class LogLevel { kDebug = 0, kInfo, kWarn, kError, kOff };
+/// Replacement output target for warnings; called with the raw message (no
+/// tag) under the logger's mutex.
+using LogSink = std::function<void(const std::string&)>;
 
-class Logger {
- public:
-  /// Replacement output target; called with the level and the raw message
-  /// (no level tag) under the logger mutex.
-  using Sink = std::function<void(LogLevel, const std::string&)>;
+/// Routes warnings to `sink` instead of stderr; pass nullptr to restore
+/// stderr. Also resets the rate-limit counters, so a test capturing
+/// warnings starts from a clean slate.
+void set_log_sink(LogSink sink);
 
-  static Logger& instance();
-
-  /// Atomic: the level filter is read on every log call from every rank
-  /// thread, while a driver may adjust verbosity mid-run. Relaxed ordering
-  /// is enough — the level is an advisory filter, not a synchronization
-  /// point (a message racing a level change may legitimately land on either
-  /// side of it).
-  void set_level(LogLevel level) {
-    level_.store(level, std::memory_order_relaxed);
-  }
-  LogLevel level() const { return level_.load(std::memory_order_relaxed); }
-
-  /// Routes output to `sink` instead of stderr; pass nullptr to restore
-  /// stderr. Installing a sink also resets the rate-limit counters so a
-  /// test capturing warnings starts from a clean slate.
-  void set_sink(Sink sink);
-
-  void log(LogLevel level, const std::string& message);
-
-  /// Rate-limited log: at most kRatedLimit emissions per `key`, then one
-  /// final suppression notice. Keys are small and stable (e.g.
-  /// "mpisim.commrequest.drain"), so the map stays tiny.
-  void log_rated(LogLevel level, const std::string& key,
-                 const std::string& message);
-
- private:
-  Logger() = default;
-
-  static constexpr int kRatedLimit = 3;
-
-  void emit(LogLevel level, const std::string& message);
-
-  std::atomic<LogLevel> level_ = LogLevel::kInfo;
-  std::mutex mutex_;
-  Sink sink_;
-  std::map<std::string, int> rated_counts_;
-};
-
-void log_info(const std::string& message);
-void log_warn(const std::string& message);
-void log_error(const std::string& message);
-void log_debug(const std::string& message);
-/// Rate-limited warning (Logger::log_rated at kWarn).
+/// Prints `message` as a warning at most 3 times per `key`, the third time
+/// with a suppression notice. Keys are small and stable (e.g.
+/// "mpisim.commrequest.drain"), so the counter map stays tiny. Thread-safe.
 void log_warn_rated(const std::string& key, const std::string& message);
 
 }  // namespace diffreg

@@ -10,6 +10,7 @@
 #include <complex>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <numbers>
 
 namespace diffreg {
@@ -89,6 +90,17 @@ constexpr index_t periodic_index(index_t i, index_t n) {
 inline real_t periodic_grid_units(real_t x, real_t h, index_t n) {
   const real_t u = periodic_wrap(x, kTwoPi) / h;
   return u >= static_cast<real_t>(n) ? u - static_cast<real_t>(n) : u;
+}
+
+/// True when `v` is a value of integer type T: finite, integral and in
+/// range, so a cast to T is defined. T's range ends just below
+/// 2^digits, which a double holds exactly.
+template <typename T>
+bool exact_integer(double v) {
+  constexpr double lo = static_cast<double>(std::numeric_limits<T>::min());
+  constexpr double hi =
+      static_cast<double>(std::numeric_limits<T>::max()) + 1.0;
+  return v >= lo && v < hi && v == std::trunc(v);
 }
 
 /// Determinant of the 3x3 matrix with rows a, b, c.

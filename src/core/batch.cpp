@@ -90,10 +90,8 @@ JobOutcome outcome_from_string(const std::string& name) {
 std::uint64_t BatchSolver::submit(BatchJobSpec spec) {
   if (spec.dims[0] < 1 || spec.dims[1] < 1 || spec.dims[2] < 1)
     throw std::invalid_argument("BatchSolver: job needs valid dims");
-  if (!spec.make_inputs &&
-      (spec.request.rho_t == nullptr || spec.request.rho_r == nullptr))
-    throw std::invalid_argument(
-        "BatchSolver: job needs input pointers or an input factory");
+  if (!spec.make_inputs)
+    throw std::invalid_argument("BatchSolver: job needs an input factory");
   if (spec.request.job_id == 0) spec.request.job_id = next_job_id_++;
   const std::uint64_t id = spec.request.job_id;
   queue_.push_back(std::move(spec));
@@ -128,26 +126,13 @@ BatchReport BatchSolver::run_all(const BatchOptions& opts) {
     return queue_[a].request.priority > queue_[b].request.priority;
   });
 
-  const bool all_factories =
-      std::all_of(queue_.begin(), queue_.end(),
-                  [](const BatchJobSpec& s) { return bool(s.make_inputs); });
   int shards = opts.shards;
   if (shards == 0) {
-    shards = 1;
-    if (all_factories)
-      for (int s = std::min(p, njobs); s >= 1; --s)
-        if (p % s == 0) {
-          shards = s;
-          break;
-        }
-  } else {
-    if (shards < 1 || p % shards != 0)
-      throw std::invalid_argument(
-          "BatchSolver: shards must divide the rank count");
-    if (shards > 1 && !all_factories)
-      throw std::invalid_argument(
-          "BatchSolver: raw-pointer inputs require shards = 1 (their blocks "
-          "live on the parent decomposition)");
+    shards = std::min(p, njobs);
+    while (p % shards != 0) --shards;
+  } else if (shards < 1 || p % shards != 0) {
+    throw std::invalid_argument(
+        "BatchSolver: shards must divide the rank count");
   }
   const int shard_size = p / shards;
   const int color = comm_.rank() / shard_size;
@@ -239,9 +224,7 @@ BatchReport BatchSolver::run_all(const BatchOptions& opts) {
   // across retries) but is cleared when the shard is rebuilt.
   struct JobData {
     bool ready = false;
-    ScalarField t_owned, r_owned;        // factory outputs
-    const ScalarField* rho_t = nullptr;  // raw (unsmoothed) inputs
-    const ScalarField* rho_r = nullptr;
+    ScalarField rho_t, rho_r;  // factory outputs (unsmoothed)
     grid::VectorField v0;  // checkpoint warm start (manifest resume)
     bool has_v0 = false;
     real_t warm_gradient_reference = 0;
@@ -259,15 +242,7 @@ BatchReport BatchSolver::run_all(const BatchOptions& opts) {
     JobData& jd = jobdata[qi];
     if (jd.ready) return;
     const BatchJobSpec& spec = queue_[qi];
-    if (spec.make_inputs) {
-      auto decomp = ctx->registry->decomp(spec.dims);
-      spec.make_inputs(*decomp, jd.t_owned, jd.r_owned);
-      jd.rho_t = &jd.t_owned;
-      jd.rho_r = &jd.r_owned;
-    } else {
-      jd.rho_t = spec.request.rho_t;
-      jd.rho_r = spec.request.rho_r;
-    }
+    spec.make_inputs(*ctx->registry->decomp(spec.dims), jd.rho_t, jd.rho_r);
     // Warm start for manifest-resumed in-flight jobs: scatter the last
     // solver checkpoint when one exists and matches the grid; any
     // checkpoint problem silently falls back to a cold start.
@@ -410,8 +385,8 @@ BatchReport BatchSolver::run_all(const BatchOptions& opts) {
         // them is an ordinary failed attempt.
         materialize(a.qi);
         SolveRequest req = spec.request;
-        req.rho_t = jd.rho_t;
-        req.rho_r = jd.rho_r;
+        req.rho_t = &jd.rho_t;
+        req.rho_r = &jd.rho_r;
         if (jd.has_v0) {
           req.v0 = &jd.v0;
           if (jd.warm_gradient_reference > 0)
@@ -598,7 +573,7 @@ BatchReport BatchSolver::run_all(const BatchOptions& opts) {
       try {
         materialize(qi);
         solver_for(spec).deform_template(
-            *jobdata[qi].rho_t, my_reports[qi].velocity,
+            jobdata[qi].rho_t, my_reports[qi].velocity,
             out.deformed[static_cast<std::size_t>(i)]);
       } catch (const grid::NonFiniteFieldError&) {
         ctx->registry->recover_after_fault(recover_timeout);

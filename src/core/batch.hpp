@@ -1,8 +1,8 @@
 // BatchSolver: registration as a service — B independent image pairs
 // through shared plan infrastructure (ROADMAP item 3; docs/SERVICE.md).
 //
-// Jobs are submitted as SolveRequests (plus a grid and, optionally, an
-// input factory) into a FIFO+priority queue; run_all() drains the queue
+// Jobs are submitted as SolveRequests (plus a grid and an input factory)
+// into a FIFO+priority queue; run_all() drains the queue
 // collectively. Two throughput mechanisms stack on the shared
 // PlanRegistry:
 //
@@ -14,9 +14,7 @@
 //    that each run a slice of the queue CONCURRENTLY: while one shard's
 //    job computes, another shard's job is on the wire, so one job's compute
 //    overlaps another job's exchanges (the cross-job form of the PR 6
-//    comm/compute overlap). shards=0 picks S automatically; jobs whose
-//    inputs are raw pointers pin S=1 (their blocks live on the parent
-//    decomposition).
+//    comm/compute overlap). shards=0 picks S automatically.
 //
 // Every job smooths its inputs and deforms its template through the same
 // RegistrationSolver code as a standalone solve.
@@ -94,9 +92,8 @@ class JobDeadlineError : public std::runtime_error {
 };
 
 /// One queued job: the request plus what the batch driver needs to place
-/// it. Either the request carries pencil-local input pointers (valid blocks
-/// of the PARENT decomposition — pins shards=1), or `make_inputs` builds
-/// the inputs on whatever shard decomposition the job lands on.
+/// it. `make_inputs` builds the inputs on whatever shard decomposition the
+/// job lands on; the batch points the request's inputs at them.
 struct BatchJobSpec {
   SolveRequest request;
   Int3 dims{0, 0, 0};  ///< Grid of this job.
@@ -109,8 +106,7 @@ struct BatchJobSpec {
 
 struct BatchOptions {
   /// Concurrent shards; 0 = automatic (largest divisor of the rank count
-  /// not exceeding the job count; 1 when any job carries raw input
-  /// pointers). Must divide the rank count.
+  /// not exceeding the job count). Must divide the rank count.
   int shards = 0;
   /// Also compute each job's deformed template rho_T(y1).
   bool want_deformed = false;

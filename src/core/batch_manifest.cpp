@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
 #include <mutex>
+#include <type_traits>
 
 namespace diffreg::core {
 
@@ -89,15 +91,23 @@ bool parse_string_field(const std::string& line, const char* key,
   return true;
 }
 
-bool parse_number_field(const std::string& line, const char* key,
-                        double& out) {
+/// Reads the number after `"key":` into `out`. Returns false when the key
+/// is absent, and also clears `ok` when the value is not a finite number
+/// (for an integer `out`: not a value of its type).
+template <typename T>
+bool parse_number_field(const std::string& line, const char* key, T& out,
+                        bool& ok) {
   const char* s = field_start(line, key);
   if (!s) return false;
   char* end = nullptr;
   const double v = std::strtod(s, &end);
-  if (end == s) return false;
-  out = v;
-  return true;
+  bool valid = end != s && std::isfinite(v);
+  if constexpr (std::is_integral_v<T>) valid = valid && exact_integer<T>(v);
+  if (valid)
+    out = static_cast<T>(v);
+  else
+    ok = false;
+  return valid;
 }
 
 bool parse_bool_field(const std::string& line, const char* key, bool& out) {
@@ -129,19 +139,22 @@ std::int32_t parse(const std::string& text,
     start = end + 1;
     if (line.find_first_not_of(" \t\r") != std::string::npos)
       any_content = true;
-    double num = 0;
-    if (!saw_version && parse_number_field(line, "version", num)) {
-      if (num != 1) return kParseFailed;
+    bool ok = true;
+    int version = 0;
+    if (!saw_version && parse_number_field(line, "version", version, ok)) {
+      if (version != 1) return kParseFailed;
       saw_version = true;
       continue;
     }
-    if (!parse_number_field(line, "job_id", num)) continue;
     BatchManifestEntry e;
-    e.job_id = static_cast<std::uint64_t>(num);
+    if (!parse_number_field(line, "job_id", e.job_id, ok)) {
+      if (!ok) return kParseFailed;
+      continue;
+    }
     if (!parse_string_field(line, "outcome", e.outcome)) return kParseFailed;
-    if (parse_number_field(line, "attempts", num))
-      e.attempts = static_cast<int>(num);
-    parse_number_field(line, "completed_at_seconds", e.completed_at_seconds);
+    parse_number_field(line, "attempts", e.attempts, ok);
+    parse_number_field(line, "completed_at_seconds", e.completed_at_seconds, ok);
+    if (!ok) return kParseFailed;
     parse_bool_field(line, "deadline_met", e.deadline_met);
     parse_string_field(line, "checkpoint", e.checkpoint_path);
     out.push_back(std::move(e));
@@ -221,26 +234,6 @@ std::int32_t merge_root(const std::string& path,
 }
 
 }  // namespace
-
-std::vector<BatchManifestEntry> read_manifest_file(const std::string& path) {
-  std::string text;
-  std::int32_t status = slurp(path, text);
-  if (status == kMissing) return {};
-  std::vector<BatchManifestEntry> entries;
-  if (status == kOk) status = parse(text, entries);
-  if (status != kOk)
-    throw BatchManifestError(std::string(status_message(status)) + ": " +
-                             path);
-  return entries;
-}
-
-void write_manifest_file(const std::string& path,
-                         const std::vector<BatchManifestEntry>& entries) {
-  std::scoped_lock lock(manifest_mutex());
-  if (write_atomic(path, serialize(entries)) != kOk)
-    throw BatchManifestError(std::string(status_message(kWriteFailed)) + ": " +
-                             path);
-}
 
 std::vector<BatchManifestEntry> load_manifest(mpisim::Communicator& comm,
                                               const std::string& path) {

@@ -22,6 +22,10 @@
 ///       ]
 ///     }
 ///
+/// Every number must be finite, and job_id, attempts and version must be
+/// integers their fields hold (job_id is unsigned 64-bit, attempts an int):
+/// anything else makes the manifest malformed.
+///
 /// Durability and collectivity follow core/checkpoint: writes go to
 /// `path + ".tmp"` and rename into place (a kill mid-write never corrupts
 /// the previous manifest), all I/O runs on rank 0 of the calling
@@ -62,17 +66,6 @@ struct BatchManifestEntry {
   bool deadline_met = true;
   std::string checkpoint_path;
 };
-
-/// Host-side read (no communication): parses `path` into entries. A missing
-/// file is an empty manifest (first run); a malformed one throws
-/// BatchManifestError.
-std::vector<BatchManifestEntry> read_manifest_file(const std::string& path);
-
-/// Host-side atomic write (no communication): serializes `entries` to
-/// `path + ".tmp"` and renames into place. Throws BatchManifestError when
-/// the write or rename fails.
-void write_manifest_file(const std::string& path,
-                         const std::vector<BatchManifestEntry>& entries);
 
 /// Collective load: rank 0 reads `path` and broadcasts the bytes; every
 /// rank parses the identical payload. A missing file yields an empty

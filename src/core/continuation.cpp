@@ -12,6 +12,11 @@ namespace diffreg::core {
 
 namespace {
 
+// The beta continuation divides beta by this factor per stage and runs at
+// most kMaxStages stages.
+constexpr real_t kBetaReduction = 10;
+constexpr int kMaxStages = 8;
+
 /// Grid hierarchy, finest first: repeated halving (odd dims round up) until
 /// the level budget or the coarsest-dim floor is exhausted.
 std::vector<Int3> build_level_dims(const Int3& fine, int levels,
@@ -53,7 +58,7 @@ ContinuationResult run_beta_continuation(RegistrationSolver& solver,
   real_t beta = copt.beta_start;
   const VectorField* warm_start = nullptr;
 
-  for (int stage = 0; stage < copt.max_stages; ++stage) {
+  for (int stage = 0; stage < kMaxStages; ++stage) {
     stage_opt.beta = beta;
     SolveRequest req;
     req.rho_t = &rho_t;
@@ -85,7 +90,7 @@ ContinuationResult run_beta_continuation(RegistrationSolver& solver,
       warm_start = admissible ? &out.best.velocity : nullptr;
     }
     if (!admissible || beta <= copt.beta_target) break;
-    beta = std::max(copt.beta_target, beta / copt.reduction_factor);
+    beta = std::max(copt.beta_target, beta / kBetaReduction);
   }
   return out;
 }
@@ -151,13 +156,6 @@ MultilevelResult run_multilevel_continuation(
                      std::span<real_t* const>(outs, 2));
   }
 
-  auto scheduled_beta = [&](int k) {  // k = 0 is the finest level
-    if (mopt.level_betas.empty()) return opt.beta;
-    const int i = std::min<int>(nlevels - 1 - k,
-                                static_cast<int>(mopt.level_betas.size()) - 1);
-    return mopt.level_betas[i];
-  };
-
   real_t beta_override = -1;  // set by the coarse beta continuation
 
   // Resume: locate the checkpoint's pyramid level and restore the carried
@@ -201,7 +199,7 @@ MultilevelResult run_multilevel_continuation(
     RegistrationOptions lopt = base;
     lopt.beta = resuming_here
                     ? resume_beta
-                    : (beta_override > 0 ? beta_override : scheduled_beta(k));
+                    : (beta_override > 0 ? beta_override : opt.beta);
     lopt.gradient_reference = out.gradient_reference;
 
     // Periodic in-level checkpoints ride the accepted-iterate hook (chained

@@ -25,14 +25,14 @@
 
 namespace diffreg::core {
 
+/// Beta schedule: beta_start, beta_start / 10, ... down to beta_target, at
+/// most 8 stages.
 struct ContinuationOptions {
   real_t beta_start = 1;
   real_t beta_target = 1e-3;
-  real_t reduction_factor = 10;
   /// Admissibility bound on det(grad y) (paper: metrics on grad y1 determine
   /// the target beta); below it the previous stage's result is kept.
   real_t min_det_bound = 0.1;
-  int max_stages = 8;
 };
 
 struct ContinuationResult {
@@ -69,13 +69,10 @@ struct MultilevelOptions {
   /// No axis is coarsened below this many points (it should stay >= the
   /// process-grid extents so every rank keeps a nonempty block).
   index_t coarsest_dim = 8;
-  /// Per-level beta schedule, coarsest level first; when shorter than the
-  /// pyramid the last entry is reused, when empty the RegistrationOptions
-  /// beta is used on every level.
-  std::vector<real_t> level_betas;
   /// When set, the coarsest level runs a full beta continuation instead of a
   /// single solve, and its final (admissible) beta is used on every finer
   /// level — the cheap coarse grid determines how far beta can be pushed.
+  /// Otherwise every level solves at the RegistrationOptions beta.
   std::optional<ContinuationOptions> coarse_beta_cont;
 
   // Checkpoint/restart (core/checkpoint.hpp, docs/FAULT_MODEL.md). With

@@ -52,8 +52,6 @@ struct RegistrationOptions {
   // frequency band — the band where the spectral preconditioner degrades as
   // beta shrinks.
   bool two_level_precond = false;
-  /// Coarse-grid floor for the preconditioner level (no axis below this).
-  index_t precond_coarsest_dim = 8;
   /// Inner CG sweeps of the coarse Hessian solve per application.
   int precond_inner_iters = 5;
 

@@ -80,11 +80,4 @@ PcgResult pcg_solve(grid::PencilDecomp& decomp, const ApplyFn& apply_a,
   return result;
 }
 
-PcgResult pcg_solve(grid::PencilDecomp& decomp, const ApplyFn& apply_a,
-                    const ApplyFn& apply_m, const VectorField& b,
-                    VectorField& x, real_t rtol, int max_iters) {
-  PcgWorkspace ws;
-  return pcg_solve(decomp, apply_a, apply_m, b, x, rtol, max_iters, ws);
-}
-
 }  // namespace diffreg::core

@@ -48,9 +48,4 @@ PcgResult pcg_solve(grid::PencilDecomp& decomp, const ApplyFn& apply_a,
                     VectorField& x, real_t rtol, int max_iters,
                     PcgWorkspace& ws);
 
-/// Convenience overload owning a transient workspace (allocates).
-PcgResult pcg_solve(grid::PencilDecomp& decomp, const ApplyFn& apply_a,
-                    const ApplyFn& apply_m, const VectorField& b,
-                    VectorField& x, real_t rtol, int max_iters);
-
 }  // namespace diffreg::core

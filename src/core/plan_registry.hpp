@@ -121,8 +121,6 @@ class PlanRegistry {
            stats_.resample_builds + stats_.transport_builds;
   }
 
-  std::size_t decomp_entries() const { return decomps_.size(); }
-
  private:
   using DimsKey = std::tuple<index_t, index_t, index_t>;
   // from-dims + to-dims.

@@ -8,12 +8,12 @@ namespace diffreg::core {
 namespace {
 
 /// The preconditioner's coarse grid; throws when `fine` cannot be coarsened.
-Int3 coarse_dims_of(const Int3& fine, index_t floor_dim) {
-  const Int3 coarse = spectral::coarsen_dims(fine, floor_dim);
+Int3 coarse_dims_of(const Int3& fine) {
+  const Int3 coarse = spectral::coarsen_dims(fine, kPrecondCoarsestDim);
   if (coarse == fine)
     throw std::invalid_argument(
         "TwoLevelPreconditioner: grid cannot be coarsened (raise the fine "
-        "resolution or lower precond_coarsest_dim)");
+        "resolution)");
   return coarse;
 }
 
@@ -23,8 +23,7 @@ TwoLevelPreconditioner::TwoLevelPreconditioner(
     PlanRegistry& registry, const Int3& fine_dims,
     const RegistrationOptions& opt, const ScalarField& rho_t_s,
     const ScalarField& rho_r_s)
-    : ops_(registry.spectral(
-          coarse_dims_of(fine_dims, opt.precond_coarsest_dim))),
+    : ops_(registry.spectral(coarse_dims_of(fine_dims))),
       transport_(registry, ops_->decomp().dims(), transport_config(opt)),
       reg_(*ops_, opt.reg_type, opt.beta),
       restrict_plan_(registry.resample(fine_dims, ops_->decomp().dims())),

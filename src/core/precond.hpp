@@ -44,6 +44,10 @@
 
 namespace diffreg::core {
 
+/// Coarse-grid floor of the preconditioner level: no axis of the coarse
+/// grid falls below this many points.
+inline constexpr index_t kPrecondCoarsestDim = 8;
+
 class TwoLevelPreconditioner {
  public:
   /// Leases the coarse grid of `fine_dims` from `registry` (which must

@@ -93,7 +93,7 @@ SolveReport RegistrationSolver::solve(const SolveRequest& request) {
   // coarser band to work with.
   std::unique_ptr<TwoLevelPreconditioner> two_level;
   if (opt.two_level_precond &&
-      spectral::coarsen_dims(decomp_->dims(), opt.precond_coarsest_dim) !=
+      spectral::coarsen_dims(decomp_->dims(), kPrecondCoarsestDim) !=
           decomp_->dims()) {
     two_level = std::make_unique<TwoLevelPreconditioner>(
         *registry_, decomp_->dims(), opt, rho_t_s, rho_r_s);

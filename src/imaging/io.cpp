@@ -62,17 +62,4 @@ void write_pgm_slice(const std::string& path, const Int3& dims,
             static_cast<std::streamsize>(bytes.size()));
 }
 
-void write_csv(const std::string& path,
-               const std::vector<std::string>& header,
-               const std::vector<std::vector<real_t>>& rows) {
-  std::ofstream csv(path);
-  if (!csv) throw std::runtime_error("cannot open " + path);
-  for (size_t i = 0; i < header.size(); ++i)
-    csv << header[i] << (i + 1 < header.size() ? ',' : '\n');
-  for (const auto& row : rows) {
-    for (size_t i = 0; i < row.size(); ++i)
-      csv << row[i] << (i + 1 < row.size() ? ',' : '\n');
-  }
-}
-
 }  // namespace diffreg::imaging

@@ -1,7 +1,7 @@
-// Minimal volume/slice IO: raw volumes with a MetaImage-style text header,
-// PGM grayscale slice dumps (used to render the paper's figure panels), and
-// CSV series. All functions operate on full (gathered) arrays and are
-// intended for rank 0.
+// Minimal volume/slice IO: raw volumes with a MetaImage-style text header
+// and PGM grayscale slice dumps (used to render the paper's figure panels).
+// All functions operate on full (gathered) arrays and are intended for
+// rank 0.
 #pragma once
 
 #include <span>
@@ -25,10 +25,5 @@ std::vector<real_t> read_raw_volume(const std::string& path,
 void write_pgm_slice(const std::string& path, const Int3& dims,
                      std::span<const real_t> full, index_t slice,
                      real_t lo = 0, real_t hi = -1);
-
-/// Writes rows of (label, values...) as CSV.
-void write_csv(const std::string& path,
-               const std::vector<std::string>& header,
-               const std::vector<std::vector<real_t>>& rows);
 
 }  // namespace diffreg::imaging

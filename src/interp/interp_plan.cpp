@@ -19,11 +19,6 @@ InterpPlan::InterpPlan(PencilDecomp& decomp, WirePrecision, bool)
   val_recv_counts_.assign(p, 0);
 }
 
-InterpPlan::InterpPlan(PencilDecomp& decomp, std::span<const Vec3> points)
-    : InterpPlan(decomp) {
-  build(points);
-}
-
 void InterpPlan::build(std::span<const Vec3> points) {
   auto& comm = decomp_->comm();
   Timings& timings = comm.timings();

@@ -55,9 +55,6 @@ class InterpPlan {
   explicit InterpPlan(grid::PencilDecomp& decomp, WirePrecision = {},
                       bool = false);
 
-  /// Convenience: creates and immediately builds. Collective.
-  InterpPlan(grid::PencilDecomp& decomp, std::span<const Vec3> points);
-
   /// (Re)builds the plan for a new set of departure points. `points` are
   /// physical coordinates in [0, 2*pi)^3 (wrapped internally), one value
   /// produced per point by the interpolate calls. Collective (one alltoallv

@@ -464,8 +464,7 @@ std::vector<Timings> run_spmd(int p,
   std::optional<FaultSpec> spec;
   if (!options.fault_spec.empty())
     spec = FaultSpec::parse(options.fault_spec);
-  const bool checksums =
-      options.wire_checksums || (spec.has_value() && spec->checksum);
+  const bool checksums = spec.has_value() && spec->checksum;
 
   auto state = std::make_shared<detail::SharedState>(p);
   std::vector<Timings> timings(p);

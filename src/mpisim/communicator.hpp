@@ -239,9 +239,9 @@ class Communicator {
   /// is validated and stripped on receive, so truncation and bit-flips
   /// surface as CommIntegrityError instead of wrong answers. Off by default
   /// (the trailer changes the byte/message counters, so counter-gated
-  /// benches run without it). Inherited by split() sub-communicators.
+  /// benches run without it); run_spmd turns it on for a fault spec with
+  /// checksum=1. Inherited by split() sub-communicators.
   void set_wire_checksums(bool on) { checksums_ = on; }
-  bool wire_checksums() const { return checksums_; }
 
   /// Collective-schedule verification (--verify-schedule): every collective
   /// entered folds its rank-invariant signature (op kind, tag / root /
@@ -492,13 +492,11 @@ class Communicator {
 /// Default-constructed = the historical behavior: mailbox transport, no
 /// faults, block-forever receives, no checksums.
 struct SpmdOptions {
-  /// Fault-injection spec (FaultSpec grammar); empty = no fault wrapper.
+  /// Fault-injection spec (FaultSpec grammar; its checksum=1 is the one
+  /// switch for wire checksums); empty = no faults, no checksums.
   std::string fault_spec;
   /// Watchdog deadline applied to every rank's communicator; 0 = off.
   double comm_timeout_ms = 0;
-  /// Wire checksums on every rank (also enabled by `checksum=1` in the
-  /// fault spec).
-  bool wire_checksums = false;
   /// Collective-schedule verification on every rank
   /// (Communicator::set_verify_schedule; also enabled by the
   /// DIFFREG_VERIFY_SCHEDULE environment hook in the env-reading overload).

@@ -1,10 +1,12 @@
 #include "mpisim/fault_injection.hpp"
 
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <stdexcept>
 #include <thread>
 
+#include "common/types.hpp"
 #include "mpisim/errors.hpp"
 
 namespace diffreg::mpisim {
@@ -18,10 +20,11 @@ std::uint64_t splitmix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
+/// The whole of `value` as a finite number.
 double parse_number(const std::string& key, const std::string& value) {
   char* end = nullptr;
   const double parsed = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0')
+  if (end == value.c_str() || *end != '\0' || !std::isfinite(parsed))
     throw CommConfigError("fault-spec: malformed value for '" + key +
                                 "': '" + value + "'");
   return parsed;
@@ -33,6 +36,16 @@ double parse_probability(const std::string& key, const std::string& value) {
     throw CommConfigError("fault-spec: probability '" + key +
                                 "' must be in [0, 1], got " + value);
   return p;
+}
+
+/// An integer key: a value of T (0 or 1 for a bool switch).
+template <typename T>
+T parse_integer(const std::string& key, const std::string& value) {
+  const double v = parse_number(key, value);
+  if (!exact_integer<T>(v))
+    throw CommConfigError("fault-spec: '" + key +
+                          "' must be an integer in range, got " + value);
+  return static_cast<T>(v);
 }
 
 }  // namespace
@@ -53,7 +66,7 @@ FaultSpec FaultSpec::parse(const std::string& spec) {
     const std::string key = item.substr(0, eq);
     const std::string value = item.substr(eq + 1);
     if (key == "seed") {
-      out.seed = static_cast<std::uint64_t>(parse_number(key, value));
+      out.seed = parse_integer<std::uint64_t>(key, value);
     } else if (key == "drop") {
       out.drop = parse_probability(key, value);
     } else if (key == "dup") {
@@ -63,19 +76,21 @@ FaultSpec FaultSpec::parse(const std::string& spec) {
     } else if (key == "bitflip") {
       out.bitflip = parse_probability(key, value);
     } else if (key == "delay_ms") {
+      // Capped at an hour: sleep_for's integer duration cast overflows on
+      // huge values.
       out.delay_ms = parse_number(key, value);
-      if (out.delay_ms < 0)
-        throw CommConfigError("fault-spec: delay_ms must be >= 0");
+      if (out.delay_ms < 0 || out.delay_ms > 3.6e6)
+        throw CommConfigError("fault-spec: delay_ms must be in [0, 3.6e6]");
     } else if (key == "delay_prob") {
       out.delay_prob = parse_probability(key, value);
     } else if (key == "crash_rank") {
-      out.crash_rank = static_cast<int>(parse_number(key, value));
+      out.crash_rank = parse_integer<int>(key, value);
     } else if (key == "crash_at") {
-      out.crash_at = static_cast<long>(parse_number(key, value));
+      out.crash_at = parse_integer<long>(key, value);
     } else if (key == "crash_repeat") {
-      out.crash_repeat = parse_number(key, value) != 0;
+      out.crash_repeat = parse_integer<bool>(key, value);
     } else if (key == "checksum") {
-      out.checksum = parse_number(key, value) != 0;
+      out.checksum = parse_integer<bool>(key, value);
     } else {
       throw CommConfigError("fault-spec: unknown key '" + key + "'");
     }

@@ -16,8 +16,9 @@
 ///     "seed=7,drop=0.01,delay_ms=5,delay_prob=0.1"
 ///
 /// Keys: seed (u64), drop / dup / truncate / bitflip (probabilities in
-/// [0,1]), delay_ms (per-delayed-message sleep), delay_prob (fraction of
-/// messages delayed; default 1 when delay_ms is set), crash_rank /
+/// [0,1]), delay_ms (per-delayed-message sleep in ms, at most 3.6e6),
+/// delay_prob (fraction of messages delayed; default 1 when delay_ms is
+/// set), crash_rank /
 /// crash_at (the given LAUNCH rank throws RankCrashError once a backend's
 /// op count first exceeds crash_at), crash_repeat (0/1: with 0 — the
 /// default — the crash fires ONCE per rank, modeling a transient node
@@ -28,7 +29,9 @@
 /// answers). crash_rank names the rank of the LAUNCH communicator — the
 /// crash follows that rank into every split sub-communicator instead of
 /// re-triggering on whichever sub-rank happens to share the number.
-/// Unknown keys and malformed values throw CommConfigError (errors.hpp).
+/// Every value must be a finite number; integer keys must be integers
+/// their type holds (crash_repeat and checksum: 0 or 1). Unknown keys and
+/// malformed or out-of-range values throw CommConfigError (errors.hpp).
 ///
 /// See docs/FAULT_MODEL.md for the fault taxonomy and how the chaos CI job
 /// uses these specs.
@@ -66,8 +69,8 @@ struct FaultSpec {
            delay_ms > 0 || crash_rank >= 0;
   }
 
-  /// Parses the key=value spec grammar above; throws std::invalid_argument
-  /// on unknown keys, malformed numbers, or out-of-range probabilities.
+  /// Parses the key=value spec grammar above; throws CommConfigError on
+  /// unknown keys, malformed numbers, or out-of-range values.
   static FaultSpec parse(const std::string& spec);
 };
 

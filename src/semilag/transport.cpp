@@ -42,8 +42,8 @@ Transport::Transport(spectral::SpectralOps& ops, const TransportConfig& config)
 void Transport::drop_histories() {
   for (auto& g : grad_rho_hist_) g.valid = false;
   for (auto& g : grad_rho_tilde_hist_) g.valid = false;
-  lambda_hist_.clear();
-  rho_tilde_hist_.clear();
+  lambda_stored_ = false;
+  rho_tilde_stored_ = false;
 }
 
 void Transport::compute_departure_points(int sign, interp::InterpPlan& plan) {
@@ -140,7 +140,10 @@ void Transport::solve_adjoint(const ScalarField& lambda1, VectorField& b,
     throw std::logic_error("Transport: set_velocity before solve_adjoint");
   const index_t n = decomp_->local_real_size();
   const int nt = config_.nt;
-  if (store_lambda) lambda_hist_.assign(nt + 1, ScalarField(n, 0));
+  if (store_lambda) {
+    lambda_hist_.resize(nt + 1);  // every slice is assigned below
+    lambda_stored_ = true;
+  }
 
   ScalarField& cur = lam_cur_;
   ScalarField& next = lam_next_;
@@ -187,9 +190,11 @@ void Transport::solve_incremental_state(const VectorField& vtilde,
   const index_t n = decomp_->local_real_size();
   const int nt = config_.nt;
   if (store_hist) {
-    rho_tilde_hist_.assign(nt + 1, ScalarField(n, 0));
+    rho_tilde_hist_.resize(nt + 1);
+    rho_tilde_hist_[0].assign(n, 0);  // later slices are assigned below
     grad_rho_tilde_hist_.resize(nt + 1);
     for (auto& g : grad_rho_tilde_hist_) g.valid = false;
+    rho_tilde_stored_ = true;
   }
 
   auto source = [&](int j, ScalarField& f) {
@@ -226,7 +231,7 @@ void Transport::solve_incremental_adjoint_gn(const ScalarField& lambda_tilde1,
 void Transport::solve_incremental_adjoint_full(
     const ScalarField& lambda_tilde1, const VectorField& vtilde,
     VectorField& b_tilde) {
-  if (lambda_hist_.empty() || rho_tilde_hist_.empty())
+  if (!lambda_stored_ || !rho_tilde_stored_)
     throw std::logic_error(
         "Transport: full-Newton matvec needs stored lambda and rho_tilde "
         "histories");
@@ -234,12 +239,12 @@ void Transport::solve_incremental_adjoint_full(
   const int nt = config_.nt;
 
   // div(lam_j vtilde) on the grid, per time level.
-  VectorField lam_vt(n);
+  if (lam_vt_.local_size() != n) lam_vt_ = VectorField(n);
   auto extra_source = [&](int j, ScalarField& s) {
     const ScalarField& lam = lambda_hist_[j];
     for (int d = 0; d < 3; ++d)
-      for (index_t i = 0; i < n; ++i) lam_vt[d][i] = lam[i] * vtilde[d][i];
-    ops_->divergence(lam_vt, s);
+      for (index_t i = 0; i < n; ++i) lam_vt_[d][i] = lam[i] * vtilde[d][i];
+    ops_->divergence(lam_vt_, s);
   };
 
   ScalarField& cur = lam_cur_;

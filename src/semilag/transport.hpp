@@ -30,13 +30,14 @@
 // rebuilds at the corrected points. Both plans read their ghosted blocks
 // from the transport's one ghost exchanger. All interpolation scratch is
 // owned by the plans, the exchanger or this class, so once warm a new
-// velocity, the state and adjoint solves and a Gauss-Newton matvec's
-// solves allocate nothing.
+// velocity, the state and adjoint solves and the solves of a Gauss-Newton
+// or full-Newton matvec allocate nothing.
 //
 // The state history rho(t_j) (nt+1 slices) is stored, as are — lazily — the
 // spectral gradients grad rho(t_j), which the gradient/Hessian integrands
 // reuse across all PCG iterations of a Newton step. A new velocity or state
-// marks the gradients stale but keeps their buffers.
+// marks the gradients stale but keeps their buffers; a new velocity does the
+// same to the full-Newton lam and rho_tilde histories.
 #pragma once
 
 #include <span>
@@ -179,6 +180,8 @@ class Transport {
   std::vector<ScalarField> lambda_hist_;
   std::vector<ScalarField> rho_tilde_hist_;
   std::vector<LazyGradient> grad_rho_tilde_hist_;
+  bool lambda_stored_ = false;     // lambda_hist_ holds this velocity's lam
+  bool rho_tilde_stored_ = false;  // rho_tilde_hist_ likewise
 
   // Scratch buffers reused across steps (no per-call heap churn).
   std::vector<Vec3> points_;   // departure points of the current build
@@ -186,6 +189,7 @@ class Transport {
   ScalarField lam_cur_, lam_next_, nu_at_x_, f_at_x_, f0_grid_, f1_grid_;
   VectorField u_at_x_;         // displacement components at X (batched)
   VectorField disp_source_;    // -dt/2 (v(X) + v(x)) of solve_displacement
+  VectorField lam_vt_;         // lam vtilde (full Newton only; sized on use)
 };
 
 }  // namespace diffreg::semilag

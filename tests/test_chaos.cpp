@@ -1,21 +1,24 @@
-// Chaos tests of the fault-tolerant runtime: the fault-spec grammar, the
-// transparency of benign perturbations (delay, checksums), and — the core
-// contract — that every injected failure mode ends in a STRUCTURED error
-// (CommTimeoutError / CommIntegrityError / RankCrashError) on a bounded
-// clock instead of a hang or a silently wrong answer. The CI chaos job runs
-// the regular suites under these same specs via DIFFREG_FAULT_SPEC.
+// Chaos tests of the fault-tolerant runtime: the fault-spec grammar (with a
+// seeded mutation fuzzer), the transparency of benign perturbations (delay,
+// checksums), and — the core contract — that every injected failure mode
+// ends in a STRUCTURED error (CommTimeoutError / CommIntegrityError /
+// RankCrashError) on a bounded clock instead of a hang or a silently wrong
+// answer. The CI chaos job runs the regular suites under these same specs
+// via DIFFREG_FAULT_SPEC.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <memory>
 #include <numeric>
+#include <random>
 #include <stdexcept>
 #include <string>
 
 #include "mpisim/backend.hpp"
 #include "mpisim/communicator.hpp"
 #include "mpisim/fault_injection.hpp"
+#include "mutate.hpp"
 
 namespace diffreg::mpisim {
 namespace {
@@ -52,6 +55,63 @@ TEST(FaultSpec, RejectsMalformedSpecs) {
   EXPECT_THROW(FaultSpec::parse("crash_rank=0"), CommConfigError);
 }
 
+// Every number of a spec must be a finite value of its key's type: a NaN
+// probability compares false against every roll, an infinite delay
+// overflows sleep_for's duration cast, and an out-of-range integer cast is
+// undefined.
+TEST(FaultSpec, RejectsNanProbability) {
+  EXPECT_THROW(FaultSpec::parse("drop=nan"), CommConfigError);
+  EXPECT_THROW(FaultSpec::parse("delay_prob=-nan"), CommConfigError);
+}
+
+TEST(FaultSpec, RejectsInfiniteDelay) {
+  EXPECT_THROW(FaultSpec::parse("delay_ms=inf"), CommConfigError);
+  EXPECT_THROW(FaultSpec::parse("delay_ms=1e300"), CommConfigError);
+  EXPECT_DOUBLE_EQ(FaultSpec::parse("delay_ms=3.6e6").delay_ms, 3.6e6);
+}
+
+TEST(FaultSpec, RejectsOutOfRangeSeed) {
+  EXPECT_THROW(FaultSpec::parse("seed=1e300"), CommConfigError);
+  EXPECT_THROW(FaultSpec::parse("seed=-1"), CommConfigError);
+  EXPECT_THROW(FaultSpec::parse("seed=1.5"), CommConfigError);
+  EXPECT_EQ(FaultSpec::parse("seed=1e15").seed, 1000000000000000u);
+}
+
+TEST(FaultSpec, RejectsOutOfRangeCrashRank) {
+  EXPECT_THROW(FaultSpec::parse("crash_rank=1e20,crash_at=5"),
+               CommConfigError);
+  EXPECT_THROW(FaultSpec::parse("crash_rank=1,crash_at=1e20"),
+               CommConfigError);
+  EXPECT_THROW(FaultSpec::parse("checksum=2"), CommConfigError);
+}
+
+TEST(FaultSpec, SeededMutantsParseOrThrowConfigError) {
+  // Seeded mutation fuzzing of the grammar (tests/mutate.hpp). Every mutant
+  // either parses to a spec inside the documented ranges or throws
+  // CommConfigError; any other exception fails the test, and the sanitizer
+  // job turns an undefined cast into a failure.
+  const std::string valid =
+      "seed=7,drop=0.25,dup=0.5,truncate=0.125,bitflip=1,delay_ms=2.5,"
+      "delay_prob=0.5,crash_rank=1,crash_at=40,crash_repeat=0,checksum=1";
+  std::mt19937_64 rng(26);
+  int parsed = 0, rejected = 0;
+  for (int k = 0; k < 20000; ++k) {
+    const std::string mutant = fuzz::mutate(valid, rng);
+    try {
+      const FaultSpec spec = FaultSpec::parse(mutant);
+      ++parsed;
+      for (const double p :
+           {spec.drop, spec.dup, spec.truncate, spec.bitflip, spec.delay_prob})
+        ASSERT_TRUE(p >= 0 && p <= 1) << mutant;
+      ASSERT_TRUE(spec.delay_ms >= 0 && spec.delay_ms <= 3.6e6) << mutant;
+    } catch (const CommConfigError&) {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(parsed, 0);
+  EXPECT_GT(rejected, 0);
+}
+
 TEST(Chaos, DelayOnlySpecIsTransparent) {
   // Delays reorder nothing (per-pair FIFO holds) and corrupt nothing: every
   // collective must still produce exact results.
@@ -75,7 +135,7 @@ TEST(Chaos, DelayOnlySpecIsTransparent) {
 
 TEST(Chaos, ChecksumTrailersAreTransparentWithoutCorruption) {
   SpmdOptions opts;
-  opts.wire_checksums = true;
+  opts.fault_spec = "checksum=1";
   std::atomic<int> checked{0};
   run_spmd(
       3,

@@ -186,20 +186,6 @@ TEST(Io, PgmRejectsOutOfRangeSlice) {
                std::invalid_argument);
 }
 
-TEST(Io, CsvWritesHeaderAndRows) {
-  const std::string path = "/tmp/diffreg_test.csv";
-  write_csv(path, {"a", "b"}, {{1, 2}, {3.5, -4}});
-  std::ifstream in(path);
-  std::string line;
-  std::getline(in, line);
-  EXPECT_EQ(line, "a,b");
-  std::getline(in, line);
-  EXPECT_EQ(line, "1,2");
-  std::getline(in, line);
-  EXPECT_EQ(line, "3.5,-4");
-  std::remove(path.c_str());
-}
-
 TEST(Metrics, RelativeResidualBoundaryCases) {
   mpisim::run_spmd(2, [&](mpisim::Communicator& comm) {
     PencilDecomp decomp(comm, {8, 8, 8});

@@ -255,7 +255,8 @@ TEST_P(PlanSweep, MatchesAnalyticSmoothFunction) {
                                    (decomp.range2().begin + b) * h2, c * h3});
 
     grid::GhostExchange gx(decomp, kGhostWidth);
-    InterpPlan plan(decomp, mine);
+    InterpPlan plan(decomp);
+    plan.build(mine);
     std::vector<real_t> out(mine.size());
     plan.interpolate(gx, field, out);
 
@@ -294,7 +295,8 @@ TEST_P(PlanSweep, GridPointsReproduceExactly) {
                                 2 * ((decomp.range2().begin + b) * h2)) +
                        std::cos(c * h3);
     grid::GhostExchange gx(decomp, kGhostWidth);
-    InterpPlan plan(decomp, pts);
+    InterpPlan plan(decomp);
+    plan.build(pts);
     std::vector<real_t> out(pts.size());
     plan.interpolate(gx, field, out);
     for (size_t k = 0; k < pts.size(); ++k)
@@ -332,7 +334,8 @@ TEST_P(PlanSweep, DecompositionInvariance) {
       grid::GhostExchange gx(decomp, kGhostWidth);
       // Rank 0 queries everything; others query nothing.
       std::vector<Vec3> mine = comm.is_root() ? points : std::vector<Vec3>{};
-      InterpPlan plan(decomp, mine);
+      InterpPlan plan(decomp);
+      plan.build(mine);
       std::vector<real_t> out(mine.size());
       plan.interpolate(gx, field, out);
       if (comm.is_root()) result = out;
@@ -356,7 +359,8 @@ TEST_P(PlanSweep, PlanReuseIsDeterministic) {
       field[i] = static_cast<real_t>((i * 2654435761u) % 1000) / 1000;
     std::vector<Vec3> pts = {{0.3, 1.2, 4.4}, {5.9, 0.1, 2.2}};
     grid::GhostExchange gx(decomp, kGhostWidth);
-    InterpPlan plan(decomp, pts);
+    InterpPlan plan(decomp);
+    plan.build(pts);
     std::vector<real_t> out1(pts.size()), out2(pts.size());
     plan.interpolate(gx, field, out1);
     plan.interpolate(gx, field, out2);
@@ -390,7 +394,8 @@ TEST(InterpPlan, VectorFieldInterpolation) {
         }
     std::vector<Vec3> pts = {{1.0, 2.0, 3.0}, {4.5, 0.5, 5.5}};
     grid::GhostExchange gx(decomp, kGhostWidth);
-    InterpPlan plan(decomp, pts);
+    InterpPlan plan(decomp);
+    plan.build(pts);
     std::vector<Vec3> out;
     plan.interpolate_vec(gx, v, out);
     ASSERT_EQ(out.size(), pts.size());
@@ -439,7 +444,8 @@ TEST(InterpPlan, PointsJustBelowThePeriodStayInBoundsAndWrap) {
         for (real_t e1 : edges)
           for (real_t e3 : edges) pts.push_back({e1, real_t(0.5), e3});
         grid::GhostExchange gx(decomp, kGhostWidth);
-        InterpPlan plan(decomp, pts);
+        InterpPlan plan(decomp);
+        plan.build(pts);
         std::vector<real_t> out(pts.size());
         plan.interpolate(gx, field, out);
         for (size_t k = 0; k < pts.size(); ++k)
@@ -471,7 +477,8 @@ TEST(InterpPlan, BatchedMatchesSequentialBitwise) {
       pts.push_back({dist(rng), dist(rng), dist(rng)});
 
     grid::GhostExchange gx(decomp, kGhostWidth);
-    InterpPlan plan(decomp, pts);
+    InterpPlan plan(decomp);
+    plan.build(pts);
 
     std::array<std::vector<real_t>, kFields> seq, bat;
     for (int f = 0; f < kFields; ++f) {
@@ -499,7 +506,8 @@ TEST(InterpPlan, RebuildWithSamePointsIsBitwiseDeterministic) {
     std::vector<Vec3> pts = {{0.3, 1.2, 4.4}, {5.9, 0.1, 2.2},
                              {2.5, 3.3, 0.7}};
     grid::GhostExchange gx(decomp, kGhostWidth);
-    InterpPlan plan(decomp, pts);
+    InterpPlan plan(decomp);
+    plan.build(pts);
     std::vector<real_t> out1(pts.size()), out2(pts.size());
     plan.interpolate(gx, field, out1);
     plan.build(pts);  // rebuild with identical points
@@ -525,7 +533,8 @@ TEST(InterpPlan, ExchangeCountsAreFixedPerOperation) {
       grid::GhostExchange gx(decomp, kGhostWidth);
 
       comm.timings().clear();
-      InterpPlan plan(decomp, pts);
+      InterpPlan plan(decomp);
+      plan.build(pts);
       EXPECT_EQ(comm.timings().exchanges(TimeKind::kInterpComm), 2u)
           << "p=" << p;
       plan.interpolate(gx, f0, o0);
@@ -564,7 +573,8 @@ TEST(InterpPlan, SteadyStateInterpolationIsAllocationFree) {
     real_t* out[3] = {oa.data(), ob.data(), oc.data()};
 
     grid::GhostExchange gx(decomp, kGhostWidth);
-    InterpPlan plan(decomp, pts);
+    InterpPlan plan(decomp);
+    plan.build(pts);
     // Warm-up: grows the ghost/value scratch once.
     plan.interpolate(gx, fa, oa);
     plan.interpolate_many(gx, std::span<const real_t* const>(in, 3),
@@ -604,7 +614,8 @@ TEST(InterpPlan, ValueExchangeHidesWireTime) {
           for (int k = 0; k < 64; ++k)
             pts.push_back({dist(rng), dist(rng), dist(rng)});
           grid::GhostExchange gx(decomp, kGhostWidth);
-          InterpPlan plan(decomp, pts);
+          InterpPlan plan(decomp);
+          plan.build(pts);
           std::vector<real_t> out(pts.size());
           comm.timings().clear();
           plan.interpolate(gx, field, out);

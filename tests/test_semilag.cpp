@@ -513,9 +513,11 @@ TEST(Transport, RepeatedSolvesAreBitwiseDeterministic) {
 
 TEST(Transport, WarmSolvesAreAllocationFree) {
   // After one velocity's cycle, a second velocity (new bits, so both plans
-  // and their predictors are rebuilt), its state and adjoint solves, and a
-  // Gauss-Newton matvec's two solves must not touch the heap (single rank:
-  // the mailbox transport itself is out of the picture).
+  // and their predictors are rebuilt), its state and adjoint solves, a
+  // Gauss-Newton matvec's two solves, a full-Newton gradient's adjoint solve
+  // (keeping the lam history) and a full-Newton matvec's two solves must not
+  // touch the heap (single rank: the mailbox transport itself is out of the
+  // picture).
   mpisim::run_spmd(1, [&](mpisim::Communicator& comm) {
     PencilDecomp decomp(comm, {32, 32, 32});
     spectral::SpectralOps ops(decomp);
@@ -536,8 +538,18 @@ TEST(Transport, WarmSolvesAreAllocationFree) {
       transport.solve_incremental_state(w, rho_tilde1);
       transport.solve_incremental_adjoint_gn(rho_tilde1, bt);
     };
+    const auto full_gradient = [&] {
+      transport.solve_adjoint(transport.final_state(), b,
+                              /*store_lambda=*/true);
+    };
+    const auto full_matvec = [&] {
+      transport.solve_incremental_state(w, rho_tilde1, /*store_hist=*/true);
+      transport.solve_incremental_adjoint_full(rho_tilde1, w, bt);
+    };
     cycle(v);  // warm-up: grows every buffer once
     matvec();
+    full_gradient();
+    full_matvec();
 
     g_alloc_count.store(0);
     g_count_allocs.store(true);
@@ -545,12 +557,19 @@ TEST(Transport, WarmSolvesAreAllocationFree) {
     const long long cycle_allocs = g_alloc_count.exchange(0);
     matvec();
     const long long matvec_allocs = g_alloc_count.exchange(0);
+    full_gradient();
+    const long long full_gradient_allocs = g_alloc_count.exchange(0);
+    full_matvec();
+    const long long full_matvec_allocs = g_alloc_count.exchange(0);
     g_count_allocs.store(false);
 
     EXPECT_EQ(transport.plan_build_count(), 2);
     EXPECT_EQ(cycle_allocs, 0)
         << "new velocity + state + adjoint solves allocated";
     EXPECT_EQ(matvec_allocs, 0) << "Gauss-Newton matvec solves allocated";
+    EXPECT_EQ(full_gradient_allocs, 0)
+        << "full-Newton adjoint solve (lam history) allocated";
+    EXPECT_EQ(full_matvec_allocs, 0) << "full-Newton matvec solves allocated";
   });
 }
 
