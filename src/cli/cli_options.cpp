@@ -11,6 +11,7 @@
 #include "grid/field_io.hpp"
 #include "imaging/io.hpp"
 #include "imaging/synthetic.hpp"
+#include "mpisim/communicator.hpp"
 
 namespace diffreg::cli {
 
@@ -52,7 +53,8 @@ void print_usage() {
       "                       and PCG-breakdown recovery\n"
       "  --comm-timeout-ms T  comm watchdog: blocking receives/barriers\n"
       "                       raise CommTimeoutError with a per-rank\n"
-      "                       diagnosis after T ms (default 0 = off)\n"
+      "                       diagnosis after T ms (default 0 = off,\n"
+      "                       at most 8.64e7 = one day)\n"
       "  --fault-spec S       fault injection for robustness testing, e.g.\n"
       "                       \"seed=7,drop=0.01,delay_ms=5\" (see\n"
       "                       docs/FAULT_MODEL.md for the full grammar)\n"
@@ -100,31 +102,36 @@ void print_usage() {
 namespace {
 
 constexpr double kNoMin = -std::numeric_limits<double>::infinity();
+constexpr double kNoMax = std::numeric_limits<double>::infinity();
 
 /// Reads the value `text` of numeric flag `flag` into `out`. The whole token
 /// must parse (std::from_chars: no junk suffix, no truncation, integers
 /// stay integers), a floating value must be finite, and the value must be
-/// >= `min` (> `min` when `strict`). On failure `out` is untouched and
-/// `error` names the flag.
+/// >= `min` (> `min` when `strict`) and <= `max`. On failure `out` is
+/// untouched and `error` names the flag.
 template <typename T>
 bool parse_number(const std::string& flag, const std::string& text, T& out,
                   std::string& error, double min = kNoMin,
-                  bool strict = false) {
+                  bool strict = false, double max = kNoMax) {
   T value{};
   const char* last = text.data() + text.size();
   const auto [ptr, ec] = std::from_chars(text.data(), last, value);
   bool ok = ec == std::errc() && ptr == last;
   if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
   const auto v = static_cast<double>(value);
-  if (ok && v >= min && !(strict && v == min)) {
+  if (ok && v >= min && !(strict && v == min) && v <= max) {
     out = value;
     return true;
   }
   std::string want =
       std::is_floating_point_v<T> ? "a finite number" : "an integer";
+  char bound[32];
   if (min != kNoMin) {
-    char bound[32];
     std::snprintf(bound, sizeof bound, " %s %g", strict ? ">" : ">=", min);
+    want += bound;
+  }
+  if (max != kNoMax) {
+    std::snprintf(bound, sizeof bound, " and <= %g", max);
     want += bound;
   }
   error = "bad " + flag + " " + text + " (want " + want + ")";
@@ -180,11 +187,13 @@ bool parse_tokens(const std::vector<std::string>& args, bool job_line,
       error = "missing value for " + flag;
       return false;
     };
-    // The flag's value as a number of out's type, >= min (> min if strict).
-    auto number = [&](auto& out, double min = kNoMin, bool strict = false) {
+    // The flag's value as a number of out's type, >= min (> min if strict)
+    // and <= max.
+    auto number = [&](auto& out, double min = kNoMin, bool strict = false,
+                      double max = kNoMax) {
       const auto* v = next();
       if (!v) return missing();
-      return parse_number(flag, *v, out, error, min, strict);
+      return parse_number(flag, *v, out, error, min, strict, max);
     };
     if (job_line && global_only_flag(flag)) {
       error = "flag " + flag + " is global-only and not allowed in a job line";
@@ -267,7 +276,9 @@ bool parse_tokens(const std::vector<std::string>& args, bool job_line,
         return false;
       }
     } else if (flag == "--comm-timeout-ms") {
-      if (!number(opt.comm_timeout_ms, 0)) return false;
+      if (!number(opt.comm_timeout_ms, 0, /*strict=*/false,
+                  mpisim::kMaxCommTimeoutMs))
+        return false;
     } else if (flag == "--fault-spec") {
       const auto* v = next();
       if (!v) return missing();

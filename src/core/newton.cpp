@@ -94,13 +94,16 @@ NewtonReport newton_solve(OptimalitySystem& system, VectorField& v,
     entry.forcing = eta;
     rhs = g;
     grid::scale(real_t(-1), rhs);
-    const auto apply_a = [&](const VectorField& x, VectorField& y) {
-      system.hessian_matvec(x, y);
+    // PCG applies the data term per sweep and carries beta A p from the
+    // preconditioner's report (pcg.hpp).
+    const auto apply_d = [&](const VectorField& x, VectorField& y) {
+      system.data_matvec(x, y);
     };
-    const auto apply_m = [&](const VectorField& x, VectorField& y) {
-      system.apply_preconditioner(x, y);
+    const auto apply_m = [&](const VectorField& x, VectorField& z,
+                             VectorField& az) {
+      system.apply_preconditioner(x, z, &az);
     };
-    const PcgResult pcg = pcg_solve(decomp, apply_a, apply_m, rhs, step, eta,
+    const PcgResult pcg = pcg_solve(decomp, apply_d, apply_m, rhs, step, eta,
                                     options.max_krylov_iters, pcg_ws);
     if (options.guard) grid::validate_finite(decomp, step, "newton step");
     entry.krylov_iterations = pcg.iterations;

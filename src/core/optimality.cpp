@@ -21,12 +21,10 @@ void OptimalitySystem::gradient(VectorField& g) {
   // Adjoint terminal condition lam(1) = rho_r - rho(1) = -lambda1_.
   if (lam_scratch_.size() != static_cast<size_t>(n)) lam_scratch_.resize(n);
   for (index_t i = 0; i < n; ++i) lam_scratch_[i] = -lambda1_[i];
-  transport_->solve_adjoint(lam_scratch_, b_, /*store_lambda=*/!gauss_newton_);
+  transport_->solve_adjoint(lam_scratch_, g, /*store_lambda=*/!gauss_newton_);
 
-  if (incompressible_) ops_->leray_project(b_);
-  reg_->apply(transport_->velocity(), reg_term_);
-  g = b_;
-  grid::axpy(real_t(1), reg_term_, g);
+  if (incompressible_) ops_->leray_project(g);
+  reg_->add_gradient(g);
 
   // gradient() runs once per accepted Newton iterate — the natural place to
   // re-linearize the coarse Hessian the preconditioner applies.
@@ -35,6 +33,13 @@ void OptimalitySystem::gradient(VectorField& g) {
 
 void OptimalitySystem::hessian_matvec(const VectorField& vtilde,
                                       VectorField& out) {
+  data_matvec(vtilde, out);
+  reg_->apply(vtilde, reg_term_);
+  grid::axpy(real_t(1), reg_term_, out);
+}
+
+void OptimalitySystem::data_matvec(const VectorField& vtilde,
+                                   VectorField& out) {
   ++matvecs_;
   const index_t n = decomp().local_real_size();
   transport_->solve_incremental_state(vtilde, rho_tilde1_,
@@ -43,20 +48,43 @@ void OptimalitySystem::hessian_matvec(const VectorField& vtilde,
   for (index_t i = 0; i < n; ++i) lam_scratch_[i] = -rho_tilde1_[i];
 
   if (gauss_newton_)
-    transport_->solve_incremental_adjoint_gn(lam_scratch_, b_tilde_);
+    transport_->solve_incremental_adjoint_gn(lam_scratch_, out);
   else
-    transport_->solve_incremental_adjoint_full(lam_scratch_, vtilde, b_tilde_);
+    transport_->solve_incremental_adjoint_full(lam_scratch_, vtilde, out);
 
-  if (incompressible_) ops_->leray_project(b_tilde_);
-  reg_->apply(vtilde, out);
-  grid::axpy(real_t(1), b_tilde_, out);
+  if (incompressible_) ops_->leray_project(out);
 }
 
 void OptimalitySystem::apply_preconditioner(const VectorField& r,
-                                            VectorField& out) {
-  reg_->invert(r, out);
-  if (two_level_ != nullptr) two_level_->correct(r, out);
-  if (incompressible_) ops_->leray_project(out);
+                                            VectorField& out,
+                                            VectorField* a_out) {
+  reg_->invert(r, out, /*project=*/incompressible_);
+  // The smoother inverts beta A on every mode but the mean, which A
+  // annihilates, so beta A out = r - mean(r) needs no transform.
+  if (a_out != nullptr) subtract_mean(r, *a_out);
+  if (two_level_ == nullptr || !two_level_->correct(r, corr_)) return;
+  if (incompressible_) ops_->leray_project(corr_);
+  grid::axpy(real_t(1), corr_, out);
+  if (a_out != nullptr) {
+    reg_->apply(corr_, reg_term_);
+    grid::axpy(real_t(1), reg_term_, *a_out);
+  }
+}
+
+void OptimalitySystem::subtract_mean(const VectorField& r,
+                                     VectorField& out) {
+  mean_.assign(3, real_t(0));
+  for (int d = 0; d < 3; ++d)
+    for (real_t x : r[d]) mean_[d] += x;
+  decomp().comm().set_time_kind(TimeKind::kOther);
+  decomp().comm().allreduce_sum(mean_);
+  const Int3 dims = decomp().dims();
+  const real_t points = static_cast<real_t>(dims[0]) * dims[1] * dims[2];
+  if (out.local_size() != r.local_size()) out = VectorField(r.local_size());
+  for (int d = 0; d < 3; ++d) {
+    const real_t m = mean_[d] / points;
+    for (size_t i = 0; i < r[d].size(); ++i) out[d][i] = r[d][i] - m;
+  }
 }
 
 void OptimalitySystem::final_residual(ScalarField& out) const {

@@ -4,8 +4,8 @@
 
 namespace diffreg::core {
 
-PcgResult pcg_solve(grid::PencilDecomp& decomp, const ApplyFn& apply_a,
-                    const ApplyFn& apply_m, const VectorField& b,
+PcgResult pcg_solve(grid::PencilDecomp& decomp, const ApplyFn& apply_d,
+                    const PrecondFn& apply_m, const VectorField& b,
                     VectorField& x, real_t rtol, int max_iters,
                     PcgWorkspace& ws) {
   PcgResult result;
@@ -16,12 +16,14 @@ PcgResult pcg_solve(grid::PencilDecomp& decomp, const ApplyFn& apply_a,
   VectorField& r = ws.r;
   VectorField& z = ws.z;
   VectorField& p = ws.p;
-  VectorField& ap = ws.ap;
-  r = b;  // r = b - A*0 (assignment reuses the workspace's capacity)
+  VectorField& hp = ws.hp;
+  VectorField& w = ws.w;  // B p, carried by the direction recurrence
+  r = b;  // r = b - H*0 (assignment reuses the workspace's capacity)
   grid::resize_zero(z, n);
   grid::resize_zero(p, n);
-  grid::resize_zero(ap, n);
-  apply_m(r, z);
+  grid::resize_zero(hp, n);
+  grid::resize_zero(w, n);
+  apply_m(r, z, w);  // p = z, so w = B z = B p
   grid::copy(z, p);
 
   real_t rz = grid::dot(decomp, r, z);
@@ -40,8 +42,9 @@ PcgResult pcg_solve(grid::PencilDecomp& decomp, const ApplyFn& apply_a,
   }
 
   for (int it = 0; it < max_iters; ++it) {
-    apply_a(p, ap);
-    const real_t pap = grid::dot(decomp, p, ap);
+    apply_d(p, hp);
+    grid::axpy(real_t(1), w, hp);  // H p = D p + B p
+    const real_t pap = grid::dot(decomp, p, hp);
     if (!std::isfinite(pap)) {
       // NaN/Inf curvature would otherwise slip past the pap <= 0 test
       // (NaN compares false) and poison every later iterate.
@@ -56,8 +59,8 @@ PcgResult pcg_solve(grid::PencilDecomp& decomp, const ApplyFn& apply_a,
     }
     const real_t alpha = rz / pap;
     grid::axpy(alpha, p, x);
-    grid::axpy(-alpha, ap, r);
-    apply_m(r, z);
+    grid::axpy(-alpha, hp, r);
+    apply_m(r, z, hp);  // H p is spent: hp holds B z until the next sweep
     const real_t rz_next = grid::dot(decomp, r, z);
     if (!std::isfinite(rz_next)) {
       result.breakdown = true;
@@ -72,7 +75,10 @@ PcgResult pcg_solve(grid::PencilDecomp& decomp, const ApplyFn& apply_a,
     const real_t beta = rz_next / rz;
     rz = rz_next;
     for (int d = 0; d < 3; ++d)
-      for (index_t i = 0; i < n; ++i) p[d][i] = z[d][i] + beta * p[d][i];
+      for (index_t i = 0; i < n; ++i) {
+        p[d][i] = z[d][i] + beta * p[d][i];
+        w[d][i] = hp[d][i] + beta * w[d][i];
+      }
   }
   if ((result.negative_curvature || result.breakdown) &&
       result.iterations == 0)

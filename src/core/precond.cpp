@@ -44,7 +44,6 @@ TwoLevelPreconditioner::TwoLevelPreconditioner(
   r_c_ = VectorField(nc);
   z_c_ = VectorField(nc);
   smooth_c_ = VectorField(nc);
-  corr_ = VectorField(static_cast<index_t>(rho_t_s.size()));
 }
 
 void TwoLevelPreconditioner::sync(const VectorField& v_fine) {
@@ -53,8 +52,9 @@ void TwoLevelPreconditioner::sync(const VectorField& v_fine) {
   synced_ = true;
 }
 
-void TwoLevelPreconditioner::correct(const VectorField& r, VectorField& out) {
-  if (!synced_) return;
+bool TwoLevelPreconditioner::correct(const VectorField& r,
+                                     VectorField& corr) {
+  if (!synced_) return false;
   restrict_plan_->apply(r, r_c_);
 
   // Approximate coarse Hessian inverse: a fixed number of CG sweeps (rtol 0
@@ -65,13 +65,14 @@ void TwoLevelPreconditioner::correct(const VectorField& r, VectorField& out) {
   // here). The outer solve is safeguarded for exactly this: its
   // negative-curvature exit returns the best iterate, and the Newton driver
   // falls back to preconditioned steepest descent on ascent directions.
-  const auto apply_a = [&](const VectorField& x, VectorField& y) {
-    system_->hessian_matvec(x, y);
+  const auto apply_d = [&](const VectorField& x, VectorField& y) {
+    system_->data_matvec(x, y);
   };
-  const auto apply_m = [&](const VectorField& x, VectorField& y) {
-    system_->apply_preconditioner(x, y);
+  const auto apply_m = [&](const VectorField& x, VectorField& z,
+                           VectorField& az) {
+    system_->apply_preconditioner(x, z, &az);
   };
-  pcg_solve(ops_->decomp(), apply_a, apply_m, r_c_, z_c_, /*rtol=*/0,
+  pcg_solve(ops_->decomp(), apply_d, apply_m, r_c_, z_c_, /*rtol=*/0,
             inner_iters_, ws_);
 
   // Subtract the smoother's low band: the caller applied (beta A)^{-1} on
@@ -81,8 +82,8 @@ void TwoLevelPreconditioner::correct(const VectorField& r, VectorField& out) {
   reg_.invert(r_c_, smooth_c_);
   grid::axpy(real_t(-1), smooth_c_, z_c_);
 
-  prolong_plan_->apply(z_c_, corr_);
-  grid::axpy(real_t(1), corr_, out);
+  prolong_plan_->apply(z_c_, corr);
+  return true;
 }
 
 }  // namespace diffreg::core

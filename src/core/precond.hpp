@@ -26,7 +26,11 @@
 // One application costs two grid transfers (5 alltoallv each, all three
 // components batched) plus `inner_iters` coarse-grid Hessian matvecs — the
 // coarse grid has ~1/8 the points, so the whole correction is a fraction of
-// one fine matvec. Its plans are LEASED from the solver's PlanRegistry, not
+// one fine matvec. The inner CG carries beta A_c p like the outer one
+// (pcg.hpp), so each inner sweep costs one coarse FFT pair. The outer PCG
+// needs beta A applied to the preconditioner's output: the smoother's part
+// is r - mean(r), the correction's costs one fine FFT pair (applied by the
+// optimality system). Its plans are LEASED from the solver's PlanRegistry, not
 // owned: the coarse decomposition, operators and both transfer plans are
 // shared entries (built once per batch of two-level jobs, or by the grid
 // pyramid's next-coarser level), and the coarse transport is checked out of
@@ -64,9 +68,10 @@ class TwoLevelPreconditioner {
   /// system once per accepted Newton iterate (from gradient()). Collective.
   void sync(const VectorField& v_fine);
 
-  /// Adds the coarse-grid correction to `out` (which already holds the fine
-  /// spectral smoother applied to `r`). No-op until the first sync().
-  void correct(const VectorField& r, VectorField& out);
+  /// Writes the coarse-grid correction of `r` (a fine-grid field) to `corr`,
+  /// to be added to the fine spectral smoother applied to `r`. Returns
+  /// false, writing nothing, until the first sync().
+  bool correct(const VectorField& r, VectorField& corr);
 
   /// Coarse Hessian matvecs performed so far (the inner CG work).
   int coarse_matvecs() const { return system_->matvec_count(); }
@@ -81,8 +86,8 @@ class TwoLevelPreconditioner {
   int inner_iters_;
   bool synced_ = false;
 
-  // Persistent scratch (coarse blocks + one fine block).
-  VectorField v_c_, r_c_, z_c_, smooth_c_, corr_;
+  // Persistent scratch (coarse blocks).
+  VectorField v_c_, r_c_, z_c_, smooth_c_;
   PcgWorkspace ws_;
 };
 

@@ -1,8 +1,11 @@
 #include "mpisim/communicator.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <condition_variable>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <exception>
 #include <optional>
 #include <string>
@@ -436,6 +439,34 @@ void CommRequest::complete(const char* operation, bool credit_hidden) {
         kind_, std::max(0.0, std::min(last_arrival, wait_entry) - post_time_));
 }
 
+void check_comm_timeout_ms(double timeout_ms) {
+  // Written so that NaN fails too.
+  if (timeout_ms >= 0 && timeout_ms <= kMaxCommTimeoutMs) return;
+  char text[96];
+  std::snprintf(text, sizeof text,
+                "comm timeout %g ms is outside [0, %g] ms", timeout_ms,
+                kMaxCommTimeoutMs);
+  throw CommConfigError(text);
+}
+
+namespace {
+
+/// The DIFFREG_COMM_TIMEOUT_MS value: the whole string must be one number
+/// in [0, kMaxCommTimeoutMs]. Junk must not read as 0, which would turn the
+/// watchdog off.
+double parse_comm_timeout_env(const char* text) {
+  double value = 0;
+  const char* last = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, last, value);
+  if (ec != std::errc() || ptr != last)
+    throw CommConfigError(std::string("DIFFREG_COMM_TIMEOUT_MS: '") + text +
+                          "' is not a number");
+  check_comm_timeout_ms(value);
+  return value;
+}
+
+}  // namespace
+
 std::vector<Timings> run_spmd(
     int p, const std::function<void(Communicator&)>& body) {
   // Environment hooks let the chaos CI job rerun any existing suite under
@@ -450,7 +481,7 @@ std::vector<Timings> run_spmd(
     options.fault_spec = spec;
   // NOLINTNEXTLINE(concurrency-mt-unsafe)
   if (const char* timeout = std::getenv("DIFFREG_COMM_TIMEOUT_MS"))
-    options.comm_timeout_ms = std::atof(timeout);
+    options.comm_timeout_ms = parse_comm_timeout_env(timeout);
   // NOLINTNEXTLINE(concurrency-mt-unsafe)
   if (const char* verify = std::getenv("DIFFREG_VERIFY_SCHEDULE"))
     options.verify_schedule = std::atoi(verify) != 0;
@@ -460,7 +491,9 @@ std::vector<Timings> run_spmd(
 std::vector<Timings> run_spmd(int p,
                               const std::function<void(Communicator&)>& body,
                               const SpmdOptions& options) {
-  // Parse up front so a malformed spec fails the launch, not rank threads.
+  // Check up front so a malformed spec or timeout fails the launch, not
+  // rank threads.
+  check_comm_timeout_ms(options.comm_timeout_ms);
   std::optional<FaultSpec> spec;
   if (!options.fault_spec.empty())
     spec = FaultSpec::parse(options.fault_spec);

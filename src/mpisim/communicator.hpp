@@ -200,6 +200,15 @@ class CommRequest {
   TimeKind kind_ = TimeKind::kOther;  ///< Category captured at post time.
 };
 
+/// Largest watchdog deadline (one day). Every way of setting one (the CLI,
+/// the DIFFREG_COMM_TIMEOUT_MS hook, SpmdOptions, set_comm_timeout_ms) is
+/// held to [0, kMaxCommTimeoutMs]: the deadline is converted to a clock
+/// duration, which overflows from about 9.2e12 ms.
+inline constexpr double kMaxCommTimeoutMs = 8.64e7;
+
+/// Throws CommConfigError unless 0 <= timeout_ms <= kMaxCommTimeoutMs.
+void check_comm_timeout_ms(double timeout_ms);
+
 /// Handle through which one rank communicates. Cheap to copy (copies share
 /// the transport); a Communicator with an outstanding CommRequest must not
 /// be copied.
@@ -231,8 +240,12 @@ class Communicator {
   /// wait, and barrier: instead of hanging, the blocked call throws a
   /// CommTimeoutError carrying a per-rank diagnosis (errors.hpp). 0 (the
   /// default) keeps the historical block-forever behavior. Inherited by
-  /// split() sub-communicators.
-  void set_comm_timeout_ms(double timeout_ms) { timeout_ms_ = timeout_ms; }
+  /// split() sub-communicators. Throws CommConfigError outside
+  /// [0, kMaxCommTimeoutMs].
+  void set_comm_timeout_ms(double timeout_ms) {
+    check_comm_timeout_ms(timeout_ms);
+    timeout_ms_ = timeout_ms;
+  }
   double comm_timeout_ms() const { return timeout_ms_; }
 
   /// Wire checksums: every sent payload gains an FNV-1a 64-bit trailer that
@@ -495,7 +508,8 @@ struct SpmdOptions {
   /// Fault-injection spec (FaultSpec grammar; its checksum=1 is the one
   /// switch for wire checksums); empty = no faults, no checksums.
   std::string fault_spec;
-  /// Watchdog deadline applied to every rank's communicator; 0 = off.
+  /// Watchdog deadline applied to every rank's communicator; 0 = off. In
+  /// [0, kMaxCommTimeoutMs], else run_spmd throws CommConfigError.
   double comm_timeout_ms = 0;
   /// Collective-schedule verification on every rank
   /// (Communicator::set_verify_schedule; also enabled by the

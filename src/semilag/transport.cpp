@@ -40,7 +40,8 @@ Transport::Transport(spectral::SpectralOps& ops, const TransportConfig& config)
 }
 
 void Transport::drop_histories() {
-  for (auto& g : grad_rho_hist_) g.valid = false;
+  // grad rho(t_0) depends on rho_0 alone, which solve_state checks.
+  for (int j = 1; j <= config_.nt; ++j) grad_rho_hist_[j].valid = false;
   for (auto& g : grad_rho_tilde_hist_) g.valid = false;
   lambda_stored_ = false;
   rho_tilde_stored_ = false;
@@ -123,8 +124,13 @@ void Transport::set_velocity(const VectorField& v) {
 void Transport::solve_state(const ScalarField& rho0) {
   if (!plans_built_)
     throw std::logic_error("Transport: set_velocity before solve_state");
-  rho_hist_[0] = rho0;
-  for (auto& g : grad_rho_hist_) g.valid = false;
+  // A new velocity keeps grad rho(t_0) = grad rho_0 while rho_0 keeps its
+  // bits: every Newton iterate's gradient starts from the same template.
+  if (!same_bits(rho_hist_[0], rho0)) {
+    rho_hist_[0] = rho0;
+    grad_rho_hist_[0].valid = false;
+  }
+  for (int j = 1; j <= config_.nt; ++j) grad_rho_hist_[j].valid = false;
   for (int j = 0; j < config_.nt; ++j)
     plan_fwd_.interpolate(gx_, rho_hist_[j], rho_hist_[j + 1],
                           config_.method);

@@ -37,7 +37,10 @@
 // spectral gradients grad rho(t_j), which the gradient/Hessian integrands
 // reuse across all PCG iterations of a Newton step. A new velocity or state
 // marks the gradients stale but keeps their buffers; a new velocity does the
-// same to the full-Newton lam and rho_tilde histories.
+// same to the full-Newton lam and rho_tilde histories. grad rho(t_0) is
+// stale only when rho_0 changes bits (or the pool re-issues the transport):
+// it survives a new velocity, so Newton iterates after the first skip its
+// transform.
 #pragma once
 
 #include <span>
@@ -86,6 +89,7 @@ class Transport {
   void invalidate_plans() {
     plans_built_ = false;
     drop_histories();
+    grad_rho_hist_[0].valid = false;
   }
 
   /// Forward solve of (2b); stores rho(t_j) for j = 0..nt.

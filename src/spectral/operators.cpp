@@ -125,7 +125,7 @@ void SpectralOps::neg_laplacian_pow(const VectorField& v, int gamma,
 
 void SpectralOps::inv_neg_laplacian_pow(const VectorField& v, int gamma,
                                         VectorField& w, real_t scale,
-                                        real_t mean_scale) {
+                                        real_t mean_scale, bool project) {
   assert(gamma == 1 || gamma == 2);
   forward_vector(v);
   const Int3 sd = decomp_->local_spectral_dims();
@@ -133,6 +133,7 @@ void SpectralOps::inv_neg_laplacian_pow(const VectorField& v, int gamma,
   for (index_t a = 0; a < sd[0]; ++a)
     for (index_t b = 0; b < sd[1]; ++b)
       for (index_t c = 0; c < sd[2]; ++c, ++idx) {
+        if (project) project_mode(a, b, c, idx);
         const Vec3 k = wavenumber(a, b, c, false);
         const real_t k2 = k.dot(k);
         const real_t factor =
@@ -143,25 +144,26 @@ void SpectralOps::inv_neg_laplacian_pow(const VectorField& v, int gamma,
   inverse_vector(w);
 }
 
-void SpectralOps::leray_project(VectorField& v) {
+void SpectralOps::project_mode(index_t a, index_t b, index_t c, index_t idx) {
   // v_hat <- v_hat - k (k . v_hat) / |k|^2 with the odd-derivative k vector,
-  // so the projected field is discretely divergence free. Both transforms
-  // are batched over the three components.
+  // so the projected field is discretely divergence free.
+  const Vec3 k = wavenumber(a, b, c, true);
+  const real_t k2 = k.dot(k);
+  if (k2 == 0) return;
+  const complex_t kv = k[0] * spec_v_[0][idx] + k[1] * spec_v_[1][idx] +
+                       k[2] * spec_v_[2][idx];
+  const complex_t s = kv / k2;
+  for (int d = 0; d < 3; ++d) spec_v_[d][idx] -= k[d] * s;
+}
+
+void SpectralOps::leray_project(VectorField& v) {
+  // Both transforms are batched over the three components.
   forward_vector(v);
   const Int3 sd = decomp_->local_spectral_dims();
   index_t idx = 0;
   for (index_t a = 0; a < sd[0]; ++a)
     for (index_t b = 0; b < sd[1]; ++b)
-      for (index_t c = 0; c < sd[2]; ++c, ++idx) {
-        const Vec3 k = wavenumber(a, b, c, true);
-        const real_t k2 = k.dot(k);
-        if (k2 == 0) continue;
-        const complex_t kv =
-            k[0] * spec_v_[0][idx] + k[1] * spec_v_[1][idx] +
-            k[2] * spec_v_[2][idx];
-        const complex_t s = kv / k2;
-        for (int d = 0; d < 3; ++d) spec_v_[d][idx] -= k[d] * s;
-      }
+      for (index_t c = 0; c < sd[2]; ++c, ++idx) project_mode(a, b, c, idx);
   inverse_vector(v);
 }
 

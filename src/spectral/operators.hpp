@@ -55,9 +55,13 @@ class SpectralOps {
 
   /// w = scale * ((-lap)^gamma)^{-1} v on nonzero modes; the k=0 (mean) mode
   /// is multiplied by `mean_scale` instead. With positive factors the
-  /// operator is SPD, so it can serve as a preconditioner.
+  /// operator is SPD, so it can serve as a preconditioner. With `project`
+  /// the result is also Leray projected in the same spectral pass (both
+  /// operators are diagonal per mode, so they commute): one vector FFT pair
+  /// instead of two.
   void inv_neg_laplacian_pow(const VectorField& v, int gamma, VectorField& w,
-                             real_t scale = 1, real_t mean_scale = 1);
+                             real_t scale = 1, real_t mean_scale = 1,
+                             bool project = false);
 
   /// In-place Leray projection w = (I - grad inv_lap div) v; afterwards the
   /// discrete divergence of v vanishes (paper eq. (4)).
@@ -79,6 +83,9 @@ class SpectralOps {
   /// Applies `factor(mode) * spec[mode]` for every local spectral mode.
   template <typename F>
   void scale_spectrum(std::span<complex_t> spec, F&& factor) const;
+
+  /// Leray-projects mode (a, b, c) of spec_v_, at flat index `idx`.
+  void project_mode(index_t a, index_t b, index_t c, index_t idx);
 
   /// Batched forward of the three components of `v` into spec_v_ (one pass,
   /// 2 alltoallv exchanges total).

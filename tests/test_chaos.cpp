@@ -386,6 +386,56 @@ TEST(Chaos, EnvironmentHooksConfigureTheDefaultRunSpmd) {
   ::unsetenv("DIFFREG_COMM_TIMEOUT_MS");
 }
 
+// DIFFREG_COMM_TIMEOUT_MS is parsed strictly and held to the watchdog cap:
+// a rejected value throws CommConfigError from run_spmd before any rank
+// starts (atof used to read junk as 0, the watchdog off, and inf or 1e300
+// overflowed the deadline's clock conversion).
+int ranks_started_with_timeout_env(const char* value) {
+  struct Unset {
+    ~Unset() { ::unsetenv("DIFFREG_COMM_TIMEOUT_MS"); }
+  } unset;
+  ::setenv("DIFFREG_COMM_TIMEOUT_MS", value, 1);
+  std::atomic<int> started{0};
+  run_spmd(2, [&](Communicator&) { started.fetch_add(1); });
+  return started.load();
+}
+
+TEST(Chaos, CommTimeoutEnvironmentJunkIsRejected) {
+  for (const char* junk : {"junk", "150ms", ""})
+    EXPECT_THROW(ranks_started_with_timeout_env(junk), CommConfigError)
+        << junk;
+}
+
+TEST(Chaos, CommTimeoutEnvironmentInfinityIsRejected) {
+  for (const char* value : {"inf", "nan"})
+    EXPECT_THROW(ranks_started_with_timeout_env(value), CommConfigError)
+        << value;
+}
+
+TEST(Chaos, CommTimeoutEnvironmentAboveTheCapIsRejected) {
+  EXPECT_THROW(ranks_started_with_timeout_env("1e300"), CommConfigError);
+  EXPECT_THROW(ranks_started_with_timeout_env("-1"), CommConfigError);
+  EXPECT_EQ(ranks_started_with_timeout_env("8.64e7"), 2);
+}
+
+TEST(Chaos, CommTimeoutOptionAboveTheCapIsRejected) {
+  // The same cap holds for SpmdOptions (checked before any rank starts) and
+  // for Communicator::set_comm_timeout_ms.
+  SpmdOptions opts;
+  opts.comm_timeout_ms = 1e300;
+  std::atomic<int> started{0};
+  EXPECT_THROW(run_spmd(2, [&](Communicator&) { started.fetch_add(1); },
+                        opts),
+               CommConfigError);
+  EXPECT_EQ(started.load(), 0);
+  Timings timings;
+  Communicator comm = single_rank(timings);
+  EXPECT_THROW(comm.set_comm_timeout_ms(kMaxCommTimeoutMs * 2),
+               CommConfigError);
+  comm.set_comm_timeout_ms(kMaxCommTimeoutMs);
+  EXPECT_EQ(comm.comm_timeout_ms(), kMaxCommTimeoutMs);
+}
+
 TEST(Chaos, VerifyScheduleEnvironmentHookArmsTheVerifier) {
   // DIFFREG_VERIFY_SCHEDULE reruns unmodified suites under schedule
   // verification, exactly like the fault/watchdog hooks.

@@ -191,6 +191,40 @@ TEST(CliParse, MalformedNumbersAreRejectedNamingTheFlag) {
   EXPECT_EQ(opt->reg.max_newton_iters, 0);
 }
 
+// --comm-timeout-ms: a watchdog deadline is converted to a clock duration,
+// so it is held to [0, mpisim::kMaxCommTimeoutMs] (one day). 1e300 used to
+// overflow the conversion into an instant spurious CommTimeoutError.
+TEST(CliParse, CommTimeoutAboveTheCapIsRejected) {
+  std::string error;
+  EXPECT_FALSE(parse_argv({"--comm-timeout-ms", "1e300"}, error).has_value());
+  EXPECT_NE(error.find("--comm-timeout-ms"), std::string::npos) << error;
+  EXPECT_FALSE(
+      parse_argv({"--comm-timeout-ms", "8.6400001e7"}, error).has_value());
+  auto opt = parse_argv({"--comm-timeout-ms", "8.64e7"}, error);
+  ASSERT_TRUE(opt.has_value()) << error;
+  EXPECT_EQ(opt->comm_timeout_ms, mpisim::kMaxCommTimeoutMs);
+}
+
+TEST(CliParse, CommTimeoutJunkIsRejected) {
+  std::string error;
+  for (const char* junk : {"junk", "5ms", ""}) {
+    error.clear();
+    EXPECT_FALSE(parse_argv({"--comm-timeout-ms", junk}, error).has_value())
+        << junk;
+    EXPECT_NE(error.find("--comm-timeout-ms"), std::string::npos) << error;
+  }
+}
+
+TEST(CliParse, CommTimeoutInfinityIsRejected) {
+  std::string error;
+  for (const char* value : {"inf", "-inf", "nan"}) {
+    error.clear();
+    EXPECT_FALSE(parse_argv({"--comm-timeout-ms", value}, error).has_value())
+        << value;
+    EXPECT_NE(error.find("--comm-timeout-ms"), std::string::npos) << error;
+  }
+}
+
 TEST(CliWorkload, UnreadableInputFailsEveryRank) {
   // Only the root reads --template/--reference. A missing or short file
   // must fail every rank with the root's error before the scatter, instead

@@ -113,13 +113,16 @@ TEST(Pcg, SolvesSpdSystemAndExactPreconditionerConvergesInOneIteration) {
     VectorField b(x_true.local_size());
     reg.apply(x_true, b);
 
-    // Identity preconditioner: still converges, more iterations.
+    // Identity preconditioner: still converges, more iterations. No split:
+    // all of the operator is D, and the preconditioners report B z = 0.
     VectorField x(x_true.local_size());
     auto apply_a = [&](const VectorField& in, VectorField& out) {
       reg.apply(in, out);
     };
-    auto apply_id = [&](const VectorField& in, VectorField& out) {
+    auto apply_id = [&](const VectorField& in, VectorField& out,
+                        VectorField& az) {
       out = in;
+      az.fill(0);
     };
     PcgWorkspace ws;
     PcgResult plain =
@@ -137,8 +140,10 @@ TEST(Pcg, SolvesSpdSystemAndExactPreconditionerConvergesInOneIteration) {
     for (int d = 0; d < 3; ++d) ASSERT_EQ(again[d], x[d]);
 
     // Exact preconditioner: one iteration.
-    auto apply_m = [&](const VectorField& in, VectorField& out) {
+    auto apply_m = [&](const VectorField& in, VectorField& out,
+                       VectorField& az) {
       reg.invert(in, out);
+      az.fill(0);
     };
     PcgResult precond =
         pcg_solve(decomp, apply_a, apply_m, b, x, 1e-10, 200, ws);
@@ -156,7 +161,11 @@ TEST(Pcg, ZeroRhsReturnsZero) {
     auto apply_a = [&](const VectorField& in, VectorField& out) {
       reg.apply(in, out);
     };
-    auto apply_id = [&](const VectorField& in, VectorField& out) { out = in; };
+    auto apply_id = [&](const VectorField& in, VectorField& out,
+                        VectorField& az) {
+      out = in;
+      az.fill(0);
+    };
     PcgWorkspace ws;
     PcgResult r = pcg_solve(decomp, apply_a, apply_id, b, x, 1e-8, 10, ws);
     EXPECT_TRUE(r.converged);
@@ -321,6 +330,132 @@ TEST(OptimalitySystem, PcgMatvecsReuseOneCachedInterpolationPlan) {
     grid::axpy(real_t(0.5), u, v);
     system.evaluate(v);  // genuinely new iterate
     EXPECT_EQ(transport.plan_build_count(), 2);
+  });
+}
+
+// FFT exchanges this rank has entered so far (a vector FFT pair, one
+// batched forward and one batched inverse, is 4).
+std::uint64_t fft_exchanges(PencilDecomp& decomp) {
+  return decomp.comm().timings().exchanges(TimeKind::kFftComm);
+}
+
+/// The Newton driver's PCG callbacks: the data term per sweep, and the
+/// preconditioner reporting beta A z.
+PcgResult split_pcg(OptimalitySystem& system, const VectorField& rhs,
+                    VectorField& x, real_t rtol, int max_iters,
+                    PcgWorkspace& ws) {
+  const auto apply_d = [&](const VectorField& in, VectorField& out) {
+    system.data_matvec(in, out);
+  };
+  const auto apply_m = [&](const VectorField& in, VectorField& z,
+                           VectorField& az) {
+    system.apply_preconditioner(in, z, &az);
+  };
+  return pcg_solve(system.decomp(), apply_d, apply_m, rhs, x, rtol, max_iters,
+                   ws);
+}
+
+TEST(Pcg, GaussNewtonSweepSpendsOneVectorFftPair) {
+  // PCG carries beta A p, so a compressible Gauss-Newton sweep's only
+  // transforms are the preconditioner's: k sweeps spend 4 (k + 1) FFT
+  // exchanges per rank at p = 4 (the first preconditioner application
+  // included). Applying beta A to p in every matvec, as hessian_matvec
+  // does, spent 4 + 8 k. Incompressible, the matvec adds the Leray
+  // projection of b~ and the preconditioner projects in its one pass:
+  // 4 + 8 k (it was 8 + 16 k).
+  for (bool incompressible : {false, true}) {
+    mpisim::run_spmd(4, [&](mpisim::Communicator& comm) {
+      PencilDecomp decomp(comm, {16, 16, 16});
+      auto parts = make_system(decomp, incompressible, true, 1e-2);
+      auto& system = *parts.system;
+      VectorField v = imaging::synthetic_velocity_divfree(decomp, 0.2);
+      system.evaluate(v);
+      VectorField g(decomp.local_real_size()), step;
+      system.gradient(g);
+      grid::scale(real_t(-1), g);
+      PcgWorkspace ws;
+      constexpr std::uint64_t kSweeps = 3;
+      const std::uint64_t before = fft_exchanges(decomp);
+      const PcgResult result =
+          split_pcg(system, g, step, /*rtol=*/0, kSweeps, ws);
+      EXPECT_EQ(result.iterations, static_cast<int>(kSweeps));
+      EXPECT_EQ(system.matvec_count(), static_cast<int>(kSweeps));
+      EXPECT_EQ(fft_exchanges(decomp) - before,
+                incompressible ? 4 + 8 * kSweeps : 4 * (kSweeps + 1))
+          << "incompressible = " << incompressible;
+    });
+  }
+}
+
+TEST(Pcg, SplitOperatorMatchesTheWholeOperator) {
+  // The same Newton system solved twice: split (D = data term, the
+  // preconditioner reports beta A z) and whole (D = H, a zero report). The
+  // split changes only how beta A p is formed, so both take the same sweeps
+  // to the same step up to rounding (here 7 sweeps, steps 7e-13 apart
+  // relative; CG amplifies rounding about 3x per sweep, so tighter
+  // tolerances drift further).
+  mpisim::run_spmd(2, [&](mpisim::Communicator& comm) {
+    PencilDecomp decomp(comm, {16, 16, 16});
+    auto parts = make_system(decomp, false, true, 1e-2);
+    auto& system = *parts.system;
+    VectorField v = imaging::synthetic_velocity(decomp, 0.2);
+    system.evaluate(v);
+    VectorField rhs(decomp.local_real_size());
+    system.gradient(rhs);
+    grid::scale(real_t(-1), rhs);
+
+    PcgWorkspace ws;
+    VectorField split_step, whole_step;
+    const PcgResult split =
+        split_pcg(system, rhs, split_step, 1e-4, 100, ws);
+    const auto apply_h = [&](const VectorField& in, VectorField& out) {
+      system.hessian_matvec(in, out);
+    };
+    const auto apply_m = [&](const VectorField& in, VectorField& z,
+                             VectorField& az) {
+      system.apply_preconditioner(in, z);
+      az.fill(0);
+    };
+    const PcgResult whole =
+        pcg_solve(decomp, apply_h, apply_m, rhs, whole_step, 1e-4, 100, ws);
+    EXPECT_TRUE(split.converged);
+    EXPECT_GT(split.iterations, 4);
+    EXPECT_EQ(split.iterations, whole.iterations);
+    // Residuals relative to ||r_0||, so this bound is relative too.
+    EXPECT_NEAR(split.rel_residual, whole.rel_residual, 1e-10);
+    VectorField diff = split_step;
+    grid::axpy(real_t(-1), whole_step, diff);
+    EXPECT_LE(grid::norm_inf(decomp, diff),
+              1e-10 * grid::norm_inf(decomp, whole_step));
+  });
+}
+
+TEST(OptimalitySystem, GradientReusesTheEvaluatedRegularization) {
+  // gradient() takes beta A v from the A v evaluate() computed for J_reg:
+  // the result is bitwise the adjoint term plus a fresh beta A v, and its
+  // only transforms are the nt + 1 state gradients (4 exchanges each at
+  // p = 4), not one more vector pair for beta A v.
+  mpisim::run_spmd(4, [&](mpisim::Communicator& comm) {
+    PencilDecomp decomp(comm, {16, 16, 16});
+    auto parts = make_system(decomp, false, true, 1e-2);
+    auto& system = *parts.system;
+    const index_t n = decomp.local_real_size();
+    VectorField v = imaging::synthetic_velocity(decomp, 0.2);
+    system.evaluate(v);
+    VectorField g(n);
+    const std::uint64_t before = fft_exchanges(decomp);
+    system.gradient(g);
+    EXPECT_EQ(fft_exchanges(decomp) - before, 4u * (4 + 1));
+
+    // The same gradient assembled the long way.
+    ScalarField lam;
+    system.final_residual(lam);
+    for (auto& x : lam) x = -x;
+    VectorField expected, reg_term;
+    parts.transport->solve_adjoint(lam, expected);
+    parts.reg->apply(v, reg_term);
+    grid::axpy(real_t(1), reg_term, expected);
+    for (int d = 0; d < 3; ++d) ASSERT_EQ(g[d], expected[d]);
   });
 }
 
@@ -715,8 +850,10 @@ TEST(Pcg, BreakdownFallsBackToAFiniteDirection) {
       out = in;
       out[0][0] = std::numeric_limits<real_t>::quiet_NaN();
     };
-    auto apply_id = [&](const VectorField& in, VectorField& out) {
+    auto apply_id = [&](const VectorField& in, VectorField& out,
+                        VectorField& az) {
       out = in;
+      az.fill(0);
     };
     VectorField x;
     PcgWorkspace ws;

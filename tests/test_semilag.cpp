@@ -436,6 +436,51 @@ TEST(Transport, ExchangeCountsPerSolveAreFixed) {
   }
 }
 
+TEST(Transport, NewVelocityReusesTheTemplateGradient) {
+  // grad rho(t_0) depends on rho_0 alone: a second velocity's adjoint solve
+  // transforms only rho(t_1..t_nt) (4 fewer FFT exchanges per rank at
+  // p = 4), bitwise as a fresh transport would, while a changed rho_0
+  // transforms all nt + 1 slices again.
+  mpisim::run_spmd(4, [&](mpisim::Communicator& comm) {
+    PencilDecomp decomp(comm, {16, 16, 16});
+    spectral::SpectralOps ops(decomp);
+    auto rho0 = imaging::synthetic_template(decomp);
+    auto v = imaging::synthetic_velocity(decomp, 0.5);
+    VectorField v2 = v;
+    grid::scale(real_t(1.001), v2);
+    TransportConfig tc;
+    tc.nt = 4;
+    Transport transport(ops, tc);
+    // FFT exchanges of one state + adjoint solve (set_velocity's div v is
+    // not counted).
+    const auto adjoint_exchanges = [&](const VectorField& vel,
+                                       const ScalarField& rho, VectorField& b) {
+      transport.set_velocity(vel);
+      const auto before = comm.timings().exchanges(TimeKind::kFftComm);
+      transport.solve_state(rho);
+      transport.solve_adjoint(transport.final_state(), b);
+      return comm.timings().exchanges(TimeKind::kFftComm) - before;
+    };
+    VectorField b;
+    EXPECT_EQ(adjoint_exchanges(v, rho0, b), 4u * 5);
+    EXPECT_EQ(adjoint_exchanges(v2, rho0, b), 4u * 4);
+
+    Transport fresh(ops, tc);
+    fresh.set_velocity(v2);
+    fresh.solve_state(rho0);
+    VectorField b_fresh;
+    fresh.solve_adjoint(fresh.final_state(), b_fresh);
+    for (int d = 0; d < 3; ++d) ASSERT_EQ(b[d], b_fresh[d]);
+
+    ScalarField rho1 = rho0;
+    grid::scale(real_t(1.001), rho1);
+    EXPECT_EQ(adjoint_exchanges(v2, rho1, b), 4u * 5);
+    // A pool checkout drops it too.
+    transport.invalidate_plans();
+    EXPECT_EQ(adjoint_exchanges(v2, rho1, b), 4u * 5);
+  });
+}
+
 TEST(Transport, IncrementalStateMatchesUnfusedRecurrence) {
   // solve_incremental_state interpolates nu + dt/2 f0 once per step. By
   // linearity that is the RK2 recurrence nu(X) + dt/2 (f0(X) + f1(x)) with
