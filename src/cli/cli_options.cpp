@@ -409,22 +409,17 @@ bool build_workload(grid::PencilDecomp& decomp, spectral::SpectralOps& ops,
     // a missing or short file fails every rank with the same error instead
     // of leaving the others blocked in scatter_from_root.
     std::vector<real_t> full_t, full_r;
-    std::vector<char> read_error;
     if (root) {
       try {
         full_t = imaging::read_raw_volume(opt.template_path, opt.dims);
         full_r = imaging::read_raw_volume(opt.reference_path, opt.dims);
       } catch (const std::exception& e) {
-        const std::string what = e.what();
-        read_error.assign(what.begin(), what.end());
+        error = e.what();
       }
     }
     decomp.comm().set_time_kind(TimeKind::kOther);
-    decomp.comm().broadcast(read_error, 0);
-    if (!read_error.empty()) {
-      error.assign(read_error.begin(), read_error.end());
-      return false;
-    }
+    decomp.comm().broadcast(error, 0);
+    if (!error.empty()) return false;
     rho_t = grid::scatter_from_root(decomp, root
                                                 ? std::span<const real_t>(full_t)
                                                 : std::span<const real_t>());

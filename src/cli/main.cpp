@@ -283,14 +283,16 @@ int main(int argc, char** argv) {
       for (index_t i = 0; i < n; ++i)
         residual[i] = std::abs(deformed[i] - rho_r[i]);
 
+      // Rank 0 writes; a failed write throws on every rank together.
       auto dump = [&](const grid::ScalarField& f, const char* name,
                       real_t lo, real_t hi) {
         auto full = grid::gather_to_root(decomp, f);
-        if (!root) return;
-        const std::string base = opt.out_prefix + "_" + name;
-        imaging::write_raw_volume(base, opt.dims, full);
-        imaging::write_pgm_slice(base + ".pgm", opt.dims, full,
-                                 opt.dims[0] / 2, lo, hi);
+        imaging::root_io<std::runtime_error>(decomp.comm(), [&] {
+          const std::string base = opt.out_prefix + "_" + name;
+          imaging::write_raw_volume(base, opt.dims, full);
+          imaging::write_pgm_slice(base + ".pgm", opt.dims, full,
+                                   opt.dims[0] / 2, lo, hi);
+        });
       };
       dump(deformed, "deformed", 0, 1);
       dump(residual, "residual", 0, 1);

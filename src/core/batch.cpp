@@ -53,10 +53,9 @@ void degrade_options(RegistrationOptions& opt) {
     } catch (...) {
     }
   }
-  std::vector<char> message(what.begin(), what.end());
-  comm.broadcast(message, root);
+  comm.broadcast(what, root);
   if (error) std::rethrow_exception(error);
-  throw std::runtime_error(std::string(message.begin(), message.end()));
+  throw std::runtime_error(what);
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 #include "core/batch_manifest.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -9,7 +8,10 @@
 #include <cstring>
 #include <map>
 #include <mutex>
+#include <span>
 #include <type_traits>
+
+#include "imaging/io.hpp"
 
 namespace diffreg::core {
 
@@ -21,54 +23,6 @@ namespace {
 std::mutex& manifest_mutex() {
   static std::mutex m;
   return m;
-}
-
-// Root-side status codes, broadcast so every rank converges on the same
-// success-or-throw decision (mirrors core/checkpoint's agree_or_throw).
-enum : std::int32_t {
-  kOk = 0,
-  kMissing,  // load only: absent file == empty manifest, not an error
-  kReadFailed,
-  kParseFailed,
-  kWriteFailed,
-};
-
-const char* status_message(std::int32_t status) {
-  switch (status) {
-    case kReadFailed:
-      return "cannot read batch manifest";
-    case kParseFailed:
-      return "batch manifest is malformed";
-    case kWriteFailed:
-      return "cannot write batch manifest";
-    default:
-      return "batch manifest I/O failed";
-  }
-}
-
-void agree_or_throw(mpisim::Communicator& comm, std::int32_t status,
-                    const std::string& path) {
-  std::vector<std::int32_t> wire{status};
-  comm.set_time_kind(TimeKind::kOther);
-  comm.broadcast(wire, 0);
-  if (wire[0] != kOk && wire[0] != kMissing)
-    throw BatchManifestError(std::string(status_message(wire[0])) + ": " +
-                             path);
-}
-
-/// Reads the whole file; kMissing when it does not exist.
-std::int32_t slurp(const std::string& path, std::string& out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) return errno == ENOENT ? kMissing : kReadFailed;
-  std::string text;
-  char buf[4096];
-  std::size_t got = 0;
-  while ((got = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, got);
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  if (!ok) return kReadFailed;
-  out = std::move(text);
-  return kOk;
 }
 
 /// Extracts the text after `"key":` on `line`; nullptr when absent.
@@ -124,10 +78,9 @@ bool parse_bool_field(const std::string& line, const char* key, bool& out) {
   return false;
 }
 
-/// Parses manifest text (format documented in the header). Returns kOk or
-/// kParseFailed; the grammar is line-based — one job object per line.
-std::int32_t parse(const std::string& text,
-                   std::vector<BatchManifestEntry>& out) {
+/// Parses manifest text (format documented in the header). Returns false
+/// when it is malformed; the grammar is line-based — one job object per line.
+bool parse(const std::string& text, std::vector<BatchManifestEntry>& out) {
   out.clear();
   bool saw_version = false;
   bool any_content = false;
@@ -142,26 +95,26 @@ std::int32_t parse(const std::string& text,
     bool ok = true;
     int version = 0;
     if (!saw_version && parse_number_field(line, "version", version, ok)) {
-      if (version != 1) return kParseFailed;
+      if (version != 1) return false;
       saw_version = true;
       continue;
     }
     BatchManifestEntry e;
     if (!parse_number_field(line, "job_id", e.job_id, ok)) {
-      if (!ok) return kParseFailed;
+      if (!ok) return false;
       continue;
     }
-    if (!parse_string_field(line, "outcome", e.outcome)) return kParseFailed;
+    if (!parse_string_field(line, "outcome", e.outcome)) return false;
     parse_number_field(line, "attempts", e.attempts, ok);
     parse_number_field(line, "completed_at_seconds", e.completed_at_seconds, ok);
-    if (!ok) return kParseFailed;
+    if (!ok) return false;
     parse_bool_field(line, "deadline_met", e.deadline_met);
     parse_string_field(line, "checkpoint", e.checkpoint_path);
     out.push_back(std::move(e));
   }
   // A non-empty file MUST carry the version header: corruption (or a
   // foreign file) is a structured error, never a silent "first run".
-  return saw_version || !any_content ? kOk : kParseFailed;
+  return saw_version || !any_content;
 }
 
 std::string serialize(const std::vector<BatchManifestEntry>& entries) {
@@ -185,52 +138,14 @@ std::string serialize(const std::vector<BatchManifestEntry>& entries) {
   return text;
 }
 
-/// Atomic replace: write to `path + ".tmp"`, then rename over `path`.
-std::int32_t write_atomic(const std::string& path, const std::string& text) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (!f) return kWriteFailed;
-  bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  ok = std::fclose(f) == 0 && ok;
-  if (ok) ok = std::rename(tmp.c_str(), path.c_str()) == 0;
-  if (!ok) {
-    std::remove(tmp.c_str());
-    return kWriteFailed;
-  }
-  return kOk;
-}
-
-/// Root-side read-merge-rewrite under the process-wide lock.
-std::int32_t merge_root(const std::string& path,
-                        const std::vector<BatchManifestEntry>& updates) {
-  std::scoped_lock lock(manifest_mutex());
-  std::string text;
-  std::int32_t status = slurp(path, text);
+/// Root side of a load: the entries of `path` (none when it is missing),
+/// with its text in `text`. Throws when it cannot be read or parsed.
+std::vector<BatchManifestEntry> read_root(const std::string& path,
+                                          std::string& text) {
   std::vector<BatchManifestEntry> entries;
-  if (status == kOk) {
-    status = parse(text, entries);
-    if (status != kOk) return status;
-  } else if (status != kMissing) {
-    return status;
-  }
-  std::map<std::uint64_t, std::size_t> index;
-  for (std::size_t i = 0; i < entries.size(); ++i)
-    index[entries[i].job_id] = i;
-  for (const BatchManifestEntry& u : updates) {
-    auto it = index.find(u.job_id);
-    if (it != index.end()) {
-      entries[it->second] = u;
-    } else {
-      index[u.job_id] = entries.size();
-      entries.push_back(u);
-    }
-  }
-  std::stable_sort(
-      entries.begin(), entries.end(),
-      [](const BatchManifestEntry& a, const BatchManifestEntry& b) {
-        return a.job_id < b.job_id;
-      });
-  return write_atomic(path, serialize(entries));
+  if (imaging::read_file(path, {}, &text) && !parse(text, entries))
+    throw std::runtime_error("batch manifest is malformed: " + path);
+  return entries;
 }
 
 }  // namespace
@@ -238,34 +153,45 @@ std::int32_t merge_root(const std::string& path,
 std::vector<BatchManifestEntry> load_manifest(mpisim::Communicator& comm,
                                               const std::string& path) {
   std::string text;
-  std::int32_t status = kOk;
   std::vector<BatchManifestEntry> entries;
-  if (comm.rank() == 0) {
+  // Parse on the root first so a malformed manifest is a converged error,
+  // not a divergence between ranks.
+  imaging::root_io<BatchManifestError>(comm, [&] {
     std::scoped_lock lock(manifest_mutex());
-    status = slurp(path, text);
-    // Parse on the root first so a malformed manifest is a converged error,
-    // not a divergence between ranks.
-    if (status == kOk) status = parse(text, entries);
-  }
-  agree_or_throw(comm, status, path);
-  if (comm.size() > 1) {
-    std::vector<char> bytes(text.begin(), text.end());
-    std::vector<std::int64_t> len{static_cast<std::int64_t>(bytes.size())};
-    comm.set_time_kind(TimeKind::kOther);
-    comm.broadcast(len, 0);
-    bytes.resize(static_cast<std::size_t>(len[0]));
-    if (!bytes.empty()) comm.broadcast(bytes, 0);
-    if (comm.rank() != 0)
-      parse(std::string(bytes.begin(), bytes.end()), entries);
-  }
+    entries = read_root(path, text);
+  });
+  comm.broadcast(text, 0);
+  if (!comm.is_root()) parse(text, entries);
   return entries;
 }
 
 void update_manifest(mpisim::Communicator& comm, const std::string& path,
                      const std::vector<BatchManifestEntry>& updates) {
-  std::int32_t status = kOk;
-  if (comm.rank() == 0) status = merge_root(path, updates);
-  agree_or_throw(comm, status, path);
+  // Read-merge-rewrite on the root, under the process-wide lock.
+  imaging::root_io<BatchManifestError>(comm, [&] {
+    std::scoped_lock lock(manifest_mutex());
+    std::string text;
+    std::vector<BatchManifestEntry> entries = read_root(path, text);
+    std::map<std::uint64_t, std::size_t> index;
+    for (std::size_t i = 0; i < entries.size(); ++i)
+      index[entries[i].job_id] = i;
+    for (const BatchManifestEntry& u : updates) {
+      auto it = index.find(u.job_id);
+      if (it != index.end()) {
+        entries[it->second] = u;
+      } else {
+        index[u.job_id] = entries.size();
+        entries.push_back(u);
+      }
+    }
+    std::stable_sort(
+        entries.begin(), entries.end(),
+        [](const BatchManifestEntry& a, const BatchManifestEntry& b) {
+          return a.job_id < b.job_id;
+        });
+    text = serialize(entries);
+    imaging::write_file_atomic(path, {std::as_bytes(std::span(text))});
+  });
 }
 
 }  // namespace diffreg::core

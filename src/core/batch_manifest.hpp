@@ -26,11 +26,12 @@
 /// integers their fields hold (job_id is unsigned 64-bit, attempts an int):
 /// anything else makes the manifest malformed.
 ///
-/// Durability and collectivity follow core/checkpoint: writes go to
-/// `path + ".tmp"` and rename into place (a kill mid-write never corrupts
-/// the previous manifest), all I/O runs on rank 0 of the calling
-/// communicator, and rank 0's verdict is broadcast so failures throw
-/// BatchManifestError on EVERY rank instead of hanging the others. Updates
+/// Durability and collectivity follow core/checkpoint, through the same
+/// imaging/io helpers: writes go to `path + ".tmp"` and rename into place
+/// (a kill mid-write never corrupts the previous manifest), all I/O runs
+/// on rank 0 of the calling communicator, and rank 0's verdict is
+/// broadcast (imaging::root_io) so failures throw BatchManifestError on
+/// EVERY rank instead of hanging the others. Updates
 /// are read-merge-rewrite under a process-wide lock: in the thread-backed
 /// mpisim runtime the shards of one batch are threads of one process and
 /// funnel their shard-root writes through the same file. (A real-MPI port
@@ -67,10 +68,10 @@ struct BatchManifestEntry {
   std::string checkpoint_path;
 };
 
-/// Collective load: rank 0 reads `path` and broadcasts the bytes; every
-/// rank parses the identical payload. A missing file yields an empty
-/// manifest everywhere; read failures throw BatchManifestError on every
-/// rank (rank-0 verdict broadcast, like core/checkpoint).
+/// Collective load: rank 0 reads and parses `path`, then broadcasts its
+/// verdict and the text (one broadcast each); the other ranks parse the
+/// identical text. A missing file yields an empty manifest everywhere;
+/// read and parse failures throw BatchManifestError on every rank.
 std::vector<BatchManifestEntry> load_manifest(mpisim::Communicator& comm,
                                               const std::string& path);
 

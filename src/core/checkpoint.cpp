@@ -1,11 +1,12 @@
 #include "core/checkpoint.hpp"
 
+#include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
 #include <vector>
 
 #include "grid/field_io.hpp"
+#include "imaging/io.hpp"
 
 namespace diffreg::core {
 
@@ -57,57 +58,27 @@ CheckpointHeader from_wire(const WireHeader& w) {
   return h;
 }
 
-// Root-side I/O status codes, broadcast so every rank converges on the same
-// success-or-throw decision (a one-sided throw would hang the collective).
-enum : std::int32_t {
-  kOk = 0,
-  kCannotOpen,
-  kTruncatedHeader,
-  kBadMagic,
-  kBadDims,
-  kTruncatedPayload,
-  kWriteFailed,
-};
-
-const char* status_message(std::int32_t status) {
-  switch (status) {
-    case kCannotOpen:
-      return "cannot open checkpoint file";
-    case kTruncatedHeader:
-      return "checkpoint header truncated";
-    case kBadMagic:
-      return "not a checkpoint file (bad magic or version)";
-    case kBadDims:
-      return "checkpoint grid dims are invalid or do not match";
-    case kTruncatedPayload:
-      return "checkpoint velocity payload truncated";
-    case kWriteFailed:
-      return "cannot write checkpoint file";
-    default:
-      return "checkpoint I/O failed";
-  }
-}
-
-/// Broadcasts rank 0's status and throws CheckpointError everywhere on
-/// failure, naming the path.
-void agree_or_throw(mpisim::Communicator& comm, std::int32_t status,
-                    const std::string& path) {
-  std::vector<std::int32_t> wire{status};
-  comm.set_time_kind(TimeKind::kOther);
-  comm.broadcast(wire, 0);
-  if (wire[0] != kOk)
-    throw CheckpointError(std::string(status_message(wire[0])) + ": " + path);
-}
-
-/// Root-side header read; returns the status and fills `header` on success.
-std::int32_t read_header_root(std::FILE* f, WireHeader& header) {
-  if (std::fread(&header, sizeof header, 1, f) != 1) return kTruncatedHeader;
-  if (std::memcmp(header.magic, kMagic, sizeof kMagic) != 0 ||
-      header.version != kVersion)
-    return kBadMagic;
+/// Throws naming `path` unless `w` is a DRCK v1 header on valid grids and,
+/// with `values`, holds values a solve can use.
+void check_header(const WireHeader& w, const std::string& path,
+                  bool values) {
+  const auto require = [&](bool ok, const char* rule) {
+    if (!ok)
+      throw std::runtime_error(std::string("checkpoint ") + rule + ": " +
+                               path);
+  };
+  require(std::memcmp(w.magic, kMagic, sizeof kMagic) == 0 &&
+              w.version == kVersion,
+          "is not a DRCK v1 file");
   for (int d = 0; d < 3; ++d)
-    if (header.level[d] <= 0 || header.fine[d] <= 0) return kBadDims;
-  return kOk;
+    require(w.level[d] > 0 && w.fine[d] > 0, "grid dims are invalid");
+  if (!values) return;
+  require(std::isfinite(w.beta) && w.beta > 0, "beta is not finite and > 0");
+  require(std::isfinite(w.beta_override), "beta_override is not finite");
+  require(std::isfinite(w.gradient_reference) && w.gradient_reference >= 0,
+          "gradient_reference is not finite and >= 0");
+  require(w.admissible == 0 || w.admissible == 1, "admissible is not 0 or 1");
+  require(w.newton_iters_done >= 0, "newton_iters_done is negative");
 }
 
 }  // namespace
@@ -123,87 +94,68 @@ void write_checkpoint(grid::PencilDecomp& level_decomp,
   for (int d = 0; d < 3; ++d)
     full[d] = grid::gather_to_root(level_decomp,
                                    std::span<const real_t>(velocity[d]));
-
-  std::int32_t status = kOk;
-  mpisim::Communicator& comm = level_decomp.comm();
-  if (comm.is_root()) {
-    const std::string tmp = path + ".tmp";
-    std::FILE* f = std::fopen(tmp.c_str(), "wb");
-    if (!f) {
-      status = kCannotOpen;
-    } else {
-      const WireHeader wire = to_wire(header);
-      bool ok = std::fwrite(&wire, sizeof wire, 1, f) == 1;
-      for (int d = 0; ok && d < 3; ++d)
-        ok = std::fwrite(full[d].data(), sizeof(real_t), full[d].size(), f) ==
-             full[d].size();
-      ok = std::fclose(f) == 0 && ok;
-      // The rename is what makes the write atomic: a crash before this
-      // point leaves the previous checkpoint untouched.
-      if (ok) ok = std::rename(tmp.c_str(), path.c_str()) == 0;
-      if (!ok) {
-        std::remove(tmp.c_str());
-        status = kWriteFailed;
-      }
-    }
-  }
-  agree_or_throw(comm, status, path);
+  const WireHeader wire = to_wire(header);
+  imaging::root_io<CheckpointError>(level_decomp.comm(), [&] {
+    imaging::write_file_atomic(
+        path, {std::as_bytes(std::span(&wire, 1)),
+               std::as_bytes(std::span(full[0])),
+               std::as_bytes(std::span(full[1])),
+               std::as_bytes(std::span(full[2]))});
+  });
 }
 
 CheckpointHeader read_checkpoint_header(mpisim::Communicator& comm,
                                         const std::string& path) {
-  WireHeader wire{};
-  std::int32_t status = kOk;
-  if (comm.is_root()) {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (!f) {
-      status = kCannotOpen;
-    } else {
-      status = read_header_root(f, wire);
-      std::fclose(f);
-    }
-  }
-  agree_or_throw(comm, status, path);
-  std::vector<WireHeader> bcast{wire};
-  comm.set_time_kind(TimeKind::kOther);
-  comm.broadcast(bcast, 0);
-  return from_wire(bcast[0]);
+  std::vector<WireHeader> wire(1);
+  imaging::root_io<CheckpointError>(comm, [&] {
+    if (!imaging::read_file(path, {std::as_writable_bytes(std::span(wire))}))
+      throw std::runtime_error("cannot open " + path);
+    check_header(wire[0], path, /*values=*/true);
+  });
+  comm.broadcast(wire, 0);
+  return from_wire(wire[0]);
 }
 
 grid::VectorField read_checkpoint_velocity(grid::PencilDecomp& level_decomp,
                                            const std::string& path) {
-  mpisim::Communicator& comm = level_decomp.comm();
-  const index_t full_size = level_decomp.dims().prod();
   std::vector<real_t> full[3];
-  std::int32_t status = kOk;
-  if (comm.is_root()) {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (!f) {
-      status = kCannotOpen;
-    } else {
-      WireHeader wire{};
-      status = read_header_root(f, wire);
-      if (status == kOk) {
-        const Int3 stored{wire.level[0], wire.level[1], wire.level[2]};
-        if (!(stored == level_decomp.dims())) status = kBadDims;
-      }
-      for (int d = 0; status == kOk && d < 3; ++d) {
-        full[d].resize(static_cast<size_t>(full_size));
-        if (std::fread(full[d].data(), sizeof(real_t), full[d].size(), f) !=
-            full[d].size())
-          status = kTruncatedPayload;
-      }
-      std::fclose(f);
-    }
-  }
-  agree_or_throw(comm, status, path);
+  imaging::root_io<CheckpointError>(level_decomp.comm(), [&] {
+    WireHeader wire{};
+    for (auto& component : full)
+      component.resize(static_cast<size_t>(level_decomp.dims().prod()));
+    if (!imaging::read_file(path, {std::as_writable_bytes(std::span(&wire, 1)),
+                                   std::as_writable_bytes(std::span(full[0])),
+                                   std::as_writable_bytes(std::span(full[1])),
+                                   std::as_writable_bytes(std::span(full[2]))}))
+      throw std::runtime_error("cannot open " + path);
+    check_header(wire, path, /*values=*/false);
+    if (!(Int3{wire.level[0], wire.level[1], wire.level[2]} ==
+          level_decomp.dims()))
+      throw std::runtime_error("checkpoint grid dims do not match: " + path);
+    for (const auto& component : full)
+      if (grid::count_nonfinite(component) > 0)
+        throw std::runtime_error("checkpoint velocity is not finite: " + path);
+  });
   grid::VectorField v(level_decomp.local_real_size());
-  for (int d = 0; d < 3; ++d) {
-    std::vector<real_t> local = grid::scatter_from_root(
-        level_decomp, std::span<const real_t>(full[d]));
-    v[d] = std::move(local);
-  }
+  for (int d = 0; d < 3; ++d)
+    v[d] = grid::scatter_from_root(level_decomp,
+                                   std::span<const real_t>(full[d]));
   return v;
+}
+
+std::function<void(const NewtonIterateInfo&)> checkpoint_hook(
+    grid::PencilDecomp& decomp, const CheckpointHeader& base,
+    const std::string& path, int every,
+    std::function<void(const NewtonIterateInfo&)> caller) {
+  return [&decomp, base, path, every,
+          caller = std::move(caller)](const NewtonIterateInfo& info) {
+    if (caller) caller(info);
+    CheckpointHeader hdr = base;
+    hdr.newton_iters_done += info.iterates_done;
+    if (hdr.newton_iters_done % every != 0) return;
+    hdr.gradient_reference = info.gradient_reference;
+    write_checkpoint(decomp, hdr, *info.velocity, path);
+  };
 }
 
 }  // namespace diffreg::core

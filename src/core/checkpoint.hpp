@@ -22,17 +22,26 @@
 ///
 /// The payload moves through grid::field_io's gather/scatter, so the file
 /// layout is decomposition-independent: a run may resume on a different
-/// rank count. Writes go to `path + ".tmp"` and are renamed into place, so
-/// a crash mid-write never corrupts the previous checkpoint. All three
-/// entry points are COLLECTIVE and converge on errors: rank 0's I/O outcome
-/// is broadcast, so a missing or corrupt file throws CheckpointError on
-/// every rank instead of hanging the non-root ranks.
+/// rank count. All file access is imaging/io's: the one reader, and the
+/// one writer, which writes `path + ".tmp"` and renames it into place, so a
+/// crash mid-write never corrupts the previous checkpoint. All three entry
+/// points are COLLECTIVE and converge on errors: rank 0's verdict is
+/// broadcast (imaging::root_io), so a missing, corrupt or unusable file
+/// throws CheckpointError on every rank instead of hanging the others.
+///
+/// read_checkpoint_header rejects a header no solve can use: beta must be
+/// finite and > 0, beta_override finite, gradient_reference finite and
+/// >= 0, admissible 0 or 1, and newton_iters_done >= 0.
+/// read_checkpoint_velocity checks the format and the grid only, and
+/// rejects a payload holding a non-finite value.
 #pragma once
 
+#include <functional>
 #include <stdexcept>
 #include <string>
 
 #include "common/types.hpp"
+#include "core/options.hpp"
 #include "grid/decomposition.hpp"
 #include "grid/field_math.hpp"
 
@@ -72,5 +81,16 @@ CheckpointHeader read_checkpoint_header(mpisim::Communicator& comm,
 /// whose dims must equal the header's level_dims. Collective.
 grid::VectorField read_checkpoint_velocity(grid::PencilDecomp& level_decomp,
                                            const std::string& path);
+
+/// The one per-iterate checkpoint writer, as an iterate hook: it runs
+/// `caller` (when set) first, so a kill fired from it leaves the previous
+/// checkpoint in place, then writes `base` with newton_iters_done =
+/// base.newton_iters_done + info.iterates_done and info's
+/// gradient_reference to `path` whenever that count is a multiple of
+/// `every` (> 0).
+std::function<void(const NewtonIterateInfo&)> checkpoint_hook(
+    grid::PencilDecomp& decomp, const CheckpointHeader& base,
+    const std::string& path, int every,
+    std::function<void(const NewtonIterateInfo&)> caller);
 
 }  // namespace diffreg::core

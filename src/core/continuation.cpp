@@ -190,6 +190,19 @@ MultilevelResult run_multilevel_continuation(
         read_checkpoint_velocity(*decomps[resume_level], mopt.resume_path);
   }
 
+  // The checkpoint of level k at `beta` after `iters` accepted iterates.
+  const auto level_header = [&](int k, real_t beta, int iters) {
+    CheckpointHeader hdr;
+    hdr.fine_dims = fine_decomp.dims();
+    hdr.level_dims = level_dims[k];
+    hdr.beta = beta;
+    hdr.beta_override = beta_override;
+    hdr.gradient_reference = out.gradient_reference;
+    hdr.admissible = out.admissible;
+    hdr.newton_iters_done = iters;
+    return hdr;
+  };
+
   RegistrationResult prev;  // result of the level below the current one
   for (int k = nlevels - 1; k >= 0; --k) {
     // Levels coarser than the checkpoint already ran before the kill.
@@ -212,30 +225,10 @@ MultilevelResult run_multilevel_continuation(
                              mopt.coarse_beta_cont.has_value() &&
                              !resuming_here;
     const int base_iters = resuming_here ? resume_base_iters : 0;
-    if (mopt.checkpoint_every > 0 && !coarse_cont) {
-      const real_t level_beta = lopt.beta;
-      const Int3 ldims = level_dims[k];
-      grid::PencilDecomp* const ldecomp = decomps[k].get();
-      const auto user_hook = base.iterate_hook;
-      lopt.iterate_hook = [&, level_beta, ldims, ldecomp, base_iters,
-                           user_hook](const NewtonIterateInfo& info) {
-        if (user_hook) user_hook(info);
-        if ((base_iters + info.iterates_done) % mopt.checkpoint_every != 0)
-          return;
-        CheckpointHeader hdr;
-        hdr.fine_dims = fine_decomp.dims();
-        hdr.level_dims = ldims;
-        hdr.beta = level_beta;
-        hdr.beta_override = beta_override;
-        hdr.gradient_reference = out.gradient_reference > 0
-                                     ? out.gradient_reference
-                                     : info.gradient_reference;
-        hdr.admissible = out.admissible;
-        hdr.newton_iters_done = base_iters + info.iterates_done;
-        write_checkpoint(*ldecomp, hdr, *info.velocity,
-                         mopt.checkpoint_path);
-      };
-    }
+    if (mopt.checkpoint_every > 0 && !coarse_cont)
+      lopt.iterate_hook = checkpoint_hook(
+          *decomps[k], level_header(k, lopt.beta, base_iters),
+          mopt.checkpoint_path, mopt.checkpoint_every, base.iterate_hook);
     RegistrationSolver solver(*decomps[k], lopt, registry);
 
     WallTimer wall;
@@ -275,18 +268,10 @@ MultilevelResult run_multilevel_continuation(
 
     // Level-end checkpoint: marks the level complete (a resume from it
     // replays nothing here and moves on to the prolongation).
-    if (mopt.checkpoint_every > 0) {
-      CheckpointHeader hdr;
-      hdr.fine_dims = fine_decomp.dims();
-      hdr.level_dims = level_dims[k];
-      hdr.beta = lopt.beta;
-      hdr.beta_override = beta_override;
-      hdr.gradient_reference = out.gradient_reference;
-      hdr.admissible = out.admissible;
-      hdr.newton_iters_done = result.newton.iterations;
-      write_checkpoint(*decomps[k], hdr, result.velocity,
-                       mopt.checkpoint_path);
-    }
+    if (mopt.checkpoint_every > 0)
+      write_checkpoint(*decomps[k],
+                       level_header(k, lopt.beta, result.newton.iterations),
+                       result.velocity, mopt.checkpoint_path);
 
     if (k == 0)
       out.fine = std::move(result);

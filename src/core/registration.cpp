@@ -1,5 +1,8 @@
 #include "core/registration.hpp"
 
+#include <algorithm>
+#include <utility>
+
 #include "core/checkpoint.hpp"
 #include "core/plan_registry.hpp"
 #include "core/precond.hpp"
@@ -51,23 +54,13 @@ SolveReport RegistrationSolver::solve(const SolveRequest& request) {
   // Periodic restart checkpoints, chained behind any hook the caller
   // installed (caller's hook observes first).
   if (!request.checkpoint_path.empty()) {
-    const auto caller_hook = opt.iterate_hook;
-    const int every = request.checkpoint_every > 0 ? request.checkpoint_every
-                                                   : 1;
-    const real_t beta = opt.beta;
-    opt.iterate_hook = [this, caller_hook, every, beta,
-                        path = request.checkpoint_path](
-                           const NewtonIterateInfo& info) {
-      if (caller_hook) caller_hook(info);
-      if (info.iterates_done % every != 0) return;
-      CheckpointHeader hdr;
-      hdr.fine_dims = decomp_->dims();
-      hdr.level_dims = decomp_->dims();
-      hdr.beta = beta;
-      hdr.gradient_reference = info.gradient_reference;
-      hdr.newton_iters_done = info.iterates_done;
-      write_checkpoint(*decomp_, hdr, *info.velocity, path);
-    };
+    CheckpointHeader base;
+    base.fine_dims = base.level_dims = decomp_->dims();
+    base.beta = opt.beta;
+    opt.iterate_hook =
+        checkpoint_hook(*decomp_, base, request.checkpoint_path,
+                        std::max(1, request.checkpoint_every),
+                        std::move(opt.iterate_hook));
   }
 
   RegistrationResult result;

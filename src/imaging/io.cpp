@@ -1,39 +1,69 @@
 #include "imaging/io.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
-#include <fstream>
 #include <stdexcept>
 
 namespace diffreg::imaging {
+
+bool read_file(const std::string& path,
+               std::initializer_list<std::span<std::byte>> parts,
+               std::string* rest) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (!f) {
+    if (errno == ENOENT) return false;
+    throw std::runtime_error("cannot open " + path);
+  }
+  bool full = true;
+  for (std::span<std::byte> part : parts)
+    full = full && std::fread(part.data(), 1, part.size(), f) == part.size();
+  char buf[4096];
+  for (std::size_t got = 0;
+       full && rest && (got = std::fread(buf, 1, sizeof buf, f)) > 0;)
+    rest->append(buf, got);
+  const bool failed = std::ferror(f) != 0;
+  std::fclose(f);
+  if (failed) throw std::runtime_error("cannot read " + path);
+  if (!full) throw std::runtime_error("truncated file " + path);
+  return true;
+}
+
+void write_file_atomic(
+    const std::string& path,
+    std::initializer_list<std::span<const std::byte>> parts) {
+  const std::string tmp = path + ".tmp";
+  std::FILE* f = std::fopen(tmp.c_str(), "wb");
+  bool ok = f != nullptr;
+  for (std::span<const std::byte> part : parts)
+    ok = ok && std::fwrite(part.data(), 1, part.size(), f) == part.size();
+  if (f) ok = std::fclose(f) == 0 && ok;
+  // The rename is what makes the write atomic: a crash before this point
+  // leaves the previous file untouched.
+  if (ok) ok = std::rename(tmp.c_str(), path.c_str()) == 0;
+  if (!ok) {
+    std::remove(tmp.c_str());
+    throw std::runtime_error("cannot write " + path);
+  }
+}
 
 void write_raw_volume(const std::string& path, const Int3& dims,
                       std::span<const real_t> full) {
   if (static_cast<index_t>(full.size()) != dims.prod())
     throw std::invalid_argument("write_raw_volume: size mismatch");
-  {
-    std::ofstream raw(path + ".raw", std::ios::binary);
-    if (!raw) throw std::runtime_error("cannot open " + path + ".raw");
-    raw.write(reinterpret_cast<const char*>(full.data()),
-              static_cast<std::streamsize>(full.size() * sizeof(real_t)));
-  }
-  std::ofstream hdr(path + ".mhd");
-  hdr << "ObjectType = Image\nNDims = 3\n"
-      << "DimSize = " << dims[0] << ' ' << dims[1] << ' ' << dims[2] << '\n'
-      << "ElementType = MET_DOUBLE\n"
-      << "ElementDataFile = " << path << ".raw\n";
+  write_file_atomic(path + ".raw", {std::as_bytes(full)});
+  const std::string header =
+      "ObjectType = Image\nNDims = 3\nDimSize = " + std::to_string(dims[0]) +
+      ' ' + std::to_string(dims[1]) + ' ' + std::to_string(dims[2]) +
+      "\nElementType = MET_DOUBLE\nElementDataFile = " + path + ".raw\n";
+  write_file_atomic(path + ".mhd", {std::as_bytes(std::span(header))});
 }
 
 std::vector<real_t> read_raw_volume(const std::string& path,
                                     const Int3& dims) {
-  std::ifstream raw(path + ".raw", std::ios::binary);
-  if (!raw) throw std::runtime_error("cannot open " + path + ".raw");
   std::vector<real_t> full(dims.prod());
-  raw.read(reinterpret_cast<char*>(full.data()),
-           static_cast<std::streamsize>(full.size() * sizeof(real_t)));
-  if (raw.gcount() !=
-      static_cast<std::streamsize>(full.size() * sizeof(real_t)))
-    throw std::runtime_error("read_raw_volume: truncated file " + path);
+  if (!read_file(path + ".raw", {std::as_writable_bytes(std::span(full))}))
+    throw std::runtime_error("cannot open " + path + ".raw");
   return full;
 }
 
@@ -49,17 +79,16 @@ void write_pgm_slice(const std::string& path, const Int3& dims,
     hi = *std::max_element(plane, plane + n);
     if (hi <= lo) hi = lo + 1;
   }
-  std::ofstream pgm(path, std::ios::binary);
-  if (!pgm) throw std::runtime_error("cannot open " + path);
-  pgm << "P5\n" << dims[2] << ' ' << dims[1] << "\n255\n";
+  const std::string header = "P5\n" + std::to_string(dims[2]) + ' ' +
+                             std::to_string(dims[1]) + "\n255\n";
   std::vector<unsigned char> bytes(n);
   for (index_t i = 0; i < n; ++i) {
     const real_t t = std::clamp((plane[i] - lo) / (hi - lo), real_t(0),
                                 real_t(1));
     bytes[i] = static_cast<unsigned char>(t * 255 + real_t(0.5));
   }
-  pgm.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
+  write_file_atomic(path, {std::as_bytes(std::span(header)),
+                           std::as_bytes(std::span(bytes))});
 }
 
 }  // namespace diffreg::imaging

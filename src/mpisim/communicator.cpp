@@ -321,6 +321,12 @@ bool Communicator::recover_after_fault(double timeout_ms) {
   return true;
 }
 
+void Communicator::broadcast(std::string& text, int root) {
+  std::vector<char> bytes(text.begin(), text.end());
+  broadcast(bytes, root);
+  text.assign(bytes.begin(), bytes.end());
+}
+
 void Communicator::barrier() {
   check_idle();
   if (size() == 1) return;
@@ -483,8 +489,12 @@ std::vector<Timings> run_spmd(
   if (const char* timeout = std::getenv("DIFFREG_COMM_TIMEOUT_MS"))
     options.comm_timeout_ms = parse_comm_timeout_env(timeout);
   // NOLINTNEXTLINE(concurrency-mt-unsafe)
-  if (const char* verify = std::getenv("DIFFREG_VERIFY_SCHEDULE"))
-    options.verify_schedule = std::atoi(verify) != 0;
+  if (const char* verify = std::getenv("DIFFREG_VERIFY_SCHEDULE")) {
+    if (std::strcmp(verify, "0") != 0 && std::strcmp(verify, "1") != 0)
+      throw CommConfigError(std::string("DIFFREG_VERIFY_SCHEDULE: '") +
+                            verify + "' is not 0 or 1");
+    options.verify_schedule = verify[0] == '1';
+  }
   return run_spmd(p, body, options);
 }
 

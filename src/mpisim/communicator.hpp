@@ -67,6 +67,7 @@
 #include <memory>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -322,6 +323,9 @@ class Communicator {
 
   template <typename T>
   void broadcast(std::vector<T>& data, int root);
+  /// Broadcasts `root`'s text, in one message per tree edge. The one channel
+  /// for rank-0 verdicts: empty text means success.
+  void broadcast(std::string& text, int root);
 
   template <typename T>
   T allreduce_sum(T value);
@@ -512,8 +516,9 @@ struct SpmdOptions {
   /// [0, kMaxCommTimeoutMs], else run_spmd throws CommConfigError.
   double comm_timeout_ms = 0;
   /// Collective-schedule verification on every rank
-  /// (Communicator::set_verify_schedule; also enabled by the
-  /// DIFFREG_VERIFY_SCHEDULE environment hook in the env-reading overload).
+  /// (Communicator::set_verify_schedule; also enabled by
+  /// DIFFREG_VERIFY_SCHEDULE=1 in the env-reading overload, which throws
+  /// CommConfigError for any value but 0 or 1).
   bool verify_schedule = false;
 };
 

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <random>
 #include <stdexcept>
@@ -805,6 +806,61 @@ TEST(BatchManifest, ResumeWarmStartsAnInFlightJobFromItsCheckpoint) {
     // Newton iterations than the cold run.
     EXPECT_LE(rep2.summary[0].newton_iters, rep1.summary[0].newton_iters);
     ASSERT_EQ(rep2.reports.size(), 1u);
+
+    comm.barrier();
+    if (comm.rank() == 0) {
+      std::remove(path.c_str());
+      std::remove(ckpt.c_str());
+    }
+  });
+}
+
+TEST(BatchManifest, ResumeColdStartsAnInFlightJobWhoseCheckpointIsNotFinite) {
+  // The checkpoint reader rejects a non-finite velocity, so a resumed job
+  // whose checkpoint holds one cold-starts, as for any unusable
+  // checkpoint, instead of warm-starting from the same NaN on every retry.
+  mpisim::run_spmd(2, [&](mpisim::Communicator& comm) {
+    const std::string path = "test_batch_manifest_nan.json";
+    const std::string ckpt = "test_batch_manifest_nan.ckpt";
+    if (comm.rank() == 0) std::remove(path.c_str());
+    comm.barrier();
+
+    const RegistrationOptions opt = small_options();
+    BatchJobSpec spec;
+    spec.dims = {16, 16, 16};
+    spec.request.options = opt;
+    spec.request.job_id = 202;
+    spec.request.checkpoint_path = ckpt;
+    spec.make_inputs = [nt = opt.nt](PencilDecomp& d, ScalarField& t,
+                                     ScalarField& r) {
+      make_pair(d, 0.4, nt, t, r);
+    };
+
+    PencilDecomp decomp(comm, spec.dims);
+    VectorField nan_velocity(decomp.local_real_size());
+    nan_velocity.fill(std::numeric_limits<real_t>::quiet_NaN());
+    CheckpointHeader hdr;
+    hdr.fine_dims = hdr.level_dims = spec.dims;
+    hdr.beta = opt.beta;
+    hdr.gradient_reference = 1;
+    hdr.newton_iters_done = 1;
+    write_checkpoint(decomp, hdr, nan_velocity, ckpt);
+    BatchManifestEntry e;
+    e.job_id = 202;
+    e.outcome = "retrying";
+    e.attempts = 1;
+    e.checkpoint_path = ckpt;
+    update_manifest(comm, path, {e});
+
+    BatchSolver batch(comm);
+    batch.submit(spec);
+    BatchOptions bopt;
+    bopt.shards = 1;
+    bopt.manifest_path = path;
+    const auto rep = batch.run_all(bopt);
+    ASSERT_EQ(rep.summary.size(), 1u);
+    EXPECT_EQ(rep.summary[0].outcome, JobOutcome::kDone);
+    EXPECT_EQ(rep.summary[0].attempts, 2);  // 1 restored + this run
 
     comm.barrier();
     if (comm.rank() == 0) {

@@ -449,6 +449,30 @@ TEST(Chaos, VerifyScheduleEnvironmentHookArmsTheVerifier) {
   EXPECT_EQ(armed.load(), 2);
 }
 
+TEST(Chaos, VerifyScheduleEnvironmentTakesOnlyZeroOrOne) {
+  // Like DIFFREG_COMM_TIMEOUT_MS, the hook is parsed strictly, so a
+  // misspelling cannot leave the verifier silently off: any value but 0 or 1
+  // throws CommConfigError before a rank starts, and 0 arms no rank.
+  struct Unset {
+    ~Unset() { ::unsetenv("DIFFREG_VERIFY_SCHEDULE"); }
+  } unset;
+  std::atomic<int> started{0}, armed{0};
+  const auto body = [&](Communicator& comm) {
+    started.fetch_add(1);
+    if (comm.verify_schedule()) armed.fetch_add(1);
+    comm.barrier();
+  };
+  for (const char* junk : {"on", "true", "junk", ""}) {
+    ::setenv("DIFFREG_VERIFY_SCHEDULE", junk, 1);
+    EXPECT_THROW(run_spmd(2, body), CommConfigError) << junk;
+  }
+  EXPECT_EQ(started.load(), 0);
+  ::setenv("DIFFREG_VERIFY_SCHEDULE", "0", 1);
+  run_spmd(2, body);
+  EXPECT_EQ(started.load(), 2);
+  EXPECT_EQ(armed.load(), 0);
+}
+
 TEST(Chaos, SplitRendezvousHonorsTheWatchdogWhenAPeerDied) {
   // Regression: the backend's split() rendezvous used to wait on an
   // untimed barrier, so a rank that died after the collective agreement

@@ -8,12 +8,17 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <limits>
+#include <random>
 #include <string>
 
 #include "core/diffreg.hpp"
 #include "imaging/synthetic.hpp"
+#include "mutate.hpp"
 
 namespace diffreg::core {
 namespace {
@@ -1100,6 +1105,139 @@ TEST(Checkpoint, TruncatedPayloadThrowsOnEveryRank) {
   });
   EXPECT_EQ(threw.load(), 2);
   std::remove(path.c_str());
+}
+
+// Byte offsets of the DRCK v1 header fields (core/checkpoint.hpp).
+constexpr std::size_t kBetaAt = 56, kBetaOverrideAt = 64,
+                      kGradientReferenceAt = 72, kAdmissibleAt = 80,
+                      kNewtonItersAt = 84, kPayloadAt = 88;
+constexpr real_t kNan = std::numeric_limits<real_t>::quiet_NaN();
+constexpr real_t kInf = std::numeric_limits<real_t>::infinity();
+
+/// The bytes of a valid checkpoint of an 8^3 grid written on two ranks.
+std::string valid_checkpoint_bytes(const std::string& path) {
+  mpisim::run_spmd(2, [&](mpisim::Communicator& comm) {
+    PencilDecomp decomp(comm, {8, 8, 8});
+    VectorField v(decomp.local_real_size());
+    for (int d = 0; d < 3; ++d)
+      for (size_t i = 0; i < v[d].size(); ++i)
+        v[d][i] = 0.5 * d - 1e-3 * static_cast<real_t>(i);
+    CheckpointHeader hdr;
+    hdr.fine_dims = {16, 16, 16};
+    hdr.level_dims = decomp.dims();
+    hdr.beta = 1e-2;
+    hdr.gradient_reference = 3.75;
+    hdr.newton_iters_done = 2;
+    write_checkpoint(decomp, hdr, v, path);
+  });
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+/// Writes a valid checkpoint with `value` stored at byte `offset` and reads
+/// it back on two ranks: both must throw CheckpointError naming the file.
+template <typename T>
+void expect_patched_rejected(std::size_t offset, T value) {
+  const std::string path = ::testing::TempDir() + "diffreg_ckpt_patched.bin";
+  std::string bytes = valid_checkpoint_bytes(path);
+  std::memcpy(bytes.data() + offset, &value, sizeof value);
+  write_bytes(path, bytes);
+  std::atomic<int> threw{0};
+  mpisim::run_spmd(2, [&](mpisim::Communicator& comm) {
+    PencilDecomp decomp(comm, {8, 8, 8});
+    try {
+      read_checkpoint_header(comm, path);
+      read_checkpoint_velocity(decomp, path);
+    } catch (const CheckpointError& e) {
+      EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+          << e.what();
+      ++threw;
+    }
+  });
+  EXPECT_EQ(threw.load(), 2) << "offset " << offset << " value " << value;
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, RejectsBetaThatIsNotFiniteAndPositive) {
+  for (real_t beta : {-1.0, 0.0, kNan, kInf})
+    expect_patched_rejected(kBetaAt, beta);
+}
+
+TEST(Checkpoint, RejectsNonFiniteBetaOverride) {
+  for (real_t beta_override : {kNan, -kInf})
+    expect_patched_rejected(kBetaOverrideAt, beta_override);
+}
+
+TEST(Checkpoint, RejectsGradientReferenceThatIsNotFiniteAndNonNegative) {
+  for (real_t g : {kNan, kInf, -1.0})
+    expect_patched_rejected(kGradientReferenceAt, g);
+}
+
+TEST(Checkpoint, RejectsAdmissibleOtherThanZeroOrOne) {
+  for (std::int32_t admissible : {7, -1})
+    expect_patched_rejected(kAdmissibleAt, admissible);
+}
+
+TEST(Checkpoint, RejectsNegativeNewtonItersDone) {
+  expect_patched_rejected(kNewtonItersAt, std::int32_t{-5});
+}
+
+TEST(Checkpoint, RejectsNonFiniteVelocity) {
+  for (real_t x : {kNan, kInf})
+    expect_patched_rejected(kPayloadAt + 8 * sizeof(real_t), x);
+}
+
+TEST(Checkpoint, SeededMutantsReadOrThrowOnEveryRank) {
+  // Seeded mutation fuzzing of a DRCK file (tests/mutate.hpp), read on two
+  // ranks with the watchdog armed: every mutant reads, on both ranks, to a
+  // header a solve can use (and a finite velocity when its grid matches),
+  // or throws CheckpointError on both, with no other exception and no hang.
+  const std::string path = ::testing::TempDir() + "diffreg_ckpt_fuzz.bin";
+  const std::string valid = valid_checkpoint_bytes(path);
+  mpisim::SpmdOptions opts;
+  opts.comm_timeout_ms = 10000;
+  int read = 0, rejected = 0;
+  mpisim::run_spmd(
+      2,
+      [&](mpisim::Communicator& comm) {
+        PencilDecomp decomp(comm, {8, 8, 8});
+        std::mt19937_64 rng(28);  // the same mutants on both ranks
+        for (int k = 0; k < 2000; ++k) {
+          const std::string mutant = fuzz::mutate(valid, rng);
+          if (comm.rank() == 0) write_bytes(path, mutant);
+          comm.barrier();
+          index_t outcome = -1;  // -1: rejected, else the iterates done
+          try {
+            const CheckpointHeader hdr = read_checkpoint_header(comm, path);
+            EXPECT_TRUE(std::isfinite(hdr.beta) && hdr.beta > 0) << k;
+            EXPECT_TRUE(std::isfinite(hdr.beta_override)) << k;
+            EXPECT_TRUE(std::isfinite(hdr.gradient_reference) &&
+                        hdr.gradient_reference >= 0)
+                << k;
+            EXPECT_GE(hdr.newton_iters_done, 0) << k;
+            if (hdr.level_dims == decomp.dims()) {
+              EXPECT_EQ(grid::count_nonfinite(
+                            read_checkpoint_velocity(decomp, path)),
+                        0)
+                  << k;
+            }
+            outcome = hdr.newton_iters_done;
+          } catch (const CheckpointError&) {
+            outcome = -1;
+          }
+          const auto all = comm.allgather(outcome);
+          ASSERT_EQ(all[0], all[1]) << k;
+          if (comm.rank() == 0) ++(outcome < 0 ? rejected : read);
+        }
+      },
+      opts);
+  std::remove(path.c_str());
+  EXPECT_GT(read, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 }  // namespace

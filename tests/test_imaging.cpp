@@ -156,6 +156,27 @@ TEST(Io, TruncatedRawVolumeThrowsNamingTheFile) {
   std::remove((path + ".mhd").c_str());
 }
 
+TEST(Io, RawVolumeThrowsWhenItsHeaderCannotBeWritten) {
+  // Both files of a volume go through the one atomic writer: a header that
+  // cannot be written throws, naming the file, instead of returning with
+  // only the .raw written.
+  const std::string dir = ::testing::TempDir() + "diffreg_unwritable_header";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir + "/v.mhd");
+  const Int3 dims{4, 3, 2};
+  const std::vector<real_t> vol(dims.prod(), 0.5);
+  try {
+    write_raw_volume(dir + "/v", dims, vol);
+    ADD_FAILURE() << "expected a write error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("cannot write " + dir + "/v.mhd"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_FALSE(std::filesystem::exists(dir + "/v.mhd.tmp"));
+  std::filesystem::remove_all(dir);
+}
+
 TEST(Io, PgmSliceHasCorrectHeaderAndSize) {
   const Int3 dims{4, 3, 5};
   std::vector<real_t> vol(dims.prod());
