@@ -87,7 +87,7 @@ PyramidRecord run_pyramid_case(index_t n, int p) {
       rec.single_converged = cold.newton.converged ? 1 : 0;
       rec.pyramid_converged = ml.fine.newton.converged ? 1 : 0;
       rec.single_matvecs = cold.newton.total_matvecs;
-      for (const auto& lev : ml.levels) rec.pyramid_matvecs += lev.matvecs;
+      for (const auto& lev : ml.solves) rec.pyramid_matvecs += lev.matvecs;
       rec.resample_exchanges = exchanges;
     }
   });

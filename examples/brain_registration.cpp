@@ -43,10 +43,10 @@ int main() {
                   static_cast<long long>(dims[0]),
                   static_cast<long long>(dims[1]),
                   static_cast<long long>(dims[2]));
-      for (int s = 0; s < cont.stages; ++s)
-        std::printf("  stage %d: beta %.1e  rel residual %.3f  min det %.3f\n",
-                    s, cont.stage_betas[s], cont.stage_residuals[s],
-                    cont.stage_min_dets[s]);
+      for (std::size_t s = 0; s < cont.stages.size(); ++s)
+        std::printf("  stage %zu: beta %.1e  rel residual %.3f  min det %.3f\n",
+                    s, cont.stages[s].beta, cont.stages[s].rel_residual,
+                    cont.stages[s].min_det);
       std::printf("  accepted beta %.1e, rel residual %.3f, det in [%.3f, %.3f]\n",
                   cont.final_beta, cont.best.rel_residual, cont.best.min_det,
                   cont.best.max_det);

@@ -8,6 +8,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "core/batch.hpp"
 #include "grid/field_io.hpp"
 #include "imaging/io.hpp"
 #include "imaging/synthetic.hpp"
@@ -32,7 +33,8 @@ void print_usage() {
       "  --reg h1|h2          regularization seminorm (default h2)\n"
       "  --nt N               semi-Lagrangian time steps (default 4)\n"
       "  --gtol T             relative gradient tolerance (default 1e-2)\n"
-      "  --max-newton N       Newton iteration cap (default 50)\n"
+      "  --max-newton N       Newton iteration cap (default 50, at most\n"
+      "                       1048576)\n"
       "  --incompressible     enforce div v = 0 (volume preserving map)\n"
       "  --full-newton        keep the full-Newton Hessian terms\n"
       "  --trilinear          trilinear instead of tricubic interpolation\n"
@@ -84,10 +86,12 @@ void print_usage() {
       "                       --degrade on, re-admitted once with a cheaper\n"
       "                       configuration)\n"
       "  --retry-budget N     extra attempts a faulted batch job gets\n"
-      "                       before it is marked poisoned (default 2)\n"
+      "                       before it is marked poisoned (default 2, at\n"
+      "                       most 1000)\n"
       "  --backoff-ms T       base of the deterministic exponential retry\n"
-      "                       backoff, T * 2^(k-1) ms before retry k on the\n"
-      "                       batch clock (default 0 = retry immediately)\n"
+      "                       backoff, min(T * 2^(k-1) ms, one day) before\n"
+      "                       retry k on the batch clock (default 0 = retry\n"
+      "                       immediately, at most 8.64e7 = one day)\n"
       "  --degrade M          on | off (default off); re-admit a job that\n"
       "                       missed its deadline ONCE with halved\n"
       "                       iteration caps (outcome 'degraded')\n"
@@ -112,7 +116,7 @@ constexpr double kNoMax = std::numeric_limits<double>::infinity();
 template <typename T>
 bool parse_number(const std::string& flag, const std::string& text, T& out,
                   std::string& error, double min = kNoMin,
-                  bool strict = false, double max = kNoMax) {
+                  double max = kNoMax, bool strict = false) {
   T value{};
   const char* last = text.data() + text.size();
   const auto [ptr, ec] = std::from_chars(text.data(), last, value);
@@ -127,11 +131,11 @@ bool parse_number(const std::string& flag, const std::string& text, T& out,
       std::is_floating_point_v<T> ? "a finite number" : "an integer";
   char bound[32];
   if (min != kNoMin) {
-    std::snprintf(bound, sizeof bound, " %s %g", strict ? ">" : ">=", min);
+    std::snprintf(bound, sizeof bound, " %s %.10g", strict ? ">" : ">=", min);
     want += bound;
   }
   if (max != kNoMax) {
-    std::snprintf(bound, sizeof bound, " and <= %g", max);
+    std::snprintf(bound, sizeof bound, " and <= %.10g", max);
     want += bound;
   }
   error = "bad " + flag + " " + text + " (want " + want + ")";
@@ -189,11 +193,11 @@ bool parse_tokens(const std::vector<std::string>& args, bool job_line,
     };
     // The flag's value as a number of out's type, >= min (> min if strict)
     // and <= max.
-    auto number = [&](auto& out, double min = kNoMin, bool strict = false,
-                      double max = kNoMax) {
+    auto number = [&](auto& out, double min = kNoMin, double max = kNoMax,
+                      bool strict = false) {
       const auto* v = next();
       if (!v) return missing();
-      return parse_number(flag, *v, out, error, min, strict, max);
+      return parse_number(flag, *v, out, error, min, max, strict);
     };
     if (job_line && global_only_flag(flag)) {
       error = "flag " + flag + " is global-only and not allowed in a job line";
@@ -225,7 +229,7 @@ bool parse_tokens(const std::vector<std::string>& args, bool job_line,
     } else if (flag == "--amplitude") {
       if (!number(opt.synthetic_amplitude)) return false;
     } else if (flag == "--beta") {
-      if (!number(opt.reg.beta, 0, /*strict=*/true)) return false;
+      if (!number(opt.reg.beta, 0, kNoMax, /*strict=*/true)) return false;
     } else if (flag == "--reg") {
       const auto* v = next();
       if (!v) return missing();
@@ -240,9 +244,10 @@ bool parse_tokens(const std::vector<std::string>& args, bool job_line,
     } else if (flag == "--nt") {
       if (!number(opt.reg.nt, 1)) return false;
     } else if (flag == "--gtol") {
-      if (!number(opt.reg.gtol, 0, /*strict=*/true)) return false;
+      if (!number(opt.reg.gtol, 0, kNoMax, /*strict=*/true)) return false;
     } else if (flag == "--max-newton") {
-      if (!number(opt.reg.max_newton_iters, 0)) return false;
+      if (!number(opt.reg.max_newton_iters, 0, core::kMaxNewtonIters))
+        return false;
     } else if (flag == "--incompressible") {
       opt.reg.incompressible = true;
     } else if (flag == "--full-newton") {
@@ -250,10 +255,10 @@ bool parse_tokens(const std::vector<std::string>& args, bool job_line,
     } else if (flag == "--trilinear") {
       opt.reg.interp_method = interp::Method::kTrilinear;
     } else if (flag == "--continuation") {
-      opt.continuation = true;
+      opt.multi.coarse_beta_cont =
+          core::ContinuationOptions{.beta_start = 1e-1};
     } else if (flag == "--levels") {
       if (!number(opt.multi.levels, 1)) return false;
-      opt.multilevel = opt.multi.levels > 1;
     } else if (flag == "--coarsest") {
       if (!number(opt.multi.coarsest_dim, 4)) return false;
     } else if (flag == "--two-level") {
@@ -276,8 +281,7 @@ bool parse_tokens(const std::vector<std::string>& args, bool job_line,
         return false;
       }
     } else if (flag == "--comm-timeout-ms") {
-      if (!number(opt.comm_timeout_ms, 0, /*strict=*/false,
-                  mpisim::kMaxCommTimeoutMs))
+      if (!number(opt.comm_timeout_ms, 0, mpisim::kMaxCommTimeoutMs))
         return false;
     } else if (flag == "--fault-spec") {
       const auto* v = next();
@@ -315,9 +319,9 @@ bool parse_tokens(const std::vector<std::string>& args, bool job_line,
     } else if (flag == "--deadline") {
       if (!number(opt.deadline, 0)) return false;
     } else if (flag == "--retry-budget") {
-      if (!number(opt.retry_budget, 0)) return false;
+      if (!number(opt.retry_budget, 0, core::kMaxRetryBudget)) return false;
     } else if (flag == "--backoff-ms") {
-      if (!number(opt.backoff_ms, 0)) return false;
+      if (!number(opt.backoff_ms, 0, mpisim::kMaxCommTimeoutMs)) return false;
     } else if (flag == "--degrade") {
       const auto* v = next();
       if (!v) return missing();
@@ -345,19 +349,16 @@ bool parse_tokens(const std::vector<std::string>& args, bool job_line,
     error = "--template and --reference go together";
     return false;
   }
-  // Checkpoint/restart of a standalone run goes through the multilevel
-  // driver (a single level is both the coarsest and the finest), so the
-  // flags imply it. A batch job checkpoints through its SolveRequest
-  // instead, so job lines skip the implication.
+  // --continuation runs down to --beta, wherever the two flags stand.
+  if (opt.multi.coarse_beta_cont)
+    opt.multi.coarse_beta_cont->beta_target = opt.reg.beta;
+  // Either checkpoint flag alone checkpoints a standalone run. A batch job
+  // checkpoints through its SolveRequest, so job lines keep them as written.
   if (!job_line) {
     if (!opt.multi.checkpoint_path.empty() && opt.multi.checkpoint_every == 0)
       opt.multi.checkpoint_every = 1;
     if (opt.multi.checkpoint_every > 0 && opt.multi.checkpoint_path.empty())
       opt.multi.checkpoint_path = "diffreg.ckpt";
-    if (opt.multi.checkpoint_every > 0 || !opt.multi.resume_path.empty()) {
-      if (!opt.multilevel) opt.multi.levels = 1;
-      opt.multilevel = true;
-    }
   }
   return true;
 }

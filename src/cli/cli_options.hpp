@@ -19,10 +19,10 @@ struct CliOptions {
   std::string workload = "synthetic";  // synthetic | brain | spheres | files
   std::string template_path, reference_path;
   std::string out_prefix;
-  bool continuation = false;
   core::RegistrationOptions reg;
+  /// Every standalone run is a grid pyramid: --levels (default 1), and
+  /// --continuation sets coarse_beta_cont (1e-1 down to --beta).
   core::MultilevelOptions multi;
-  bool multilevel = false;  // set by --levels N with N > 1
   /// Displacement amplitude of the synthetic workload's ground-truth
   /// velocity (--amplitude; job lines vary it to make distinct pairs).
   double synthetic_amplitude = 0.5;

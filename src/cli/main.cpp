@@ -190,8 +190,8 @@ int main(int argc, char** argv) {
   int exit_code = 0;
   const auto body = [&](mpisim::Communicator& comm) {
     grid::PencilDecomp decomp(comm, opt.dims);
-    // One registry for the solver and, with --levels, the grid pyramid: the
-    // fine grid's plans are built once.
+    // One registry for the pyramid and the output transports: the fine
+    // grid's plans are built once.
     const auto registry = std::make_shared<core::PlanRegistry>(decomp);
     core::RegistrationSolver solver(decomp, opt.reg, registry);
     const bool root = comm.is_root();
@@ -206,57 +206,31 @@ int main(int argc, char** argv) {
       return;
     }
 
-    // Solve. --continuation runs beta from 1e-1 down to --beta.
-    core::ContinuationOptions copt;
-    copt.beta_start = 1e-1;
-    copt.beta_target = opt.reg.beta;
-    core::RegistrationResult result;
-    double summary_beta = opt.reg.beta;
-    if (opt.multilevel) {
-      core::MultilevelOptions mopt = opt.multi;
-      if (opt.continuation) mopt.coarse_beta_cont = copt;
-      auto ml = core::run_multilevel_continuation(decomp, opt.reg, rho_t,
-                                                  rho_r, mopt, registry);
-      if (root && !ml.admissible)
-        std::printf("warning: no admissible coarse stage (min det too "
-                    "small); finer levels ran at beta %.1e\n",
-                    ml.final_beta);
-      if (root)
-        for (const auto& lev : ml.levels)
-          std::printf(
-              "level %lldx%lldx%lld: beta %.1e  newton %d  matvecs %d  "
-              "rel res %.3f  min det %.3f  %.2f s\n",
-              static_cast<long long>(lev.dims[0]),
-              static_cast<long long>(lev.dims[1]),
-              static_cast<long long>(lev.dims[2]), lev.beta,
-              lev.newton_iterations, lev.matvecs, lev.rel_residual,
-              lev.min_det, lev.time_seconds);
-      summary_beta = ml.final_beta;
-      result = std::move(ml.fine);
-    } else if (opt.continuation) {
-      auto cont = core::run_beta_continuation(solver, rho_t, rho_r, copt);
-      if (root)
-        for (int s = 0; s < cont.stages; ++s)
-          std::printf("stage %d: beta %.1e  rel res %.3f  min det %.3f\n", s,
-                      cont.stage_betas[s], cont.stage_residuals[s],
-                      cont.stage_min_dets[s]);
-      if (root && !cont.admissible)
-        std::printf("warning: no admissible stage (min det <= %.2f); "
-                    "reporting the beta %.1e solve\n",
-                    copt.min_det_bound, cont.final_beta);
-      // Reflect the beta that produced `best` in the summary below.
-      summary_beta = cont.final_beta;
-      result = std::move(cont.best);
-    } else {
-      result = solver.run(rho_t, rho_r);
-    }
+    // Solve: every run is a grid pyramid (one level by default), whose
+    // coarsest level runs the beta continuation under --continuation.
+    const core::MultilevelResult ml = core::run_multilevel_continuation(
+        decomp, opt.reg, rho_t, rho_r, opt.multi, registry);
+    const core::RegistrationResult& result = ml.fine;
 
     if (root) {
+      for (const core::SolveSummary& s : ml.solves)
+        std::printf(
+            "solve %lldx%lldx%lld: beta %.1e  newton %d  matvecs %d  "
+            "converged %s  rel res %.3f  min det %.3f  %.2f s\n",
+            static_cast<long long>(s.dims[0]),
+            static_cast<long long>(s.dims[1]),
+            static_cast<long long>(s.dims[2]), s.beta, s.newton_iters,
+            s.matvecs, s.converged ? "yes" : "no", s.rel_residual, s.min_det,
+            s.solve_seconds);
+      if (!ml.admissible)
+        std::printf("warning: no beta stage met the min det bound; the run "
+                    "went on at beta %.1e\n",
+                    ml.final_beta);
       std::printf("grid %lldx%lldx%lld  ranks %d  beta %.1e  %s  %s\n",
                   static_cast<long long>(opt.dims[0]),
                   static_cast<long long>(opt.dims[1]),
                   static_cast<long long>(opt.dims[2]), opt.ranks,
-                  summary_beta,
+                  ml.final_beta,
                   opt.reg.incompressible ? "incompressible" : "compressible",
                   opt.reg.gauss_newton ? "gauss-newton" : "full-newton");
       std::printf("newton its %d  matvecs %d  converged %s\n",

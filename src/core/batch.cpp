@@ -58,6 +58,36 @@ void degrade_options(RegistrationOptions& opt) {
   throw std::runtime_error(what);
 }
 
+/// Global per-job state: the job's summary plus what only the scheduler
+/// needs. Kept identical on every rank at every round boundary (the round
+/// sync reconciles it), which is what makes the failover decisions
+/// collective-consistent.
+struct JobState : BatchJobSummary {
+  bool from_manifest = false;  ///< Final outcome restored, job skipped.
+  bool resume = false;         ///< Re-run of a manifest in-flight job.
+  std::string checkpoint;      ///< Solver checkpoint path (warm starts).
+};
+
+/// The round sync's row of one job, its columns named only here: `pack`
+/// writes them into `row`, else reads them back. The last column flags a
+/// contributed row.
+constexpr int kCols = 12;
+void sync_row(JobState& s, double* row, bool pack) {
+  int c = 0, outcome = static_cast<int>(s.outcome);
+  const auto column = [&]<typename T>(T& field) {
+    if (pack)
+      row[c++] = static_cast<double>(field);
+    else
+      field = static_cast<T>(row[c++]);
+  };
+  const auto columns = [&](auto&... fields) { (column(fields), ...); };
+  columns(s.shard, s.converged, s.newton_iters, s.matvecs, s.rel_residual,
+          s.min_det, s.solve_seconds, s.completed_at_seconds, s.deadline_met,
+          outcome, s.attempts);
+  s.outcome = static_cast<JobOutcome>(outcome);
+  if (pack) row[c] = 1;
+}
+
 }  // namespace
 
 const char* to_string(JobOutcome outcome) {
@@ -112,6 +142,13 @@ BatchSolver::Shard& BatchSolver::shard_context(int shards, int color) {
 }
 
 BatchReport BatchSolver::run_all(const BatchOptions& opts) {
+  // The same options reach every rank, so every rank throws here together.
+  if (opts.retry_budget < 0 || opts.retry_budget > kMaxRetryBudget)
+    throw std::invalid_argument("BatchSolver: retry_budget must be in [0, " +
+                                std::to_string(kMaxRetryBudget) + "]");
+  if (!(opts.backoff_ms >= 0 && opts.backoff_ms <= mpisim::kMaxCommTimeoutMs))
+    throw std::invalid_argument(
+        "BatchSolver: backoff_ms must be finite, >= 0 and at most one day");
   BatchReport out;
   const int p = comm_.size();
   const int njobs = static_cast<int>(queue_.size());
@@ -149,24 +186,13 @@ BatchReport BatchSolver::run_all(const BatchOptions& opts) {
           ? opts.recover_timeout_ms
           : (watchdog > 0 ? std::max(2 * watchdog, 1000.0) : 1000.0);
 
-  // Global per-job state table. Kept identical on every rank at every round
-  // boundary (the sync allreduce reconciles it), which is what makes the
-  // failover decisions collective-consistent.
-  struct JobState {
-    JobOutcome outcome = JobOutcome::kPending;
-    int attempts = 0;
-    int shard = -1;
-    bool from_manifest = false;  ///< Final outcome restored, job skipped.
-    bool resume = false;         ///< Re-run of a manifest in-flight job.
-    double converged = 0, newton_iters = 0, matvecs = 0;
-    double rel_residual = 1, min_det = 0, solve_seconds = 0;
-    double completed_at = 0;
-    bool deadline_met = true;
-    std::string checkpoint;  ///< Solver checkpoint path (for warm starts).
-  };
   std::vector<JobState> st(njobs);
-  for (int j = 0; j < njobs; ++j)
+  for (int j = 0; j < njobs; ++j) {
+    st[j].job_id = queue_[j].request.job_id;
+    st[j].dims = queue_[j].dims;
+    st[j].beta = queue_[j].request.options.beta;
     st[j].checkpoint = queue_[j].request.checkpoint_path;
+  }
 
   // Batch resume: restore final outcomes from the manifest (those jobs are
   // never placed — zero plan work for them) and mark in-flight jobs for a
@@ -186,7 +212,7 @@ BatchReport BatchSolver::run_all(const BatchOptions& opts) {
       if (is_final(prior)) {
         st[j].outcome = prior;
         st[j].attempts = e.attempts;
-        st[j].completed_at = e.completed_at_seconds;
+        st[j].completed_at_seconds = e.completed_at_seconds;
         st[j].deadline_met = e.deadline_met;
         st[j].from_manifest = true;
       } else {
@@ -198,10 +224,10 @@ BatchReport BatchSolver::run_all(const BatchOptions& opts) {
 
   auto manifest_entry = [&](int qi) {
     BatchManifestEntry e;
-    e.job_id = queue_[qi].request.job_id;
+    e.job_id = st[qi].job_id;
     e.outcome = to_string(st[qi].outcome);
     e.attempts = st[qi].attempts;
-    e.completed_at_seconds = st[qi].completed_at;
+    e.completed_at_seconds = st[qi].completed_at_seconds;
     e.deadline_met = st[qi].deadline_met;
     e.checkpoint_path = st[qi].checkpoint;
     return e;
@@ -308,14 +334,9 @@ BatchReport BatchSolver::run_all(const BatchOptions& opts) {
       const double deadline = queue_[a.qi].request.deadline_seconds;
       rep.deadline_met = deadline <= 0 || done_at <= deadline;
       JobState& s = st[a.qi];
+      static_cast<SolveSummary&>(s) = summarize(rep, s.dims, s.beta);
       s.outcome = a.degraded ? JobOutcome::kDegraded : JobOutcome::kDone;
-      s.converged = rep.newton.converged ? 1 : 0;
-      s.newton_iters = rep.newton.iterations;
-      s.matvecs = rep.newton.total_matvecs;
-      s.rel_residual = static_cast<double>(rep.rel_residual);
-      s.min_det = static_cast<double>(rep.min_det);
-      s.solve_seconds = rep.time_to_solution;
-      s.completed_at = done_at;
+      s.completed_at_seconds = done_at;
       s.deadline_met = rep.deadline_met;
       verbose_line(
           "[batch shard %d] job %llu: %s (%s) in %d iters, rel res %.3e, "
@@ -344,7 +365,7 @@ BatchReport BatchSolver::run_all(const BatchOptions& opts) {
       if (a.attempts > opts.retry_budget) {
         JobState& s = st[a.qi];
         s.outcome = JobOutcome::kPoisoned;
-        s.completed_at = batch_clock.seconds();
+        s.completed_at_seconds = batch_clock.seconds();
         s.deadline_met = queue_[a.qi].request.deadline_seconds <= 0;
         verbose_line("[batch shard %d] job %llu poisoned after %d attempts\n",
                      color,
@@ -355,13 +376,15 @@ BatchReport BatchSolver::run_all(const BatchOptions& opts) {
         return;
       }
       // Deterministic exponential backoff on the batch clock: retry k waits
-      // backoff_ms * 2^(k-1). No wall-clock randomness — every rank of the
-      // shard computes the same deadline.
+      // min(backoff_ms * 2^(k-1), one day). No wall-clock randomness —
+      // every rank of the shard computes the same deadline.
       st[a.qi].outcome = JobOutcome::kRetrying;
       a.not_before =
           opts.backoff_ms > 0
               ? batch_clock.seconds() +
-                    opts.backoff_ms * std::ldexp(1.0, a.attempts - 1) / 1000.0
+                    std::min(opts.backoff_ms * std::ldexp(1.0, a.attempts - 1),
+                             mpisim::kMaxCommTimeoutMs) /
+                        1000.0
               : 0;
       runq.push_back(a);
       persist(ctx->sub, a.qi);
@@ -432,7 +455,7 @@ BatchReport BatchSolver::run_all(const BatchOptions& opts) {
         } else {
           JobState& s = st[a.qi];
           s.outcome = JobOutcome::kDeadlineExceeded;
-          s.completed_at = batch_clock.seconds();
+          s.completed_at_seconds = batch_clock.seconds();
           s.deadline_met = false;
           verbose_line("[batch shard %d] job %llu cancelled past deadline\n",
                        color,
@@ -464,28 +487,13 @@ BatchReport BatchSolver::run_all(const BatchOptions& opts) {
     // shard-health and round-error votes, one allreduce assembles the tables
     // identically on every rank (this is also the cross-shard round
     // barrier).
-    constexpr int kCols = 12;
     const std::size_t vote_base = static_cast<std::size_t>(njobs) * kCols;
     std::vector<double> flat(vote_base + 2 * static_cast<std::size_t>(shards),
                              0.0);
-    if (ctx->sub.rank() == 0) {
-      for (int qi : my_assigned) {
-        const JobState& s = st[qi];
-        double* row = flat.data() + static_cast<std::size_t>(qi) * kCols;
-        row[0] = s.shard;
-        row[1] = s.converged;
-        row[2] = s.newton_iters;
-        row[3] = s.matvecs;
-        row[4] = s.rel_residual;
-        row[5] = s.min_det;
-        row[6] = s.solve_seconds;
-        row[7] = s.completed_at;
-        row[8] = s.deadline_met ? 1 : 0;
-        row[9] = static_cast<int>(s.outcome);
-        row[10] = s.attempts;
-        row[11] = 1;  // contributed
-      }
-    }
+    if (ctx->sub.rank() == 0)
+      for (int qi : my_assigned)
+        sync_row(st[qi], flat.data() + static_cast<std::size_t>(qi) * kCols,
+                 /*pack=*/true);
     // Health is voted by EVERY rank of the shard, not just rank 0: a rank
     // whose recovery attempt diverged from its peers must still force the
     // rebuild, or the shard would deadlock split between two beliefs.
@@ -496,20 +504,8 @@ BatchReport BatchSolver::run_all(const BatchOptions& opts) {
       if (flat[vote_base + shards + s] > 0.5)
         fail_every_rank(comm_, round_error, s * shard_size);
     for (int j = 0; j < njobs; ++j) {
-      const double* row = flat.data() + static_cast<std::size_t>(j) * kCols;
-      if (row[11] < 0.5) continue;
-      JobState& s = st[j];
-      s.shard = static_cast<int>(row[0]);
-      s.converged = row[1];
-      s.newton_iters = row[2];
-      s.matvecs = row[3];
-      s.rel_residual = row[4];
-      s.min_det = row[5];
-      s.solve_seconds = row[6];
-      s.completed_at = row[7];
-      s.deadline_met = row[8] != 0;
-      s.outcome = static_cast<JobOutcome>(static_cast<int>(row[9]));
-      s.attempts = static_cast<int>(row[10]);
+      double* row = flat.data() + static_cast<std::size_t>(j) * kCols;
+      if (row[kCols - 1] > 0.5) sync_row(st[j], row, /*pack=*/false);
     }
     std::vector<char> shard_down(static_cast<std::size_t>(shards), 0);
     int down_count = 0;
@@ -587,23 +583,10 @@ BatchReport BatchSolver::run_all(const BatchOptions& opts) {
   out.reports.reserve(static_cast<std::size_t>(jn));
   for (int qi : my_completed) out.reports.push_back(std::move(my_reports[qi]));
 
-  out.summary.resize(static_cast<std::size_t>(njobs));
-  for (int j = 0; j < njobs; ++j) {
-    const JobState& sj = st[j];
-    BatchJobSummary& s = out.summary[static_cast<std::size_t>(j)];
-    s.job_id = queue_[j].request.job_id;
-    s.shard = sj.shard;
-    s.ran_here = !sj.from_manifest && sj.shard == color;
-    s.outcome = sj.outcome;
-    s.attempts = sj.attempts;
-    s.converged = sj.converged != 0;
-    s.newton_iters = static_cast<int>(sj.newton_iters);
-    s.matvecs = static_cast<int>(sj.matvecs);
-    s.rel_residual = static_cast<real_t>(sj.rel_residual);
-    s.min_det = static_cast<real_t>(sj.min_det);
-    s.solve_seconds = sj.solve_seconds;
-    s.completed_at_seconds = sj.completed_at;
-    s.deadline_met = sj.deadline_met;
+  out.summary.reserve(static_cast<std::size_t>(njobs));
+  for (JobState& s : st) {
+    s.ran_here = !s.from_manifest && s.shard == color;
+    out.summary.push_back(s);
   }
 
   // Final manifest write: every job's terminal outcome, in one atomic

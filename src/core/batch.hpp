@@ -115,12 +115,12 @@ struct BatchOptions {
   // Fault isolation (docs/FAULT_MODEL.md). The retry path costs nothing on
   // the fault-free path: no extra collectives, no schedule change.
   /// Extra attempts a faulted job gets before it is marked kPoisoned
-  /// (attempts = retry_budget + 1 total).
+  /// (attempts = retry_budget + 1 total), in [0, kMaxRetryBudget].
   int retry_budget = 2;
   /// Base of the deterministic exponential backoff before retry k:
-  /// backoff_ms * 2^(k-1), measured on the batch clock (every rank of the
-  /// shard waits it out identically — no wall-clock randomness). 0: retry
-  /// immediately.
+  /// min(backoff_ms * 2^(k-1), one day), measured on the batch clock (every
+  /// rank of the shard waits it out identically — no wall-clock
+  /// randomness), in [0, mpisim::kMaxCommTimeoutMs]. 0: retry immediately.
   double backoff_ms = 0;
   /// Enforce deadlines: cancel a job past its deadline between Newton
   /// iterates (kDeadlineExceeded). Off by default — the library default
@@ -140,22 +140,22 @@ struct BatchOptions {
   double recover_timeout_ms = 0;
 };
 
+/// Largest BatchOptions::retry_budget run_all accepts.
+inline constexpr int kMaxRetryBudget = 1000;
+
 /// Global per-job digest, present on EVERY rank after run_all (full
-/// SolveReports exist only on the ranks of the shard that ran the job).
-struct BatchJobSummary {
+/// SolveReports exist only on the ranks of the shard that ran the job): the
+/// job's SolveSummary (dims and beta of its request; the solve fields stay
+/// at their defaults for a job that never completed a solve) plus its
+/// service state.
+struct BatchJobSummary : SolveSummary {
   std::uint64_t job_id = 0;
-  int shard = 0;
+  int shard = -1;         ///< Shard that ran the job; -1: never placed.
   bool ran_here = false;  ///< True on the ranks of the executing shard.
   /// Final state; kPending never survives run_all. Jobs restored from a
   /// manifest keep their persisted outcome and report shard = -1.
   JobOutcome outcome = JobOutcome::kPending;
   int attempts = 0;  ///< Solve attempts spent (1 for a fault-free job).
-  bool converged = false;
-  int newton_iters = 0;
-  int matvecs = 0;
-  real_t rel_residual = 1;
-  real_t min_det = 0;
-  double solve_seconds = 0;
   /// Batch-clock timestamp (seconds since run_all start) of the FINAL
   /// successful attempt's completion; retries never reset the clock, so
   /// deadline_met is judged against the job's original admission.
@@ -190,6 +190,9 @@ class BatchSolver {
   std::uint64_t submit(BatchJobSpec spec);
 
   /// Drains the queue. Collective over the constructor communicator.
+  /// Throws std::invalid_argument on every rank, before any job runs, when
+  /// `opts` holds a retry_budget or backoff_ms outside its documented range
+  /// or shards that do not divide the rank count.
   /// Shard registries persist across run_all calls, so a second batch of
   /// same-shape jobs builds no plans at all. Structured job failures
   /// (CommError, NonFiniteFieldError) are absorbed by the retry/failover

@@ -78,7 +78,8 @@ void check_header(const WireHeader& w, const std::string& path,
   require(std::isfinite(w.gradient_reference) && w.gradient_reference >= 0,
           "gradient_reference is not finite and >= 0");
   require(w.admissible == 0 || w.admissible == 1, "admissible is not 0 or 1");
-  require(w.newton_iters_done >= 0, "newton_iters_done is negative");
+  require(w.newton_iters_done >= 0 && w.newton_iters_done <= kMaxNewtonIters,
+          "newton_iters_done is not in [0, 2^20]");
 }
 
 }  // namespace

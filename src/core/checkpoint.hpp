@@ -31,7 +31,9 @@
 ///
 /// read_checkpoint_header rejects a header no solve can use: beta must be
 /// finite and > 0, beta_override finite, gradient_reference finite and
-/// >= 0, admissible 0 or 1, and newton_iters_done >= 0.
+/// >= 0, admissible 0 or 1, and newton_iters_done in [0, kMaxNewtonIters]
+/// (2^20, core/options.hpp), so the iterate counts a resume adds stay far
+/// from int overflow.
 /// read_checkpoint_velocity checks the format and the grid only, and
 /// rejects a payload holding a non-finite value.
 #pragma once

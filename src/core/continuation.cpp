@@ -30,21 +30,6 @@ std::vector<Int3> build_level_dims(const Int3& fine, int levels,
   return dims;
 }
 
-MultilevelLevelReport make_level_report(const Int3& dims, real_t beta,
-                                        const RegistrationResult& result,
-                                        double seconds) {
-  MultilevelLevelReport rep;
-  rep.dims = dims;
-  rep.beta = beta;
-  rep.newton_iterations = result.newton.iterations;
-  rep.matvecs = result.newton.total_matvecs;
-  rep.converged = result.newton.converged;
-  rep.rel_residual = result.rel_residual;
-  rep.min_det = result.min_det;
-  rep.time_seconds = seconds;
-  return rep;
-}
-
 }  // namespace
 
 ContinuationResult run_beta_continuation(RegistrationSolver& solver,
@@ -74,10 +59,8 @@ ContinuationResult run_beta_continuation(RegistrationSolver& solver,
       stage_opt.gradient_reference = out.gradient_reference;
     }
 
-    out.stage_betas.push_back(beta);
-    out.stage_residuals.push_back(result.rel_residual);
-    out.stage_min_dets.push_back(result.min_det);
-    ++out.stages;
+    out.stages.push_back(
+        summarize(result, solver.ops().decomp().dims(), beta));
 
     const bool admissible = result.min_det > copt.min_det_bound;
     // The first stage is kept even when inadmissible (flagged below), so
@@ -162,30 +145,24 @@ MultilevelResult run_multilevel_continuation(
   // solver state. All checkpoint reads are collective and converge on
   // errors, so a bad file throws CheckpointError on every rank.
   int resume_level = -1;
-  int resume_base_iters = 0;
-  real_t resume_beta = 0;
+  CheckpointHeader resume;  // the checkpoint's solver state
   VectorField resume_v;
   if (!mopt.resume_path.empty()) {
-    const CheckpointHeader hdr =
-        read_checkpoint_header(fine_decomp.comm(), mopt.resume_path);
-    if (!(hdr.fine_dims == fine_decomp.dims()))
+    resume = read_checkpoint_header(fine_decomp.comm(), mopt.resume_path);
+    if (resume.fine_dims != fine_decomp.dims())
       throw CheckpointError(
           "checkpoint fine grid does not match this run: " +
           mopt.resume_path);
-    for (int k = 0; k < nlevels; ++k)
-      if (hdr.level_dims == level_dims[k]) {
-        resume_level = k;
-        break;
-      }
-    if (resume_level < 0)
+    resume_level = static_cast<int>(
+        std::find(level_dims.begin(), level_dims.end(), resume.level_dims) -
+        level_dims.begin());
+    if (resume_level == nlevels)
       throw CheckpointError(
           "checkpoint level matches no level of this pyramid: " +
           mopt.resume_path);
-    out.gradient_reference = hdr.gradient_reference;
-    out.admissible = hdr.admissible;
-    if (hdr.beta_override > 0) beta_override = hdr.beta_override;
-    resume_base_iters = hdr.newton_iters_done;
-    resume_beta = hdr.beta;
+    out.gradient_reference = resume.gradient_reference;
+    out.admissible = resume.admissible;
+    if (resume.beta_override > 0) beta_override = resume.beta_override;
     resume_v =
         read_checkpoint_velocity(*decomps[resume_level], mopt.resume_path);
   }
@@ -203,7 +180,6 @@ MultilevelResult run_multilevel_continuation(
     return hdr;
   };
 
-  RegistrationResult prev;  // result of the level below the current one
   for (int k = nlevels - 1; k >= 0; --k) {
     // Levels coarser than the checkpoint already ran before the kill.
     if (resume_level >= 0 && k > resume_level) continue;
@@ -211,7 +187,7 @@ MultilevelResult run_multilevel_continuation(
 
     RegistrationOptions lopt = base;
     lopt.beta = resuming_here
-                    ? resume_beta
+                    ? resume.beta
                     : (beta_override > 0 ? beta_override : opt.beta);
     lopt.gradient_reference = out.gradient_reference;
 
@@ -224,46 +200,43 @@ MultilevelResult run_multilevel_continuation(
     const bool coarse_cont = k == nlevels - 1 &&
                              mopt.coarse_beta_cont.has_value() &&
                              !resuming_here;
-    const int base_iters = resuming_here ? resume_base_iters : 0;
+    const int base_iters = resuming_here ? resume.newton_iters_done : 0;
     if (mopt.checkpoint_every > 0 && !coarse_cont)
       lopt.iterate_hook = checkpoint_hook(
           *decomps[k], level_header(k, lopt.beta, base_iters),
           mopt.checkpoint_path, mopt.checkpoint_every, base.iterate_hook);
     RegistrationSolver solver(*decomps[k], lopt, registry);
 
-    WallTimer wall;
     RegistrationResult result;
-    if (resuming_here) {
-      // Warm-restart the interrupted level from the stored iterate. The
-      // carried gradient_reference keeps the stopping target identical, so
-      // this replays exactly the iterates the killed run never finished
-      // (level-end checkpoints replay zero: the warm start is already
-      // converged).
-      result = solver.run(rho_ts[k], rho_rs[k], &resume_v);
-      result.newton.iterations += base_iters;
-      if (k == nlevels - 1) out.coarsest = result;
-    } else if (k == nlevels - 1) {
-      if (mopt.coarse_beta_cont.has_value()) {
-        ContinuationResult cont = run_beta_continuation(
-            solver, rho_ts[k], rho_rs[k], *mopt.coarse_beta_cont);
-        out.admissible = cont.admissible;
-        out.gradient_reference = cont.gradient_reference;
-        beta_override = cont.final_beta;
-        lopt.beta = cont.final_beta;  // for the report below
-        result = std::move(cont.best);
-      } else {
+    if (coarse_cont) {
+      ContinuationResult cont = run_beta_continuation(
+          solver, rho_ts[k], rho_rs[k], *mopt.coarse_beta_cont);
+      out.admissible = cont.admissible;
+      out.gradient_reference = cont.gradient_reference;
+      beta_override = cont.final_beta;
+      lopt.beta = cont.final_beta;  // for the level-end checkpoint below
+      out.solves = std::move(cont.stages);  // the first level solved
+      result = std::move(cont.best);
+    } else {
+      if (resuming_here) {
+        // Warm-restart the interrupted level from the stored iterate. The
+        // carried gradient_reference keeps the stopping target identical,
+        // so this replays exactly the iterates the killed run never
+        // finished (level-end checkpoints replay zero: the warm start is
+        // already converged).
+        result = solver.run(rho_ts[k], rho_rs[k], &resume_v);
+        result.newton.iterations += base_iters;
+      } else if (k == nlevels - 1) {
         result = solver.run(rho_ts[k], rho_rs[k]);
         out.gradient_reference = result.newton.initial_gradient_norm;
+      } else {
+        VectorField v0;  // prolonged from the level below, held in out.fine
+        registry->resample(level_dims[k + 1], level_dims[k])
+            ->apply(out.fine.velocity, v0);
+        result = solver.run(rho_ts[k], rho_rs[k], &v0);
       }
-      out.coarsest = result;
-    } else {
-      VectorField v0;
-      registry->resample(level_dims[k + 1], level_dims[k])
-          ->apply(prev.velocity, v0);
-      result = solver.run(rho_ts[k], rho_rs[k], &v0);
+      out.solves.push_back(summarize(result, level_dims[k], lopt.beta));
     }
-    out.levels.push_back(
-        make_level_report(level_dims[k], lopt.beta, result, wall.seconds()));
     out.final_beta = lopt.beta;
 
     // Level-end checkpoint: marks the level complete (a resume from it
@@ -273,10 +246,7 @@ MultilevelResult run_multilevel_continuation(
                        level_header(k, lopt.beta, result.newton.iterations),
                        result.velocity, mopt.checkpoint_path);
 
-    if (k == 0)
-      out.fine = std::move(result);
-    else
-      prev = std::move(result);
+    out.fine = std::move(result);
   }
   return out;
 }

@@ -14,7 +14,11 @@
 //    and each finer level is warm-started with the spectrally prolonged
 //    velocity of the level below. ||g(0)|| measured on the coarsest level is
 //    carried up as the gradient reference, so no finer level pays the extra
-//    state+adjoint solves a warm start would otherwise trigger.
+//    state+adjoint solves a warm start would otherwise trigger. One level is
+//    a plain solve (or a beta continuation) on the fine grid, so the CLI
+//    runs every standalone registration through this driver.
+//
+// Both report each solve as one SolveSummary (core/registration.hpp).
 #pragma once
 
 #include <memory>
@@ -46,10 +50,7 @@ struct ContinuationResult {
   /// ||g(0)|| measured by the cold first stage (beta-independent on a fixed
   /// grid); multilevel drivers carry it across levels.
   real_t gradient_reference = 0;
-  std::vector<real_t> stage_betas;
-  std::vector<real_t> stage_residuals;  // rel_residual per stage
-  std::vector<real_t> stage_min_dets;
-  int stages = 0;
+  std::vector<SolveSummary> stages;  ///< One per stage solved, in order.
 };
 
 /// Runs the continuation schedule on `solver`. Per-stage parameters (beta,
@@ -65,7 +66,7 @@ ContinuationResult run_beta_continuation(RegistrationSolver& solver,
 struct MultilevelOptions {
   /// Total pyramid depth including the finest grid; 1 = plain cold solve.
   /// Fewer levels are run when the coarsest-dim floor is reached first.
-  int levels = 3;
+  int levels = 1;
   /// No axis is coarsened below this many points (it should stay >= the
   /// process-grid extents so every rank keeps a nonempty block).
   index_t coarsest_dim = 8;
@@ -90,26 +91,16 @@ struct MultilevelOptions {
   std::string resume_path;      ///< Checkpoint to restart from; "" = cold.
 };
 
-struct MultilevelLevelReport {
-  Int3 dims{0, 0, 0};
-  real_t beta = 0;
-  int newton_iterations = 0;
-  int matvecs = 0;
-  bool converged = false;
-  real_t rel_residual = 1;
-  real_t min_det = 0;
-  double time_seconds = 0;
-};
-
 struct MultilevelResult {
-  RegistrationResult fine;      // finest-level result
-  RegistrationResult coarsest;  // coarsest-level result (the pyramid seed)
+  RegistrationResult fine;  // finest-level result
   /// False only when the coarsest-level beta continuation could not find an
   /// admissible stage (see ContinuationResult::admissible).
   bool admissible = true;
   real_t final_beta = 0;          // beta solved at the finest level
   real_t gradient_reference = 0;  // ||g(0)|| carried across the levels
-  std::vector<MultilevelLevelReport> levels;  // coarsest first
+  /// Coarsest first: the coarsest level's beta stages (or its one solve),
+  /// then one per finer level. A resumed run lists the levels it solved.
+  std::vector<SolveSummary> solves;
 };
 
 /// Coarse-to-fine pyramid solve on `fine_decomp`'s communicator. One

@@ -21,6 +21,10 @@ struct NewtonIterateInfo {
   const grid::VectorField* velocity = nullptr;  ///< Current iterate.
 };
 
+/// Bound of --max-newton and of a checkpoint's newton_iters_done, so the
+/// iterate counts a resume adds up stay far from int overflow.
+inline constexpr int kMaxNewtonIters = 1 << 20;
+
 struct RegistrationOptions {
   // Discretization.
   int nt = 4;

@@ -9,6 +9,13 @@
 
 namespace diffreg::core {
 
+SolveSummary summarize(const RegistrationResult& result, const Int3& dims,
+                       real_t beta) {
+  return {dims, beta, result.newton.converged, result.newton.iterations,
+          result.newton.total_matvecs, result.rel_residual, result.min_det,
+          result.time_to_solution};
+}
+
 RegistrationSolver::RegistrationSolver(grid::PencilDecomp& decomp,
                                        const RegistrationOptions& options)
     : RegistrationSolver(decomp, options,

@@ -100,6 +100,25 @@ struct RegistrationResult {
 /// The batch driver's name for the result of one job.
 using SolveReport = RegistrationResult;
 
+/// The one per-solve record (paper section IV judges a solve by its Newton
+/// iterates, Hessian matvecs, residual and det(grad y)). Every driver
+/// reports through it: one per beta-continuation stage, one per pyramid
+/// level, one per batch job (BatchJobSummary extends it).
+struct SolveSummary {
+  Int3 dims{0, 0, 0};  ///< Grid of the solve.
+  real_t beta = 0;     ///< Regularization weight of the solve.
+  bool converged = false;
+  int newton_iters = 0;
+  int matvecs = 0;
+  real_t rel_residual = 1;
+  real_t min_det = 0;
+  double solve_seconds = 0;  ///< The solve's time_to_solution.
+};
+
+/// The record of `result`, a solve on grid `dims` at weight `beta`.
+SolveSummary summarize(const RegistrationResult& result, const Int3& dims,
+                       real_t beta);
+
 class RegistrationSolver {
  public:
   /// Solver on a private registry that adopts `decomp` (which must outlive

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <stdexcept>
 
 namespace diffreg::imaging {
@@ -61,9 +63,22 @@ void write_raw_volume(const std::string& path, const Int3& dims,
 
 std::vector<real_t> read_raw_volume(const std::string& path,
                                     const Int3& dims) {
+  const std::string file = path + ".raw";
   std::vector<real_t> full(dims.prod());
-  if (!read_file(path + ".raw", {std::as_writable_bytes(std::span(full))}))
-    throw std::runtime_error("cannot open " + path + ".raw");
+  // The size is checked first, so a long file's tail is never read.
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(file, ec);
+  const std::uintmax_t want = std::as_bytes(std::span(full)).size();
+  if (size != want && !ec)
+    throw std::runtime_error(
+        (size < want ? "truncated file " : "oversized file ") + file + ": " +
+        std::to_string(size) + " bytes, the grid needs " +
+        std::to_string(want));
+  if (ec || !read_file(file, {std::as_writable_bytes(std::span(full))}))
+    throw std::runtime_error("cannot open " + file);
+  for (real_t x : full)
+    if (!std::isfinite(x))
+      throw std::runtime_error("non-finite value in " + file);
   return full;
 }
 

@@ -60,8 +60,9 @@ void root_io(mpisim::Communicator& comm, Io&& io) {
 void write_raw_volume(const std::string& path, const Int3& dims,
                       std::span<const real_t> full);
 
-/// Reads a volume written by write_raw_volume. Throws on a missing or
-/// short file.
+/// Reads a volume written by write_raw_volume. Throws std::runtime_error
+/// naming <path>.raw unless it holds exactly dims.prod() doubles (checked
+/// before reading) and every one of them is finite.
 std::vector<real_t> read_raw_volume(const std::string& path,
                                     const Int3& dims);
 

@@ -1,4 +1,5 @@
-// Seeded text mutator for the parser fuzz tests (test_chaos, test_batch).
+// Seeded text mutator for the parser fuzz tests (test_chaos, test_batch,
+// test_core, test_cli, test_imaging).
 // A fixed seed replays the same mutants on every run: byte flips,
 // truncations, and swaps of one number token to nan, inf, -1 or 1e300.
 #pragma once

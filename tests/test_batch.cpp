@@ -368,6 +368,49 @@ TEST(BatchSolver, InvalidConfigurationsThrow) {
   });
 }
 
+// A backoff of 1e300 ms used to hang a faulted batch, and a retry budget
+// near INT_MAX to overflow the round count: run_all refuses both, on every
+// rank, before any job builds its inputs.
+TEST(BatchSolver, RetrySettingsOutOfRangeThrowOnEveryRankBeforeAnyJob) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::pair<int, double> cases[] = {
+      // {retry_budget, backoff_ms}
+      {2147483647, 0},
+      {kMaxRetryBudget + 1, 0},
+      {-1, 0},
+      {2, 1e300},
+      {2, inf},
+      {2, nan},
+      {2, -1},
+  };
+  for (const auto& [budget, backoff] : cases) {
+    std::atomic<int> threw{0}, built{0};
+    mpisim::run_spmd(2, [&](mpisim::Communicator& comm) {
+      BatchSolver batch(comm);
+      BatchJobSpec spec;
+      spec.dims = {8, 8, 8};
+      spec.request.options = small_options();
+      spec.make_inputs = [&built](PencilDecomp& d, ScalarField& t,
+                                  ScalarField& r) {
+        ++built;
+        make_pair(d, 0.4, 2, t, r);
+      };
+      batch.submit(std::move(spec));
+      BatchOptions bopt;
+      bopt.retry_budget = budget;
+      bopt.backoff_ms = backoff;
+      try {
+        batch.run_all(bopt);
+      } catch (const std::invalid_argument&) {
+        ++threw;
+      }
+    });
+    EXPECT_EQ(threw.load(), 2) << budget << " " << backoff;
+    EXPECT_EQ(built.load(), 0) << budget << " " << backoff;
+  }
+}
+
 // --------------------------------------------------------------------------
 // Deformed templates: the batch runs the per-job deform_template path.
 

@@ -5,13 +5,18 @@
 // print/exit from the library).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <fstream>
+#include <random>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "cli/cli_options.hpp"
+#include "core/batch.hpp"
 #include "mpisim/communicator.hpp"
+#include "mutate.hpp"
 
 namespace diffreg::cli {
 namespace {
@@ -163,14 +168,15 @@ TEST(CliParse, MalformedNumbersAreRejectedNamingTheFlag) {
   auto defaults = parse_argv({}, error);
   ASSERT_TRUE(defaults.has_value()) << error;
   const std::pair<std::string, std::string> cases[] = {
-      {"--nt", "4.5"},          // junk suffix on an integer
-      {"--grid", "16,16,16x"},  // junk suffix on the last extent
-      {"--beta", "abc"},        // not a number
-      {"--gtol", "nan"},        // non-finite
-      {"--amplitude", "inf"},   // non-finite
-      {"--beta", "-1"},         // out of range (beta > 0)
-      {"--gtol", "0"},          // out of range (gtol > 0)
-      {"--max-newton", "-1"},   // out of range (>= 0)
+      {"--nt", "4.5"},              // junk suffix on an integer
+      {"--grid", "16,16,16x"},      // junk suffix on the last extent
+      {"--beta", "abc"},            // not a number
+      {"--gtol", "nan"},            // non-finite
+      {"--amplitude", "inf"},       // non-finite
+      {"--beta", "-1"},             // out of range (beta > 0)
+      {"--gtol", "0"},              // out of range (gtol > 0)
+      {"--max-newton", "-1"},       // out of range (>= 0)
+      {"--max-newton", "1048577"},  // above the iterate cap (2^20)
   };
   for (const auto& [flag, value] : cases) {
     error.clear();
@@ -189,6 +195,9 @@ TEST(CliParse, MalformedNumbersAreRejectedNamingTheFlag) {
   auto opt = parse_argv({"--max-newton", "0", "--deadline", "0"}, error);
   ASSERT_TRUE(opt.has_value()) << error;
   EXPECT_EQ(opt->reg.max_newton_iters, 0);
+  opt = parse_argv({"--max-newton", "1048576"}, error);
+  ASSERT_TRUE(opt.has_value()) << error;
+  EXPECT_EQ(opt->reg.max_newton_iters, core::kMaxNewtonIters);
 }
 
 // --comm-timeout-ms: a watchdog deadline is converted to a clock duration,
@@ -223,6 +232,119 @@ TEST(CliParse, CommTimeoutInfinityIsRejected) {
         << value;
     EXPECT_NE(error.find("--comm-timeout-ms"), std::string::npos) << error;
   }
+}
+
+// The batch retry settings have caps: a backoff above one day used to hang
+// the batch (1e300 ms before a retry), and a retry budget near INT_MAX
+// overflowed the round count.
+TEST(CliParse, RetrySettingsAboveTheirCapsAreRejected) {
+  std::string error;
+  const std::pair<std::string, std::string> cases[] = {
+      {"--backoff-ms", "1e300"},
+      {"--backoff-ms", "inf"},
+      {"--backoff-ms", "8.6400001e7"},
+      {"--retry-budget", "2147483647"},
+      {"--retry-budget", "1001"},
+  };
+  for (const auto& [flag, value] : cases) {
+    error.clear();
+    EXPECT_FALSE(parse_argv({flag, value}, error).has_value())
+        << flag << " " << value;
+    EXPECT_NE(error.find(flag), std::string::npos) << error;
+  }
+  auto opt = parse_argv({"--backoff-ms", "8.64e7", "--retry-budget", "1000"},
+                        error);
+  ASSERT_TRUE(opt.has_value()) << error;
+  EXPECT_EQ(opt->backoff_ms, mpisim::kMaxCommTimeoutMs);
+  EXPECT_EQ(opt->retry_budget, core::kMaxRetryBudget);
+}
+
+// Every standalone run is a pyramid: one level unless --levels says more,
+// and --continuation runs 1e-1 down to --beta wherever --beta stands.
+TEST(CliParse, ContinuationRunsDownToTheBetaOfTheRun) {
+  std::string error;
+  auto plain = parse_argv({}, error);
+  ASSERT_TRUE(plain.has_value()) << error;
+  EXPECT_EQ(plain->multi.levels, 1);
+  EXPECT_FALSE(plain->multi.coarse_beta_cont.has_value());
+  for (const std::vector<std::string>& args :
+       {std::vector<std::string>{"--continuation", "--beta", "1e-3"},
+        std::vector<std::string>{"--beta", "1e-3", "--continuation"}}) {
+    auto opt = parse_argv(args, error);
+    ASSERT_TRUE(opt.has_value()) << error;
+    ASSERT_TRUE(opt->multi.coarse_beta_cont.has_value());
+    EXPECT_EQ(opt->multi.coarse_beta_cont->beta_start, 1e-1);
+    EXPECT_EQ(opt->multi.coarse_beta_cont->beta_target, 1e-3);
+    EXPECT_EQ(opt->multi.levels, 1);
+  }
+}
+
+/// True when `opt` lies within every documented bound of the grammar.
+bool within_bounds(const CliOptions& opt) {
+  const auto finite = [](double x) { return std::isfinite(x); };
+  bool ok = opt.ranks >= 1 && opt.shards >= 0 && opt.reg.nt >= 1 &&
+            opt.reg.beta > 0 && finite(opt.reg.beta) && opt.reg.gtol > 0 &&
+            finite(opt.reg.gtol) && opt.reg.max_newton_iters >= 0 &&
+            opt.reg.max_newton_iters <= core::kMaxNewtonIters &&
+            opt.reg.precond_inner_iters >= 1 && opt.multi.levels >= 1 &&
+            opt.multi.coarsest_dim >= 4 && opt.multi.checkpoint_every >= 0 &&
+            finite(opt.synthetic_amplitude) && opt.deadline >= 0 &&
+            finite(opt.deadline) && opt.comm_timeout_ms >= 0 &&
+            opt.comm_timeout_ms <= mpisim::kMaxCommTimeoutMs &&
+            opt.backoff_ms >= 0 &&
+            opt.backoff_ms <= mpisim::kMaxCommTimeoutMs &&
+            opt.retry_budget >= 0 && opt.retry_budget <= core::kMaxRetryBudget;
+  for (int d = 0; d < 3; ++d) ok = ok && opt.dims[d] >= 4;
+  if (opt.multi.coarse_beta_cont)
+    ok = ok && opt.multi.coarse_beta_cont->beta_target == opt.reg.beta;
+  return ok;
+}
+
+TEST(CliParse, SeededMutantsParseWithinBoundsOrFailWithOneLine) {
+  // Seeded mutation fuzzing (tests/mutate.hpp) of a command line that sets
+  // every numeric flag and of a job line: each mutant parses into options
+  // within every documented bound, or is rejected with a one-line error.
+  const std::string command_line =
+      "--grid 32,24,16 --ranks 4 --amplitude 0.4 --beta 1e-3 --nt 8 "
+      "--gtol 1e-2 --max-newton 20 --levels 3 --coarsest 8 "
+      "--precond-iters 5 --comm-timeout-ms 400 --checkpoint-every 2 "
+      "--shards 2 --priority 3 --deadline 2.5 --retry-budget 4 "
+      "--backoff-ms 10 --continuation";
+  const std::string job_line =
+      "--grid 16,16,16 --amplitude 0.35 --beta 1e-3 --nt 8 --gtol 1e-2 "
+      "--max-newton 20 --precond-iters 5 --priority 5 --deadline 2.5 "
+      "--checkpoint-every 2";
+  std::string error;
+  const auto defaults = parse_argv({}, error);
+  ASSERT_TRUE(defaults.has_value()) << error;
+  const auto check = [](const std::optional<CliOptions>& opt,
+                        const std::string& error, const std::string& mutant) {
+    if (opt)
+      EXPECT_TRUE(within_bounds(*opt)) << mutant;
+    else
+      EXPECT_TRUE(!error.empty() && error.find('\n') == std::string::npos)
+          << mutant << " -> " << error;
+    return opt.has_value();
+  };
+  std::mt19937_64 rng(29);
+  int parsed = 0, rejected = 0;
+  for (int k = 0; k < 5000; ++k) {
+    const std::string mutant = fuzz::mutate(command_line, rng);
+    std::vector<std::string> args;
+    std::istringstream in(mutant);
+    for (std::string tok; in >> tok;) args.push_back(tok);
+    error.clear();
+    ++(check(parse_argv(args, error), error, mutant) ? parsed : rejected);
+  }
+  for (int k = 0; k < 2000; ++k) {
+    const std::string mutant = fuzz::mutate(job_line, rng);
+    error.clear();
+    ++(check(parse_options(mutant, *defaults, error), error, mutant)
+           ? parsed
+           : rejected);
+  }
+  EXPECT_GT(parsed, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 TEST(CliWorkload, UnreadableInputFailsEveryRank) {

@@ -629,13 +629,14 @@ TEST(Continuation, ReducesBetaAndImprovesFit) {
     copt.beta_target = 1e-3;
     auto cont = run_beta_continuation(solver, rho_t, rho_r, copt);
 
-    ASSERT_GE(cont.stages, 2);
-    EXPECT_LT(cont.stage_residuals.back(), cont.stage_residuals.front());
+    ASSERT_GE(cont.stages.size(), 2u);
+    EXPECT_LT(cont.stages.back().rel_residual,
+              cont.stages.front().rel_residual);
     EXPECT_LE(cont.final_beta, copt.beta_start);
     EXPECT_GT(cont.best.min_det, copt.min_det_bound);
     // Betas decrease monotonically across stages.
-    for (int s = 1; s < cont.stages; ++s)
-      EXPECT_LT(cont.stage_betas[s], cont.stage_betas[s - 1]);
+    for (std::size_t s = 1; s < cont.stages.size(); ++s)
+      EXPECT_LT(cont.stages[s].beta, cont.stages[s - 1].beta);
     EXPECT_TRUE(cont.admissible);
   });
 }
@@ -660,7 +661,7 @@ TEST(Continuation, InadmissibleFirstStageStillReturnsTheStageResult) {
     copt.min_det_bound = 10.0;
     auto cont = run_beta_continuation(solver, rho_t, rho_r, copt);
 
-    EXPECT_EQ(cont.stages, 1);
+    EXPECT_EQ(cont.stages.size(), 1u);
     EXPECT_FALSE(cont.admissible);
     EXPECT_EQ(cont.final_beta, copt.beta_start);
     EXPECT_EQ(cont.best.velocity.local_size(), decomp.local_real_size());
@@ -1182,8 +1183,11 @@ TEST(Checkpoint, RejectsAdmissibleOtherThanZeroOrOne) {
     expect_patched_rejected(kAdmissibleAt, admissible);
 }
 
-TEST(Checkpoint, RejectsNegativeNewtonItersDone) {
-  expect_patched_rejected(kNewtonItersAt, std::int32_t{-5});
+TEST(Checkpoint, RejectsNewtonItersDoneOutsideItsBound) {
+  // A count near INT_MAX used to overflow when a resume added the iterates
+  // it ran.
+  for (std::int32_t iters : {-5, kMaxNewtonIters + 1, 2147483647})
+    expect_patched_rejected(kNewtonItersAt, iters);
 }
 
 TEST(Checkpoint, RejectsNonFiniteVelocity) {
@@ -1219,6 +1223,7 @@ TEST(Checkpoint, SeededMutantsReadOrThrowOnEveryRank) {
                         hdr.gradient_reference >= 0)
                 << k;
             EXPECT_GE(hdr.newton_iters_done, 0) << k;
+            EXPECT_LE(hdr.newton_iters_done, kMaxNewtonIters) << k;
             if (hdr.level_dims == decomp.dims()) {
               EXPECT_EQ(grid::count_nonfinite(
                             read_checkpoint_velocity(decomp, path)),

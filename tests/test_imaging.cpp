@@ -3,15 +3,20 @@
 // trips, metrics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <random>
 
 #include "grid/field_io.hpp"
 #include "imaging/io.hpp"
 #include "imaging/metrics.hpp"
 #include "imaging/synthetic.hpp"
 #include "mpisim/communicator.hpp"
+#include "mutate.hpp"
 
 namespace diffreg::imaging {
 namespace {
@@ -123,6 +128,25 @@ TEST(Synthetic, BrainPhantomHasTissueContrast) {
   });
 }
 
+/// Writes `bytes` as `path`.raw.
+void write_raw_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream(path + ".raw", std::ios::binary | std::ios::trunc) << bytes;
+}
+
+/// read_raw_volume(path, dims) must throw std::runtime_error naming
+/// path.raw, with `expected` in its message.
+void expect_read_throws(const std::string& path, const Int3& dims,
+                        const std::string& expected) {
+  try {
+    read_raw_volume(path, dims);
+    ADD_FAILURE() << "expected an error containing " << expected;
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(expected), std::string::npos) << what;
+    EXPECT_NE(what.find(path + ".raw"), std::string::npos) << what;
+  }
+}
+
 TEST(Io, RawVolumeRoundTrip) {
   const Int3 dims{6, 5, 4};
   std::vector<real_t> vol(dims.prod());
@@ -152,8 +176,75 @@ TEST(Io, TruncatedRawVolumeThrowsNamingTheFile) {
     EXPECT_NE(what.find("truncated"), std::string::npos);
     EXPECT_NE(what.find(path), std::string::npos);
   }
+  // One byte short is as truncated, and so is a file read on a larger grid.
+  std::filesystem::resize_file(path + ".raw", dims.prod() * 8 - 1);
+  expect_read_throws(path, dims, "truncated");
+  write_raw_volume(path, dims, vol);
+  expect_read_throws(path, {6, 5, 5}, "truncated");
   std::remove((path + ".raw").c_str());
   std::remove((path + ".mhd").c_str());
+}
+
+TEST(Io, RawVolumeLongerThanTheGridThrows) {
+  // A 6x5x4 volume read on a 6x5x3 grid: the reader used to take the first
+  // 90 values and ignore the rest.
+  const Int3 dims{6, 5, 4};
+  const std::string path = ::testing::TempDir() + "diffreg_long_volume";
+  write_raw_volume(path, dims, std::vector<real_t>(dims.prod(), 0.5));
+  expect_read_throws(path, {6, 5, 3}, "oversized");
+  // One byte too many is as wrong as a whole plane.
+  std::filesystem::resize_file(path + ".raw", dims.prod() * 8 + 1);
+  expect_read_throws(path, dims, "oversized");
+  std::remove((path + ".raw").c_str());
+  std::remove((path + ".mhd").c_str());
+}
+
+TEST(Io, RawVolumeWithANonFiniteValueThrows) {
+  // A NaN in a template used to surface only inside the solve, as a
+  // non-finite objective.
+  const Int3 dims{4, 4, 4};
+  const std::string path = ::testing::TempDir() + "diffreg_nan_volume";
+  for (real_t bad : {std::numeric_limits<real_t>::quiet_NaN(),
+                     -std::numeric_limits<real_t>::infinity()}) {
+    std::vector<real_t> vol(dims.prod(), 0.25);
+    vol[37] = bad;
+    write_raw_volume(path, dims, vol);
+    expect_read_throws(path, dims, "non-finite");
+  }
+  std::remove((path + ".raw").c_str());
+  std::remove((path + ".mhd").c_str());
+}
+
+TEST(Io, SeededMutantsOfARawVolumeReadOrThrow) {
+  // Seeded mutation fuzzing of an 8^3 .raw file (tests/mutate.hpp): each
+  // mutant reads finite values from a file of exactly the grid's size, or
+  // throws std::runtime_error.
+  const Int3 dims{8, 8, 8};
+  const std::string path = ::testing::TempDir() + "diffreg_fuzz_volume";
+  std::vector<real_t> vol(dims.prod());
+  for (index_t i = 0; i < dims.prod(); ++i)
+    vol[i] = std::sin(0.1 * static_cast<real_t>(i));
+  const std::string valid(reinterpret_cast<const char*>(vol.data()),
+                          vol.size() * sizeof(real_t));
+  std::mt19937_64 rng(29);
+  int read = 0, threw = 0;
+  for (int k = 0; k < 2000; ++k) {
+    const std::string mutant = fuzz::mutate(valid, rng);
+    write_raw_bytes(path, mutant);
+    try {
+      const std::vector<real_t> back = read_raw_volume(path, dims);
+      EXPECT_EQ(mutant.size(), valid.size()) << k;
+      EXPECT_TRUE(std::all_of(back.begin(), back.end(),
+                              [](real_t x) { return std::isfinite(x); }))
+          << k;
+      ++read;
+    } catch (const std::runtime_error&) {
+      ++threw;
+    }
+  }
+  std::remove((path + ".raw").c_str());
+  EXPECT_GT(read, 0);
+  EXPECT_GT(threw, 0);
 }
 
 TEST(Io, RawVolumeThrowsWhenItsHeaderCannotBeWritten) {

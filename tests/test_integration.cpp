@@ -270,7 +270,7 @@ TEST(Integration, CheckpointResumeReproducesTheContinuationRun) {
     body(comm, mopt, ml);
     if (comm.is_root()) {
       ref = std::move(ml);
-      ref_coarsest_iters = ref.levels.front().newton_iterations;
+      ref_coarsest_iters = ref.solves.front().newton_iters;
     }
   });
   ASSERT_TRUE(ref.fine.newton.converged);

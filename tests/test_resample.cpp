@@ -408,7 +408,7 @@ TEST(GridContinuation, CoarseWarmStartHelpsTheFineSolve) {
     EXPECT_LT(two_level.fine.rel_residual, cold.rel_residual + 0.05);
     EXPECT_GT(two_level.fine.min_det, 0.0);
     // And the coarse stage did real work.
-    EXPECT_GT(two_level.coarsest.newton.total_matvecs, 0);
+    EXPECT_GT(two_level.solves.front().matvecs, 0);
   });
 }
 
@@ -434,12 +434,12 @@ TEST(Multilevel, ThreeLevelPyramidReachesTheFitWithLessFineWork) {
     auto ml = core::run_multilevel_continuation(fine, opt, rho_t, rho_r,
                                                 mopt);
 
-    ASSERT_EQ(ml.levels.size(), 3u);  // 24 -> 12 -> 6, coarsest first
-    EXPECT_EQ(ml.levels[0].dims, (Int3{6, 6, 6}));
-    EXPECT_EQ(ml.levels[1].dims, (Int3{12, 12, 12}));
-    EXPECT_EQ(ml.levels[2].dims, (Int3{24, 24, 24}));
+    ASSERT_EQ(ml.solves.size(), 3u);  // 24 -> 12 -> 6, coarsest first
+    EXPECT_EQ(ml.solves[0].dims, (Int3{6, 6, 6}));
+    EXPECT_EQ(ml.solves[1].dims, (Int3{12, 12, 12}));
+    EXPECT_EQ(ml.solves[2].dims, (Int3{24, 24, 24}));
     EXPECT_GT(ml.gradient_reference, 0);
-    EXPECT_GT(ml.coarsest.newton.total_matvecs, 0);
+    EXPECT_GT(ml.solves.front().matvecs, 0);
 
     // The warm start absorbs outer iterations on the coarse grids: the fine
     // level needs strictly fewer Newton iterations (its PCG may spend a few
@@ -472,8 +472,8 @@ TEST(Multilevel, OddDimsSupported) {
     mopt.coarsest_dim = 4;
     auto ml = core::run_multilevel_continuation(fine, opt, rho_t, rho_r,
                                                 mopt);
-    ASSERT_EQ(ml.levels.size(), 2u);
-    EXPECT_EQ(ml.levels[0].dims, (Int3{5, 5, 6}));
+    ASSERT_EQ(ml.solves.size(), 2u);
+    EXPECT_EQ(ml.solves[0].dims, (Int3{5, 5, 6}));
     EXPECT_TRUE(std::isfinite(ml.fine.rel_residual));
     EXPECT_LT(ml.fine.rel_residual, 1.0);
     EXPECT_GT(ml.fine.min_det, 0.0);
@@ -504,7 +504,7 @@ TEST(Multilevel, ComposesWithBetaContinuation) {
     // level; the fine solve runs at that beta, not at opt.beta.
     EXPECT_LE(ml.final_beta, copt.beta_start);
     EXPECT_GE(ml.final_beta, copt.beta_target);
-    EXPECT_EQ(ml.levels.back().beta, ml.final_beta);
+    EXPECT_EQ(ml.solves.back().beta, ml.final_beta);
     EXPECT_LT(ml.fine.rel_residual, 1.0);
     EXPECT_GT(ml.fine.min_det, 0.0);
   });
