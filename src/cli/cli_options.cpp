@@ -1,10 +1,12 @@
 #include "cli/cli_options.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <limits>
 #include <sstream>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -66,7 +68,8 @@ void print_usage() {
       "                       ScheduleDivergenceError naming the first\n"
       "                       mismatching op instead of hanging (results\n"
       "                       stay bitwise identical — docs/ANALYSIS.md)\n"
-      "  --checkpoint PATH    checkpoint file (default diffreg.ckpt)\n"
+      "  --checkpoint PATH    checkpoint file (default diffreg.ckpt; with\n"
+      "                       --batch, a job line names its own)\n"
       "  --checkpoint-every N write a checkpoint every N accepted Newton\n"
       "                       iterates and at every level end\n"
       "  --resume PATH        warm-restart a killed run from a checkpoint\n"
@@ -79,10 +82,10 @@ void print_usage() {
       "  --shards N           split the ranks into N equal shard\n"
       "                       communicators for --batch (default 0 =\n"
       "                       automatic; 1 = bitwise-reference mode)\n"
-      "  --priority N         job-line flag: higher priority runs earlier\n"
-      "  --deadline S         job-line flag: deadline in seconds on the\n"
-      "                       batch clock; under --batch a late job is\n"
-      "                       cancelled between Newton iterates (or, with\n"
+      "  --priority N         batch job priority: higher runs earlier\n"
+      "  --deadline S         batch job deadline in seconds on the batch\n"
+      "                       clock; a late job is cancelled at admission\n"
+      "                       or between Newton iterates (or, with\n"
       "                       --degrade on, re-admitted once with a cheaper\n"
       "                       configuration)\n"
       "  --retry-budget N     extra attempts a faulted batch job gets\n"
@@ -98,9 +101,13 @@ void print_usage() {
       "  --batch-manifest P   persist per-job outcomes to manifest P and\n"
       "                       resume from it: completed jobs are skipped,\n"
       "                       in-flight jobs warm-start from their solver\n"
-      "                       checkpoints (docs/FAULT_MODEL.md)\n"
+      "                       checkpoints, P.jobN.ckpt unless the job line\n"
+      "                       names one (docs/FAULT_MODEL.md)\n"
       "  --verbose            per-iteration Newton log\n"
-      "  --help               this message\n");
+      "  --help               this message\n\n"
+      "Without --batch only: --levels --coarsest --continuation --resume\n"
+      "--out --checkpoint. With --batch only: --shards --priority --deadline\n"
+      "--retry-budget --backoff-ms --degrade --batch-manifest.\n");
 }
 
 namespace {
@@ -161,20 +168,25 @@ bool parse_int3(const std::string& flag, const std::string& arg, Int3& out,
   return true;
 }
 
-// Flags that configure the run as a whole (rank count, batch layout, the
-// fault-tolerance runtime, the multilevel/continuation drivers and output
-// dumping) make no sense inside a --batch job line: a job is one
-// single-level solve on an already-chosen shard.
-bool global_only_flag(const std::string& flag) {
-  static const char* const kGlobal[] = {
-      "--ranks",   "--batch",        "--shards",       "--fault-spec",
-      "--comm-timeout-ms", "--verify-schedule", "--levels", "--coarsest",
-      "--continuation", "--resume",   "--out",          "--help",
-      "-h",        "--retry-budget", "--backoff-ms",   "--degrade",
-      "--batch-manifest"};
-  for (const char* g : kGlobal)
-    if (flag == g) return true;
-  return false;
+// A job line is one single-level solve on an already-chosen shard, so it
+// rejects the flags that configure the run as a whole. A command line
+// rejects the flags only the other kind of run reads (a --batch job line
+// still names its own --checkpoint).
+constexpr std::string_view kGlobalOnly[] = {
+    "--ranks", "--batch", "--shards", "--fault-spec", "--comm-timeout-ms",
+    "--verify-schedule", "--levels", "--coarsest", "--continuation",
+    "--resume", "--out", "--help", "-h", "--retry-budget", "--backoff-ms",
+    "--degrade", "--batch-manifest"};
+constexpr std::string_view kStandaloneOnly[] = {
+    "--levels", "--coarsest", "--continuation", "--resume", "--out",
+    "--checkpoint"};
+constexpr std::string_view kBatchOnly[] = {
+    "--shards", "--priority", "--deadline", "--retry-budget", "--backoff-ms",
+    "--degrade", "--batch-manifest"};
+
+template <std::size_t N>
+bool is_one_of(const std::string& flag, const std::string_view (&flags)[N]) {
+  return std::find(flags, flags + N, flag) != flags + N;
 }
 
 /// Shared grammar for command lines and job-spec lines. Fills `opt`
@@ -182,8 +194,10 @@ bool global_only_flag(const std::string& flag) {
 /// problem through `error`.
 bool parse_tokens(const std::vector<std::string>& args, bool job_line,
                   CliOptions& opt, std::string& error) {
+  std::vector<std::string> flags;  // in order, without their values
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& flag = args[i];
+    flags.push_back(flag);
     auto next = [&]() -> const std::string* {
       return (i + 1 < args.size()) ? &args[++i] : nullptr;
     };
@@ -199,7 +213,7 @@ bool parse_tokens(const std::vector<std::string>& args, bool job_line,
       if (!v) return missing();
       return parse_number(flag, *v, out, error, min, max, strict);
     };
-    if (job_line && global_only_flag(flag)) {
+    if (job_line && is_one_of(flag, kGlobalOnly)) {
       error = "flag " + flag + " is global-only and not allowed in a job line";
       return false;
     }
@@ -352,9 +366,19 @@ bool parse_tokens(const std::vector<std::string>& args, bool job_line,
   // --continuation runs down to --beta, wherever the two flags stand.
   if (opt.multi.coarse_beta_cont)
     opt.multi.coarse_beta_cont->beta_target = opt.reg.beta;
+  if (job_line) return true;
+  const bool batch = !opt.batch_file.empty();
+  for (const std::string& flag : flags) {
+    if (batch ? is_one_of(flag, kStandaloneOnly)
+              : is_one_of(flag, kBatchOnly)) {
+      error = "flag " + flag +
+              (batch ? " is not allowed with --batch" : " needs --batch");
+      return false;
+    }
+  }
   // Either checkpoint flag alone checkpoints a standalone run. A batch job
-  // checkpoints through its SolveRequest, so job lines keep them as written.
-  if (!job_line) {
+  // checkpoints through its BatchJobSpec, which keeps them as written.
+  if (!batch) {
     if (!opt.multi.checkpoint_path.empty() && opt.multi.checkpoint_every == 0)
       opt.multi.checkpoint_every = 1;
     if (opt.multi.checkpoint_every > 0 && opt.multi.checkpoint_path.empty())

@@ -34,10 +34,9 @@ struct CliOptions {
   // Batch service mode (docs/SERVICE.md).
   std::string batch_file;  // --batch jobs.txt; empty = single-job mode
   int shards = 0;          // --shards N; 0 = automatic
-  int priority = 0;        // job-line --priority (higher runs earlier)
-  double deadline = 0;     // job-line --deadline seconds (0 = none)
-  // Batch fault isolation (docs/FAULT_MODEL.md). The CLI enforces
-  // deadlines under --batch (the library default keeps them advisory).
+  int priority = 0;        // --priority (higher runs earlier)
+  double deadline = 0;     // --deadline seconds on the batch clock (0 = none)
+  // Batch fault isolation (docs/FAULT_MODEL.md).
   int retry_budget = 2;        // --retry-budget N extra attempts per job
   double backoff_ms = 0;       // --backoff-ms T base of exponential backoff
   bool degrade = false;        // --degrade on: one cheaper re-admission
@@ -48,8 +47,9 @@ struct CliOptions {
 void print_usage();
 
 /// Parses a full command line. On error returns nullopt with a one-line
-/// message in `error` (never prints). `--help` returns an options object
-/// with `help` set.
+/// message in `error` (never prints), also for a flag the chosen run does
+/// not read (a standalone-only flag with --batch, a batch-only flag
+/// without it). `--help` returns an options object with `help` set.
 std::optional<CliOptions> parse_options(int argc, char** argv,
                                         std::string& error);
 

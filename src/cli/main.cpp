@@ -74,15 +74,14 @@ int run_batch(const cli::CliOptions& opt,
       spec.dims = jo.dims;
       spec.request.options = jo.reg;
       spec.request.job_id = j + 1;
-      spec.request.priority = jo.priority;
-      spec.request.deadline_seconds = jo.deadline;
-      spec.request.checkpoint_path = jo.multi.checkpoint_path;
-      if (jo.multi.checkpoint_every > 0)
-        spec.request.checkpoint_every = jo.multi.checkpoint_every;
+      spec.priority = jo.priority;
+      spec.deadline_seconds = jo.deadline;
+      spec.checkpoint_path = jo.multi.checkpoint_path;
+      spec.checkpoint_every = jo.multi.checkpoint_every;
       // With a batch manifest, every job checkpoints by default so a killed
       // batch can warm-start its in-flight jobs on resume.
-      if (!opt.batch_manifest.empty() && spec.request.checkpoint_path.empty())
-        spec.request.checkpoint_path =
+      if (!opt.batch_manifest.empty() && spec.checkpoint_path.empty())
+        spec.checkpoint_path =
             opt.batch_manifest + ".job" + std::to_string(j + 1) + ".ckpt";
       spec.make_inputs = [jo](grid::PencilDecomp& d, grid::ScalarField& t,
                               grid::ScalarField& r) {
@@ -97,10 +96,6 @@ int run_batch(const cli::CliOptions& opt,
     core::BatchOptions bopt;
     bopt.shards = opt.shards;
     bopt.verbose = opt.reg.verbose;
-    // The CLI service enforces deadlines (the library default keeps them
-    // advisory for embedding callers) and wires up the fault-isolation
-    // knobs.
-    bopt.enforce_deadlines = true;
     bopt.retry_budget = opt.retry_budget;
     bopt.backoff_ms = opt.backoff_ms;
     bopt.degrade = opt.degrade;

@@ -29,6 +29,12 @@ bool is_final(JobOutcome outcome) {
          outcome == JobOutcome::kDeadlineExceeded;
 }
 
+/// Thrown on every rank of the shard at once by the deadline vote. Not a
+/// CommError: the retry boundary must not take it for a transport fault.
+struct JobDeadlineError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
 /// The degrade ladder: a cheaper configuration for a job's one post-deadline
 /// re-admission — halved outer/inner iteration caps, no two-level
 /// preconditioner. The degraded attempt runs without deadline enforcement
@@ -63,9 +69,8 @@ void degrade_options(RegistrationOptions& opt) {
 /// sync reconciles it), which is what makes the failover decisions
 /// collective-consistent.
 struct JobState : BatchJobSummary {
-  bool from_manifest = false;  ///< Final outcome restored, job skipped.
-  bool resume = false;         ///< Re-run of a manifest in-flight job.
-  std::string checkpoint;      ///< Solver checkpoint path (warm starts).
+  bool resume = false;     ///< Re-run of a manifest in-flight job.
+  std::string checkpoint;  ///< Solver checkpoint path (warm starts).
 };
 
 /// The round sync's row of one job, its columns named only here: `pack`
@@ -159,7 +164,7 @@ BatchReport BatchSolver::run_all(const BatchOptions& opts) {
   std::vector<int> order(njobs);
   std::iota(order.begin(), order.end(), 0);
   std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-    return queue_[a].request.priority > queue_[b].request.priority;
+    return queue_[a].priority > queue_[b].priority;
   });
 
   int shards = opts.shards;
@@ -191,7 +196,7 @@ BatchReport BatchSolver::run_all(const BatchOptions& opts) {
     st[j].job_id = queue_[j].request.job_id;
     st[j].dims = queue_[j].dims;
     st[j].beta = queue_[j].request.options.beta;
-    st[j].checkpoint = queue_[j].request.checkpoint_path;
+    st[j].checkpoint = queue_[j].checkpoint_path;
   }
 
   // Batch resume: restore final outcomes from the manifest (those jobs are
@@ -214,12 +219,22 @@ BatchReport BatchSolver::run_all(const BatchOptions& opts) {
         st[j].attempts = e.attempts;
         st[j].completed_at_seconds = e.completed_at_seconds;
         st[j].deadline_met = e.deadline_met;
-        st[j].from_manifest = true;
       } else {
         st[j].attempts = e.attempts;
         st[j].resume = true;
       }
     }
+  }
+
+  // Two jobs writing one checkpoint would warm-start each other on resume.
+  std::map<std::string, std::uint64_t> checkpoint_owner;
+  for (const JobState& s : st) {
+    if (s.checkpoint.empty() || is_final(s.outcome)) continue;
+    const auto [it, fresh] = checkpoint_owner.emplace(s.checkpoint, s.job_id);
+    if (!fresh)
+      throw std::invalid_argument(
+          "BatchSolver: jobs " + std::to_string(it->second) + " and " +
+          std::to_string(s.job_id) + " share checkpoint " + s.checkpoint);
   }
 
   auto manifest_entry = [&](int qi) {
@@ -331,13 +346,12 @@ BatchReport BatchSolver::run_all(const BatchOptions& opts) {
     // the shard — the ranks execute this loop in lockstep).
     auto finalize_done = [&](const Attempt& a, SolveReport rep) {
       const double done_at = batch_clock.seconds();
-      const double deadline = queue_[a.qi].request.deadline_seconds;
-      rep.deadline_met = deadline <= 0 || done_at <= deadline;
+      const double deadline = queue_[a.qi].deadline_seconds;
       JobState& s = st[a.qi];
       static_cast<SolveSummary&>(s) = summarize(rep, s.dims, s.beta);
       s.outcome = a.degraded ? JobOutcome::kDegraded : JobOutcome::kDone;
       s.completed_at_seconds = done_at;
-      s.deadline_met = rep.deadline_met;
+      s.deadline_met = deadline <= 0 || done_at <= deadline;
       verbose_line(
           "[batch shard %d] job %llu: %s (%s) in %d iters, rel res %.3e, "
           "attempt %d, %.2fs\n",
@@ -366,7 +380,7 @@ BatchReport BatchSolver::run_all(const BatchOptions& opts) {
         JobState& s = st[a.qi];
         s.outcome = JobOutcome::kPoisoned;
         s.completed_at_seconds = batch_clock.seconds();
-        s.deadline_met = queue_[a.qi].request.deadline_seconds <= 0;
+        s.deadline_met = queue_[a.qi].deadline_seconds <= 0;
         verbose_line("[batch shard %d] job %llu poisoned after %d attempts\n",
                      color,
                      static_cast<unsigned long long>(
@@ -414,13 +428,10 @@ BatchReport BatchSolver::run_all(const BatchOptions& opts) {
           if (jd.warm_gradient_reference > 0)
             req.options.gradient_reference = jd.warm_gradient_reference;
         }
-        if (!st[a.qi].checkpoint.empty())
-          req.checkpoint_path = st[a.qi].checkpoint;
-        const double deadline = req.deadline_seconds;
-        const bool enforce =
-            opts.enforce_deadlines && deadline > 0 && !a.degraded;
+        const double deadline = spec.deadline_seconds;
         if (a.degraded) degrade_options(req.options);
-        if (enforce) {
+        auto& hook = req.options.iterate_hook;
+        if (deadline > 0 && !a.degraded) {
           // Admission check: cancel before spending a solve when the
           // deadline already passed (a shard-collective decision, so every
           // rank takes the same branch).
@@ -429,20 +440,29 @@ BatchReport BatchSolver::run_all(const BatchOptions& opts) {
             throw JobDeadlineError("deadline passed before admission");
           // Cancellation between Newton iterates: the hook throws on every
           // rank at the same iterate (the lateness vote is collective), so
-          // the solve terminates cleanly on all ranks. Caller hooks keep
-          // running first, mirroring the checkpoint chaining.
-          auto caller_hook = req.options.iterate_hook;
+          // the solve terminates cleanly on all ranks.
           mpisim::Communicator vote = ctx->sub;
-          req.options.iterate_hook =
-              [caller_hook, vote, deadline,
-               &batch_clock](const NewtonIterateInfo& info) mutable {
-                if (caller_hook) caller_hook(info);
-                if (vote.allreduce_max(
-                        batch_clock.seconds() > deadline ? 1.0 : 0.0) > 0.5)
-                  throw JobDeadlineError("deadline exceeded mid-solve");
-              };
+          hook = [caller = std::move(hook), vote, deadline,
+                  &batch_clock](const NewtonIterateInfo& info) mutable {
+            if (caller) caller(info);
+            if (vote.allreduce_max(
+                    batch_clock.seconds() > deadline ? 1.0 : 0.0) > 0.5)
+              throw JobDeadlineError("deadline exceeded mid-solve");
+          };
         }
-        finalize_done(a, solver_for(spec).solve(req));
+        RegistrationSolver solver = solver_for(spec);
+        // The checkpoint write runs last, after the caller's hook and the
+        // deadline vote, so a cancelled iterate keeps the last checkpoint.
+        if (!st[a.qi].checkpoint.empty()) {
+          CheckpointHeader base;
+          base.fine_dims = base.level_dims = spec.dims;
+          base.beta = req.options.beta;
+          hook = checkpoint_hook(solver.ops().decomp(), base,
+                                 st[a.qi].checkpoint,
+                                 std::max(1, spec.checkpoint_every),
+                                 std::move(hook));
+        }
+        finalize_done(a, solver.solve(req));
       } catch (const JobDeadlineError&) {
         if (opts.degrade && !a.degraded) {
           a.degraded = true;
@@ -525,7 +545,7 @@ BatchReport BatchSolver::run_all(const BatchOptions& opts) {
       for (int j = 0; j < njobs; ++j) {
         if (is_final(st[j].outcome)) continue;
         st[j].outcome = JobOutcome::kPoisoned;
-        st[j].deadline_met = queue_[j].request.deadline_seconds <= 0;
+        st[j].deadline_met = queue_[j].deadline_seconds <= 0;
       }
       break;
     }
@@ -583,11 +603,7 @@ BatchReport BatchSolver::run_all(const BatchOptions& opts) {
   out.reports.reserve(static_cast<std::size_t>(jn));
   for (int qi : my_completed) out.reports.push_back(std::move(my_reports[qi]));
 
-  out.summary.reserve(static_cast<std::size_t>(njobs));
-  for (JobState& s : st) {
-    s.ran_here = !s.from_manifest && s.shard == color;
-    out.summary.push_back(s);
-  }
+  out.summary.assign(st.begin(), st.end());
 
   // Final manifest write: every job's terminal outcome, in one atomic
   // replace (the per-finalization updates make this mostly a no-op, but it

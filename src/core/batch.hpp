@@ -1,10 +1,10 @@
 // BatchSolver: registration as a service — B independent image pairs
 // through shared plan infrastructure (ROADMAP item 3; docs/SERVICE.md).
 //
-// Jobs are submitted as SolveRequests (plus a grid and an input factory)
-// into a FIFO+priority queue; run_all() drains the queue
-// collectively. Two throughput mechanisms stack on the shared
-// PlanRegistry:
+// Jobs are submitted as BatchJobSpecs (a SolveRequest plus the job's grid,
+// input factory, priority, deadline and checkpoint) into a FIFO+priority
+// queue; run_all() drains the queue collectively. Two throughput mechanisms
+// stack on the shared PlanRegistry:
 //
 //  * plan amortization — all solvers and jobs of a shard lease their
 //    decomposition/spectral/resample plans from one registry and check
@@ -39,13 +39,11 @@
 // redistributed across shards in the next failover round.
 //
 // Fairness/deadline semantics: higher priority runs earlier, FIFO within a
-// priority class; round-robin assignment over shards in that order. By
-// default deadlines are advisory (jobs are never killed): deadline_met
-// records whether the job finished within its budget, measured on the batch
-// clock (seconds since run_all start). With enforce_deadlines set, a job
-// past its deadline is cancelled between Newton iterates (kDeadlineExceeded)
-// or — with degrade also set — re-admitted ONCE with a cheaper
-// configuration (kDegraded).
+// priority class; round-robin assignment over shards in that order. A
+// deadline is measured on the batch clock (seconds since run_all start): a
+// job past it is cancelled at admission or between Newton iterates
+// (kDeadlineExceeded) or — with degrade set — re-admitted ONCE with a
+// cheaper configuration (kDegraded).
 //
 // Batch checkpoint/resume: with manifest_path set, per-job outcomes are
 // persisted to a JSON manifest (core/batch_manifest.hpp) as they finalize.
@@ -81,22 +79,23 @@ const char* to_string(JobOutcome outcome);
 /// Inverse of to_string; unknown names map to kPending (re-run on resume).
 JobOutcome outcome_from_string(const std::string& name);
 
-/// Internal cancellation signal for deadline enforcement: thrown out of the
-/// iterate hook on EVERY rank of the shard at the same iterate (the
-/// past-deadline decision is a shard collective), so the solve terminates
-/// cleanly with no stranded messages. Deliberately not a CommError: the
-/// retry boundary must not treat a cancellation as a transport fault.
-class JobDeadlineError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
-
-/// One queued job: the request plus what the batch driver needs to place
-/// it. `make_inputs` builds the inputs on whatever shard decomposition the
-/// job lands on; the batch points the request's inputs at them.
+/// One queued job: the solve request plus everything only the batch reads
+/// to place, schedule and checkpoint it. `make_inputs` builds the inputs on
+/// whatever shard decomposition the job lands on; the batch points the
+/// request's inputs at them.
 struct BatchJobSpec {
   SolveRequest request;
   Int3 dims{0, 0, 0};  ///< Grid of this job.
+  /// Higher runs earlier; FIFO within a priority class.
+  int priority = 0;
+  /// Seconds on the batch clock by which the job must finish (0: none). A
+  /// job past it is cancelled at admission or between Newton iterates.
+  double deadline_seconds = 0;
+  /// When non-empty, a restart checkpoint (core/checkpoint.hpp) is written
+  /// every `checkpoint_every` (at least 1) accepted Newton iterates. Two
+  /// jobs that run in one run_all never share one.
+  std::string checkpoint_path;
+  int checkpoint_every = 1;
   /// Input factory: fills pencil-local template/reference blocks for the
   /// decomposition the job was placed on. Called once per placement, before
   /// the solve (again after a shard failover moves the job).
@@ -122,11 +121,7 @@ struct BatchOptions {
   /// rank of the shard waits it out identically — no wall-clock
   /// randomness), in [0, mpisim::kMaxCommTimeoutMs]. 0: retry immediately.
   double backoff_ms = 0;
-  /// Enforce deadlines: cancel a job past its deadline between Newton
-  /// iterates (kDeadlineExceeded). Off by default — the library default
-  /// keeps deadlines advisory; the CLI batch driver turns this on.
-  bool enforce_deadlines = false;
-  /// With enforce_deadlines: re-admit a cancelled job ONCE with a cheaper
+  /// Re-admit a job cancelled past its deadline ONCE with a cheaper
   /// configuration (halved iteration caps, no two-level preconditioner)
   /// instead of failing it; such a job ends kDegraded.
   bool degrade = false;
@@ -150,8 +145,7 @@ inline constexpr int kMaxRetryBudget = 1000;
 /// service state.
 struct BatchJobSummary : SolveSummary {
   std::uint64_t job_id = 0;
-  int shard = -1;         ///< Shard that ran the job; -1: never placed.
-  bool ran_here = false;  ///< True on the ranks of the executing shard.
+  int shard = -1;  ///< Shard that ran the job; -1: never placed.
   /// Final state; kPending never survives run_all. Jobs restored from a
   /// manifest keep their persisted outcome and report shard = -1.
   JobOutcome outcome = JobOutcome::kPending;
@@ -192,7 +186,8 @@ class BatchSolver {
   /// Drains the queue. Collective over the constructor communicator.
   /// Throws std::invalid_argument on every rank, before any job runs, when
   /// `opts` holds a retry_budget or backoff_ms outside its documented range
-  /// or shards that do not divide the rank count.
+  /// or shards that do not divide the rank count, or when two jobs that
+  /// will run name one checkpoint path (a job's own, else the manifest's).
   /// Shard registries persist across run_all calls, so a second batch of
   /// same-shape jobs builds no plans at all. Structured job failures
   /// (CommError, NonFiniteFieldError) are absorbed by the retry/failover

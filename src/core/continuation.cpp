@@ -225,7 +225,6 @@ MultilevelResult run_multilevel_continuation(
         // finished (level-end checkpoints replay zero: the warm start is
         // already converged).
         result = solver.run(rho_ts[k], rho_rs[k], &resume_v);
-        result.newton.iterations += base_iters;
       } else if (k == nlevels - 1) {
         result = solver.run(rho_ts[k], rho_rs[k]);
         out.gradient_reference = result.newton.initial_gradient_norm;
@@ -240,11 +239,12 @@ MultilevelResult run_multilevel_continuation(
     out.final_beta = lopt.beta;
 
     // Level-end checkpoint: marks the level complete (a resume from it
-    // replays nothing here and moves on to the prolongation).
+    // replays nothing here) and counts the level's iterates across runs.
     if (mopt.checkpoint_every > 0)
-      write_checkpoint(*decomps[k],
-                       level_header(k, lopt.beta, result.newton.iterations),
-                       result.velocity, mopt.checkpoint_path);
+      write_checkpoint(
+          *decomps[k],
+          level_header(k, lopt.beta, base_iters + result.newton.iterations),
+          result.velocity, mopt.checkpoint_path);
 
     out.fine = std::move(result);
   }

@@ -85,7 +85,8 @@ struct MultilevelOptions {
   // restarts a killed run: completed levels are skipped, the interrupted
   // level is warm-started from the stored velocity, and — because Newton
   // state is fully determined by (velocity, options) — the resumed run
-  // replays the remaining iterates of the uninterrupted trajectory.
+  // replays the remaining iterates of the uninterrupted trajectory and
+  // reports only those (its level-end checkpoint keeps the total).
   std::string checkpoint_path;  ///< Target file (required when writing).
   int checkpoint_every = 0;     ///< Newton-iterate period; 0 disables.
   std::string resume_path;      ///< Checkpoint to restart from; "" = cold.

@@ -1,9 +1,7 @@
 #include "core/registration.hpp"
 
-#include <algorithm>
 #include <utility>
 
-#include "core/checkpoint.hpp"
 #include "core/plan_registry.hpp"
 #include "core/precond.hpp"
 
@@ -56,20 +54,7 @@ RegistrationResult RegistrationSolver::run(const ScalarField& rho_t,
 }
 
 SolveReport RegistrationSolver::solve(const SolveRequest& request) {
-  RegistrationOptions opt = request.options;
-
-  // Periodic restart checkpoints, chained behind any hook the caller
-  // installed (caller's hook observes first).
-  if (!request.checkpoint_path.empty()) {
-    CheckpointHeader base;
-    base.fine_dims = base.level_dims = decomp_->dims();
-    base.beta = opt.beta;
-    opt.iterate_hook =
-        checkpoint_hook(*decomp_, base, request.checkpoint_path,
-                        std::max(1, request.checkpoint_every),
-                        std::move(opt.iterate_hook));
-  }
-
+  const RegistrationOptions& opt = request.options;
   RegistrationResult result;
   result.job_id = request.job_id;
   auto& comm = decomp_->comm();
@@ -136,10 +121,6 @@ SolveReport RegistrationSolver::solve(const SolveRequest& request) {
   result.velocity = std::move(v);
   result.time_to_solution = wall.seconds();
   result.timings = timings_delta(timings_before, comm.timings());
-  // Standalone semantics: the deadline is measured against this solve's own
-  // wall clock. BatchSolver overwrites this against the batch clock.
-  result.deadline_met = request.deadline_seconds <= 0 ||
-                        result.time_to_solution <= request.deadline_seconds;
   return result;
 }
 

@@ -6,12 +6,12 @@
 // of the optimal-control problem (2), and deformation-map diagnostics.
 //
 // The one entrypoint shape is a SolveRequest: inputs + per-solve options +
-// job metadata (id, priority, deadline, checkpoint path). Every solve is a
-// pure function of its request — the solver holds no mutable option state,
-// so drivers that adapt parameters between solves (beta continuation, the
-// batch service) submit a fresh request per stage instead of mutating the
-// solver. `run(rho_t, rho_r, v0)` stays as a thin convenience wrapper that
-// solves a request built from the constructor options.
+// a job id. Every solve is a pure function of its request — the solver
+// holds no mutable option state and runs no job logic, so drivers that
+// adapt parameters between solves (beta continuation, the batch service)
+// submit a fresh request per stage instead of mutating the solver.
+// `run(rho_t, rho_r, v0)` stays as a thin convenience wrapper that solves a
+// request built from the constructor options.
 //
 // Every solver leases its plans from a PlanRegistry: its spectral operators
 // once at construction, a pooled transport per solve (returned warm, so a
@@ -35,7 +35,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 
 #include "core/deformation.hpp"
 #include "core/newton.hpp"
@@ -46,28 +45,16 @@ namespace diffreg::core {
 
 class PlanRegistry;
 
-/// One registration job: everything a solve needs, in one value. The field
-/// pointers must stay valid for the duration of solve(); the request itself
-/// is copyable (job queues hold them by value).
+/// One solve: everything it needs, in one value. The field pointers must
+/// stay valid for the duration of solve(); the request itself is copyable
+/// (job queues hold them by value). A batch job's scheduling and checkpoint
+/// settings live on its BatchJobSpec (core/batch.hpp).
 struct SolveRequest {
   const ScalarField* rho_t = nullptr;  ///< Template image (pencil-local).
   const ScalarField* rho_r = nullptr;  ///< Reference image (pencil-local).
   const VectorField* v0 = nullptr;     ///< Optional warm-start velocity.
   RegistrationOptions options;
-
-  // Job metadata (service semantics; see docs/SERVICE.md).
-  std::uint64_t job_id = 0;  ///< 0: assigned by the batch driver.
-  /// Higher runs earlier; FIFO within a priority class.
-  int priority = 0;
-  /// Wall-clock budget in seconds since batch start (0: none). Advisory by
-  /// default — SolveReport::deadline_met records whether the job finished
-  /// in time — but BatchSolver cancels late jobs between Newton iterates
-  /// when BatchOptions::enforce_deadlines is set (the CLI service does).
-  double deadline_seconds = 0;
-  /// When non-empty, a restart checkpoint is written after every
-  /// `checkpoint_every`-th accepted Newton iterate (core/checkpoint.hpp).
-  std::string checkpoint_path;
-  int checkpoint_every = 1;
+  std::uint64_t job_id = 0;  ///< Echoed into the report; 0: batch assigns.
 };
 
 struct RegistrationResult {
@@ -89,12 +76,7 @@ struct RegistrationResult {
   double time_to_solution = 0;  // seconds, this rank's wall clock
   Timings timings;              // this rank's comm/exec split of the solve
 
-  // Job metadata, echoed from the SolveRequest.
-  std::uint64_t job_id = 0;
-  /// False iff the request carried a deadline and the solve finished after
-  /// it (measured against the batch clock when run by BatchSolver, against
-  /// this solve's own wall clock otherwise).
-  bool deadline_met = true;
+  std::uint64_t job_id = 0;  ///< Echoed from the SolveRequest.
 };
 
 /// The batch driver's name for the result of one job.

@@ -139,10 +139,11 @@ std::shared_ptr<Backend> MailboxBackend::split(int color, int new_rank,
   // the allgather) must surface as a timeout here, not strand the
   // survivors in an untimed wait.
   if (!barrier(timeout_ms)) return nullptr;
-  // After the barrier every rank has resolved its child state; advance the
-  // epoch (rank 0) and clear the board lazily on the next epoch rollover.
+  // After the barrier every rank holds its child state: rank 0 takes this
+  // epoch's entries (all the board holds) off it and advances the epoch.
   if (rank_ == 0) {
     std::scoped_lock lock(state_->split_mutex);
+    state_->split_states.clear();
     ++state_->split_epoch;
   }
   if (!barrier(timeout_ms)) return nullptr;

@@ -159,7 +159,7 @@ struct SharedState {
   long barrier_generation = 0;
 
   // Exchange board used by split(): the first rank of each (color, epoch)
-  // creates the child state, everyone else in that color looks it up.
+  // creates the child state, the others look it up, then rank 0 clears it.
   std::mutex split_mutex;
   std::map<std::pair<long, int>, std::shared_ptr<SharedState>> split_states;
   long split_epoch = 0;

@@ -1,11 +1,15 @@
 # Runs one diffreg command line for a CTest entry and checks how it ended:
 #
 #   cmake -DBIN=<diffreg> -DARGS="<flags>" -DEXIT=<code> -DOUTPUT=<regex>
-#         -P run_cli.cmake
+#         [-DREMOVE=<file;file...>] -P run_cli.cmake
 #
-# The entry fails unless the run exits with EXIT, its stdout and stderr
-# together match OUTPUT, and no sanitizer report appears (ASan and UBSan
-# exit 1 too, so the exit code alone cannot tell them from a clean error).
+# The files in REMOVE are deleted first. The entry fails unless the run
+# exits with EXIT, its stdout and stderr together match OUTPUT, and no
+# sanitizer report appears (ASan and UBSan exit 1 too, so the exit code
+# alone cannot tell them from a clean error).
+if(REMOVE)
+  file(REMOVE ${REMOVE})
+endif()
 separate_arguments(args UNIX_COMMAND "${ARGS}")
 execute_process(COMMAND "${BIN}" ${args} RESULT_VARIABLE rc
                 OUTPUT_VARIABLE out ERROR_VARIABLE err)

@@ -166,7 +166,6 @@ TEST(SolveRequest, MatchesLegacyRunBitwise) {
     EXPECT_TRUE(same_bits(rep.velocity, again.velocity));
     EXPECT_EQ(ref.newton.iterations, rep.newton.iterations);
     EXPECT_EQ(rep.job_id, 42u);
-    EXPECT_TRUE(rep.deadline_met);  // no deadline set
   });
 }
 
@@ -190,25 +189,6 @@ TEST(SolveRequest, RegistryBackedSolverMatchesStandaloneBitwise) {
 
     EXPECT_TRUE(same_bits(ref.velocity, rep.velocity));
     EXPECT_GE(reg->stats().leases, 2);
-  });
-}
-
-TEST(SolveRequest, DeadlineSemantics) {
-  mpisim::run_spmd(1, [&](mpisim::Communicator& comm) {
-    PencilDecomp decomp(comm, {16, 16, 16});
-    ScalarField rho_t, rho_r;
-    const RegistrationOptions opt = small_options();
-    make_pair(decomp, 0.4, opt.nt, rho_t, rho_r);
-    RegistrationSolver solver(decomp, opt);
-
-    SolveRequest req;
-    req.rho_t = &rho_t;
-    req.rho_r = &rho_r;
-    req.options = opt;
-    req.deadline_seconds = 1e-9;  // impossible
-    EXPECT_FALSE(solver.solve(req).deadline_met);
-    req.deadline_seconds = 3600;  // generous
-    EXPECT_TRUE(solver.solve(req).deadline_met);
   });
 }
 
@@ -305,7 +285,7 @@ TEST(BatchSolver, MixedShapesShareNothingButSolve) {
   });
 }
 
-TEST(BatchSolver, PriorityOrdersExecutionAndDeadlinesAreAdvisory) {
+TEST(BatchSolver, PriorityOrdersExecution) {
   mpisim::run_spmd(1, [&](mpisim::Communicator& comm) {
     const RegistrationOptions opt = small_options();
     BatchSolver batch(comm);
@@ -314,8 +294,7 @@ TEST(BatchSolver, PriorityOrdersExecutionAndDeadlinesAreAdvisory) {
       BatchJobSpec spec;
       spec.dims = {16, 16, 16};
       spec.request.options = opt;
-      spec.request.priority = priorities[j];
-      spec.request.deadline_seconds = (j == 0) ? 1e-9 : 0;  // job 1 misses
+      spec.priority = priorities[j];
       const int nt = opt.nt;
       spec.make_inputs = [nt](PencilDecomp& d, ScalarField& t,
                               ScalarField& r) {
@@ -336,10 +315,6 @@ TEST(BatchSolver, PriorityOrdersExecutionAndDeadlinesAreAdvisory) {
     // FIFO within a class.
     EXPECT_LT(done(1), done(3));
     EXPECT_LT(done(0), done(2));
-    // The impossible deadline is recorded, not enforced: the job still ran.
-    EXPECT_FALSE(rep.summary[0].deadline_met);
-    EXPECT_GT(rep.summary[0].newton_iters, 0);
-    EXPECT_TRUE(rep.summary[1].deadline_met);
   });
 }
 
@@ -408,6 +383,66 @@ TEST(BatchSolver, RetrySettingsOutOfRangeThrowOnEveryRankBeforeAnyJob) {
     });
     EXPECT_EQ(threw.load(), 2) << budget << " " << backoff;
     EXPECT_EQ(built.load(), 0) << budget << " " << backoff;
+  }
+}
+
+// Two jobs writing one checkpoint would warm-start each other on resume, so
+// run_all refuses them on every rank before any job builds its inputs. A
+// job's path is its spec's, else its manifest entry's; a job the manifest
+// restores as final never runs, so it shares its path with no one.
+TEST(BatchSolver, SharedCheckpointPathThrowsOnEveryRankBeforeAnyJob) {
+  const std::string manifest = "test_batch_shared_ckpt.json";
+  const std::string ckpt = "test_batch_shared.ckpt";
+  // {second job's own path, its manifest outcome ("": no manifest entry)}
+  const std::pair<std::string, std::string> cases[] = {
+      {ckpt, ""}, {"", "retrying"}, {"", "done"}};
+  for (const auto& [second_path, second_outcome] : cases) {
+    std::atomic<int> threw{0}, built{0};
+    mpisim::run_spmd(2, [&](mpisim::Communicator& comm) {
+      if (comm.rank() == 0) std::remove(manifest.c_str());
+      comm.barrier();
+      BatchOptions bopt;
+      bopt.shards = 1;
+      if (!second_outcome.empty()) {
+        BatchManifestEntry e;
+        e.job_id = 12;
+        e.outcome = second_outcome;
+        e.attempts = 1;
+        e.checkpoint_path = ckpt;
+        update_manifest(comm, manifest, {e});
+        bopt.manifest_path = manifest;
+      }
+      BatchSolver batch(comm);
+      for (std::uint64_t id : {11, 12}) {
+        BatchJobSpec spec;
+        spec.dims = {16, 16, 16};
+        spec.request.options = small_options();
+        spec.request.job_id = id;
+        spec.checkpoint_path = id == 11 ? ckpt : second_path;
+        spec.make_inputs = [&built](PencilDecomp& d, ScalarField& t,
+                                    ScalarField& r) {
+          ++built;
+          make_pair(d, 0.4, 2, t, r);
+        };
+        batch.submit(std::move(spec));
+      }
+      try {
+        batch.run_all(bopt);
+      } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("jobs 11 and 12"), std::string::npos) << what;
+        EXPECT_NE(what.find(ckpt), std::string::npos) << what;
+        ++threw;
+      }
+      comm.barrier();
+      if (comm.rank() == 0) {
+        std::remove(manifest.c_str());
+        std::remove(ckpt.c_str());
+      }
+    });
+    const bool shared = second_outcome != "done";
+    EXPECT_EQ(threw.load(), shared ? 2 : 0) << second_outcome;
+    EXPECT_EQ(built.load() == 0, shared) << second_outcome;
   }
 }
 
@@ -513,8 +548,8 @@ TEST(BatchSolver, NonJobErrorOnOneShardFailsEveryRank) {
 }
 
 // --------------------------------------------------------------------------
-// Deadline enforcement (BatchOptions::enforce_deadlines; advisory remains
-// the library default, pinned above).
+// Deadlines: a job past its deadline is cancelled at admission or between
+// Newton iterates, or re-admitted once on the degrade configuration.
 
 TEST(BatchSolver, EnforcedDeadlineCancelsAtAdmission) {
   mpisim::run_spmd(2, [&](mpisim::Communicator& comm) {
@@ -523,7 +558,7 @@ TEST(BatchSolver, EnforcedDeadlineCancelsAtAdmission) {
     BatchJobSpec late;
     late.dims = {16, 16, 16};
     late.request.options = opt;
-    late.request.deadline_seconds = 1e-9;  // already passed at admission
+    late.deadline_seconds = 1e-9;  // already passed at admission
     const int nt = opt.nt;
     late.make_inputs = [nt](PencilDecomp& d, ScalarField& t, ScalarField& r) {
       make_pair(d, 0.4, nt, t, r);
@@ -540,7 +575,6 @@ TEST(BatchSolver, EnforcedDeadlineCancelsAtAdmission) {
 
     BatchOptions bopt;
     bopt.shards = 1;
-    bopt.enforce_deadlines = true;
     auto rep = batch.run_all(bopt);
 
     ASSERT_EQ(rep.summary.size(), 2u);
@@ -566,7 +600,7 @@ TEST(BatchSolver, EnforcedDeadlineCancelsBetweenNewtonIterates) {
     // Admission is comfortably inside the budget; the first Newton iterate
     // then burns past it (the caller hook sleeps, chained BEFORE the
     // lateness vote), so the cancellation fires mid-solve.
-    spec.request.deadline_seconds = 0.5;
+    spec.deadline_seconds = 0.5;
     spec.request.options.iterate_hook = [](const NewtonIterateInfo&) {
       std::this_thread::sleep_for(std::chrono::milliseconds(600));
     };
@@ -578,7 +612,6 @@ TEST(BatchSolver, EnforcedDeadlineCancelsBetweenNewtonIterates) {
 
     BatchOptions bopt;
     bopt.shards = 1;
-    bopt.enforce_deadlines = true;
     auto rep = batch.run_all(bopt);
 
     ASSERT_EQ(rep.summary.size(), 1u);
@@ -598,7 +631,7 @@ TEST(BatchSolver, DegradeReadmitsACancelledJobOnce) {
     BatchJobSpec spec;
     spec.dims = {16, 16, 16};
     spec.request.options = opt;
-    spec.request.deadline_seconds = 0.5;
+    spec.deadline_seconds = 0.5;
     // First attempt: the hook burns the budget once, the lateness vote
     // cancels. The degraded re-admission runs the same hook without the
     // sleep and without enforcement, and must complete.
@@ -615,7 +648,6 @@ TEST(BatchSolver, DegradeReadmitsACancelledJobOnce) {
 
     BatchOptions bopt;
     bopt.shards = 1;
-    bopt.enforce_deadlines = true;
     bopt.degrade = true;
     auto rep = batch.run_all(bopt);
 
@@ -775,7 +807,6 @@ TEST(BatchManifest, ResumeSkipsCompletedJobsWithZeroPlanWork) {
     for (std::size_t j = 0; j < amps.size(); ++j) {
       EXPECT_EQ(rep2.summary[j].outcome, JobOutcome::kDone);
       EXPECT_EQ(rep2.summary[j].shard, -1);  // restored, not placed
-      EXPECT_FALSE(rep2.summary[j].ran_here);
       EXPECT_EQ(rep2.summary[j].attempts, rep1.summary[j].attempts);
       EXPECT_DOUBLE_EQ(rep2.summary[j].completed_at_seconds,
                        rep1.summary[j].completed_at_seconds);
@@ -808,7 +839,7 @@ TEST(BatchManifest, ResumeWarmStartsAnInFlightJobFromItsCheckpoint) {
       spec.dims = {16, 16, 16};
       spec.request.options = opt;
       spec.request.job_id = 201;
-      spec.request.checkpoint_path = ckpt;
+      spec.checkpoint_path = ckpt;
       spec.make_inputs = [nt](PencilDecomp& d, ScalarField& t,
                               ScalarField& r) {
         make_pair(d, 0.4, nt, t, r);
@@ -844,7 +875,7 @@ TEST(BatchManifest, ResumeWarmStartsAnInFlightJobFromItsCheckpoint) {
     ASSERT_EQ(rep2.summary.size(), 1u);
     EXPECT_EQ(rep2.summary[0].outcome, JobOutcome::kDone);
     EXPECT_EQ(rep2.summary[0].attempts, 2);  // 1 restored + this run
-    EXPECT_TRUE(rep2.summary[0].ran_here);
+    EXPECT_EQ(rep2.summary[0].shard, 0);  // ran, on the one shard
     // Warm-started from the converged iterate, the resume needs no more
     // Newton iterations than the cold run.
     EXPECT_LE(rep2.summary[0].newton_iters, rep1.summary[0].newton_iters);
@@ -873,7 +904,7 @@ TEST(BatchManifest, ResumeColdStartsAnInFlightJobWhoseCheckpointIsNotFinite) {
     spec.dims = {16, 16, 16};
     spec.request.options = opt;
     spec.request.job_id = 202;
-    spec.request.checkpoint_path = ckpt;
+    spec.checkpoint_path = ckpt;
     spec.make_inputs = [nt = opt.nt](PencilDecomp& d, ScalarField& t,
                                      ScalarField& r) {
       make_pair(d, 0.4, nt, t, r);

@@ -192,7 +192,8 @@ TEST(CliParse, MalformedNumbersAreRejectedNamingTheFlag) {
   EXPECT_FALSE(parse_argv({"--ranks", "2x"}, error).has_value());
   EXPECT_NE(error.find("--ranks"), std::string::npos) << error;
   // Bounds are inclusive where they always were.
-  auto opt = parse_argv({"--max-newton", "0", "--deadline", "0"}, error);
+  auto opt = parse_argv(
+      {"--max-newton", "0", "--deadline", "0", "--batch", "jobs.txt"}, error);
   ASSERT_TRUE(opt.has_value()) << error;
   EXPECT_EQ(opt->reg.max_newton_iters, 0);
   opt = parse_argv({"--max-newton", "1048576"}, error);
@@ -248,15 +249,79 @@ TEST(CliParse, RetrySettingsAboveTheirCapsAreRejected) {
   };
   for (const auto& [flag, value] : cases) {
     error.clear();
-    EXPECT_FALSE(parse_argv({flag, value}, error).has_value())
+    EXPECT_FALSE(parse_argv({"--batch", "jobs.txt", flag, value}, error)
+                     .has_value())
         << flag << " " << value;
     EXPECT_NE(error.find(flag), std::string::npos) << error;
   }
-  auto opt = parse_argv({"--backoff-ms", "8.64e7", "--retry-budget", "1000"},
+  auto opt = parse_argv({"--batch", "jobs.txt", "--backoff-ms", "8.64e7",
+                         "--retry-budget", "1000"},
                         error);
   ASSERT_TRUE(opt.has_value()) << error;
   EXPECT_EQ(opt->backoff_ms, mpisim::kMaxCommTimeoutMs);
   EXPECT_EQ(opt->retry_budget, core::kMaxRetryBudget);
+}
+
+// A command line accepts a flag only when its kind of run reads it, and
+// names the flag it refuses.
+TEST(CliParse, BatchRunRejectsStandaloneOnlyFlags) {
+  std::string error;
+  for (const std::vector<std::string>& args :
+       {std::vector<std::string>{"--levels", "2"}, {"--coarsest", "8"},
+        {"--continuation"}, {"--resume", "r.ckpt"}, {"--out", "pref"},
+        {"--checkpoint", "shared.ckpt"}}) {
+    std::vector<std::string> line = args;
+    line.insert(line.end(), {"--batch", "jobs.txt"});
+    error.clear();
+    EXPECT_FALSE(parse_argv(line, error).has_value()) << args[0];
+    EXPECT_NE(error.find("flag " + args[0] + " is not allowed with --batch"),
+              std::string::npos)
+        << error;
+    EXPECT_EQ(error.find('\n'), std::string::npos) << error;
+    // The standalone run reads it.
+    EXPECT_TRUE(parse_argv(args, error).has_value()) << error;
+  }
+  // A job line still names its own checkpoint.
+  auto defaults = parse_argv({"--batch", "jobs.txt"}, error);
+  ASSERT_TRUE(defaults.has_value()) << error;
+  auto job = parse_options("--checkpoint j1.ckpt", *defaults, error);
+  ASSERT_TRUE(job.has_value()) << error;
+  EXPECT_EQ(job->multi.checkpoint_path, "j1.ckpt");
+}
+
+TEST(CliParse, StandaloneRunRejectsBatchOnlyFlags) {
+  std::string error;
+  for (const std::vector<std::string>& args :
+       {std::vector<std::string>{"--shards", "2"}, {"--priority", "3"},
+        {"--deadline", "1e-9"}, {"--retry-budget", "5"},
+        {"--backoff-ms", "10"}, {"--degrade", "on"},
+        {"--batch-manifest", "m.json"}}) {
+    error.clear();
+    EXPECT_FALSE(parse_argv(args, error).has_value()) << args[0];
+    EXPECT_NE(error.find("flag " + args[0] + " needs --batch"),
+              std::string::npos)
+        << error;
+    EXPECT_EQ(error.find('\n'), std::string::npos) << error;
+    // The batch run reads it, wherever --batch stands.
+    std::vector<std::string> line = args;
+    line.insert(line.end(), {"--batch", "jobs.txt"});
+    EXPECT_TRUE(parse_argv(line, error).has_value()) << error;
+  }
+}
+
+// The diffreg.ckpt default checkpoints a standalone run only: under
+// --batch a job checkpoints to its own file, never to one shared by all.
+TEST(CliParse, CheckpointDefaultIsStandaloneOnly) {
+  std::string error;
+  auto plain = parse_argv({"--checkpoint-every", "2"}, error);
+  ASSERT_TRUE(plain.has_value()) << error;
+  EXPECT_EQ(plain->multi.checkpoint_path, "diffreg.ckpt");
+  auto batch = parse_argv({"--batch", "jobs.txt", "--batch-manifest",
+                           "m.json", "--checkpoint-every", "2"},
+                          error);
+  ASSERT_TRUE(batch.has_value()) << error;
+  EXPECT_TRUE(batch->multi.checkpoint_path.empty());
+  EXPECT_EQ(batch->multi.checkpoint_every, 2);
 }
 
 // Every standalone run is a pyramid: one level unless --levels says more,
@@ -300,16 +365,38 @@ bool within_bounds(const CliOptions& opt) {
   return ok;
 }
 
+/// True when a parsed command line holds only settings its kind of run
+/// reads: the batch's settings at their defaults without --batch, and the
+/// standalone pyramid, resume and output settings at theirs with it.
+bool reads_only_its_run(const CliOptions& opt) {
+  const CliOptions none;
+  if (opt.batch_file.empty())
+    return opt.shards == none.shards && opt.priority == none.priority &&
+           opt.deadline == none.deadline &&
+           opt.retry_budget == none.retry_budget &&
+           opt.backoff_ms == none.backoff_ms && opt.degrade == none.degrade &&
+           opt.batch_manifest.empty();
+  return opt.multi.levels == none.multi.levels &&
+         opt.multi.coarsest_dim == none.multi.coarsest_dim &&
+         !opt.multi.coarse_beta_cont && opt.multi.resume_path.empty() &&
+         opt.out_prefix.empty() && opt.multi.checkpoint_path.empty();
+}
+
 TEST(CliParse, SeededMutantsParseWithinBoundsOrFailWithOneLine) {
-  // Seeded mutation fuzzing (tests/mutate.hpp) of a command line that sets
-  // every numeric flag and of a job line: each mutant parses into options
-  // within every documented bound, or is rejected with a one-line error.
-  const std::string command_line =
+  // Seeded mutation fuzzing (tests/mutate.hpp) of a standalone command line
+  // and a --batch command line, each setting every numeric flag its run
+  // accepts, and of a job line: each mutant parses into options within
+  // every documented bound (a command line holding only its run's
+  // settings), or is rejected with a one-line error.
+  const std::string command_lines[] = {
       "--grid 32,24,16 --ranks 4 --amplitude 0.4 --beta 1e-3 --nt 8 "
       "--gtol 1e-2 --max-newton 20 --levels 3 --coarsest 8 "
       "--precond-iters 5 --comm-timeout-ms 400 --checkpoint-every 2 "
-      "--shards 2 --priority 3 --deadline 2.5 --retry-budget 4 "
-      "--backoff-ms 10 --continuation";
+      "--continuation",
+      "--batch jobs.txt --grid 32,24,16 --ranks 4 --amplitude 0.4 "
+      "--beta 1e-3 --nt 8 --gtol 1e-2 --max-newton 20 --precond-iters 5 "
+      "--comm-timeout-ms 400 --checkpoint-every 2 --shards 2 --priority 3 "
+      "--deadline 2.5 --retry-budget 4 --backoff-ms 10"};
   const std::string job_line =
       "--grid 16,16,16 --amplitude 0.35 --beta 1e-3 --nt 8 --gtol 1e-2 "
       "--max-newton 20 --precond-iters 5 --priority 5 --deadline 2.5 "
@@ -328,13 +415,22 @@ TEST(CliParse, SeededMutantsParseWithinBoundsOrFailWithOneLine) {
   };
   std::mt19937_64 rng(29);
   int parsed = 0, rejected = 0;
-  for (int k = 0; k < 5000; ++k) {
-    const std::string mutant = fuzz::mutate(command_line, rng);
-    std::vector<std::string> args;
-    std::istringstream in(mutant);
-    for (std::string tok; in >> tok;) args.push_back(tok);
-    error.clear();
-    ++(check(parse_argv(args, error), error, mutant) ? parsed : rejected);
+  for (const std::string& command_line : command_lines) {
+    int parsed_here = 0;
+    for (int k = 0; k < 2500; ++k) {
+      const std::string mutant = fuzz::mutate(command_line, rng);
+      std::vector<std::string> args;
+      std::istringstream in(mutant);
+      for (std::string tok; in >> tok;) args.push_back(tok);
+      error.clear();
+      const auto opt = parse_argv(args, error);
+      if (opt) {
+        EXPECT_TRUE(reads_only_its_run(*opt)) << mutant;
+      }
+      ++(check(opt, error, mutant) ? parsed_here : rejected);
+    }
+    EXPECT_GT(parsed_here, 0) << command_line;
+    parsed += parsed_here;
   }
   for (int k = 0; k < 2000; ++k) {
     const std::string mutant = fuzz::mutate(job_line, rng);

@@ -12,9 +12,11 @@
 #include <cmath>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/logger.hpp"
 #include "mpisim/communicator.hpp"
@@ -772,6 +774,26 @@ TEST(ConcurrencyStress, RepeatedSplitsRaceRendezvousState) {
       sub.barrier();
     }
   });
+}
+
+TEST(ConcurrencyStress, SplitBoardEmptiesAfterEverySplit) {
+  // Each split posts one child state per color on the parent's board. Once
+  // every rank holds its child the entries must go, or each split would
+  // keep its child's mailboxes (and any payload queued in them) alive for
+  // the parent's lifetime.
+  auto state = std::make_shared<detail::SharedState>(2);
+  std::vector<std::thread> ranks;
+  for (int r = 0; r < 2; ++r)
+    ranks.emplace_back([&state, r] {
+      MailboxBackend backend(state, r);
+      for (int k = 0; k < 1000; ++k)
+        EXPECT_NE(backend.split(/*color=*/r, /*new_rank=*/0, /*new_size=*/1,
+                                /*timeout_ms=*/10000),
+                  nullptr);
+    });
+  for (std::thread& t : ranks) t.join();
+  EXPECT_TRUE(state->split_states.empty());
+  EXPECT_EQ(state->split_epoch, 1000);
 }
 
 // Collective-schedule verifier (--verify-schedule / SpmdOptions): the
