@@ -7,7 +7,8 @@
 //    and on brain-48's mixed-radix 48x56x48 grid
 //  * spectral gradient (1 forward + 3 inverse FFTs, the fused variant)
 //  * tricubic evaluation sweep over precomputed stencils, 1 and 3 fields
-//    (the paper's ~600 flops/point estimate)
+//    with the host's body, 1 with the portable one (the paper's ~600
+//    flops/point estimate)
 //  * interpolation plan: build (scatter phase) vs execute (reuse) — the
 //    paper's "once per field per Newton iteration" optimization
 //  * tricubic vs trilinear execution cost
@@ -150,12 +151,17 @@ void BM_SpectralGradient(benchmark::State& state) {
 BENCHMARK(BM_SpectralGradient)->Arg(32)->Arg(64);
 
 void BM_TricubicStencilSweep(benchmark::State& state) {
-  // The plan's evaluation sweep without communication: the stencils of one
+  // The plan's self-point sweep without communication: the stencils of one
   // 64^3 / p = 4 pencil block (32 x 32 x 64 points, ghost width 2),
   // precomputed as at plan build and visited in grid order, each applied to
-  // m ghosted fields. Every departure point sits a smooth sub-cell offset
-  // from its grid point, as after a semi-Lagrangian step.
+  // m ghosted fields (arg 0) by interp::cubic_sweep with the body the plan
+  // runs on this host (arg 1 = 0) or the portable body (arg 1 = 1). Every
+  // departure point sits a smooth sub-cell offset from its grid point, as
+  // after a semi-Lagrangian step.
   const int m = static_cast<int>(state.range(0));
+  const interp::CubicBody body = state.range(1) == 0
+                                     ? interp::cubic_body()
+                                     : interp::CubicBody::kPortable;
   const Int3 ld{32, 32, 64};
   const index_t w = interp::kGhostWidth;
   const Int3 gdims{ld[0] + 2 * w, ld[1] + 2 * w, ld[2] + 2 * w};
@@ -176,17 +182,20 @@ void BM_TricubicStencilSweep(benchmark::State& state) {
                                    stencils[j]);
       }
   std::vector<real_t> out(m * npts);
+  std::vector<real_t*> outs(m);
+  for (int f = 0; f < m; ++f) outs[f] = out.data() + f * npts;
+  std::vector<index_t> index(npts);
+  for (index_t q = 0; q < npts; ++q) index[q] = q;
   for (auto _ : state) {
-    for (index_t q = 0; q < npts; ++q)
-      for (int f = 0; f < m; ++f)
-        out[f * npts + q] = interp::cubic_stencil_apply(
-            ghosted.data() + f * gdims.prod(), gdims, stencils[q]);
+    interp::cubic_sweep(body, stencils, ghosted.data(), gdims.prod(), gdims,
+                        m, {.index = index.data(), .outs = outs.data()});
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * npts * m);
+  state.SetLabel(body == interp::CubicBody::kAvx2 ? "avx2" : "portable");
 }
-BENCHMARK(BM_TricubicStencilSweep)->Arg(1)->Arg(3);
+BENCHMARK(BM_TricubicStencilSweep)->Args({1, 0})->Args({3, 0})->Args({1, 1});
 
 void BM_InterpPlanBuild(benchmark::State& state) {
   // The scatter phase the paper amortizes: force a rebuild every iteration

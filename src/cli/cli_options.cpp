@@ -71,7 +71,9 @@ void print_usage() {
       "  --checkpoint PATH    checkpoint file (default diffreg.ckpt; with\n"
       "                       --batch, a job line names its own)\n"
       "  --checkpoint-every N write a checkpoint every N accepted Newton\n"
-      "                       iterates and at every level end\n"
+      "                       iterates and at every level end (with\n"
+      "                       --batch, only to a job-line --checkpoint or\n"
+      "                       --batch-manifest file)\n"
       "  --resume PATH        warm-restart a killed run from a checkpoint\n"
       "  --batch FILE         registration service mode: run every job line\n"
       "                       in FILE through one shared plan registry\n"
@@ -366,6 +368,14 @@ bool parse_tokens(const std::vector<std::string>& args, bool job_line,
   // --continuation runs down to --beta, wherever the two flags stand.
   if (opt.multi.coarse_beta_cont)
     opt.multi.coarse_beta_cont->beta_target = opt.reg.beta;
+  // A batch job checkpoints only to a path: its own --checkpoint, or the
+  // per-job file --batch-manifest names.
+  if (job_line && opt.multi.checkpoint_every > 0 &&
+      opt.multi.checkpoint_path.empty() && opt.batch_manifest.empty()) {
+    error =
+        "--checkpoint-every needs a job-line --checkpoint or --batch-manifest";
+    return false;
+  }
   if (job_line) return true;
   const bool batch = !opt.batch_file.empty();
   for (const std::string& flag : flags) {

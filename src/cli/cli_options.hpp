@@ -57,7 +57,8 @@ std::optional<CliOptions> parse_options(int argc, char** argv,
 /// top of `defaults` (the command-line options): a job inherits every flag
 /// it does not override. Global/batch-only flags (--ranks, --batch,
 /// --shards, --fault-spec, --comm-timeout-ms, --help) are rejected in job
-/// lines.
+/// lines, and so is a --checkpoint-every (its own or inherited) with no
+/// checkpoint path: no job-line --checkpoint and no --batch-manifest.
 std::optional<CliOptions> parse_options(const std::string& job_spec,
                                         const CliOptions& defaults,
                                         std::string& error);

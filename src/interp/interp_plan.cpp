@@ -9,6 +9,62 @@ namespace diffreg::interp {
 using grid::GhostExchange;
 using grid::PencilDecomp;
 
+namespace {
+
+using CubicBodyFn = real_t (*)(const real_t*, const Int3&,
+                               const CubicStencil&);
+
+// The loops of cubic_sweep for one body. The output mode and the batch size
+// are chosen once per run, outside the per-point loops, and one field (every
+// state and adjoint step) gets a loop of its own.
+// diffreg:zero-alloc
+template <CubicBodyFn Body>
+[[gnu::always_inline]] inline void sweep_loops(
+    std::span<const CubicStencil> st, const real_t* g, index_t gsize,
+    const Int3& gdims, int m, const SweepOut& out) {
+  const index_t n = static_cast<index_t>(st.size());
+  if (!out.index) {
+    for (index_t k = 0; k < n; ++k)
+      for (int f = 0; f < m; ++f)
+        out.staging[k * m + f] = Body(g + f * gsize, gdims, st[k]);
+  } else if (m == 1) {
+    real_t* o = out.outs[0];
+    for (index_t k = 0; k < n; ++k) o[out.index[k]] = Body(g, gdims, st[k]);
+  } else {
+    for (index_t k = 0; k < n; ++k)
+      for (int f = 0; f < m; ++f)
+        out.outs[f][out.index[k]] = Body(g + f * gsize, gdims, st[k]);
+  }
+}
+
+void sweep_portable(std::span<const CubicStencil> st, const real_t* g,
+                    index_t gsize, const Int3& gdims, int m,
+                    const SweepOut& out) {
+  sweep_loops<cubic_stencil_apply>(st, g, gsize, gdims, m, out);
+}
+
+#ifdef DIFFREG_HAVE_AVX2_BODY
+// The whole loop is compiled for AVX2 + FMA, so the body inlines into it.
+[[gnu::target("avx2,fma")]] void sweep_avx2(std::span<const CubicStencil> st,
+                                            const real_t* g, index_t gsize,
+                                            const Int3& gdims, int m,
+                                            const SweepOut& out) {
+  sweep_loops<cubic_stencil_apply_avx2>(st, g, gsize, gdims, m, out);
+}
+#endif
+
+}  // namespace
+
+void cubic_sweep([[maybe_unused]] CubicBody body,
+                 std::span<const CubicStencil> st,
+                 const real_t* g, index_t gsize, const Int3& gdims, int m,
+                 const SweepOut& out) {
+#ifdef DIFFREG_HAVE_AVX2_BODY
+  if (body == CubicBody::kAvx2) return sweep_avx2(st, g, gsize, gdims, m, out);
+#endif
+  sweep_portable(st, g, gsize, gdims, m, out);
+}
+
 InterpPlan::InterpPlan(PencilDecomp& decomp, WirePrecision, bool)
     : decomp_(&decomp) {
   const int p = decomp.comm().size();
@@ -201,35 +257,27 @@ void InterpPlan::interpolate_many(GhostExchange& gx,
   const real_t* const ghosted = gx.exchange_many(fields).data();
   const Int3 gdims = gx.ghost_dims();
 
-  // Per-point evaluation kernel, shared by the peer and self sweeps:
-  // `self` points land straight in the caller's output, peer points in the
-  // point-major eval staging. Each point reads only its precomputed stencil
-  // and the ghosted blocks, so evaluation ORDER cannot change any value.
-  const auto eval_point = [&](index_t j, bool self) {
-    const index_t pos = j < self_recv_off ? j : j - self_cnt;
-    const index_t orig =
-        self ? send_index_[self_send_off + (j - self_recv_off)] : 0;
+  // Evaluates planned points [j0, j1) into `out`, shared by the peer and
+  // self sweeps. Each point reads only its precomputed stencil (or
+  // coordinates) and the ghosted blocks, so evaluation ORDER cannot change
+  // any value.
+  const CubicBody body = cubic_body();
+  const auto sweep = [&](index_t j0, index_t j1, const SweepOut& out) {
     if (method == Method::kTricubic) {
-      const CubicStencil& st = stencils_[j];
+      cubic_sweep(body,
+                  std::span<const CubicStencil>(stencils_.data() + j0, j1 - j0),
+                  ghosted, gsize, gdims, m, out);
+      return;
+    }
+    for (index_t k = 0; k < j1 - j0; ++k) {
+      const real_t* u = &recv_coords_[3 * (j0 + k)];
       for (int f = 0; f < m; ++f) {
         const real_t val =
-            cubic_stencil_apply(ghosted + f * gsize, gdims, st);
-        if (self)
-          outs[f][orig] = val;
+            trilinear_eval(ghosted + f * gsize, gdims, u[0], u[1], u[2]);
+        if (out.index)
+          out.outs[f][out.index[k]] = val;
         else
-          eval_vals_[pos * m + f] = val;
-      }
-    } else {
-      const real_t u1 = recv_coords_[3 * j];
-      const real_t u2 = recv_coords_[3 * j + 1];
-      const real_t u3 = recv_coords_[3 * j + 2];
-      for (int f = 0; f < m; ++f) {
-        const real_t val =
-            trilinear_eval(ghosted + f * gsize, gdims, u1, u2, u3);
-        if (self)
-          outs[f][orig] = val;
-        else
-          eval_vals_[pos * m + f] = val;
+          out.staging[k * m + f] = val;
       }
     }
   };
@@ -249,9 +297,9 @@ void InterpPlan::interpolate_many(GhostExchange& gx,
   // Peer points first: their values are all the exchange ships.
   {
     ScopedTimer t(timings, TimeKind::kInterpExec);
-    for (index_t j = 0; j < self_recv_off; ++j) eval_point(j, false);
-    for (index_t j = self_recv_off + self_cnt; j < recv_total_; ++j)
-      eval_point(j, false);
+    sweep(0, self_recv_off, SweepOut{.staging = eval_vals_.data()});
+    sweep(self_recv_off + self_cnt, recv_total_,
+          SweepOut{.staging = eval_vals_.data() + self_recv_off * m});
   }
   // Post the value exchange, then evaluate the SELF-owned majority while it
   // is in flight; the wait moves past the self sweep.
@@ -260,8 +308,9 @@ void InterpPlan::interpolate_many(GhostExchange& gx,
       std::span<const index_t>(val_recv_counts_), kTagValues);
   {
     ScopedTimer t(timings, TimeKind::kInterpExec);
-    for (index_t j = self_recv_off; j < self_recv_off + self_cnt; ++j)
-      eval_point(j, true);
+    sweep(self_recv_off, self_recv_off + self_cnt,
+          SweepOut{.index = send_index_.data() + self_send_off,
+                   .outs = outs.data()});
   }
   req.wait();
 

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cmath>
+#include <span>
 
 #include "common/types.hpp"
 
@@ -54,11 +55,15 @@ inline void make_cubic_stencil(const Int3& gdims, real_t u1, real_t u2,
   cubic_weights(u3 - static_cast<real_t>(i3), st.w3);
 }
 
-/// Applies a precomputed stencil to one ghosted field: each contiguous
-/// 4-point i3 line is contracted with w3 first, then the lines with w2 and
-/// the planes with w1, every sum taken in pairs. No accumulator waits on more
-/// than a few dependent adds, so the 64 products pipeline; ~64 coefficients
-/// as in the paper's O(600 N^3 / p) flop estimate.
+/// The two bodies that evaluate a precomputed stencil. Both sum the same 64
+/// products in a different order, so they agree to rounding, not bitwise.
+enum class CubicBody { kPortable, kAvx2 };
+
+/// Portable body: applies a precomputed stencil to one ghosted field: each
+/// contiguous 4-point i3 line is contracted with w3 first, then the lines
+/// with w2 and the planes with w1, every sum taken in pairs. No accumulator
+/// waits on more than a few dependent adds, so the 64 products pipeline;
+/// ~64 coefficients as in the paper's O(600 N^3 / p) flop estimate.
 // diffreg:zero-alloc
 inline real_t cubic_stencil_apply(const real_t* g, const Int3& gdims,
                                   const CubicStencil& st) {
@@ -76,6 +81,76 @@ inline real_t cubic_stencil_apply(const real_t* g, const Int3& gdims,
   return (st.w1[0] * plane(base) + st.w1[1] * plane(base + s1)) +
          (st.w1[2] * plane(base + 2 * s1) + st.w1[3] * plane(base + 3 * s1));
 }
+
+#if defined(__x86_64__) && defined(__GNUC__)
+#define DIFFREG_HAVE_AVX2_BODY 1
+
+/// AVX2 body: the same stencil with each contiguous i3 line as one
+/// four-lane vector. The 16 lines are weighted by w2 into 4 plane vectors,
+/// the planes by w1 into one, and its lanes are dotted with w3: 21 vector
+/// multiply-adds and a 4-lane sum instead of 64 scalar products. Compiled
+/// for AVX2 + FMA whatever the build's ISA level; run it only where
+/// cubic_body() chose it.
+// diffreg:zero-alloc
+[[gnu::target("avx2,fma")]] inline real_t cubic_stencil_apply_avx2(
+    const real_t* g, const Int3& gdims, const CubicStencil& st) {
+  // Unaligned and may-alias, like the compiler's own __m256d_u.
+  typedef real_t Lanes
+      __attribute__((vector_size(32), aligned(alignof(real_t)), may_alias));
+  const index_t s1 = gdims[1] * gdims[2];
+  const index_t s2 = gdims[2];
+  const real_t* base = g + st.base;
+  Lanes plane[4];
+  for (int a = 0; a < 4; ++a) {
+    const real_t* q = base + a * s1;
+    const Lanes l0 = *reinterpret_cast<const Lanes*>(q);
+    const Lanes l1 = *reinterpret_cast<const Lanes*>(q + s2);
+    const Lanes l2 = *reinterpret_cast<const Lanes*>(q + 2 * s2);
+    const Lanes l3 = *reinterpret_cast<const Lanes*>(q + 3 * s2);
+    plane[a] =
+        (st.w2[0] * l0 + st.w2[1] * l1) + (st.w2[2] * l2 + st.w2[3] * l3);
+  }
+  const Lanes block = (st.w1[0] * plane[0] + st.w1[1] * plane[1]) +
+                      (st.w1[2] * plane[2] + st.w1[3] * plane[3]);
+  const Lanes terms = block * *reinterpret_cast<const Lanes*>(st.w3);
+  return (terms[0] + terms[1]) + (terms[2] + terms[3]);
+}
+#endif
+
+/// The body every sweep of this process runs: AVX2 on an x86-64 CPU with
+/// AVX2 and FMA, portable everywhere else. Decided on the first call and
+/// cached, so every rank thread reads one value.
+inline CubicBody cubic_body() {
+#ifdef DIFFREG_HAVE_AVX2_BODY
+  static const CubicBody body = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")
+               ? CubicBody::kAvx2
+               : CubicBody::kPortable;
+  }();
+  return body;
+#else
+  return CubicBody::kPortable;
+#endif
+}
+
+/// Where a stencil sweep stores point k's value of field f (one of m).
+/// With `index` set: at outs[f][index[k]], straight into the caller's
+/// output (the points a rank asked for itself). Without: at
+/// staging[k * m + f], point-major as the value exchange ships the points
+/// a rank evaluates for its peers.
+struct SweepOut {
+  const index_t* index = nullptr;
+  real_t* const* outs = nullptr;
+  real_t* staging = nullptr;
+};
+
+/// Evaluates the stencils `st` on the m ghosted fields g + f * gsize (dims
+/// `gdims`) with `body`, storing into `out`. Each value is exactly what
+/// the body returns for that stencil and field.
+void cubic_sweep(CubicBody body, std::span<const CubicStencil> st,
+                 const real_t* g, index_t gsize, const Int3& gdims, int m,
+                 const SweepOut& out);
 
 /// Evaluates the tricubic interpolant of the ghosted block `g` (dims
 /// `gdims`, i3 fastest) at ghosted-grid-unit position (u1, u2, u3).

@@ -324,6 +324,44 @@ TEST(CliParse, CheckpointDefaultIsStandaloneOnly) {
   EXPECT_EQ(batch->multi.checkpoint_every, 2);
 }
 
+// A batch job checkpoints only to a path: a --checkpoint-every, its own or
+// inherited from the command line, with neither a job-line --checkpoint
+// nor --batch-manifest is a one-line error naming the flag.
+TEST(CliParse, BatchCheckpointEveryNeedsAPath) {
+  std::string error;
+  auto plain = parse_argv({"--batch", "jobs.txt"}, error);
+  ASSERT_TRUE(plain.has_value()) << error;
+  auto every = parse_argv({"--batch", "jobs.txt", "--checkpoint-every", "2"},
+                          error);
+  ASSERT_TRUE(every.has_value()) << error;
+  for (const auto& [defaults, line] :
+       {std::pair{*plain, "--checkpoint-every 2"}, {*every, ""},
+        {*every, "--amplitude 0.4"}}) {
+    error.clear();
+    EXPECT_FALSE(parse_options(line, defaults, error).has_value()) << line;
+    EXPECT_NE(error.find("--checkpoint-every needs a job-line --checkpoint "
+                         "or --batch-manifest"),
+              std::string::npos)
+        << error;
+    EXPECT_EQ(error.find('\n'), std::string::npos) << error;
+  }
+  // Either path source makes the same lines parse.
+  auto job = parse_options("--checkpoint j1.ckpt", *every, error);
+  ASSERT_TRUE(job.has_value()) << error;
+  EXPECT_EQ(job->multi.checkpoint_every, 2);
+  auto manifest = parse_argv({"--batch", "jobs.txt", "--batch-manifest",
+                              "m.json", "--checkpoint-every", "2"},
+                             error);
+  ASSERT_TRUE(manifest.has_value()) << error;
+  job = parse_options("", *manifest, error);
+  ASSERT_TRUE(job.has_value()) << error;
+  EXPECT_TRUE(job->multi.checkpoint_path.empty());
+  EXPECT_EQ(job->multi.checkpoint_every, 2);
+  // A job line without the flag needs no path.
+  EXPECT_TRUE(parse_options("--amplitude 0.4", *plain, error).has_value())
+      << error;
+}
+
 // Every standalone run is a pyramid: one level unless --levels says more,
 // and --continuation runs 1e-1 down to --beta wherever --beta stands.
 TEST(CliParse, ContinuationRunsDownToTheBetaOfTheRun) {
@@ -400,7 +438,7 @@ TEST(CliParse, SeededMutantsParseWithinBoundsOrFailWithOneLine) {
   const std::string job_line =
       "--grid 16,16,16 --amplitude 0.35 --beta 1e-3 --nt 8 --gtol 1e-2 "
       "--max-newton 20 --precond-iters 5 --priority 5 --deadline 2.5 "
-      "--checkpoint-every 2";
+      "--checkpoint-every 2 --checkpoint job.ckpt";
   std::string error;
   const auto defaults = parse_argv({}, error);
   ASSERT_TRUE(defaults.has_value()) << error;

@@ -112,38 +112,106 @@ TEST(TricubicKernel, ExactOnTriCubicPolynomials) {
   }
 }
 
+using BodyFn = real_t (*)(const real_t*, const Int3&, const CubicStencil&);
+
+/// The bodies this host can run, each with its kernel: the portable one
+/// everywhere, the AVX2 one where cubic_body() chose it (last).
+std::vector<std::pair<CubicBody, BodyFn>> runnable_bodies() {
+  std::vector<std::pair<CubicBody, BodyFn>> bodies = {
+      {CubicBody::kPortable, cubic_stencil_apply}};
+#ifdef DIFFREG_HAVE_AVX2_BODY
+  if (cubic_body() == CubicBody::kAvx2)
+    bodies.push_back({CubicBody::kAvx2, cubic_stencil_apply_avx2});
+#endif
+  return bodies;
+}
+
+/// `count` random stencils whose 4^3 neighbourhoods lie inside `dims`.
+std::vector<CubicStencil> random_stencils(const Int3& dims, int count,
+                                          unsigned seed) {
+  std::mt19937 rng(seed);
+  std::vector<CubicStencil> st(count);
+  for (auto& s : st) {
+    real_t u[3];
+    for (int d = 0; d < 3; ++d)  // the stencil reads nodes i - 1 .. i + 2
+      u[d] = std::uniform_real_distribution<real_t>(
+          1.0, static_cast<real_t>(dims[d] - 2))(rng);
+    make_cubic_stencil(dims, u[0], u[1], u[2], s);
+  }
+  return st;
+}
+
 TEST(TricubicKernel, StencilApplyMatchesNaiveSum) {
-  // cubic_stencil_apply reassociates the 64-term sum (each i3 line first,
-  // then pairwise). It must match the plain triple loop, summed in long
-  // double, to rounding: within 1e-14 of sum |w1 w2 w3 g|.
+  // Each body reassociates the 64-term sum (the portable one each i3 line
+  // first, then pairwise; the AVX2 one lines and planes per lane, then the
+  // lanes). Each must match the plain triple loop, summed in long double,
+  // to rounding: within 1e-14 of sum |w1 w2 w3 g|.
   const Int3 dims{9, 10, 11};
   const index_t s1 = dims[1] * dims[2], s2 = dims[2];
   std::mt19937 rng(19);
   std::uniform_real_distribution<real_t> value(-50.0, 50.0);
   std::vector<real_t> g(dims.prod());
   for (auto& x : g) x = value(rng);
-  for (int trial = 0; trial < 500; ++trial) {
-    real_t u[3];
-    for (int d = 0; d < 3; ++d)  // the stencil reads nodes i - 1 .. i + 2
-      u[d] = std::uniform_real_distribution<real_t>(
-          1.0, static_cast<real_t>(dims[d] - 2))(rng);
-    CubicStencil st;
-    make_cubic_stencil(dims, u[0], u[1], u[2], st);
-    long double sum = 0, magnitude = 0;
-    for (int a = 0; a < 4; ++a)
-      for (int b = 0; b < 4; ++b)
-        for (int c = 0; c < 4; ++c) {
-          const long double term =
-              static_cast<long double>(st.w1[a]) * st.w2[b] * st.w3[c] *
-              g[st.base + a * s1 + b * s2 + c];
-          sum += term;
-          magnitude += std::fabs(term);
-        }
-    EXPECT_NEAR(cubic_stencil_apply(g.data(), dims, st),
-                static_cast<real_t>(sum),
-                1e-14 * static_cast<real_t>(magnitude))
-        << "trial " << trial;
+  const auto stencils = random_stencils(dims, 500, 20);
+  for (const auto& [body, apply] : runnable_bodies()) {
+    for (size_t trial = 0; trial < stencils.size(); ++trial) {
+      const CubicStencil& st = stencils[trial];
+      long double sum = 0, magnitude = 0;
+      for (int a = 0; a < 4; ++a)
+        for (int b = 0; b < 4; ++b)
+          for (int c = 0; c < 4; ++c) {
+            const long double term =
+                static_cast<long double>(st.w1[a]) * st.w2[b] * st.w3[c] *
+                g[st.base + a * s1 + b * s2 + c];
+            sum += term;
+            magnitude += std::fabs(term);
+          }
+      EXPECT_NEAR(apply(g.data(), dims, st), static_cast<real_t>(sum),
+                  1e-14 * static_cast<real_t>(magnitude))
+          << "body " << static_cast<int>(body) << " trial " << trial;
+    }
   }
+}
+
+TEST(TricubicKernel, SweepStoresExactlyWhatItsBodyReturns) {
+  // cubic_sweep runs one body over a run of stencils for m fields, storing
+  // through an index (self points) or point-major (peer points). Every
+  // stored value must be the body's own value for that stencil and field,
+  // bitwise: the portable sweep computes what the scalar kernel computes on
+  // every host, and the plan's sweep is exactly its chosen body.
+  const Int3 dims{8, 9, 10};
+  const index_t gsize = dims.prod();
+  constexpr int kMaxFields = 3;
+  std::mt19937 rng(23);
+  std::uniform_real_distribution<real_t> value(-1.0, 1.0);
+  std::vector<real_t> g(kMaxFields * gsize);
+  for (auto& x : g) x = value(rng);
+  const auto stencils = random_stencils(dims, 200, 24);
+  const index_t n = static_cast<index_t>(stencils.size());
+  std::vector<index_t> index(n);
+  for (index_t k = 0; k < n; ++k) index[k] = (7 * k + 3) % n;  // a permutation
+
+  for (const auto& [body, apply] : runnable_bodies()) {
+    for (int m : {1, 2, 3}) {
+      std::vector<real_t> fields(m * n, -99), staging(m * n, -99);
+      std::vector<real_t*> outs(m);
+      for (int f = 0; f < m; ++f) outs[f] = fields.data() + f * n;
+      cubic_sweep(body, stencils, g.data(), gsize, dims, m,
+                  {.index = index.data(), .outs = outs.data()});
+      cubic_sweep(body, stencils, g.data(), gsize, dims, m,
+                  {.staging = staging.data()});
+      for (index_t k = 0; k < n; ++k)
+        for (int f = 0; f < m; ++f) {
+          const real_t want = apply(g.data() + f * gsize, dims, stencils[k]);
+          ASSERT_EQ(outs[f][index[k]], want)
+              << "body " << static_cast<int>(body) << " m " << m << " k " << k;
+          ASSERT_EQ(staging[k * m + f], want)
+              << "body " << static_cast<int>(body) << " m " << m << " k " << k;
+        }
+    }
+  }
+  // The plan's sweeps run the body chosen for this host.
+  EXPECT_EQ(runnable_bodies().back().first, cubic_body());
 }
 
 TEST(TrilinearKernel, ExactOnTriLinearPolynomials) {
